@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics as nm
 from .circuit import (
     CNOT,
@@ -32,7 +30,6 @@ from .circuit import (
     Generic1Q,
     Rotation,
     Swap,
-    gate_matrix,
     rotation_matrix2,
     simulate,
     wrap_angle,
@@ -171,15 +168,23 @@ def _commute_rot_cnot(axis, line):
 
 
 def _commute_pauli_cnot(pauli, line):
+    def on_line(g, c):
+        return (
+            isinstance(c, CNOT)
+            and isinstance(g, (Rotation, Generic1Q))
+            and g.qubit == getattr(c, line)
+            and _is_pauli(g, pauli)
+        )
+
     def fw(w):
         g, c = w
-        if isinstance(c, CNOT) and _is_pauli(g, pauli) and g.qubit == getattr(c, line):
+        if on_line(g, c):
             return [c, g]
         return None
 
     def bw(w):
         c, g = w
-        if isinstance(c, CNOT) and _is_pauli(g, pauli) and g.qubit == getattr(c, line):
+        if on_line(g, c):
             return [g, c]
         return None
 
@@ -252,16 +257,16 @@ def _move_1q_via_swap_bw(w):
 
 def _merge_rotations(w):
     g1, g2 = w
-    m1 = _one_qubit_matrix(g1)
-    m2 = _one_qubit_matrix(g2)
-    if m1 is None or m2 is None or g1.qubit != g2.qubit:
+    if not (isinstance(g1, (Rotation, Generic1Q)) and isinstance(g2, (Rotation, Generic1Q))):
+        return None
+    if g1.qubit != g2.qubit:
         return None
     if isinstance(g1, Rotation) and isinstance(g2, Rotation) and g1.axis is g2.axis:
         angle = wrap_angle(g1.angle + g2.angle)
         if abs(angle) <= _MERGE_ZERO:
             return []
         return [Rotation(g1.axis, g1.qubit, angle)]
-    prod = m2 @ m1
+    prod = _one_qubit_matrix(g2) @ _one_qubit_matrix(g1)
     if abs(prod[0, 1]) + abs(prod[1, 0]) <= _MERGE_ZERO and abs(prod[0, 0] - prod[1, 1]) <= _MERGE_ZERO:
         return []
     return [Generic1Q(g1.qubit, prod)]
@@ -520,8 +525,6 @@ def _build_rules():
 
 RULES = _build_rules()
 
-RULE_IDS = tuple(RULES)
-
 
 def _validate_rules():
     for rule in RULES.values():
@@ -568,12 +571,6 @@ def apply_rule(c, rule, pos):
     return Circuit(c.gates[:pos] + replacement + c.gates[pos + length :])
 
 
-def _measure(gates):
-    cnot_sum = sum(i for i, g in enumerate(gates) if isinstance(g, CNOT))
-    swap_deficit = sum(len(gates) - i for i, g in enumerate(gates) if isinstance(g, Swap))
-    return (len(gates), cnot_sum, swap_deficit)
-
-
 _REDUCE_PRIORITY = (
     ("CancelCNOT", "CancelSWAP"),
     ("MergeRotations",),
@@ -581,40 +578,76 @@ _REDUCE_PRIORITY = (
     ("CommuteRxTarget", "CommuteRzControl", "CommuteSxTarget", "CommuteSzControl"),
 )
 
+#: How far left of a rewritten span a window can start and still overlap it.
+_REACH = max(a for tier in _REDUCE_PRIORITY for rule_id in tier for a in RULES[rule_id].arity) - 1
+
+
+def _lowers_measure(window, replacement, pos, n):
+    """Whether replacing ``window`` at ``pos`` of an ``n``-gate circuit lowers
+    the measure (gate count, CNOT index sum, SWAP distance from the end).
+
+    Gates outside the window keep their index unless the length changes, and
+    then the gate count alone decides, so the change is computed locally.
+    """
+    if len(replacement) != len(window):
+        return len(replacement) < len(window)
+    cnot_sum = swap_deficit = 0
+    for j, (old, new) in enumerate(zip(window, replacement)):
+        cnot_sum += (pos + j) * (isinstance(new, CNOT) - isinstance(old, CNOT))
+        swap_deficit += (n - pos - j) * (isinstance(new, Swap) - isinstance(old, Swap))
+    return (cnot_sum, swap_deficit) < (0, 0)
+
+
+def _first_hit(tier, gates, pos):
+    """(rule_id, length, replacement) of the first rule of ``tier`` whose
+    match at ``pos`` lowers the measure, else None."""
+    for rule_id in tier:
+        hit = RULES[rule_id].match(gates, pos)
+        if hit is not None:
+            length, replacement = hit
+            if _lowers_measure(gates[pos : pos + length], replacement, pos, len(gates)):
+                return rule_id, length, replacement
+    return None
+
 
 def reduce(c):
     """Greedy fixed-point reduction; returns (circuit, ReductionTrace).
 
-    Only measure-decreasing rule applications are taken, so commutations
-    only move CNOTs leftward and SWAPs only move rightward; the reduction
-    terminates and never grows the circuit.
+    Each step applies the first measure-decreasing rule application in
+    (tier, position, rule-within-tier) order, so commutations only move
+    CNOTs leftward and SWAPs only move rightward; the reduction terminates
+    and never grows the circuit.
     """
-    gates = tuple(c.gates)
-    steps = []
+    gates = list(c.gates)
     initial = len(gates)
-    changed = True
-    while changed:
-        changed = False
-        measure = _measure(gates)
-        for tier in _REDUCE_PRIORITY:
-            for pos in range(len(gates)):
-                for rule_id in tier:
-                    hit = RULES[rule_id].match(gates, pos)
-                    if hit is None:
-                        continue
-                    length, replacement = hit
-                    candidate = gates[:pos] + replacement + gates[pos + length :]
-                    if _measure(candidate) < measure:
-                        gates = candidate
-                        steps.append((rule_id, pos))
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
+    steps = []
+    # hits[t][p] caches _first_hit of tier t at position p, and found[t][p]
+    # is 1 where it is not None, so the first hit is a C-speed find.  A
+    # rewrite at pos only changes windows that start in [pos - _REACH,
+    # pos + len(replacement)); later entries shift with the gates and are
+    # kept.  Keeping them is exact only because no verdict of
+    # _lowers_measure for these rules depends on where the window sits or
+    # on the circuit length: a same-length rewrite that changes the number
+    # of CNOTs or SWAPs moves them the way its index sums already point.
+    hits = [[_first_hit(tier, gates, p) for p in range(len(gates))] for tier in _REDUCE_PRIORITY]
+    found = [bytearray(h is not None for h in tier_hits) for tier_hits in hits]
+    while True:
+        for tier_hits, flags in zip(hits, found):
+            pos = flags.find(1)
+            if pos >= 0:
                 break
+        else:
+            break
+        rule_id, length, replacement = tier_hits[pos]
+        gates[pos : pos + length] = replacement
+        steps.append((rule_id, pos))
+        lo, old_end, new_end = max(pos - _REACH, 0), pos + length, pos + len(replacement)
+        for tier, tier_hits, flags in zip(_REDUCE_PRIORITY, hits, found):
+            fresh = [_first_hit(tier, gates, p) for p in range(lo, new_end)]
+            tier_hits[lo:old_end] = fresh
+            flags[lo:old_end] = bytes(h is not None for h in fresh)
     trace = ReductionTrace(steps=tuple(steps), initial_gate_count=initial, final_gate_count=len(gates))
-    return Circuit(gates), trace
+    return Circuit(tuple(gates)), trace
 
 
 def replay(c, trace):

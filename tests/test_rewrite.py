@@ -15,8 +15,11 @@ from q2synth.circuit import (
 )
 from q2synth.errors import NoMatch, UnsupportedGate
 from q2synth.rewrite import (
+    _REDUCE_PRIORITY,
     RULES,
     ReductionTrace,
+    RewriteRule,
+    _lowers_measure,
     apply_rule,
     effectively_separated,
     reduce,
@@ -62,6 +65,70 @@ def random_circuit(rng, max_len=30, generic=True):
             u = nm.haar_unitary(2, rng)
             gates.append(Generic1Q(int(rng.integers(0, 2)), u))
     return C(gates)
+
+
+def long_circuit(rng, n):
+    """CNOT/SWAP/Haar 1Q/rotation mix of the reduce-long benchmark; half of
+    the rotations are quarter or half turns, so the Pauli matchers have work,
+    and a few exact Paulis make the Pauli commutations fire."""
+    gates = []
+    for _ in range(n):
+        r = rng.random()
+        wire = int(rng.integers(2))
+        if r < 0.3:
+            gates.append(CNOT(wire, 1 - wire))
+        elif r < 0.4:
+            gates.append(Swap())
+        elif r < 0.8:
+            gates.append(Generic1Q(wire, nm.haar_unitary(2, rng)))
+        elif r < 0.85:
+            gates.append(Generic1Q(wire, nm.SIGMA_X if rng.random() < 0.5 else nm.SIGMA_Z))
+        else:
+            axis = list(Axis)[int(rng.integers(3))]
+            k = rng.random()
+            if k < 0.5:
+                angle = float(rng.uniform(-math.pi, math.pi))
+            elif k < 0.75:
+                angle = math.pi / 2 if rng.random() < 0.5 else -math.pi / 2
+            else:
+                angle = math.pi
+            gates.append(Rotation(axis, wire, angle))
+    return C(gates)
+
+
+def _measure(gates):
+    cnot_sum = sum(i for i, g in enumerate(gates) if isinstance(g, CNOT))
+    swap_deficit = sum(len(gates) - i for i, g in enumerate(gates) if isinstance(g, Swap))
+    return (len(gates), cnot_sum, swap_deficit)
+
+
+def reference_reduce(c):
+    """The plain fixed-point loop: after every rewrite, rescan from the first
+    tier and position for the first application that lowers the measure."""
+    gates = tuple(c.gates)
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        measure = _measure(gates)
+        for tier in _REDUCE_PRIORITY:
+            for pos in range(len(gates)):
+                for rule_id in tier:
+                    hit = RULES[rule_id].match(gates, pos)
+                    if hit is None:
+                        continue
+                    length, replacement = hit
+                    candidate = gates[:pos] + replacement + gates[pos + length :]
+                    if _measure(candidate) < measure:
+                        gates = candidate
+                        steps.append((rule_id, pos))
+                        changed = True
+                        break
+                if changed:
+                    break
+            if changed:
+                break
+    return gates, tuple(steps)
 
 
 class TestRegistry:
@@ -218,6 +285,60 @@ class TestReduce:
             twice, trace = reduce(once)
             assert trace.steps == ()
             assert twice.gates == once.gates
+
+
+class TestIncrementalReduce:
+    """``reduce`` re-matches only the windows a rewrite touched; it must still
+    take exactly the steps of the rescanning reference loop."""
+
+    @staticmethod
+    def assert_same_as_reference(c):
+        out, trace = reduce(c)
+        gates, steps = reference_reduce(c)
+        assert trace.steps == steps
+        # Generic1Q compares by qubit and np.array_equal of its matrix.
+        assert out.gates == gates
+        return trace
+
+    def test_random_circuits_match_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            self.assert_same_as_reference(random_circuit(rng))
+
+    def test_long_circuits_match_reference(self):
+        rng = np.random.default_rng(12)
+        fired = set()
+        for n in (200, 250, 300, 400):
+            trace = self.assert_same_as_reference(long_circuit(rng, n))
+            fired.update(rule_id for rule_id, _ in trace.steps)
+        assert {"CommuteSxTarget", "CommuteSzControl"} <= fired
+
+    def test_match_attempts_are_linear(self, monkeypatch):
+        calls = []
+        match = RewriteRule.match
+
+        def counting(self, gates, pos):
+            calls.append(None)
+            return match(self, gates, pos)
+
+        monkeypatch.setattr(RewriteRule, "match", counting)
+        c = long_circuit(np.random.default_rng(13), 400)
+        _, trace = reduce(c)
+        assert len(calls) <= 20 * (len(c.gates) + len(trace.steps))
+
+    def test_verdicts_do_not_depend_on_position(self):
+        # The cache in reduce keeps a window's verdict while the window
+        # shifts and the circuit length changes.
+        for tier in _REDUCE_PRIORITY:
+            for rule_id in tier:
+                for window in RULES[rule_id].samples:
+                    _, replacement = RULES[rule_id].match(window, 0)
+                    verdicts = {
+                        _lowers_measure(window, replacement, pos, n)
+                        for pos in range(65)
+                        for n in range(pos + len(window), 129)
+                    }
+                    assert len(verdicts) == 1, (rule_id, window)
 
 
 class TestEffectivelySeparated:
