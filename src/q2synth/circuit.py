@@ -88,6 +88,19 @@ class Generic1Q:
             m = m * np.exp(-0.5j * np.angle(np.linalg.det(m)))
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, qubit, matrix):
+        """A Generic1Q on ``qubit`` whose ``matrix`` is already checked.
+
+        Skips ``__post_init__``: the matrix must come from another Generic1Q
+        (2x2 unitary, complex128, determinant already normalized) and the
+        qubit must be 0 or 1.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "qubit", qubit)
+        object.__setattr__(g, "matrix", matrix)
+        return g
+
     def __eq__(self, other):
         if not isinstance(other, Generic1Q):
             return NotImplemented
@@ -153,11 +166,26 @@ class Circuit:
         return total
 
 
+def _apply_1q(m2, qubit, m):
+    """(m2 on ``qubit``) @ m, without forming the 4x4 Kronecker product.
+
+    Row index 2*i + j of m carries qubit 0 in i and qubit 1 in j.
+    """
+    if qubit == 0:
+        return (m2 @ m.reshape(2, 8)).reshape(4, 4)
+    return (m2 @ m.reshape(2, 2, 4)).reshape(4, 4)
+
+
 def simulate(c):
     """Ordered matrix product of a circuit; later gates multiply on the left."""
     m = nm.I4.copy()
     for g in c.gates:
-        m = gate_matrix(g) @ m
+        if isinstance(g, Rotation):
+            m = _apply_1q(rotation_matrix2(g.axis, g.angle), g.qubit, m)
+        elif isinstance(g, Generic1Q):
+            m = _apply_1q(g.matrix, g.qubit, m)
+        else:
+            m = gate_matrix(g) @ m
     return m
 
 

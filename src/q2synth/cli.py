@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import numerics as nm
-from ._kernels import BACKEND_NAME
 from .circuit import Circuit, circuit_to_text, parse_circuit, simulate, to_qasm
 from .errors import (
     CircuitParseError,
@@ -287,7 +286,6 @@ def cmd_selftest(args):
     worst, ok = _selftest_reduce(rng, args.trials)
     rows.append(("reduce-semantics", args.trials, worst, ok))
 
-    print("backend: %s" % BACKEND_NAME)
     print("%-22s %8s %12s %s" % ("check", "trials", "worst", "status"))
     failed = False
     for name, trials, worst, ok in rows:

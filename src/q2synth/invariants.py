@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from ._kernels import gamma4
 from .circuit import su4_normalize
 from .errors import NotUnitary
 
@@ -33,7 +32,7 @@ def gamma(u, tol=1e-8):
     u = np.asarray(u, dtype=np.complex128)
     if not nm.is_unitary(u, tol):
         raise NotUnitary("gamma expects a unitary matrix")
-    return gamma4(u)
+    return nm.gamma4(u)
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,8 @@ def same_left_coset(u, v, tol=1e-8, strict=False):
     for m in (u, v):
         if not nm.is_special_unitary(m, tol * 10):
             raise NotUnitary("same_left_coset expects special-unitary inputs")
-    gu, gv = gamma4(np.asarray(u, np.complex128)), gamma4(np.asarray(v, np.complex128))
+    gu = nm.gamma4(np.asarray(u, np.complex128))
+    gv = nm.gamma4(np.asarray(v, np.complex128))
     if np.linalg.norm(gu - gv) <= tol:
         return True
     if strict:
@@ -94,8 +94,8 @@ def same_double_coset(u, v, tol=1e-8, strict=False):
     for m in (u, v):
         if not nm.is_special_unitary(m, tol * 10):
             raise NotUnitary("same_double_coset expects special-unitary inputs")
-    cu = nm.charpoly4(gamma4(np.asarray(u, np.complex128))).as_array()
-    cv = nm.charpoly4(gamma4(np.asarray(v, np.complex128))).as_array()
+    cu = nm.charpoly4(nm.gamma4(np.asarray(u, np.complex128))).as_array()
+    cv = nm.charpoly4(nm.gamma4(np.asarray(v, np.complex128))).as_array()
     if np.allclose(cu, cv, atol=tol):
         return True
     if strict:
@@ -115,7 +115,7 @@ def cnot_cost(u, tol=1e-8):
     if not nm.is_unitary(u, tol):
         raise NotUnitary("cnot_cost expects a unitary matrix")
     v, _ = su4_normalize(u)
-    g = gamma4(v)
+    g = nm.gamma4(v)
     if min(np.linalg.norm(g - nm.I4), np.linalg.norm(g + nm.I4)) <= tol:
         return 0
     chi = nm.charpoly4(g).as_array()

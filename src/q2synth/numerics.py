@@ -1,17 +1,16 @@
 """Fixed-size complex linear algebra.
 
 Everything operates on 2x2 and 4x4 complex128 NumPy arrays: Kronecker
-products, 4x4 characteristic polynomials, simultaneous diagonalization of
-symmetric unitary matrices, and the phase-blind distance used for circuit
-verification.  Matrix constants used throughout the package live here.
+products, the gamma product, 4x4 characteristic polynomials, simultaneous
+diagonalization of symmetric unitary matrices (LAPACK ``eigh``), and the
+phase-blind distance used for circuit verification.  Matrix constants used
+throughout the package live here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import charpoly4 as _charpoly4_raw
-from ._kernels import jacobi_real_sym
 from .errors import NotSymmetricUnitary, NotUnitary
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -53,6 +52,12 @@ MAGIC = (
 )
 
 
+def gamma4(u):
+    """u @ (sigma_y x sigma_y) @ u.T @ (sigma_y x sigma_y) for a 4x4 u."""
+    u = np.asarray(u, dtype=np.complex128)
+    return u @ SYY @ u.T @ SYY
+
+
 def kron(a, b):
     """Kronecker product; qubit 0 is the left factor."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -92,11 +97,21 @@ class CharPoly4:
 
 
 def charpoly4(m):
-    """Characteristic polynomial of a 4x4 matrix via the trace recurrence."""
+    """Characteristic polynomial of a 4x4 matrix.
+
+    Faddeev-LeVerrier trace recurrence: exact in the number of operations,
+    no eigensolver involved.
+    """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError("charpoly4 expects a 4x4 matrix, got shape %r" % (m.shape,))
-    return CharPoly4(tuple(_charpoly4_raw(m)))
+    coeffs = np.zeros(5, dtype=np.complex128)
+    coeffs[4] = 1.0
+    acc = np.zeros_like(m)
+    for k in range(1, 5):
+        acc = m @ acc + coeffs[5 - k] * I4
+        coeffs[4 - k] = -np.trace(m @ acc) / k
+    return CharPoly4(tuple(coeffs))
 
 
 def diagonalize_symmetric_unitary(p, tol=1e-8, cluster_tol=1e-8):
@@ -108,9 +123,9 @@ def diagonalize_symmetric_unitary(p, tol=1e-8, cluster_tol=1e-8):
     ascending principal argument in (-pi, pi], ties kept stable.
 
     Works because the real and imaginary parts of a symmetric unitary
-    commute, hence share an orthonormal eigenbasis: Re(p) is Jacobi
-    diagonalized first, then Im(p) restricted to each eigenvalue cluster of
-    Re(p) (cluster tolerance relative).
+    commute, hence share an orthonormal eigenbasis: Re(p) is diagonalized
+    first (``eigh``, eigenvalues ascending), then Im(p) restricted to each
+    eigenvalue cluster of Re(p) (cluster tolerance relative).
     """
     p = np.asarray(p, dtype=np.complex128)
     if np.linalg.norm(p - p.T) > tol * 10:
@@ -119,13 +134,10 @@ def diagonalize_symmetric_unitary(p, tol=1e-8, cluster_tol=1e-8):
         raise NotSymmetricUnitary("matrix is not unitary within tol")
 
     n = p.shape[0]
-    x = np.ascontiguousarray(p.real)
-    y = np.ascontiguousarray(p.imag)
+    x = (p.real + p.real.T) / 2.0
+    y = p.imag
 
-    wx, v = jacobi_real_sym(x)
-    order = np.argsort(wx, kind="stable")
-    wx = wx[order]
-    v = v[:, order]
+    wx, v = np.linalg.eigh(x)
 
     i = 0
     while i < n:
@@ -136,7 +148,7 @@ def diagonalize_symmetric_unitary(p, tol=1e-8, cluster_tol=1e-8):
             blk = v[:, i:j]
             yb = blk.T @ y @ blk
             yb = (yb + yb.T) / 2.0
-            _, rot = jacobi_real_sym(yb)
+            _, rot = np.linalg.eigh(yb)
             v[:, i:j] = blk @ rot
         i = j
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from . import numerics as nm
 from .circuit import (
+    _PAULI,
     CNOT,
     Axis,
     Circuit,
@@ -52,9 +53,16 @@ def _phase_close2(m, target, tol=_PHASE_TOL):
     return nm.phase_distance(m, target) <= tol
 
 
-def _is_pauli(g, pauli):
+def _is_pauli(g, axis):
+    """Whether g is the Pauli matrix about ``axis``, up to global phase.
+
+    A rotation about another axis b never is: tr(sigma_axis R_b(t)) = 0, so
+    its phase distance to sigma_axis is exactly 2.
+    """
+    if isinstance(g, Rotation) and g.axis is not axis:
+        return False
     m = _one_qubit_matrix(g)
-    return m is not None and _phase_close2(m, pauli)
+    return m is not None and _phase_close2(m, _PAULI[axis])
 
 
 _S_MATS = {axis: rotation_matrix2(axis, math.pi / 2.0) for axis in Axis}
@@ -75,7 +83,7 @@ def _mirror_gate(g):
     if isinstance(g, Rotation):
         return Rotation(g.axis, 1 - g.qubit, g.angle)
     if isinstance(g, Generic1Q):
-        return Generic1Q(1 - g.qubit, g.matrix)
+        return Generic1Q._trusted(1 - g.qubit, g.matrix)
     if isinstance(g, CNOT):
         return CNOT(g.target, g.control)
     return g
@@ -167,13 +175,13 @@ def _commute_rot_cnot(axis, line):
     return fw, bw
 
 
-def _commute_pauli_cnot(pauli, line):
+def _commute_pauli_cnot(axis, line):
     def on_line(g, c):
         return (
             isinstance(c, CNOT)
             and isinstance(g, (Rotation, Generic1Q))
             and g.qubit == getattr(c, line)
-            and _is_pauli(g, pauli)
+            and _is_pauli(g, axis)
         )
 
     def fw(w):
@@ -193,7 +201,7 @@ def _commute_pauli_cnot(pauli, line):
 
 def _move_sigma_x_fw(w):
     g, c = w
-    if isinstance(c, CNOT) and _is_pauli(g, nm.SIGMA_X) and g.qubit == c.control:
+    if isinstance(c, CNOT) and _is_pauli(g, Axis.X) and g.qubit == c.control:
         return [c, Rotation(Axis.X, c.control, math.pi), Rotation(Axis.X, c.target, math.pi)]
     return None
 
@@ -202,7 +210,7 @@ def _move_sigma_x_bw(w):
     c, g1, g2 = w
     if not isinstance(c, CNOT):
         return None
-    if not (_is_pauli(g1, nm.SIGMA_X) and _is_pauli(g2, nm.SIGMA_X)):
+    if not (_is_pauli(g1, Axis.X) and _is_pauli(g2, Axis.X)):
         return None
     if {g1.qubit, g2.qubit} != {c.control, c.target}:
         return None
@@ -211,7 +219,7 @@ def _move_sigma_x_bw(w):
 
 def _move_sigma_z_fw(w):
     g, c = w
-    if isinstance(c, CNOT) and _is_pauli(g, nm.SIGMA_Z) and g.qubit == c.target:
+    if isinstance(c, CNOT) and _is_pauli(g, Axis.Z) and g.qubit == c.target:
         return [c, Rotation(Axis.Z, c.target, math.pi), Rotation(Axis.Z, c.control, math.pi)]
     return None
 
@@ -220,7 +228,7 @@ def _move_sigma_z_bw(w):
     c, g1, g2 = w
     if not isinstance(c, CNOT):
         return None
-    if not (_is_pauli(g1, nm.SIGMA_Z) and _is_pauli(g2, nm.SIGMA_Z)):
+    if not (_is_pauli(g1, Axis.Z) and _is_pauli(g2, Axis.Z)):
         return None
     if {g1.qubit, g2.qubit} != {c.control, c.target}:
         return None
@@ -410,7 +418,7 @@ def _build_rules():
             ],
         )
     )
-    fw, bw = _commute_pauli_cnot(nm.SIGMA_X, "target")
+    fw, bw = _commute_pauli_cnot(Axis.X, "target")
     rules.append(
         _rule(
             "CommuteSxTarget",
@@ -422,7 +430,7 @@ def _build_rules():
             ],
         )
     )
-    fw, bw = _commute_pauli_cnot(nm.SIGMA_Z, "control")
+    fw, bw = _commute_pauli_cnot(Axis.Z, "control")
     rules.append(
         _rule(
             "CommuteSzControl",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from ._kernels import gamma4
 from .circuit import (
     CNOT,
     Axis,
@@ -170,7 +169,7 @@ def core_params_cxz(u_prime, tol=DEFAULT_TOL):
     best_psi, best_m, best_im = None, None, None
     for cand in (psi, wrap_angle(psi + math.pi)):
         m_mat, _ = su4_normalize(u_mat @ _delta_matrix(cand))
-        im = abs(np.trace(gamma4(m_mat)).imag)
+        im = abs(np.trace(nm.gamma4(m_mat)).imag)
         if best_im is None or im < best_im:
             best_psi, best_m, best_im = cand, m_mat, im
     spectrum = invariant_data(best_m, max(tol, 1e-10)).spectrum
@@ -219,8 +218,8 @@ def match_local_factors(u, v, tol=DEFAULT_TOL):
         if not nm.is_special_unitary(m, _vtol(tol) * 10.0):
             raise NotUnitary("match_local_factors expects special-unitary inputs")
 
-    cu = nm.charpoly4(gamma4(u)).as_array()
-    cv = nm.charpoly4(gamma4(v)).as_array()
+    cu = nm.charpoly4(nm.gamma4(u)).as_array()
+    cv = nm.charpoly4(nm.gamma4(v)).as_array()
     if not np.allclose(cu, cv, atol=1e-6):
         if np.allclose(cu, cv * np.array([1.0, -1.0, 1.0, -1.0, 1.0]), atol=1e-6):
             v = 1j * v
@@ -423,6 +422,14 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
     )
 
 
+def _dedupe_key(g):
+    if isinstance(g, Rotation):
+        return (g.axis.value, g.qubit, round(g.angle, 9))
+    if isinstance(g, Generic1Q):
+        return ("u", g.qubit, tuple(np.round(g.matrix, 9).ravel()))
+    return ("cnot", g.control, g.target)
+
+
 def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
     """Distinct verified circuits from the eigenvalue-ordering freedom."""
     if limit < 1:
@@ -439,13 +446,7 @@ def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
             result = _result_for(u, circuit, tag, tol)
         except (VerificationFailed, CosetMismatch):
             continue
-        key = tuple(
-            (g.axis.value, g.qubit, round(g.angle, 9))
-            if isinstance(g, Rotation)
-            else ("cnot", g.control, g.target)
-            for g in circuit.gates
-            if isinstance(g, (Rotation, CNOT))
-        )
+        key = tuple(_dedupe_key(g) for g in circuit.gates)
         if key in seen:
             continue
         seen.add(key)

@@ -92,6 +92,26 @@ class TestSimulateAndCounts:
     def test_empty_circuit_is_identity(self):
         assert np.allclose(simulate(Circuit(())), np.eye(4))
 
+    def test_matches_ordered_product_of_gate_matrices(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            # every gate type, on both wires, in a seeded order
+            gates = [
+                Rotation(list(Axis)[int(rng.integers(3))], 0, float(rng.uniform(-4, 4))),
+                Rotation(list(Axis)[int(rng.integers(3))], 1, float(rng.uniform(-4, 4))),
+                Generic1Q(0, nm.haar_unitary(2, rng)),
+                Generic1Q(1, nm.haar_unitary(2, rng)),
+                CNOT(0, 1),
+                CNOT(1, 0),
+                Swap(),
+            ]
+            gates += [gates[int(i)] for i in rng.integers(0, len(gates), int(rng.integers(0, 12)))]
+            gates = [gates[int(i)] for i in rng.permutation(len(gates))]
+            expect = np.eye(4)
+            for g in gates:
+                expect = gate_matrix(g) @ expect
+            assert np.abs(simulate(Circuit(tuple(gates))) - expect).max() <= 1e-13
+
     def test_counts(self):
         c = Circuit(
             (

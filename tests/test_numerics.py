@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from q2synth import numerics as nm
-from q2synth._kernels import pure
 from q2synth.errors import NotSymmetricUnitary, NotUnitary
 
 
@@ -93,12 +92,39 @@ class TestDiagonalizeSymmetricUnitary:
 
     def test_degenerate_spectrum(self):
         rng = np.random.default_rng(3)
-        for angles in ([0.3, 0.3, -1.2, -1.2], [0.5, 0.5, 0.5, 0.5], [0.0, 0.0, np.pi, np.pi]):
+        for angles in (
+            [0.3, 0.3, -1.2, -1.2],
+            [0.5, 0.5, 0.5, 0.5],
+            [0.0, 0.0, np.pi, np.pi],
+            # conjugate pairs: Re(p) is degenerate, Im(p) is not
+            [-1.9, -0.7, 0.7, 1.9],
+            [-0.7, -0.7, 0.7, 0.7],
+        ):
             p = random_symmetric_unitary(rng, angles)
             q, d = nm.diagonalize_symmetric_unitary(p)
             assert np.allclose(q @ p @ p.conj().T @ q.T, np.eye(4), atol=1e-9)
             assert np.allclose(q @ p @ q.T, np.diag(d), atol=1e-8)
             assert sorted(np.angle(d)) == pytest.approx(sorted(angles), abs=1e-8)
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_contract_on_perturbed_clusters(self, size):
+        # size eigenvalues within eps of each other: nearly degenerate Re(p)
+        # and Im(p), on either side of the cluster tolerance.
+        rng = np.random.default_rng(30 + size)
+        for eps in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+            for _ in range(10):
+                centre = rng.uniform(-3.0, 3.0)
+                angles = np.concatenate(
+                    [centre + eps * rng.uniform(-1.0, 1.0, size), rng.uniform(-3.0, 3.0, 4 - size)]
+                )
+                p = random_symmetric_unitary(rng, angles)
+                q, d = nm.diagonalize_symmetric_unitary(p)
+                assert np.isrealobj(q)
+                assert np.abs(q @ q.T - np.eye(4)).max() <= 1e-12
+                assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
+                assert np.abs(q @ p @ q.T - np.diag(d)).max() <= 1e-10
+                assert np.all(np.diff(np.angle(d)) >= 0.0)
+                assert np.angle(d) == pytest.approx(np.sort(angles), abs=1e-9)
 
     def test_identity_input(self):
         q, d = nm.diagonalize_symmetric_unitary(np.eye(4, dtype=complex))
@@ -170,26 +196,3 @@ class TestUnitarityChecks:
         assert not nm.is_special_unitary(nm.CNOT01)  # det -1
         assert nm.is_special_unitary(np.eye(4))
 
-
-class TestKernelBackends:
-    def test_jacobi_pure_matches_active_backend(self):
-        from q2synth._kernels import jacobi_real_sym
-
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            a = rng.normal(size=(4, 4))
-            a = a + a.T
-            w1, v1 = jacobi_real_sym(a)
-            w2, v2 = pure.jacobi_real_sym(a)
-            assert np.allclose(np.sort(w1), np.sort(w2), atol=1e-10)
-            assert np.allclose(v1 @ np.diag(w1) @ v1.T, a, atol=1e-10)
-            assert np.allclose(v2 @ np.diag(w2) @ v2.T, a, atol=1e-10)
-
-    def test_charpoly_and_gamma_pure_match_active_backend(self):
-        from q2synth._kernels import charpoly4, gamma4
-
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            assert np.allclose(charpoly4(m), pure.charpoly4(m), atol=1e-10)
-            assert np.allclose(gamma4(m), pure.gamma4(m), atol=1e-12)

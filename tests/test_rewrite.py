@@ -11,6 +11,7 @@ from q2synth.circuit import (
     Generic1Q,
     Rotation,
     Swap,
+    rotation_matrix2,
     simulate,
 )
 from q2synth.errors import NoMatch, UnsupportedGate
@@ -19,6 +20,7 @@ from q2synth.rewrite import (
     RULES,
     ReductionTrace,
     RewriteRule,
+    _is_pauli,
     _lowers_measure,
     apply_rule,
     effectively_separated,
@@ -339,6 +341,23 @@ class TestIncrementalReduce:
                         for n in range(pos + len(window), 129)
                     }
                     assert len(verdicts) == 1, (rule_id, window)
+
+
+class TestPauliTest:
+    @pytest.mark.parametrize("pauli_axis", list(Axis))
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_verdict_equals_phase_distance_verdict(self, axis, pauli_axis):
+        # _is_pauli returns False for a rotation about another axis without
+        # any matrix work; the verdict must be the one the distance gives.
+        pauli = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}[pauli_axis]
+        rng = np.random.default_rng(17)
+        angles = [math.pi, -math.pi, math.pi + 1e-10, math.pi - 1e-10, -math.pi + 1e-10, 0.0]
+        angles += list(rng.uniform(-4.0, 4.0, 20))
+        for angle in angles:
+            for qubit in (0, 1):
+                g = Rotation(axis, qubit, angle)
+                expect = nm.phase_distance(rotation_matrix2(axis, angle), pauli) <= 1e-9
+                assert _is_pauli(g, pauli_axis) == expect, (axis, pauli_axis, angle)
 
 
 class TestEffectivelySeparated:

@@ -43,6 +43,24 @@ def su4(rng):
     return su4_normalize(nm.haar_unitary(4, rng))[0]
 
 
+_XX = nm.kron(nm.SIGMA_X, nm.SIGMA_X)
+_ZZ = nm.kron(nm.SIGMA_Z, nm.SIGMA_Z)
+
+
+def canonical(a, b, c):
+    """can(a, b, c) = exp(i(a XX + b YY + c ZZ)); the three terms commute."""
+    out = nm.I4
+    for t, p in ((a, _XX), (b, nm.SYY), (c, _ZZ)):
+        out = out @ (math.cos(t) * nm.I4 + 1j * math.sin(t) * p)
+    return out
+
+
+def with_haar_locals(m, rng):
+    left = nm.kron(nm.haar_unitary(2, rng), nm.haar_unitary(2, rng))
+    right = nm.kron(nm.haar_unitary(2, rng), nm.haar_unitary(2, rng))
+    return left @ m @ right
+
+
 class TestCoreParamsCYZ:
     def test_core_lands_in_the_same_double_coset(self):
         rng = np.random.default_rng(0)
@@ -213,6 +231,27 @@ class TestSynthesize:
         with pytest.raises(VerificationFailed):
             synthesize(u, GateLibrary.CYZ, tol=1e-18)
 
+    def test_near_weyl_corner_and_edge(self):
+        # can(pi/4, 0, 0) (the CNOT corner) and can(0.37, 0, 0) (the
+        # identity-CNOT edge), each offset by 1e-6 in a seeded direction.
+        # Near-degenerate gamma spectra: with the cyclic Jacobi diagonalizer
+        # 38 of these 360 calls were refused, with eigh 2 are.
+        rng = np.random.default_rng(3)
+        refused = 0
+        for point in ((math.pi / 4, 0.0, 0.0), (0.37, 0.0, 0.0)):
+            for _ in range(60):
+                d = rng.standard_normal(3)
+                u = with_haar_locals(canonical(*(np.asarray(point) + 1e-6 * d / np.linalg.norm(d))), rng)
+                for lib in (GateLibrary.CYZ, GateLibrary.CXY, GateLibrary.BASIC):
+                    try:
+                        result = synthesize(u, lib)
+                    except VerificationFailed:
+                        refused += 1
+                        continue
+                    assert result.circuit.cnot_count == 3
+                    assert nm.phase_distance(simulate(result.circuit), u) <= 1e-8
+        assert refused <= 9
+
     def test_result_metadata(self):
         rng = np.random.default_rng(11)
         u = nm.haar_unitary(4, rng)
@@ -235,6 +274,24 @@ class TestEnumerate:
             assert r.cnot_count == 3
             texts.add(tuple((type(g).__name__, getattr(g, "angle", None)) for g in r.circuit.gates))
         assert len(texts) == len(results)
+
+    def test_basic_alternatives_differing_only_in_local_gates_are_kept(self):
+        # At the SWAP corner every eigen-ordering gives the same core
+        # rotations; the alternatives differ in their Generic1Q gates.
+        rng = np.random.default_rng(2)
+        u = with_haar_locals(canonical(math.pi / 4, math.pi / 4, math.pi / 4), rng)
+        results = enumerate_circuits(u, GateLibrary.BASIC, limit=24)
+        cores = {
+            tuple(
+                (g.axis, g.qubit, round(g.angle, 9)) if isinstance(g, Rotation) else g
+                for g in r.circuit.gates
+                if isinstance(g, (Rotation, CNOT))
+            )
+            for r in results
+        }
+        assert len(cores) < len(results)
+        for r in results:
+            assert nm.phase_distance(simulate(r.circuit), u) <= 1e-8
 
     def test_respects_limit(self):
         rng = np.random.default_rng(13)
