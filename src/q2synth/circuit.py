@@ -46,8 +46,14 @@ def wrap_angle(theta):
 
 def rotation_matrix2(axis, angle):
     """R_n(theta) = exp(-i sigma_n theta / 2) as a 2x2 matrix."""
-    half = 0.5 * angle
-    return math.cos(half) * nm.I2 - 1j * math.sin(half) * _PAULI[axis]
+    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+    if axis is Axis.X:
+        return np.array([[c, complex(0.0, -s)], [complex(0.0, -s), c]], dtype=np.complex128)
+    if axis is Axis.Y:
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    if axis is Axis.Z:
+        return np.array([[complex(c, -s), 0.0], [0.0, complex(c, s)]], dtype=np.complex128)
+    raise KeyError(axis)
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,9 @@ class Generic1Q:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (2, 2) or not nm.is_unitary(m, 1e-8):
             raise NotUnitary("Generic1Q matrix must be 2x2 unitary")
-        if abs(np.linalg.det(m) - 1.0) > 1e-8:
-            m = m * np.exp(-0.5j * np.angle(np.linalg.det(m)))
+        det = nm.det2(m)
+        if abs(det - 1.0) > 1e-8:
+            m = m * np.exp(-0.5j * np.angle(det))
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -198,6 +205,12 @@ def su4_normalize(u):
     u = np.asarray(u, dtype=np.complex128)
     if not nm.is_unitary(u, 1e-8):
         raise NotUnitary("su4_normalize expects a unitary matrix")
+    return _su4_normalize(u)
+
+
+def _su4_normalize(u):
+    """``su4_normalize`` without its unitarity check, for a complex128 ``u``
+    that is unitary by construction or was checked by the caller."""
     phase = np.angle(np.linalg.det(u)) / 4.0
     return u * np.exp(-1j * phase), float(phase)
 
@@ -254,7 +267,7 @@ def euler_decompose(u, outer, inner):
 
     g = _FRAMES[(outer, inner)]
     w = g.conj().T @ u @ g
-    phase = np.angle(np.linalg.det(w)) / 2.0
+    phase = np.angle(nm.det2(w)) / 2.0
     v = w * np.exp(-1j * phase)
 
     # v = Rz(theta) Ry(phi) Rz(psi):
@@ -303,7 +316,7 @@ def tensor_factor(g):
     bi, bj = np.unravel_index(np.argmax(norms), (2, 2))
     b = blocks[bi, bj] * (math.sqrt(2.0) / norms[bi, bj])
     a = np.tensordot(blocks, b.conj(), axes=([2, 3], [0, 1])) / 2.0
-    det_a, det_b = np.linalg.det(a), np.linalg.det(b)
+    det_a, det_b = nm.det2(a), nm.det2(b)
     if abs(det_a) < 1e-8 or abs(det_b) < 1e-8:
         raise NotLocal("matrix does not factor into one-qubit operators")
     a = a * np.exp(-0.5j * np.angle(det_a)) / math.sqrt(abs(det_a))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .circuit import su4_normalize
+from .circuit import _su4_normalize
 from .errors import NotUnitary
 
 # chi[gamma] of an SU(4)-normalized CNOT: spectrum {i, i, -i, -i}.
@@ -52,7 +52,7 @@ def invariant_data(u, tol=1e-8):
     the eigenvalues of gamma(u), in canonical order.
     """
     g = gamma(u, tol)
-    ut = nm.MAGIC.conj().T @ np.asarray(u, dtype=np.complex128) @ nm.MAGIC
+    ut = nm.MAGIC_DAG @ np.asarray(u, dtype=np.complex128) @ nm.MAGIC
     _, spectrum = nm.diagonalize_symmetric_unitary(ut @ ut.T, tol=tol)
     return InvariantData(
         gamma=g,
@@ -112,14 +112,16 @@ def cnot_cost(u, tol=1e-8):
     3: everything else -- almost every operator.
     """
     u = np.asarray(u, dtype=np.complex128)
-    if not nm.is_unitary(u, tol):
-        raise NotUnitary("cnot_cost expects a unitary matrix")
-    v, _ = su4_normalize(u)
+    # One check covers both tol and the 1e-8 that SU(4) normalization needs.
+    check_tol = min(tol, 1e-8)
+    if not nm.is_unitary(u, check_tol):
+        raise NotUnitary("cnot_cost expects a unitary matrix within tol=%g" % check_tol)
+    v, _ = _su4_normalize(u)
     g = nm.gamma4(v)
     if min(np.linalg.norm(g - nm.I4), np.linalg.norm(g + nm.I4)) <= tol:
         return 0
     chi = nm.charpoly4(g).as_array()
-    if np.allclose(chi, CNOT_CHI.as_array(), atol=tol):
+    if nm.allclose(chi, CNOT_CHI.as_array(), tol):
         return 1
     if abs(np.trace(g).imag) <= tol:
         return 2

@@ -7,6 +7,7 @@ phase-blind distance used for circuit verification.  Matrix constants used
 throughout the package live here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ MAGIC = (
     )
     / np.sqrt(2)
 )
+MAGIC_DAG = MAGIC.conj().T.copy()
 
 
 def gamma4(u):
@@ -60,14 +62,35 @@ def gamma4(u):
 
 def kron(a, b):
     """Kronecker product; qubit 0 is the left factor."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape == (2, 2) and b.shape == (2, 2):
+        # Entry (2i + k, 2j + l) is a[i, j] * b[k, l], as in np.kron.
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    return np.kron(a, b)
+
+
+_EYE = {2: I2, 4: I4}
 
 
 def is_unitary(m, tol=1e-9):
+    """Whether ||m^dag m - I||_F <= tol for a finite square matrix m."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m.real)):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m.real).all():
         return False
-    return np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) <= tol
+    n = m.shape[0]
+    r = m.conj().T @ m - (_EYE[n] if n in _EYE else np.eye(n))
+    return math.sqrt(np.vdot(r, r).real) <= tol
+
+
+def allclose(a, b, atol):
+    """``np.allclose(a, b, atol=atol)`` (rtol 1e-5) for finite arrays,
+    without its generic-dispatch cost."""
+    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
+
+
+def det2(m):
+    """Determinant of a 2x2 matrix, in closed form."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def is_special_unitary(m, tol=1e-9):
@@ -132,7 +155,12 @@ def diagonalize_symmetric_unitary(p, tol=1e-8, cluster_tol=1e-8):
         raise NotSymmetricUnitary("matrix is not symmetric within tol")
     if not is_unitary(p, tol * 10):
         raise NotSymmetricUnitary("matrix is not unitary within tol")
+    return _diagonalize_symmetric_unitary(p, cluster_tol)
 
+
+def _diagonalize_symmetric_unitary(p, cluster_tol=1e-8):
+    """``diagonalize_symmetric_unitary`` without its input checks, for a
+    complex128 ``p`` that is symmetric unitary by construction."""
     n = p.shape[0]
     x = (p.real + p.real.T) / 2.0
     y = p.imag

@@ -14,6 +14,13 @@ one-qubit factors that close the gap between the core and the target
 All emitted circuits are verified against the input up to global phase; the
 eigenvalue-ordering freedom in the core extraction yields alternative
 circuits, which ``enumerate_circuits`` exposes.
+
+A call validates its input once and prepares the per-input state once (the
+input in SU(4), its magic-basis form and that form's diagonalization, and
+chi[gamma]); each candidate then adds only its own core and that core's
+diagonalization.  The public stage functions (``core_params_*``,
+``match_local_factors``) check their inputs and then run the same private
+steps.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +40,7 @@ from .circuit import (
     Circuit,
     Generic1Q,
     Rotation,
+    _su4_normalize,
     euler_decompose,
     simulate,
     su4_normalize,
@@ -39,7 +48,7 @@ from .circuit import (
     wrap_angle,
 )
 from .errors import CosetMismatch, NotUnitary, VerificationFailed
-from .invariants import invariant_data
+from .invariants import gamma, invariant_data
 
 DEFAULT_TOL = 1e-8
 
@@ -100,7 +109,12 @@ def core_params_cyz(u, order=(0, 1, 2), tol=DEFAULT_TOL):
     u = np.asarray(u, dtype=np.complex128)
     if not nm.is_special_unitary(u, _vtol(tol)):
         raise NotUnitary("core_params_cyz expects a special-unitary matrix")
-    angles = np.angle(invariant_data(u, max(tol, 1e-10)).spectrum)
+    return _cyz_params(invariant_data(u, max(tol, 1e-10)).spectrum, order)
+
+
+def _cyz_params(spectrum, order):
+    """``core_params_cyz`` from the canonically ordered spectrum of gamma(u)."""
+    angles = np.angle(spectrum)
     x, y, z = (angles[i] - math.pi / 2.0 for i in order)
     return CYZCore(alpha=(x + y) / 2.0, beta=(x + z) / 2.0, delta=(y + z) / 2.0)
 
@@ -160,6 +174,14 @@ def core_params_cxz(u_prime, tol=DEFAULT_TOL):
     if not nm.is_special_unitary(u_prime, _vtol(tol)):
         raise NotUnitary("core_params_cxz expects a special-unitary matrix")
     u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
+    psi, degenerate, m_mat = _cxz_shift(u_mat, tol)
+    return _cxz_params(psi, degenerate, invariant_data(m_mat, max(tol, 1e-10)).spectrum)
+
+
+def _cxz_shift(u_mat, tol):
+    """(psi, degenerate, M) for U = ``u_mat`` in SU(4): the angle psi of
+    ``core_params_cxz`` and M = su4(U Delta(psi)), whose gamma has a real
+    trace."""
     t = np.diag(nm.SYY @ u_mat.T @ nm.SYY @ u_mat)
     num = float(np.imag(t.sum()))
     den = float(np.real(t[0] + t[3] - t[1] - t[2]))
@@ -168,14 +190,18 @@ def core_params_cxz(u_prime, tol=DEFAULT_TOL):
     # tan fixes psi modulo pi; keep whichever branch actually kills Im tr.
     best_psi, best_m, best_im = None, None, None
     for cand in (psi, wrap_angle(psi + math.pi)):
-        m_mat, _ = su4_normalize(u_mat @ _delta_matrix(cand))
+        m_mat, _ = _su4_normalize(u_mat @ _delta_matrix(cand))
         im = abs(np.trace(nm.gamma4(m_mat)).imag)
         if best_im is None or im < best_im:
             best_psi, best_m, best_im = cand, m_mat, im
-    spectrum = invariant_data(best_m, max(tol, 1e-10)).spectrum
+    return best_psi, degenerate, best_m
+
+
+def _cxz_params(psi, degenerate, spectrum):
+    """``core_params_cxz`` from psi and the spectrum of gamma(M)."""
     r, s = _conjugate_pair_angles(spectrum)
     return CXZCore(
-        psi=best_psi,
+        psi=psi,
         theta=(r + s) / 2.0,
         phi=(r - s) / 2.0,
         degenerate=degenerate,
@@ -218,37 +244,93 @@ def match_local_factors(u, v, tol=DEFAULT_TOL):
         if not nm.is_special_unitary(m, _vtol(tol) * 10.0):
             raise NotUnitary("match_local_factors expects special-unitary inputs")
 
-    cu = nm.charpoly4(nm.gamma4(u)).as_array()
-    cv = nm.charpoly4(nm.gamma4(v)).as_array()
-    if not np.allclose(cu, cv, atol=1e-6):
-        if np.allclose(cu, cv * np.array([1.0, -1.0, 1.0, -1.0, 1.0]), atol=1e-6):
-            v = 1j * v
-        else:
-            raise CosetMismatch("operators are not locally equivalent")
-
-    e = nm.MAGIC
-    ut = e.conj().T @ u @ e
-    vt = e.conj().T @ v @ e
+    v = _coset_representative(_chi(u), v)
+    ut = nm.MAGIC_DAG @ u @ nm.MAGIC
+    vt = nm.MAGIC_DAG @ v @ nm.MAGIC
     dtol = max(tol, 1e-10)
     qu, du = nm.diagonalize_symmetric_unitary(ut @ ut.T, tol=dtol)
     qv, dv = nm.diagonalize_symmetric_unitary(vt @ vt.T, tol=dtol)
+    return _local_factors(_MagicForm(ut, qu, du), _MagicForm(vt, qv, dv))
 
-    if not np.allclose(du, dv, atol=1e-6):
-        perm = _align_spectra(du, dv)
+
+_CHI_SIGN_FLIP = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+
+
+def _chi(m):
+    """Coefficients of chi[gamma(m)]."""
+    return nm.charpoly4(nm.gamma4(m)).as_array()
+
+
+def _coset_representative(cu, v):
+    """v, or i v when chi[gamma(v)] equals ``cu`` only up to the global sign
+    of gamma; CosetMismatch when it equals neither."""
+    cv = _chi(v)
+    if nm.allclose(cu, cv, 1e-6):
+        return v
+    if nm.allclose(cu, cv * _CHI_SIGN_FLIP, 1e-6):
+        return 1j * v
+    raise CosetMismatch("operators are not locally equivalent")
+
+
+class _MagicForm(NamedTuple):
+    """An operator m in the magic basis, mt = E^dag m E, with the real
+    orthogonal diagonalization (q, d) of the symmetric form mt mt^T."""
+
+    mt: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+
+
+def _magic_form(m):
+    """``_MagicForm`` of an SU(4) matrix, without input checks."""
+    mt = nm.MAGIC_DAG @ m @ nm.MAGIC
+    q, d = nm._diagonalize_symmetric_unitary(mt @ mt.T)
+    return _MagicForm(mt, q, d)
+
+
+def _local_factors(fu, fv):
+    """The factors (a, b, c, d) of ``match_local_factors`` from the magic
+    forms of u and of v (v already multiplied by i where the sign of gamma
+    asks for it)."""
+    qv = fv.q
+    if not nm.allclose(fu.d, fv.d, 1e-6):
+        perm = _align_spectra(fu.d, fv.d)
         if perm is None:
             raise CosetMismatch("gamma spectra cannot be aligned")
         qv = qv[perm, :]
-        dv = dv[perm]
         if np.linalg.det(qv) < 0:
             qv[0, :] = -qv[0, :]
 
-    amat = e @ (qu.T @ qv) @ e.conj().T
-    ct = (qv @ vt).conj().T @ (qu @ ut)
-    bmat = e @ ct.real @ e.conj().T
+    e, e_dag = nm.MAGIC, nm.MAGIC_DAG
+    amat = e @ (fu.q.T @ qv) @ e_dag
+    ct = (qv @ fv.mt).conj().T @ (fu.q @ fu.mt)
+    bmat = e @ ct.real @ e_dag
 
     a, b = tensor_factor(amat)
     c, d = tensor_factor(bmat)
     return a, b, c, d
+
+
+class _Target(NamedTuple):
+    """The per-input state of one synthesize call: chi[gamma(m)] and the
+    magic form of the SU(4) operator m that every candidate core is
+    matched against."""
+
+    chi: np.ndarray
+    form: _MagicForm
+
+
+def _target(m, tol):
+    """``_Target`` of an SU(4) matrix.  gamma's unitarity check is the one
+    input check kept here: its tolerance can be tighter than the caller's."""
+    return _Target(nm.charpoly4(gamma(m, max(tol, 1e-10))).as_array(), _magic_form(m))
+
+
+def _match_target(target, v):
+    """``match_local_factors(m, v)`` for the prepared ``target`` of m and a
+    core v that is special unitary by construction."""
+    v = _coset_representative(target.chi, v)
+    return _local_factors(target.form, _magic_form(v))
 
 
 def _euler_gates(m2, qubit, outer, inner):
@@ -287,13 +369,11 @@ def _strip_zero_rotations(gates):
     return out
 
 
-def _synthesize_cyz_like(u, lib, order, tol):
+def _synthesize_cyz_like(target, lib, order):
     """CYZ and BASIC share the same core; only the local-layer encoding differs."""
-    u_norm, _ = su4_normalize(u)
-    params = core_params_cyz(u_norm, order, tol)
-    core = cyz_core_circuit(params)
-    core_norm, _ = su4_normalize(simulate(core))
-    a, b, c, d = match_local_factors(u_norm, core_norm, tol)
+    core = cyz_core_circuit(_cyz_params(target.form.d, order))
+    core_norm, _ = _su4_normalize(simulate(core))
+    a, b, c, d = _match_target(target, core_norm)
     gates = []
     gates += _local_gates(c, 0, lib)
     gates += _local_gates(d, 1, lib)
@@ -318,17 +398,25 @@ def _map_cxy_gate(g):
     raise VerificationFailed("unexpected gate in CYZ intermediate circuit")
 
 
-def _synthesize_cxy(u, order, tol):
-    conj = _CXY_CONJ @ u @ _CXY_CONJ
-    circuit, tag = _synthesize_cyz_like(conj, GateLibrary.CYZ, order, tol)
+def _synthesize_cxy(target, order):
+    """``target`` is prepared from (H x H) u (H x H)."""
+    circuit, tag = _synthesize_cyz_like(target, GateLibrary.CYZ, order)
     return Circuit(tuple(_map_cxy_gate(g) for g in circuit.gates)), tag
 
 
-def _synthesize_cxz(u, variant, tol):
+def _cxz_state(u_norm, tol):
+    """The per-input state of the CXZ construction: its core parameters and
+    the ``_Target`` of M = su4(u C[0->1] Delta(psi)); no variant changes either."""
+    u_mat, _ = _su4_normalize(u_norm @ nm.CNOT01)
+    psi, degenerate, m_mat = _cxz_shift(u_mat, tol)
+    target = _target(m_mat, tol)
+    return _cxz_params(psi, degenerate, target.form.d), target
+
+
+def _synthesize_cxz(state, variant):
     """variant = (conjugate_labeling, swap_pair_roles, swap_core_wires)."""
+    params, target = state
     neg, swap_rs, swap_wires = variant
-    u_norm, _ = su4_normalize(u)
-    params = core_params_cxz(u_norm, tol)
     theta, phi = params.theta, params.phi
     if swap_rs:
         phi = -phi
@@ -340,11 +428,8 @@ def _synthesize_cxz(u, variant, tol):
     else:
         mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
     w_core = Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))
-    w_norm, _ = su4_normalize(simulate(w_core))
-
-    u_mat, _ = su4_normalize(u_norm @ nm.CNOT01)
-    m_mat, _ = su4_normalize(u_mat @ _delta_matrix(params.psi))
-    a, b, c, d = match_local_factors(m_mat, w_norm, tol)
+    w_norm, _ = _su4_normalize(simulate(w_core))
+    a, b, c, d = _match_target(target, w_norm)
 
     gates = [Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1)]
     gates += _local_gates(c, 0, GateLibrary.CXZ)
@@ -376,12 +461,26 @@ def _candidate_tags(lib):
     return EIGEN_ORDERS
 
 
-def _synthesize_one(u, lib, candidate, tol):
-    if lib is GateLibrary.CXZ:
-        return _synthesize_cxz(u, candidate, tol)
+def _prepare(u, lib, tol):
+    """The per-input state of one call on a validated unitary ``u``: u in
+    SU(4) with its magic form, its diagonalization and chi[gamma(u)] (for
+    CXY those of the H x H conjugate; for CXZ those of M, with the core
+    parameters).  Every candidate reads it; none recomputes it."""
     if lib is GateLibrary.CXY:
-        return _synthesize_cxy(u, candidate, tol)
-    return _synthesize_cyz_like(u, lib, candidate, tol)
+        u_norm, _ = su4_normalize(_CXY_CONJ @ u @ _CXY_CONJ)
+    else:
+        u_norm, _ = _su4_normalize(u)
+    if lib is GateLibrary.CXZ:
+        return _cxz_state(u_norm, tol)
+    return _target(u_norm, tol)
+
+
+def _synthesize_one(state, lib, candidate):
+    if lib is GateLibrary.CXZ:
+        return _synthesize_cxz(state, candidate)
+    if lib is GateLibrary.CXY:
+        return _synthesize_cxy(state, candidate)
+    return _synthesize_cyz_like(state, lib, candidate)
 
 
 def _result_for(u, circuit, tag, tol):
@@ -410,10 +509,11 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
     if not nm.is_unitary(u, 1e-8):
         raise NotUnitary("synthesize expects a unitary matrix")
     lib = GateLibrary(lib)
+    state = _prepare(u, lib, tol)
     last_error = None
     for candidate in _candidate_tags(lib):
         try:
-            circuit, tag = _synthesize_one(u, lib, candidate, tol)
+            circuit, tag = _synthesize_one(state, lib, candidate)
             return _result_for(u, circuit, tag, tol)
         except (VerificationFailed, CosetMismatch) as exc:
             last_error = exc
@@ -438,11 +538,12 @@ def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
     if not nm.is_unitary(u, 1e-8):
         raise NotUnitary("enumerate_circuits expects a unitary matrix")
     lib = GateLibrary(lib)
+    state = _prepare(u, lib, tol)
     results = []
     seen = set()
     for candidate in _candidate_tags(lib):
         try:
-            circuit, tag = _synthesize_one(u, lib, candidate, tol)
+            circuit, tag = _synthesize_one(state, lib, candidate)
             result = _result_for(u, circuit, tag, tol)
         except (VerificationFailed, CosetMismatch):
             continue

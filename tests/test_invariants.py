@@ -185,6 +185,17 @@ class TestCnotCost:
     def test_accepts_any_global_phase(self):
         assert cnot_cost(np.exp(0.3j) * nm.CNOT01) == 1
 
+    def test_unitarity_checked_once_at_the_tighter_tolerance(self):
+        # SU(4) normalization needs 1e-8, so tol=1e-6 cannot admit this
+        # input (deviation about 8e-8); the error names cnot_cost and the
+        # tolerance that applied.
+        u = nm.haar_unitary(4, np.random.default_rng(15))
+        with pytest.raises(NotUnitary, match=r"^cnot_cost .*tol=1e-08$"):
+            cnot_cost(u + 3e-8 * np.eye(4), tol=1e-6)
+        with pytest.raises(NotUnitary, match=r"^cnot_cost .*tol=1e-09$"):
+            cnot_cost(u + 3e-9 * np.eye(4), tol=1e-9)
+        assert cnot_cost(u + 1e-10 * np.eye(4), tol=1e-6) == 3
+
 
 class TestLowerBound:
     def test_known_values(self):

@@ -7,6 +7,7 @@ from q2synth import numerics as nm
 from q2synth.circuit import (
     CNOT,
     Axis,
+    Circuit,
     Generic1Q,
     Rotation,
     simulate,
@@ -15,10 +16,18 @@ from q2synth.circuit import (
 from q2synth.errors import CosetMismatch, NotUnitary, VerificationFailed
 from q2synth.invariants import gamma, same_double_coset
 from q2synth.synthesis import (
+    _CXY_CONJ,
+    DEFAULT_TOL,
     EIGEN_ORDERS,
     CXZCore,
     CYZCore,
     GateLibrary,
+    _candidate_tags,
+    _delta_matrix,
+    _local_gates,
+    _map_cxy_gate,
+    _result_for,
+    _strip_zero_rotations,
     core_params_cxz,
     core_params_cyz,
     cyz_core_circuit,
@@ -59,6 +68,69 @@ def with_haar_locals(m, rng):
     left = nm.kron(nm.haar_unitary(2, rng), nm.haar_unitary(2, rng))
     right = nm.kron(nm.haar_unitary(2, rng), nm.haar_unitary(2, rng))
     return left @ m @ right
+
+
+def near_corner_and_edge_inputs():
+    """can(pi/4, 0, 0) (the CNOT corner) and can(0.37, 0, 0) (the
+    identity-CNOT edge), each offset by 1e-6 in a seeded direction, between
+    seeded Haar locals; 60 inputs per point."""
+    rng = np.random.default_rng(3)
+    for point in ((math.pi / 4, 0.0, 0.0), (0.37, 0.0, 0.0)):
+        for _ in range(60):
+            d = rng.standard_normal(3)
+            yield with_haar_locals(canonical(*(np.asarray(point) + 1e-6 * d / np.linalg.norm(d))), rng)
+
+
+def reference_candidate(u, lib, candidate, tol=DEFAULT_TOL):
+    """One candidate composed from the public stage functions, each with its
+    own input checks: su4_normalize, core_params_*, the core circuit,
+    match_local_factors, then the local gates."""
+    if lib is GateLibrary.CXY:
+        circuit, tag = reference_candidate(_CXY_CONJ @ u @ _CXY_CONJ, GateLibrary.CYZ, candidate, tol)
+        return Circuit(tuple(_map_cxy_gate(g) for g in circuit.gates)), tag
+    u_norm, _ = su4_normalize(u)
+    if lib is not GateLibrary.CXZ:
+        core = cyz_core_circuit(core_params_cyz(u_norm, candidate, tol))
+        core_norm, _ = su4_normalize(simulate(core))
+        a, b, c, d = match_local_factors(u_norm, core_norm, tol)
+        gates = _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
+        gates += _strip_zero_rotations(core.gates)
+        gates += _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
+        return Circuit(tuple(gates)), "%d%d%d" % candidate
+
+    neg, swap_rs, swap_wires = candidate
+    params = core_params_cxz(u_norm, tol)
+    theta, phi = params.theta, -params.phi if swap_rs else params.phi
+    if neg:
+        theta, phi = -theta, -phi
+    if swap_wires:
+        mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
+    else:
+        mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
+    w_core = Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))
+    w_norm, _ = su4_normalize(simulate(w_core))
+    u_mat, _ = su4_normalize(u_norm @ nm.CNOT01)
+    m_mat, _ = su4_normalize(u_mat @ _delta_matrix(params.psi))
+    a, b, c, d = match_local_factors(m_mat, w_norm, tol)
+    gates = [Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1)]
+    gates += _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
+    gates += _strip_zero_rotations(w_core.gates)
+    gates += _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
+    tag = ("-" if neg else "") + ("sr" if swap_rs else "rs") + (":zx" if swap_wires else "")
+    return Circuit(tuple(_strip_zero_rotations(gates))), tag
+
+
+def reference_synthesize(u, lib, tol=DEFAULT_TOL):
+    """synthesize with every candidate composed by ``reference_candidate``."""
+    u = np.asarray(u, dtype=np.complex128)
+    last_error = None
+    for candidate in _candidate_tags(lib):
+        try:
+            circuit, tag = reference_candidate(u, lib, candidate, tol)
+            return _result_for(u, circuit, tag, tol)
+        except (VerificationFailed, CosetMismatch) as exc:
+            last_error = exc
+    raise VerificationFailed("no candidate produced a verified circuit: %s" % last_error)
 
 
 class TestCoreParamsCYZ:
@@ -232,24 +304,18 @@ class TestSynthesize:
             synthesize(u, GateLibrary.CYZ, tol=1e-18)
 
     def test_near_weyl_corner_and_edge(self):
-        # can(pi/4, 0, 0) (the CNOT corner) and can(0.37, 0, 0) (the
-        # identity-CNOT edge), each offset by 1e-6 in a seeded direction.
         # Near-degenerate gamma spectra: with the cyclic Jacobi diagonalizer
         # 38 of these 360 calls were refused, with eigh 2 are.
-        rng = np.random.default_rng(3)
         refused = 0
-        for point in ((math.pi / 4, 0.0, 0.0), (0.37, 0.0, 0.0)):
-            for _ in range(60):
-                d = rng.standard_normal(3)
-                u = with_haar_locals(canonical(*(np.asarray(point) + 1e-6 * d / np.linalg.norm(d))), rng)
-                for lib in (GateLibrary.CYZ, GateLibrary.CXY, GateLibrary.BASIC):
-                    try:
-                        result = synthesize(u, lib)
-                    except VerificationFailed:
-                        refused += 1
-                        continue
-                    assert result.circuit.cnot_count == 3
-                    assert nm.phase_distance(simulate(result.circuit), u) <= 1e-8
+        for u in near_corner_and_edge_inputs():
+            for lib in (GateLibrary.CYZ, GateLibrary.CXY, GateLibrary.BASIC):
+                try:
+                    result = synthesize(u, lib)
+                except VerificationFailed:
+                    refused += 1
+                    continue
+                assert result.circuit.cnot_count == 3
+                assert nm.phase_distance(simulate(result.circuit), u) <= 1e-8
         assert refused <= 9
 
     def test_result_metadata(self):
@@ -260,6 +326,73 @@ class TestSynthesize:
         assert result.cnot_count == result.circuit.cnot_count
         assert result.one_param_count == result.circuit.one_param_count
         assert result.basic_count == result.circuit.basic_count
+
+
+class TestSinglePass:
+    """synthesize validates its input once and computes the per-input state
+    once; the result is the one the public stage functions compose."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_unitarity_checks_per_call(self, lib, monkeypatch):
+        # 16 per call (21 for cxz) when every stage re-checked its inputs.
+        calls = self.count_calls(monkeypatch, nm, "is_unitary")
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            u = nm.haar_unitary(4, rng)
+            calls.clear()
+            synthesize(u, lib)
+            assert len(calls) <= 9
+
+    def test_input_diagonalized_once_when_every_candidate_fails(self, monkeypatch):
+        # All 24 orderings fail at tol=1e-18; each diagonalizes only its
+        # core (one eigh on a generic spectrum), the input side once: 25.
+        # Rebuilding the input side per candidate made 72.
+        calls = self.count_calls(monkeypatch, np.linalg, "eigh")
+        u = nm.haar_unitary(4, np.random.default_rng(10))
+        with pytest.raises(VerificationFailed):
+            synthesize(u, GateLibrary.CYZ, tol=1e-18)
+        assert len(calls) <= 25
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_same_circuits_as_public_stage_composition(self, lib):
+        rng = np.random.default_rng(16)
+        inputs = [nm.haar_unitary(4, rng) for _ in range(20)]
+        inputs += list(near_corner_and_edge_inputs())
+        refused = 0
+        for u in inputs:
+            try:
+                expected = reference_synthesize(u, lib)
+            except VerificationFailed:
+                refused += 1
+                with pytest.raises(VerificationFailed):
+                    synthesize(u, lib)
+                continue
+            result = synthesize(u, lib)
+            assert result.eigen_order == expected.eigen_order
+            assert len(result.circuit.gates) == len(expected.circuit.gates)
+            for g, h in zip(result.circuit.gates, expected.circuit.gates):
+                assert type(g) is type(h)
+                if isinstance(g, Rotation):
+                    assert (g.axis, g.qubit) == (h.axis, h.qubit)
+                    assert g.angle == pytest.approx(h.angle, abs=1e-12)
+                elif isinstance(g, Generic1Q):
+                    assert g.qubit == h.qubit
+                    assert np.allclose(g.matrix, h.matrix, rtol=0.0, atol=1e-12)
+                else:
+                    assert g == h
+        assert refused < len(inputs)
 
 
 class TestEnumerate:
