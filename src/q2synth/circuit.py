@@ -10,6 +10,7 @@ serializations used by the CLI.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -286,16 +287,14 @@ def euler_decompose(u, outer, inner):
         theta = wrap_angle(np.angle(a11) + np.angle(v[1, 0]))
         psi = wrap_angle(np.angle(a11) - np.angle(v[1, 0]))
 
-    # Wrapping theta/psi into (-pi, pi] can flip the SU(2) representative;
-    # fold that sign into the returned phase.
-    recon = (
-        rotation_matrix2(outer, theta)
-        @ rotation_matrix2(inner, phi)
-        @ rotation_matrix2(outer, psi)
-    )
-    if np.linalg.norm(np.exp(1j * phase) * recon - u) > np.linalg.norm(
-        np.exp(1j * phase) * recon + u
-    ):
+    # Wrapping theta/psi into (-pi, pi] can flip the SU(2) representative:
+    # v is +-Rz(theta) Ry(phi) Rz(psi).  The larger of v00 and v10 reads the
+    # sign off its entry above; fold it into the returned phase.
+    if a00 >= a10:
+        m, x = v[0, 0], math.cos(phi / 2.0) * cmath.exp(-0.5j * (theta + psi))
+    else:
+        m, x = v[1, 0], math.sin(phi / 2.0) * cmath.exp(0.5j * (theta - psi))
+    if (m.conjugate() * x).real < 0.0:
         phase = wrap_angle(phase + math.pi)
     return theta, phi, psi, float(phase)
 

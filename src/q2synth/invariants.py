@@ -48,8 +48,9 @@ def invariant_data(u, tol=1e-8):
 
     The spectrum comes from the symmetric form in the magic basis: with
     ut = E^dag u E, the matrix ut @ ut.T equals E^dag gamma(u) E, so its
-    eigenvalues (computed by the two-stage real diagonalization) are exactly
-    the eigenvalues of gamma(u), in canonical order.
+    eigenvalues (computed by the real orthogonal diagonalization of
+    ``numerics.diagonalize_symmetric_unitary``) are exactly the eigenvalues
+    of gamma(u), in canonical order.
     """
     g = gamma(u, tol)
     ut = nm.MAGIC_DAG @ np.asarray(u, dtype=np.complex128) @ nm.MAGIC

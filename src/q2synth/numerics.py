@@ -137,7 +137,7 @@ def charpoly4(m):
     return CharPoly4(tuple(coeffs))
 
 
-def diagonalize_symmetric_unitary(p, tol=1e-8, cluster_tol=1e-8):
+def diagonalize_symmetric_unitary(p, tol=1e-8):
     """Diagonalize a symmetric unitary matrix by a real orthogonal one.
 
     Returns ``(q, d)`` with ``q`` real orthogonal, ``det(q) = +1``, and
@@ -146,43 +146,52 @@ def diagonalize_symmetric_unitary(p, tol=1e-8, cluster_tol=1e-8):
     ascending principal argument in (-pi, pi], ties kept stable.
 
     Works because the real and imaginary parts of a symmetric unitary
-    commute, hence share an orthonormal eigenbasis: Re(p) is diagonalized
-    first (``eigh``, eigenvalues ascending), then Im(p) restricted to each
-    eigenvalue cluster of Re(p) (cluster tolerance relative).
+    commute, hence share an orthonormal eigenbasis, which one ``eigh`` of
+    the real symmetric cos(t) Re(p) + sin(t) Im(p) finds for every t that
+    separates the distinct eigenvalues of p (see ``_MIX_ANGLES``).
     """
     p = np.asarray(p, dtype=np.complex128)
     if np.linalg.norm(p - p.T) > tol * 10:
         raise NotSymmetricUnitary("matrix is not symmetric within tol")
     if not is_unitary(p, tol * 10):
         raise NotSymmetricUnitary("matrix is not unitary within tol")
-    return _diagonalize_symmetric_unitary(p, cluster_tol)
+    return _diagonalize_symmetric_unitary(p)
 
 
-def _diagonalize_symmetric_unitary(p, cluster_tol=1e-8):
+#: Mixing angles t tried in order by the diagonalizer.  Eigenvalues e^{ia}
+#: and e^{ib} of p coincide in cos(t) Re(p) + sin(t) Im(p) when
+#: t = (a + b) / 2 mod pi.  t = 0 (Re(p) alone) is blind to conjugate
+#: pairs, which every gamma with a real trace has; the later angles are
+#: irrational multiples of pi, and a spectrum defeats them all only if pair
+#: midpoints (a + b) / 2 sit on every one of them.  The same idea, with random
+#: angles, is in Qiskit's ``TwoQubitWeylDecomposition``
+#: (qiskit/synthesis/two_qubit/two_qubit_decompose.py); fixed angles keep
+#: every output deterministic.
+_MIX_ANGLES = (0.0, 1.0, 2.0, 0.5, 2.5)
+
+#: Largest off-diagonal entry of q p q^T accepted without trying the next
+#: mixing angle.
+_OFF_DIAGONAL_TOL = 1e-13
+
+
+def _diagonalize_symmetric_unitary(p):
     """``diagonalize_symmetric_unitary`` without its input checks, for a
-    complex128 ``p`` that is symmetric unitary by construction."""
-    n = p.shape[0]
-    x = (p.real + p.real.T) / 2.0
-    y = p.imag
-
-    wx, v = np.linalg.eigh(x)
-
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and wx[j] - wx[j - 1] <= cluster_tol * max(1.0, abs(wx[j])):
-            j += 1
-        if j - i > 1:
-            blk = v[:, i:j]
-            yb = blk.T @ y @ blk
-            yb = (yb + yb.T) / 2.0
-            _, rot = np.linalg.eigh(yb)
-            v[:, i:j] = blk @ rot
-        i = j
-
-    d = np.einsum("ji,jk,ki->i", v, p, v)
-    ang = np.angle(d)
-    idx = np.argsort(ang, kind="stable")
+    complex128 ``p`` that is symmetric unitary by construction: the first
+    mixing angle whose eigenvectors leave q p q^T diagonal to
+    ``_OFF_DIAGONAL_TOL``, else the best one."""
+    best = None
+    for t in _MIX_ANGLES:
+        x = math.cos(t) * p.real + math.sin(t) * p.imag
+        _, v = np.linalg.eigh((x + x.T) / 2.0)
+        m = v.T @ p @ v
+        off = np.abs(m - np.diag(np.diag(m))).max()
+        if best is None or off < best[0]:
+            best = (off, v, m)
+        if off <= _OFF_DIAGONAL_TOL:
+            break
+    _, v, m = best
+    d = np.diag(m)
+    idx = np.argsort(np.angle(d), kind="stable")
     v = v[:, idx]
     d = d[idx]
     if np.linalg.det(v) < 0:

@@ -15,12 +15,14 @@ All emitted circuits are verified against the input up to global phase; the
 eigenvalue-ordering freedom in the core extraction yields alternative
 circuits, which ``enumerate_circuits`` exposes.
 
-A call validates its input once and prepares the per-input state once (the
-input in SU(4), its magic-basis form and that form's diagonalization, and
-chi[gamma]); each candidate then adds only its own core and that core's
-diagonalization.  The public stage functions (``core_params_*``,
-``match_local_factors``) check their inputs and then run the same private
-steps.
+Local equivalence is decided from the spectrum of gamma alone: a core
+matches the target when their gamma spectra align, up to the global sign
+that the SU(4) representative leaves free.  A call validates its input once
+and prepares the per-input state once (the input in SU(4), its magic-basis
+form and that form's diagonalization); each candidate then adds only its
+own core and that core's diagonalization.  The public stage functions
+(``core_params_*``, ``match_local_factors``) check their inputs and then run
+the same private steps.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .circuit import (
     wrap_angle,
 )
 from .errors import CosetMismatch, NotUnitary, VerificationFailed
-from .invariants import gamma, invariant_data
+from .invariants import invariant_data
 
 DEFAULT_TOL = 1e-8
 
@@ -79,7 +81,6 @@ class CXZCore:
     psi: float
     theta: float
     phi: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ def core_params_cyz(u, order=(0, 1, 2), tol=DEFAULT_TOL):
     gamma(u) play the roles x, y, z.  Each selected eigen-angle is shifted
     by -pi/2 first: the raw core circuit built from unit-phase CNOTs sits a
     quarter turn away from its SU(4) representative, and the shift makes
-    chi[gamma(core)] land exactly on chi[gamma(u)] (up to the global sign).
+    the spectrum of gamma(core) land exactly on that of gamma(u) (up to the
+    global sign).
     """
     u = np.asarray(u, dtype=np.complex128)
     if not nm.is_special_unitary(u, _vtol(tol)):
@@ -137,22 +139,26 @@ def cyz_core_circuit(params):
     )
 
 
-def _conjugate_pair_angles(spectrum):
-    """Split a conjugation-closed unit spectrum into angles (r, s).
+_PAIRINGS = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
 
-    The multiset is {e^{+-ir}, e^{+-is}}; pairs are chosen to minimize the
-    wrapped pair sums, which also handles doubled eigenvalues at +-1.
+
+def _conjugate_pair_angles(spectrum):
+    """Split a conjugation-closed unit spectrum into angles r >= s in [0, pi].
+
+    The multiset is {e^{+-ir}, e^{+-is}}; the pairing whose products are
+    nearest 1 is taken, and each pair's angle is read from its chord and
+    its mean, so an eigenvalue -1 gives pi whatever the sign of its zero
+    imaginary part.
     """
-    ang = np.sort(np.angle(spectrum))
-    pairings = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
     best = min(
-        pairings,
-        key=lambda prs: max(abs(wrap_angle(ang[i] + ang[j])) for i, j in prs),
+        _PAIRINGS,
+        key=lambda prs: max(abs(spectrum[i] * spectrum[j] - 1.0) for i, j in prs),
     )
-    out = []
-    for i, j in best:
-        out.append((ang[j] + wrap_angle(-ang[i])) / 2.0)
-    r, s = sorted(out, reverse=True)
+    angles = (
+        math.atan2(abs(spectrum[j] - spectrum[i]) / 2.0, (spectrum[i] + spectrum[j]).real / 2.0)
+        for i, j in best
+    )
+    r, s = sorted(angles, reverse=True)
     return r, s
 
 
@@ -167,26 +173,23 @@ def core_params_cxz(u_prime, tol=DEFAULT_TOL):
     tan(psi) = Im(t1+t2+t3+t4) / Re(t1+t4-t2-t3); multiplying U by the
     two-CNOT diagonal Delta(psi) makes the trace of gamma real, so the
     spectrum falls into conjugate pairs {e^{+-ir}, e^{+-is}} and
-    theta = (r+s)/2, phi = (r-s)/2.  When numerator and denominator both
-    vanish, psi = 0 is taken and the result is flagged degenerate.
+    theta = (r+s)/2, phi = (r-s)/2.  psi is atan2 of the two (0 when both
+    vanish) or that plus pi, whichever leaves the smaller imaginary trace.
     """
     u_prime = np.asarray(u_prime, dtype=np.complex128)
     if not nm.is_special_unitary(u_prime, _vtol(tol)):
         raise NotUnitary("core_params_cxz expects a special-unitary matrix")
     u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
-    psi, degenerate, m_mat = _cxz_shift(u_mat, tol)
-    return _cxz_params(psi, degenerate, invariant_data(m_mat, max(tol, 1e-10)).spectrum)
+    psi, m_mat = _cxz_shift(u_mat)
+    return _cxz_params(psi, invariant_data(m_mat, max(tol, 1e-10)).spectrum)
 
 
-def _cxz_shift(u_mat, tol):
-    """(psi, degenerate, M) for U = ``u_mat`` in SU(4): the angle psi of
+def _cxz_shift(u_mat):
+    """(psi, M) for U = ``u_mat`` in SU(4): the angle psi of
     ``core_params_cxz`` and M = su4(U Delta(psi)), whose gamma has a real
     trace."""
     t = np.diag(nm.SYY @ u_mat.T @ nm.SYY @ u_mat)
-    num = float(np.imag(t.sum()))
-    den = float(np.real(t[0] + t[3] - t[1] - t[2]))
-    degenerate = abs(num) <= tol and abs(den) <= tol
-    psi = 0.0 if degenerate else math.atan2(num, den)
+    psi = math.atan2(float(np.imag(t.sum())), float(np.real(t[0] + t[3] - t[1] - t[2])))
     # tan fixes psi modulo pi; keep whichever branch actually kills Im tr.
     best_psi, best_m, best_im = None, None, None
     for cand in (psi, wrap_angle(psi + math.pi)):
@@ -194,38 +197,29 @@ def _cxz_shift(u_mat, tol):
         im = abs(np.trace(nm.gamma4(m_mat)).imag)
         if best_im is None or im < best_im:
             best_psi, best_m, best_im = cand, m_mat, im
-    return best_psi, degenerate, best_m
+    return best_psi, best_m
 
 
-def _cxz_params(psi, degenerate, spectrum):
+def _cxz_params(psi, spectrum):
     """``core_params_cxz`` from psi and the spectrum of gamma(M)."""
     r, s = _conjugate_pair_angles(spectrum)
-    return CXZCore(
-        psi=psi,
-        theta=(r + s) / 2.0,
-        phi=(r - s) / 2.0,
-        degenerate=degenerate,
-    )
+    return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0)
 
 
-def _align_spectra(du, dv, atol=1e-6):
-    """Permutation p with du ~ dv[p], or None."""
-    n = len(du)
-    used = [False] * n
-    perm = []
-    for i in range(n):
-        best_j, best_err = -1, atol
-        for j in range(n):
-            if used[j]:
-                continue
-            err = abs(du[i] - dv[j])
-            if err <= best_err:
-                best_j, best_err = j, err
-        if best_j < 0:
-            return None
-        used[best_j] = True
-        perm.append(best_j)
-    return perm
+#: Every permutation of four eigenvalues, the identity first.
+_PERMS = np.array(list(itertools.permutations(range(4))))
+
+
+def _align_spectra(du, dv):
+    """(sign, perm) minimizing max |du - sign dv[perm]| over sign = +-1 and
+    every permutation, the identity with sign +1 winning ties; CosetMismatch
+    when even that misses by more than 1e-6."""
+    cands = dv[_PERMS]
+    err = np.abs(np.concatenate((du - cands, du + cands))).max(axis=1)
+    k = int(np.argmin(err))
+    if err[k] > 1e-6:
+        raise CosetMismatch("gamma spectra cannot be aligned")
+    return (1 if k < len(_PERMS) else -1), _PERMS[k % len(_PERMS)]
 
 
 def match_local_factors(u, v, tol=DEFAULT_TOL):
@@ -235,8 +229,9 @@ def match_local_factors(u, v, tol=DEFAULT_TOL):
     the magic basis, where the symmetric forms ut ut^T and vt vt^T share a
     spectrum; aligning their orthogonal diagonalizers produces the left
     local factor, and ct = (q_v vt)^dag (q_u ut) is real orthogonal and
-    produces the right one.  When the chi invariants agree only up to the
-    global sign, v is pre-multiplied by i, which is invisible up to phase.
+    produces the right one.  When the spectra agree only up to the global
+    sign of gamma, v is matched as i v, which is invisible up to phase;
+    CosetMismatch when they agree with neither sign.
     """
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
@@ -244,32 +239,12 @@ def match_local_factors(u, v, tol=DEFAULT_TOL):
         if not nm.is_special_unitary(m, _vtol(tol) * 10.0):
             raise NotUnitary("match_local_factors expects special-unitary inputs")
 
-    v = _coset_representative(_chi(u), v)
     ut = nm.MAGIC_DAG @ u @ nm.MAGIC
     vt = nm.MAGIC_DAG @ v @ nm.MAGIC
     dtol = max(tol, 1e-10)
     qu, du = nm.diagonalize_symmetric_unitary(ut @ ut.T, tol=dtol)
     qv, dv = nm.diagonalize_symmetric_unitary(vt @ vt.T, tol=dtol)
     return _local_factors(_MagicForm(ut, qu, du), _MagicForm(vt, qv, dv))
-
-
-_CHI_SIGN_FLIP = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
-
-
-def _chi(m):
-    """Coefficients of chi[gamma(m)]."""
-    return nm.charpoly4(nm.gamma4(m)).as_array()
-
-
-def _coset_representative(cu, v):
-    """v, or i v when chi[gamma(v)] equals ``cu`` only up to the global sign
-    of gamma; CosetMismatch when it equals neither."""
-    cv = _chi(v)
-    if nm.allclose(cu, cv, 1e-6):
-        return v
-    if nm.allclose(cu, cv * _CHI_SIGN_FLIP, 1e-6):
-        return 1j * v
-    raise CosetMismatch("operators are not locally equivalent")
 
 
 class _MagicForm(NamedTuple):
@@ -290,20 +265,19 @@ def _magic_form(m):
 
 def _local_factors(fu, fv):
     """The factors (a, b, c, d) of ``match_local_factors`` from the magic
-    forms of u and of v (v already multiplied by i where the sign of gamma
-    asks for it)."""
-    qv = fv.q
-    if not nm.allclose(fu.d, fv.d, 1e-6):
-        perm = _align_spectra(fu.d, fv.d)
-        if perm is None:
-            raise CosetMismatch("gamma spectra cannot be aligned")
-        qv = qv[perm, :]
-        if np.linalg.det(qv) < 0:
-            qv[0, :] = -qv[0, :]
+    forms of u and of v.  When the spectra align only with the sign of
+    gamma(v) flipped, v is replaced by i v: gamma(i v) = -gamma(v) has the
+    same diagonalizer, and the factor i goes into ct."""
+    sign, perm = _align_spectra(fu.d, fv.d)
+    qv = fv.q[perm, :]
+    if np.linalg.det(qv) < 0:
+        qv[0, :] = -qv[0, :]
 
     e, e_dag = nm.MAGIC, nm.MAGIC_DAG
     amat = e @ (fu.q.T @ qv) @ e_dag
     ct = (qv @ fv.mt).conj().T @ (fu.q @ fu.mt)
+    if sign < 0:
+        ct = -1j * ct
     bmat = e @ ct.real @ e_dag
 
     a, b = tensor_factor(amat)
@@ -311,26 +285,12 @@ def _local_factors(fu, fv):
     return a, b, c, d
 
 
-class _Target(NamedTuple):
-    """The per-input state of one synthesize call: chi[gamma(m)] and the
-    magic form of the SU(4) operator m that every candidate core is
-    matched against."""
-
-    chi: np.ndarray
-    form: _MagicForm
-
-
 def _target(m, tol):
-    """``_Target`` of an SU(4) matrix.  gamma's unitarity check is the one
-    input check kept here: its tolerance can be tighter than the caller's."""
-    return _Target(nm.charpoly4(gamma(m, max(tol, 1e-10))).as_array(), _magic_form(m))
-
-
-def _match_target(target, v):
-    """``match_local_factors(m, v)`` for the prepared ``target`` of m and a
-    core v that is special unitary by construction."""
-    v = _coset_representative(target.chi, v)
-    return _local_factors(target.form, _magic_form(v))
+    """The magic form of the SU(4) operator m that every candidate core is
+    matched against.  Its unitarity check is the one input check kept here:
+    its tolerance can be tighter than the caller's."""
+    nm._require_unitary(m, max(tol, 1e-10))
+    return _magic_form(m)
 
 
 def _euler_gates(m2, qubit, outer, inner):
@@ -371,9 +331,9 @@ def _strip_zero_rotations(gates):
 
 def _synthesize_cyz_like(target, lib, order):
     """CYZ and BASIC share the same core; only the local-layer encoding differs."""
-    core = cyz_core_circuit(_cyz_params(target.form.d, order))
+    core = cyz_core_circuit(_cyz_params(target.d, order))
     core_norm, _ = _su4_normalize(simulate(core))
-    a, b, c, d = _match_target(target, core_norm)
+    a, b, c, d = _local_factors(target, _magic_form(core_norm))
     gates = []
     gates += _local_gates(c, 0, lib)
     gates += _local_gates(d, 1, lib)
@@ -406,11 +366,11 @@ def _synthesize_cxy(target, order):
 
 def _cxz_state(u_norm, tol):
     """The per-input state of the CXZ construction: its core parameters and
-    the ``_Target`` of M = su4(u C[0->1] Delta(psi)); no variant changes either."""
+    the ``_target`` of M = su4(u C[0->1] Delta(psi)); no variant changes either."""
     u_mat, _ = _su4_normalize(u_norm @ nm.CNOT01)
-    psi, degenerate, m_mat = _cxz_shift(u_mat, tol)
+    psi, m_mat = _cxz_shift(u_mat)
     target = _target(m_mat, tol)
-    return _cxz_params(psi, degenerate, target.form.d), target
+    return _cxz_params(psi, target.d), target
 
 
 def _synthesize_cxz(state, variant):
@@ -429,7 +389,7 @@ def _synthesize_cxz(state, variant):
         mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
     w_core = Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))
     w_norm, _ = _su4_normalize(simulate(w_core))
-    a, b, c, d = _match_target(target, w_norm)
+    a, b, c, d = _local_factors(target, _magic_form(w_norm))
 
     gates = [Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1)]
     gates += _local_gates(c, 0, GateLibrary.CXZ)
@@ -463,9 +423,9 @@ def _candidate_tags(lib):
 
 def _prepare(u, lib, tol):
     """The per-input state of one call on a validated unitary ``u``: u in
-    SU(4) with its magic form, its diagonalization and chi[gamma(u)] (for
-    CXY those of the H x H conjugate; for CXZ those of M, with the core
-    parameters).  Every candidate reads it; none recomputes it."""
+    SU(4) with its magic form and its diagonalization (for CXY those of the
+    H x H conjugate; for CXZ those of M, with the core parameters).  Every
+    candidate reads it; none recomputes it."""
     if lib is GateLibrary.CXY:
         u_norm, _ = su4_normalize(_CXY_CONJ @ u @ _CXY_CONJ)
     else:

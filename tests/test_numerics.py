@@ -109,7 +109,7 @@ class TestDiagonalizeSymmetricUnitary:
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_contract_on_perturbed_clusters(self, size):
         # size eigenvalues within eps of each other: nearly degenerate Re(p)
-        # and Im(p), on either side of the cluster tolerance.
+        # and Im(p).
         rng = np.random.default_rng(30 + size)
         for eps in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
             for _ in range(10):
@@ -122,8 +122,23 @@ class TestDiagonalizeSymmetricUnitary:
                 assert np.isrealobj(q)
                 assert np.abs(q @ q.T - np.eye(4)).max() <= 1e-12
                 assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
-                assert np.abs(q @ p @ q.T - np.diag(d)).max() <= 1e-10
+                assert np.abs(q @ p @ q.T - np.diag(d)).max() <= 1e-12
                 assert np.all(np.diff(np.angle(d)) >= 0.0)
+                assert np.angle(d) == pytest.approx(np.sort(angles), abs=1e-9)
+
+    def test_near_conjugate_pairs(self):
+        # e^{ia} and e^{-ia+g}: Re(p) is nearly degenerate on the pair while
+        # Im(p) is not, so Re(p) alone resolves its eigenvectors only to
+        # about 1e-16/g (4.2e-8 off-diagonal at g = 3e-8).
+        rng = np.random.default_rng(40)
+        for g in (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+            for _ in range(20):
+                a = rng.uniform(0.2, 2.9)
+                angles = [a, -a + g, *rng.uniform(-3.0, 3.0, 2)]
+                p = random_symmetric_unitary(rng, angles)
+                q, d = nm.diagonalize_symmetric_unitary(p)
+                assert np.abs(q @ q.T - np.eye(4)).max() <= 1e-12
+                assert np.abs(q @ p @ q.T - np.diag(d)).max() <= 1e-12
                 assert np.angle(d) == pytest.approx(np.sort(angles), abs=1e-9)
 
     def test_identity_input(self):

@@ -23,6 +23,7 @@ from q2synth.synthesis import (
     CYZCore,
     GateLibrary,
     _candidate_tags,
+    _conjugate_pair_angles,
     _delta_matrix,
     _local_gates,
     _map_cxy_gate,
@@ -79,6 +80,42 @@ def near_corner_and_edge_inputs():
         for _ in range(60):
             d = rng.standard_normal(3)
             yield with_haar_locals(canonical(*(np.asarray(point) + 1e-6 * d / np.linalg.norm(d))), rng)
+
+
+Q = math.pi / 4
+
+#: The Weyl-chamber corners, edges and faces of the weyl-degenerate
+#: benchmark workload, and its three points that once failed to verify.
+CHAMBER_POINTS = (
+    (0.0, 0.0, 0.0),
+    (Q, 0.0, 0.0),
+    (Q, Q, 0.0),
+    (Q, Q, Q),
+    (0.37, 0.0, 0.0),
+    (Q, 0.41, 0.0),
+    (0.29, 0.29, 0.0),
+    (0.53, 0.53, 0.53),
+    (Q, 0.22, 0.22),
+    (Q, Q, 0.61),
+    (0.62, 0.27, 0.0),
+    (Q, 0.47, 0.19),
+    (0.58, 0.58, 0.31),
+    (0.66, 0.35, 0.35),
+    (0.0, Q, 1e-9),
+    (Q, Q, 1e-9),
+    (1e-6, Q, 1e-6),
+)
+
+
+def chamber_corpus(draws=4):
+    """Every chamber point offset by eps in {0, 1e-12, 1e-9, 1e-6, 1e-4} in
+    a seeded direction, between ``draws`` seeded Haar locals each."""
+    rng = np.random.default_rng(17)
+    for point in CHAMBER_POINTS:
+        for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-4):
+            for _ in range(draws):
+                d = rng.standard_normal(3)
+                yield with_haar_locals(canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d))), rng)
 
 
 def reference_candidate(u, lib, candidate, tol=DEFAULT_TOL):
@@ -167,11 +204,13 @@ class TestCoreParamsCYZ:
 
 class TestCoreParamsCXZ:
     def test_psi_makes_the_invariant_trace_real(self):
+        # Haar inputs, and inputs at which the two terms fixing tan(psi)
+        # both vanish or nearly do: CNOT, SWAP and can(eps, eps, eps).
         rng = np.random.default_rng(2)
-        from q2synth.synthesis import _delta_matrix
-
-        for _ in range(30):
-            u = su4(rng)
+        inputs = [su4(rng) for _ in range(30)]
+        for m in (nm.CNOT01, nm.SWAP_MAT, canonical(1e-6, 1e-6, 1e-6)):
+            inputs += [m] + [with_haar_locals(m, rng) for _ in range(10)]
+        for u in inputs:
             u_prime, _ = su4_normalize(u @ nm.CNOT01)
             params = core_params_cxz(u_prime)
             m, _ = su4_normalize(u_prime @ nm.CNOT01 @ _delta_matrix(params.psi))
@@ -180,16 +219,12 @@ class TestCoreParamsCXZ:
             m2, _ = su4_normalize(u_mat @ _delta_matrix(params.psi))
             assert abs(np.trace(gamma(m2)).imag) <= 1e-9
 
-    def test_degenerate_input_flagged(self):
-        u, _ = su4_normalize(nm.CNOT01)
-        params = core_params_cxz(u)
-        assert params.degenerate
-        assert params.psi == 0.0
-
-    def test_generic_input_not_degenerate(self):
-        rng = np.random.default_rng(3)
-        flags = [core_params_cxz(su4(rng)).degenerate for _ in range(10)]
-        assert not any(flags)
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_pair_angles_at_minus_one(self, zero):
+        # -1 has principal angle pi or -pi by the sign of its imaginary zero;
+        # the pair {-1, -1} is e^{+-i pi} either way.
+        r, s = _conjugate_pair_angles(np.array([complex(-1.0, zero), complex(-1.0, zero), 1.0, 1.0]))
+        assert (r, s) == (math.pi, 0.0)
 
     def test_rejects_non_special_unitary(self):
         with pytest.raises(NotUnitary):
@@ -304,19 +339,20 @@ class TestSynthesize:
             synthesize(u, GateLibrary.CYZ, tol=1e-18)
 
     def test_near_weyl_corner_and_edge(self):
-        # Near-degenerate gamma spectra: with the cyclic Jacobi diagonalizer
-        # 38 of these 360 calls were refused, with eigh 2 are.
-        refused = 0
+        # Near-degenerate gamma spectra, and for cxz a psi whose tan is
+        # nearly 0/0 at the CNOT corner: every call must verify.
         for u in near_corner_and_edge_inputs():
-            for lib in (GateLibrary.CYZ, GateLibrary.CXY, GateLibrary.BASIC):
-                try:
-                    result = synthesize(u, lib)
-                except VerificationFailed:
-                    refused += 1
-                    continue
+            for lib in GateLibrary:
+                result = synthesize(u, lib)
                 assert result.circuit.cnot_count == 3
                 assert nm.phase_distance(simulate(result.circuit), u) <= 1e-8
-        assert refused <= 9
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_chamber_corpus(self, lib):
+        for u in chamber_corpus():
+            result = synthesize(u, lib)
+            assert result.circuit.cnot_count == 3
+            assert nm.phase_distance(simulate(result.circuit), u) <= 1e-8
 
     def test_result_metadata(self):
         rng = np.random.default_rng(11)
