@@ -100,9 +100,9 @@ class Generic1Q:
     def _trusted(cls, qubit, matrix):
         """A Generic1Q on ``qubit`` whose ``matrix`` is already checked.
 
-        Skips ``__post_init__``: the matrix must come from another Generic1Q
-        (2x2 unitary, complex128, determinant already normalized) and the
-        qubit must be 0 or 1.
+        Skips ``__post_init__``: the matrix must be a complex128 element of
+        SU(2), taken from another Generic1Q or built in SU(2) by
+        construction, and the qubit must be 0 or 1.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "qubit", qubit)
@@ -216,6 +216,14 @@ def _su4_normalize(u):
     return u * np.exp(-1j * phase), float(phase)
 
 
+def _su2(x0, x1, x2, x3):
+    """x0 I - i (x1 X + x2 Y + x3 Z): the SU(2) element of a unit quaternion."""
+    return np.array(
+        [[complex(x0, -x3), complex(-x2, -x1)], [complex(x2, -x1), complex(x0, x3)]],
+        dtype=np.complex128,
+    )
+
+
 def _su2_from_rotation(r):
     """SU(2) element realizing a 3x3 rotation matrix (quaternion lift)."""
     t = np.trace(r)
@@ -234,22 +242,26 @@ def _su2_from_rotation(r):
         q[k] = (r[k, i] + r[i, k]) / s
         w = (r[k, j] - r[j, k]) / s
         x, y, z = q
-    return w * nm.I2 - 1j * (x * nm.SIGMA_X + y * nm.SIGMA_Y + z * nm.SIGMA_Z)
+    return _su2(w, x, y, z)
 
 
 def _frame_change(outer, inner):
-    """g in SU(2) with g sigma_z g^dag = sigma_outer, g sigma_y g^dag = sigma_inner."""
+    """(g^dag, g) for g in SU(2) with g sigma_z g^dag = sigma_outer and
+    g sigma_y g^dag = sigma_inner."""
     zv = _AXIS_VEC[outer]
     yv = _AXIS_VEC[inner]
     xv = np.cross(yv, zv)
-    return _su2_from_rotation(np.column_stack([xv, yv, zv]))
+    g = _su2_from_rotation(np.column_stack([xv, yv, zv]))
+    return g.conj().T.copy(), g
 
 
+#: ``_frame_change`` of every axis pair but (Z, Y), whose frame change is
+#: the identity.
 _FRAMES = {
     (o, i): _frame_change(o, i)
     for o in Axis
     for i in Axis
-    if o is not i
+    if o is not i and (o, i) != (Axis.Z, Axis.Y)
 }
 
 
@@ -265,61 +277,104 @@ def euler_decompose(u, outer, inner):
         raise NotUnitary("euler_decompose expects a 2x2 unitary")
     if outer is inner:
         raise ValueError("outer and inner axes must differ")
+    return _euler_angles(u, outer, inner)
 
-    g = _FRAMES[(outer, inner)]
-    w = g.conj().T @ u @ g
-    phase = np.angle(nm.det2(w)) / 2.0
-    v = w * np.exp(-1j * phase)
+
+def _euler_angles(u, outer, inner):
+    """``euler_decompose`` without its input checks, for a complex128 2x2
+    unitary ``u`` and distinct axes: one frame change to (Z, Y), then
+    scalar complex arithmetic on the four entries."""
+    if (outer, inner) != (Axis.Z, Axis.Y):
+        g_dag, g = _FRAMES[(outer, inner)]
+        u = g_dag @ u @ g
+    (w00, w01), (w10, w11) = u.tolist()
+    phase = cmath.phase(w00 * w11 - w01 * w10) / 2.0
+    e = cmath.exp(-1j * phase)
+    v00, v10, v11 = w00 * e, w10 * e, w11 * e
 
     # v = Rz(theta) Ry(phi) Rz(psi):
     #   v00 = cos(phi/2) e^{-i(theta+psi)/2},  v10 = sin(phi/2) e^{i(theta-psi)/2}
-    a00, a10, a11 = abs(v[0, 0]), abs(v[1, 0]), v[1, 1]
+    a00, a10 = abs(v00), abs(v10)
     if a10 <= 1e-12:
-        theta = wrap_angle(-2.0 * np.angle(v[0, 0]))
+        theta = wrap_angle(-2.0 * cmath.phase(v00))
         phi = 0.0 if a00 >= a10 else math.pi
         psi = 0.0
     elif a00 <= 1e-12:
-        theta = wrap_angle(2.0 * np.angle(v[1, 0]))
+        theta = wrap_angle(2.0 * cmath.phase(v10))
         phi = math.pi
         psi = 0.0
     else:
         phi = 2.0 * math.atan2(a10, a00)
-        theta = wrap_angle(np.angle(a11) + np.angle(v[1, 0]))
-        psi = wrap_angle(np.angle(a11) - np.angle(v[1, 0]))
+        theta = wrap_angle(cmath.phase(v11) + cmath.phase(v10))
+        psi = wrap_angle(cmath.phase(v11) - cmath.phase(v10))
 
     # Wrapping theta/psi into (-pi, pi] can flip the SU(2) representative:
     # v is +-Rz(theta) Ry(phi) Rz(psi).  The larger of v00 and v10 reads the
     # sign off its entry above; fold it into the returned phase.
     if a00 >= a10:
-        m, x = v[0, 0], math.cos(phi / 2.0) * cmath.exp(-0.5j * (theta + psi))
+        m, x = v00, math.cos(phi / 2.0) * cmath.exp(-0.5j * (theta + psi))
     else:
-        m, x = v[1, 0], math.sin(phi / 2.0) * cmath.exp(0.5j * (theta - psi))
+        m, x = v10, math.sin(phi / 2.0) * cmath.exp(0.5j * (theta - psi))
     if (m.conjugate() * x).real < 0.0:
         phase = wrap_angle(phase + math.pi)
-    return theta, phi, psi, float(phase)
+    return theta, phi, psi, phase
+
+
+#: The map from o in SO(4) (16 entries, row-major) to its associate matrix
+#: outer(x, y) (row-major), where E o E^dag = su2(x) x su2(y) for unit
+#: quaternions x and y (van Elfrinkhof's formula; E is the magic basis).
+#: The map outer(x, y) -> o has entries 0 and +-1 and is twice an
+#: orthogonal matrix, so its inverse is its transpose over 4.
+_ASSOC = np.round(
+    np.array(
+        [
+            (nm.MAGIC_DAG @ nm.kron(_su2(*e), _su2(*f)) @ nm.MAGIC).real.ravel()
+            for e in np.eye(4)
+            for f in np.eye(4)
+        ]
+    )
+) / 4.0
+
+
+def _so4_factors(o):
+    """(a, b) in SU(2) with E o E^dag = a x b up to sign, for a real 4x4
+    ``o`` in SO(4), in closed form.  The associate matrix of o is
+    outer(x, y) of the quaternions x of a and y of b: y is its row of
+    largest norm, normalized, and x its product with y, normalized.
+    NotLocal when the split misses o by more than 1e-9 in Frobenius norm
+    (twice its miss on the associate matrix), as it does for an o that is
+    not in SO(4)."""
+    assoc = (_ASSOC @ o.ravel()).tolist()
+    rows = (assoc[0:4], assoc[4:8], assoc[8:12], assoc[12:16])
+    row = max(rows, key=lambda r: math.hypot(*r))
+    norm = math.hypot(*row)
+    y = [v / norm for v in row]
+    x = [r[0] * y[0] + r[1] * y[1] + r[2] * y[2] + r[3] * y[3] for r in rows]
+    norm = math.hypot(*x)
+    x = [v / norm for v in x]
+    err = 2.0 * math.hypot(*(r[j] - xi * y[j] for r, xi in zip(rows, x) for j in range(4)))
+    if err > 1e-9:
+        raise NotLocal("best tensor factorization misses by %.3g" % err)
+    return _su2(*x), _su2(*y)
 
 
 def tensor_factor(g):
     """Split a local 4x4 operator into one-qubit factors.
 
-    Requires ``g`` phase-equivalent to a Kronecker product (callers certify
-    via the invariants module).  The 2x2 block of largest norm fixes the
-    second factor up to scale; the first factor is recovered entrywise and
-    the leftover phase is split so both determinants are one.
+    Returns ``(a, b)`` in SU(2) with ``g`` = a x b up to phase; NotLocal
+    when the split misses ``g`` by more than 1e-9 in phase distance.  In the
+    magic basis a local g is e^{i phi} o with o in SO(4), and the squares
+    of its 16 entries sum to 4 e^{2i phi}; that sum removes the phase (up
+    to a sign, which o and -o share) and ``_so4_factors`` splits o.
     """
     g = np.asarray(g, dtype=np.complex128)
     if not nm.is_unitary(g, 1e-8):
         raise NotUnitary("tensor_factor expects a unitary matrix")
-    blocks = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    norms = np.linalg.norm(blocks, axis=(2, 3))
-    bi, bj = np.unravel_index(np.argmax(norms), (2, 2))
-    b = blocks[bi, bj] * (math.sqrt(2.0) / norms[bi, bj])
-    a = np.tensordot(blocks, b.conj(), axes=([2, 3], [0, 1])) / 2.0
-    det_a, det_b = nm.det2(a), nm.det2(b)
-    if abs(det_a) < 1e-8 or abs(det_b) < 1e-8:
+    m = nm.MAGIC_DAG @ g @ nm.MAGIC
+    s = complex(np.sum(m * m))
+    if s == 0:
         raise NotLocal("matrix does not factor into one-qubit operators")
-    a = a * np.exp(-0.5j * np.angle(det_a)) / math.sqrt(abs(det_a))
-    b = b * np.exp(-0.5j * np.angle(det_b))
+    a, b = _so4_factors((m * cmath.sqrt(s.conjugate() / abs(s))).real)
     err = nm.phase_distance(nm.kron(a, b), g)
     if err > 1e-9:
         raise NotLocal("best tensor factorization misses by %.3g" % err)

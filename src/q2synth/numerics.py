@@ -7,6 +7,7 @@ phase-blind distance used for circuit verification.  Matrix constants used
 throughout the package live here.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -142,12 +143,16 @@ def diagonalize_symmetric_unitary(p, tol=1e-8):
 
     Returns ``(q, d)`` with ``q`` real orthogonal, ``det(q) = +1``, and
     ``q @ p @ q.T`` equal to ``diag(d)`` within tolerance.  The rows of ``q``
-    are the eigenvectors.  Eigenvalues are returned in canonical order:
-    ascending principal argument in (-pi, pi], ties kept stable.
+    are the eigenvectors.  The result is in the canonical form of
+    ``_canonical``: eigenvalues by ascending principal argument in
+    (-pi, pi], ties kept stable, and eigenvector signs fixed, so that every
+    orthonormal eigenbasis of a spectrum with distinct eigenvalues gives
+    the same ``(q, d)``.
 
     Works because the real and imaginary parts of a symmetric unitary
-    commute, hence share an orthonormal eigenbasis, which one ``eigh`` of
-    the real symmetric cos(t) Re(p) + sin(t) Im(p) finds for every t that
+    commute, hence share an orthonormal eigenbasis.  The constant bases of
+    ``_CORE_BASES`` are tried first; otherwise one ``eigh`` of the real
+    symmetric cos(t) Re(p) + sin(t) Im(p) finds it for every t that
     separates the distinct eigenvalues of p (see ``_MIX_ANGLES``).
     """
     p = np.asarray(p, dtype=np.complex128)
@@ -161,42 +166,86 @@ def diagonalize_symmetric_unitary(p, tol=1e-8):
 #: Mixing angles t tried in order by the diagonalizer.  Eigenvalues e^{ia}
 #: and e^{ib} of p coincide in cos(t) Re(p) + sin(t) Im(p) when
 #: t = (a + b) / 2 mod pi.  t = 0 (Re(p) alone) is blind to conjugate
-#: pairs, which every gamma with a real trace has; the later angles are
-#: irrational multiples of pi, and a spectrum defeats them all only if pair
-#: midpoints (a + b) / 2 sit on every one of them.  The same idea, with random
-#: angles, is in Qiskit's ``TwoQubitWeylDecomposition``
+#: pairs, which every gamma with a real trace has, so it comes last; the
+#: other angles are irrational multiples of pi, and a spectrum defeats them
+#: all only if pair midpoints (a + b) / 2 sit on every one of them.  The
+#: same idea, with random angles, is in Qiskit's
+#: ``TwoQubitWeylDecomposition``
 #: (qiskit/synthesis/two_qubit/two_qubit_decompose.py); fixed angles keep
-#: every output deterministic.
-_MIX_ANGLES = (0.0, 1.0, 2.0, 0.5, 2.5)
+#: every output deterministic, and ``_canonical`` makes it independent of
+#: which angle succeeds.
+_MIX_ANGLES = (1.0, 2.0, 0.5, 2.5, 0.0)
+
+#: Real orthogonal bases (rows) that diagonalize the symmetric magic-basis
+#: form of a synthesis core at every angle, tried before any ``eigh``.  The
+#: CYZ core's form is two 2x2 blocks [[x, y], [y, x]], diagonalized by the
+#: rows (1, +-1, 0, 0) / sqrt 2 and (0, 0, 1, +-1) / sqrt 2; the CXZ core's
+#: form is diagonal already.
+_CORE_BASES = (
+    np.array(
+        [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]]
+    )
+    / math.sqrt(2.0),
+    np.eye(4),
+)
 
 #: Largest off-diagonal entry of q p q^T accepted without trying the next
-#: mixing angle.
+#: basis or mixing angle.
 _OFF_DIAGONAL_TOL = 1e-13
+
+_OFF_DIAGONAL = np.flatnonzero(~np.eye(4, dtype=bool))
+
+
+def _off_diagonal(m):
+    """Largest magnitude among the off-diagonal entries of a 4x4 m."""
+    return np.abs(m.take(_OFF_DIAGONAL)).max()
 
 
 def _diagonalize_symmetric_unitary(p):
     """``diagonalize_symmetric_unitary`` without its input checks, for a
     complex128 ``p`` that is symmetric unitary by construction: the first
-    mixing angle whose eigenvectors leave q p q^T diagonal to
-    ``_OFF_DIAGONAL_TOL``, else the best one."""
+    of ``_CORE_BASES`` that leaves q p q^T diagonal to ``_OFF_DIAGONAL_TOL``,
+    else the first mixing angle whose eigenvectors do, else the best one."""
+    for q in _CORE_BASES:
+        # Entry (0, 1) of q p q^T rejects an input the basis does not fit
+        # before the full product is formed.
+        if abs(q[0] @ p @ q[1]) <= _OFF_DIAGONAL_TOL:
+            m = q @ p @ q.T
+            if _off_diagonal(m) <= _OFF_DIAGONAL_TOL:
+                return _canonical(q, m.diagonal())
     best = None
     for t in _MIX_ANGLES:
         x = math.cos(t) * p.real + math.sin(t) * p.imag
         _, v = np.linalg.eigh((x + x.T) / 2.0)
         m = v.T @ p @ v
-        off = np.abs(m - np.diag(np.diag(m))).max()
+        off = _off_diagonal(m)
         if best is None or off < best[0]:
             best = (off, v, m)
         if off <= _OFF_DIAGONAL_TOL:
             break
     _, v, m = best
-    d = np.diag(m)
-    idx = np.argsort(np.angle(d), kind="stable")
-    v = v[:, idx]
-    d = d[idx]
-    if np.linalg.det(v) < 0:
-        v[:, 0] = -v[:, 0]
-    return v.T.copy(), d
+    return _canonical(v.T, m.diagonal())
+
+
+def _leading(row):
+    """The first entry of a unit 4-vector with magnitude >= 1/4; one exists
+    because some entry has magnitude >= 1/2."""
+    return next(x for x in row if abs(x) >= 0.25)
+
+
+def _canonical(q, d):
+    """The canonical form of an orthogonal diagonalization (rows of ``q``,
+    eigenvalues ``d``): ascending principal argument of d, ties in input
+    order; rows 1-3 with their ``_leading`` entry positive, and row 0 with
+    that sign too unless the other sign is needed for det(q) = +1.  A new
+    array; ``q`` is not modified."""
+    angles = [cmath.phase(z) for z in d.tolist()]
+    order = sorted(range(4), key=angles.__getitem__)
+    rows = q.tolist()
+    q = np.array([rows[i] if _leading(rows[i]) > 0.0 else [-x for x in rows[i]] for i in order])
+    if np.linalg.det(q) < 0.0:
+        q[0] = -q[0]
+    return q, d[order]
 
 
 def phase_distance(u, v):
@@ -208,9 +257,9 @@ def phase_distance(u, v):
     """
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
-    t = np.trace(v.conj().T @ u)
-    phi = 0.0 if t == 0 else -np.angle(t)
-    return float(np.linalg.norm(np.exp(1j * phi) * u - v))
+    t = complex(np.vdot(v, u))
+    r = (u if t == 0 else u * cmath.exp(-1j * cmath.phase(t))) - v
+    return math.sqrt(np.vdot(r, r).real)
 
 
 def haar_unitary(n, rng):

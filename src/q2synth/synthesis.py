@@ -19,8 +19,10 @@ Local equivalence is decided from the spectrum of gamma alone: a core
 matches the target when their gamma spectra align, up to the global sign
 that the SU(4) representative leaves free.  A call validates its input once
 and prepares the per-input state once (the input in SU(4), its magic-basis
-form and that form's diagonalization); each candidate then adds only its
-own core and that core's diagonalization.  The public stage functions
+form and that form's diagonalization, the one ``eigh`` of the call); each
+candidate then adds only its own core, whose diagonalization is a constant
+basis (``numerics._CORE_BASES``), and reads its one-qubit factors in closed
+form from two SO(4) matrices.  The public stage functions
 (``core_params_*``, ``match_local_factors``) check their inputs and then run
 the same private steps.
 """
@@ -42,11 +44,11 @@ from .circuit import (
     Circuit,
     Generic1Q,
     Rotation,
+    _euler_angles,
+    _so4_factors,
     _su4_normalize,
-    euler_decompose,
     simulate,
     su4_normalize,
-    tensor_factor,
     wrap_angle,
 )
 from .errors import CosetMismatch, NotUnitary, VerificationFailed
@@ -206,20 +208,23 @@ def _cxz_params(psi, spectrum):
     return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0)
 
 
-#: Every permutation of four eigenvalues, the identity first.
+#: Every permutation of four eigenvalues, the identity first, and its
+#: parity (+1 even, -1 odd).
 _PERMS = np.array(list(itertools.permutations(range(4))))
+_PARITY = tuple(round(np.linalg.det(np.eye(4)[p])) for p in _PERMS)
 
 
 def _align_spectra(du, dv):
-    """(sign, perm) minimizing max |du - sign dv[perm]| over sign = +-1 and
-    every permutation, the identity with sign +1 winning ties; CosetMismatch
-    when even that misses by more than 1e-6."""
+    """(sign, perm, parity) minimizing max |du - sign dv[perm]| over
+    sign = +-1 and every permutation, the identity with sign +1 winning
+    ties; CosetMismatch when even that misses by more than 1e-6."""
     cands = dv[_PERMS]
     err = np.abs(np.concatenate((du - cands, du + cands))).max(axis=1)
     k = int(np.argmin(err))
     if err[k] > 1e-6:
         raise CosetMismatch("gamma spectra cannot be aligned")
-    return (1 if k < len(_PERMS) else -1), _PERMS[k % len(_PERMS)]
+    k, sign = (k, 1) if k < len(_PERMS) else (k - len(_PERMS), -1)
+    return sign, _PERMS[k], _PARITY[k]
 
 
 def match_local_factors(u, v, tol=DEFAULT_TOL):
@@ -265,23 +270,20 @@ def _magic_form(m):
 
 def _local_factors(fu, fv):
     """The factors (a, b, c, d) of ``match_local_factors`` from the magic
-    forms of u and of v.  When the spectra align only with the sign of
-    gamma(v) flipped, v is replaced by i v: gamma(i v) = -gamma(v) has the
-    same diagonalizer, and the factor i goes into ct."""
-    sign, perm = _align_spectra(fu.d, fv.d)
-    qv = fv.q[perm, :]
-    if np.linalg.det(qv) < 0:
-        qv[0, :] = -qv[0, :]
-
-    e, e_dag = nm.MAGIC, nm.MAGIC_DAG
-    amat = e @ (fu.q.T @ qv) @ e_dag
+    forms of u and of v, read in closed form from the SO(4) matrices
+    qu^T qv (for a x b) and ct (for c x d).  Both diagonalizers have
+    det +1, so qv keeps det +1 by negating its row 0 after an odd
+    permutation.  When the spectra align only with the sign of gamma(v)
+    flipped, v is replaced by i v: gamma(i v) = -gamma(v) has the same
+    diagonalizer, and the factor i goes into ct, whose real part is then
+    Im(ct)."""
+    sign, perm, parity = _align_spectra(fu.d, fv.d)
+    qv = fv.q[perm]
+    if parity < 0:
+        qv[0] = -qv[0]
     ct = (qv @ fv.mt).conj().T @ (fu.q @ fu.mt)
-    if sign < 0:
-        ct = -1j * ct
-    bmat = e @ ct.real @ e_dag
-
-    a, b = tensor_factor(amat)
-    c, d = tensor_factor(bmat)
+    a, b = _so4_factors(fu.q.T @ qv)
+    c, d = _so4_factors(ct.real if sign > 0 else ct.imag)
     return a, b, c, d
 
 
@@ -295,7 +297,7 @@ def _target(m, tol):
 
 def _euler_gates(m2, qubit, outer, inner):
     """Rotation gates realizing a one-qubit matrix, zero angles dropped."""
-    theta, phi, psi, _ = euler_decompose(m2, outer, inner)
+    theta, phi, psi, _ = _euler_angles(m2, outer, inner)
     gates = []
     for axis, ang in ((outer, psi), (inner, phi), (outer, theta)):
         ang = wrap_angle(ang)
@@ -310,8 +312,10 @@ def _is_identity_1q(m2):
 
 
 def _local_gates(m2, qubit, lib):
+    """The gates of one factor from ``_local_factors``, which is in SU(2) by
+    construction."""
     if lib is GateLibrary.BASIC:
-        return [] if _is_identity_1q(m2) else [Generic1Q(qubit, m2)]
+        return [] if _is_identity_1q(m2) else [Generic1Q._trusted(qubit, m2)]
     if lib is GateLibrary.CXZ:
         return _euler_gates(m2, qubit, Axis.Z, Axis.X)
     return _euler_gates(m2, qubit, Axis.Z, Axis.Y)

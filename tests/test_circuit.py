@@ -206,6 +206,9 @@ class TestTensorFactor:
             tensor_factor(nm.CNOT01)
         with pytest.raises(NotLocal):
             tensor_factor(nm.MAGIC)
+        # real orthogonal in the magic basis, but with determinant -1
+        with pytest.raises(NotLocal):
+            tensor_factor(nm.SWAP_MAT)
 
 
 class TestSerialization:

@@ -141,6 +141,27 @@ class TestDiagonalizeSymmetricUnitary:
                 assert np.abs(q @ p @ q.T - np.diag(d)).max() <= 1e-12
                 assert np.angle(d) == pytest.approx(np.sort(angles), abs=1e-9)
 
+    def test_canonical_signs_and_determinant(self):
+        # Rows 1-3 have their first entry of magnitude >= 1/4 positive, row 0
+        # takes the sign that makes det(q) = +1, and re-canonicalizing any
+        # other signs and order of the same eigenbasis gives the same result.
+        rng = np.random.default_rng(41)
+        inputs = [random_symmetric_unitary(rng) for _ in range(50)]
+        inputs += [
+            random_symmetric_unitary(rng, [a, -a, b, -b]) for a, b in rng.uniform(0.1, 3.0, (20, 2))
+        ]
+        for p in inputs:
+            q, d = nm.diagonalize_symmetric_unitary(p)
+            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
+            for row in q[1:]:
+                assert row[np.flatnonzero(np.abs(row) >= 0.25)[0]] > 0.0
+            assert np.all(np.diff(np.angle(d)) >= 0.0)
+            perm = rng.permutation(4)
+            signs = rng.choice([-1.0, 1.0], size=4)
+            q2, d2 = nm._canonical(q[perm] * signs[:, None], d[perm])
+            assert np.array_equal(q2, q)
+            assert np.array_equal(d2, d)
+
     def test_identity_input(self):
         q, d = nm.diagonalize_symmetric_unitary(np.eye(4, dtype=complex))
         assert np.allclose(d, 1.0)
@@ -173,6 +194,26 @@ class TestPhaseDistance:
         v = u * np.exp(1j * 1e-9)
         assert nm.phase_distance(u, v) <= 1e-8
         assert nm.phase_distance(u, v) == pytest.approx(nm.phase_distance(v, u), abs=1e-12)
+
+    def test_agrees_with_the_trace_formula(self):
+        def by_trace(u, v):
+            t = np.trace(v.conj().T @ u)
+            phi = 0.0 if t == 0 else -np.angle(t)
+            return float(np.linalg.norm(np.exp(1j * phi) * u - v))
+
+        rng = np.random.default_rng(8)
+        pairs = [
+            (nm.haar_unitary(n, rng), nm.haar_unitary(n, rng)) for n in (2, 4) for _ in range(50)
+        ]
+        pairs += [(u, np.exp(1j * rng.uniform(-3.0, 3.0)) * u) for u, _ in pairs[:20]]
+        # tr(v^dag u) = 0
+        pairs += [
+            (np.eye(4), nm.kron(nm.SIGMA_X, nm.I2)),
+            (nm.I2, nm.SIGMA_Z),
+            (nm.SIGMA_X, nm.SIGMA_Y),
+        ]
+        for u, v in pairs:
+            assert nm.phase_distance(u, v) == pytest.approx(by_trace(u, v), abs=1e-15)
 
     def test_resolves_tiny_distances(self):
         # must not have a sqrt cancellation noise floor near 1e-7

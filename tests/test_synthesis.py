@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -392,14 +393,26 @@ class TestSinglePass:
             assert len(calls) <= 9
 
     def test_input_diagonalized_once_when_every_candidate_fails(self, monkeypatch):
-        # All 24 orderings fail at tol=1e-18; each diagonalizes only its
-        # core (one eigh on a generic spectrum), the input side once: 25.
-        # Rebuilding the input side per candidate made 72.
+        # All 24 orderings fail at tol=1e-18; the input is diagonalized once
+        # and every core by its constant basis, with no eigh.  An eigh per
+        # core made 25; rebuilding the input side per candidate made 72.
         calls = self.count_calls(monkeypatch, np.linalg, "eigh")
         u = nm.haar_unitary(4, np.random.default_rng(10))
         with pytest.raises(VerificationFailed):
             synthesize(u, GateLibrary.CYZ, tol=1e-18)
-        assert len(calls) <= 25
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_one_eigh_per_haar_call(self, lib, monkeypatch):
+        # 2 per call (3 for cxz) when each core ran its own eigh and the cxz
+        # target started at the mixing angle t = 0.
+        calls = self.count_calls(monkeypatch, np.linalg, "eigh")
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            u = nm.haar_unitary(4, rng)
+            calls.clear()
+            synthesize(u, lib)
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_same_circuits_as_public_stage_composition(self, lib):
@@ -429,6 +442,47 @@ class TestSinglePass:
                 else:
                     assert g == h
         assert refused < len(inputs)
+
+
+def magic_symmetric_form(m):
+    mt = nm.MAGIC_DAG @ su4_normalize(m)[0] @ nm.MAGIC
+    return mt @ mt.T
+
+
+#: Core angles at the points where the core's spectrum clusters or crosses
+#: the branch cut, close to them, and generic.
+CORE_ANGLES = (
+    0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+    1e-9, math.pi / 2 - 1e-9, math.pi - 1e-12, 0.37, -2.1,
+)
+
+
+class TestCoreBases:
+    """Each constant basis of ``numerics._CORE_BASES`` diagonalizes its
+    core's symmetric form at every angle."""
+
+    def test_cyz_core(self):
+        q = nm._CORE_BASES[0]
+        rng = np.random.default_rng(18)
+        triples = list(itertools.product(CORE_ANGLES, repeat=3))
+        triples += [tuple(rng.uniform(-math.pi, math.pi, 3)) for _ in range(200)]
+        for alpha, beta, delta in triples:
+            p = magic_symmetric_form(simulate(cyz_core_circuit(CYZCore(alpha, beta, delta))))
+            assert nm._off_diagonal(q @ p @ q.T) <= 1e-13
+
+    @pytest.mark.parametrize("swap_wires", [False, True])
+    def test_cxz_core(self, swap_wires):
+        q = nm._CORE_BASES[1]
+        rng = np.random.default_rng(19)
+        pairs = list(itertools.product(CORE_ANGLES, repeat=2))
+        pairs += [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
+        for theta, phi in pairs:
+            if swap_wires:
+                mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
+            else:
+                mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
+            p = magic_symmetric_form(simulate(Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))))
+            assert nm._off_diagonal(q @ p @ q.T) <= 1e-13
 
 
 class TestEnumerate:
