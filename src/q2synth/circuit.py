@@ -88,11 +88,9 @@ class Generic1Q:
     def __post_init__(self):
         if self.qubit not in (0, 1):
             raise ValueError("qubit must be 0 or 1")
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2) or not nm.is_unitary(m, 1e-8):
-            raise NotUnitary("Generic1Q matrix must be 2x2 unitary")
+        m = nm.require_unitary(self.matrix, "Generic1Q", size=2)
         det = nm.det2(m)
-        if abs(det - 1.0) > 1e-8:
+        if abs(det - 1.0) > nm.UNITARY_TOL:
             m = m * np.exp(-0.5j * np.angle(det))
         object.__setattr__(self, "matrix", m)
 
@@ -201,18 +199,22 @@ def su4_normalize(u):
     """Rescale a unitary to determinant one.
 
     Returns ``(v, phase)`` with ``v = exp(-i phase) u``, ``det v == 1`` and
-    ``phase = arg(det u) / 4`` on the principal branch.
+    ``phase = arg(det u) / 4`` on the principal branch (-pi, pi].
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if not nm.is_unitary(u, 1e-8):
-        raise NotUnitary("su4_normalize expects a unitary matrix")
-    return _su4_normalize(u)
+    return _su4_normalize(nm.require_unitary(u, "su4_normalize"))
 
 
 def _su4_normalize(u):
     """``su4_normalize`` without its unitarity check, for a complex128 ``u``
-    that is unitary by construction or was checked by the caller."""
-    phase = np.angle(np.linalg.det(u)) / 4.0
+    that is unitary by construction or was checked by the caller.  A
+    determinant within ``ZERO_TOL`` of -1 takes the argument +pi: the
+    3-CNOT core's is exactly -1, and the sign of its rounding-level
+    imaginary part would otherwise pick -pi or +pi, and so the SU(4)
+    representative, from one input to the next."""
+    det = np.linalg.det(u)
+    if det.real < 0.0 and abs(det.imag) <= nm.ZERO_TOL:
+        det = complex(det.real, 0.0)
+    phase = np.angle(det) / 4.0
     return u * np.exp(-1j * phase), float(phase)
 
 
@@ -272,9 +274,7 @@ def euler_decompose(u, outer, inner):
     Branches are deterministic: theta/psi come from atan2 of matrix entries
     and a diagonal or anti-diagonal input sets psi = 0.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2) or not nm.is_unitary(u, 1e-8):
-        raise NotUnitary("euler_decompose expects a 2x2 unitary")
+    u = nm.require_unitary(u, "euler_decompose", size=2)
     if outer is inner:
         raise ValueError("outer and inner axes must differ")
     return _euler_angles(u, outer, inner)
@@ -295,11 +295,11 @@ def _euler_angles(u, outer, inner):
     # v = Rz(theta) Ry(phi) Rz(psi):
     #   v00 = cos(phi/2) e^{-i(theta+psi)/2},  v10 = sin(phi/2) e^{i(theta-psi)/2}
     a00, a10 = abs(v00), abs(v10)
-    if a10 <= 1e-12:
+    if a10 <= nm.ZERO_TOL:
         theta = wrap_angle(-2.0 * cmath.phase(v00))
         phi = 0.0 if a00 >= a10 else math.pi
         psi = 0.0
-    elif a00 <= 1e-12:
+    elif a00 <= nm.ZERO_TOL:
         theta = wrap_angle(2.0 * cmath.phase(v10))
         phi = math.pi
         psi = 0.0
@@ -341,9 +341,9 @@ def _so4_factors(o):
     ``o`` in SO(4), in closed form.  The associate matrix of o is
     outer(x, y) of the quaternions x of a and y of b: y is its row of
     largest norm, normalized, and x its product with y, normalized.
-    NotLocal when the split misses o by more than 1e-9 in Frobenius norm
-    (twice its miss on the associate matrix), as it does for an o that is
-    not in SO(4)."""
+    NotLocal when the split misses o by more than ``LOCAL_TOL`` in
+    Frobenius norm (twice its miss on the associate matrix), as it does for
+    an o that is not in SO(4)."""
     assoc = (_ASSOC @ o.ravel()).tolist()
     rows = (assoc[0:4], assoc[4:8], assoc[8:12], assoc[12:16])
     row = max(rows, key=lambda r: math.hypot(*r))
@@ -353,7 +353,7 @@ def _so4_factors(o):
     norm = math.hypot(*x)
     x = [v / norm for v in x]
     err = 2.0 * math.hypot(*(r[j] - xi * y[j] for r, xi in zip(rows, x) for j in range(4)))
-    if err > 1e-9:
+    if err > nm.LOCAL_TOL:
         raise NotLocal("best tensor factorization misses by %.3g" % err)
     return _su2(*x), _su2(*y)
 
@@ -362,21 +362,20 @@ def tensor_factor(g):
     """Split a local 4x4 operator into one-qubit factors.
 
     Returns ``(a, b)`` in SU(2) with ``g`` = a x b up to phase; NotLocal
-    when the split misses ``g`` by more than 1e-9 in phase distance.  In the
-    magic basis a local g is e^{i phi} o with o in SO(4), and the squares
-    of its 16 entries sum to 4 e^{2i phi}; that sum removes the phase (up
-    to a sign, which o and -o share) and ``_so4_factors`` splits o.
+    when the split misses ``g`` by more than ``LOCAL_TOL`` in phase
+    distance.  In the magic basis a local g is e^{i phi} o with o in SO(4),
+    and the squares of its 16 entries sum to 4 e^{2i phi}; that sum removes
+    the phase (up to a sign, which o and -o share) and ``_so4_factors``
+    splits o.
     """
-    g = np.asarray(g, dtype=np.complex128)
-    if not nm.is_unitary(g, 1e-8):
-        raise NotUnitary("tensor_factor expects a unitary matrix")
+    g = nm.require_unitary(g, "tensor_factor")
     m = nm.MAGIC_DAG @ g @ nm.MAGIC
     s = complex(np.sum(m * m))
     if s == 0:
         raise NotLocal("matrix does not factor into one-qubit operators")
     a, b = _so4_factors((m * cmath.sqrt(s.conjugate() / abs(s))).real)
     err = nm.phase_distance(nm.kron(a, b), g)
-    if err > 1e-9:
+    if err > nm.LOCAL_TOL:
         raise NotLocal("best tensor factorization misses by %.3g" % err)
     return a, b
 

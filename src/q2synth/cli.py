@@ -26,7 +26,7 @@ from .errors import (
     VerificationFailed,
 )
 from .invariants import cnot_cost, gamma, invariant_data
-from .rewrite import RULES, effectively_separated
+from .rewrite import RULES, effectively_separated, rule_residual
 from .rewrite import reduce as reduce_circuit
 from .synthesis import GateLibrary, enumerate_circuits, synthesize
 
@@ -66,7 +66,7 @@ def named_gate(name, seed=0):
     raise CircuitParseError("unknown gate name %r" % name)
 
 
-def parse_matrix_text(text, tol=1e-8):
+def parse_matrix_text(text):
     """Parse the 4-line matrix format: 8 floats per line, re/im pairs."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -85,10 +85,7 @@ def parse_matrix_text(text, tol=1e-8):
         rows.append([complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)])
     if len(rows) != 4:
         raise CircuitParseError("expected 4 matrix rows, got %d" % len(rows))
-    m = np.array(rows, dtype=np.complex128)
-    if not nm.is_unitary(m, tol):
-        raise NotUnitary("matrix is not unitary within %.3g" % tol)
-    return m
+    return nm.require_unitary(rows, "parse_matrix_text")
 
 
 def _read_text(path):
@@ -98,10 +95,10 @@ def _read_text(path):
         return fh.read()
 
 
-def _resolve_input(args, tol):
+def _resolve_input(args):
     if getattr(args, "gate", None):
         return named_gate(args.gate, getattr(args, "seed", 0) or 0)
-    return parse_matrix_text(_read_text(args.matrix), tol)
+    return parse_matrix_text(_read_text(args.matrix))
 
 
 def _fmt_complex(z):
@@ -124,7 +121,7 @@ def _print_result(result, lib, qasm):
 
 def cmd_synth(args):
     tol = args.verify_tol
-    u = _resolve_input(args, 1e-8)
+    u = _resolve_input(args)
     lib = GateLibrary(args.lib)
     print("# input cnot_cost: %d" % cnot_cost(u))
     if args.enumerate:
@@ -138,7 +135,7 @@ def cmd_synth(args):
 
 
 def cmd_cost(args):
-    u = _resolve_input(args, 1e-8)
+    u = _resolve_input(args)
     print(cnot_cost(u))
     return EXIT_OK
 
@@ -146,7 +143,7 @@ def cmd_cost(args):
 def cmd_invariants(args):
     from .circuit import su4_normalize
 
-    u, _ = su4_normalize(_resolve_input(args, 1e-8))
+    u, _ = su4_normalize(_resolve_input(args))
     data = invariant_data(u)
     print("gamma spectrum: %s" % "  ".join(_fmt_complex(z) for z in data.spectrum))
     print("chi coefficients: %s" % "  ".join(_fmt_complex(z) for z in data.chi.coeffs))
@@ -176,7 +173,7 @@ def cmd_separated(args):
     return EXIT_OK
 
 
-def _selftest_gamma(rng, trials, tol=1e-10):
+def _selftest_gamma(rng, trials):
     from .circuit import su4_normalize
     from .invariants import same_double_coset
 
@@ -215,17 +212,17 @@ def _selftest_gamma(rng, trials, tol=1e-10):
         chi_u = nm.charpoly4(gamma(u4)).as_array()
         chi_w = nm.charpoly4(gamma(w)).as_array()
         worst = max(worst, float(np.max(np.abs(chi_u - chi_w))))
-        if not same_double_coset(u4, w, tol=1e-8):
+        if not same_double_coset(u4, w):
             worst = max(worst, 1.0)
-    return worst, worst <= tol
+    return worst, worst <= nm.ROUNDING_TOL
 
 
-def _selftest_synthesis(rng, trials, lib, tol=1e-8):
+def _selftest_synthesis(rng, trials, lib):
     worst = 0.0
     ok = True
     for _ in range(trials):
         u = nm.haar_unitary(4, rng)
-        result = synthesize(u, lib, tol=tol)
+        result = synthesize(u, lib)
         worst = max(worst, result.residual)
         if result.cnot_count != 3:
             ok = False
@@ -233,21 +230,10 @@ def _selftest_synthesis(rng, trials, lib, tol=1e-8):
             ok = ok and result.basic_count <= 10
         else:
             ok = ok and result.one_param_count <= 15
-    return worst, ok and worst <= tol
+    return worst, ok and worst <= nm.DEFAULT_TOL
 
 
-def _selftest_rules(tol=1e-12):
-    worst = 0.0
-    for rule in RULES.values():
-        for window in rule.samples:
-            length, replacement = rule.match(window, 0)
-            before = simulate(Circuit(tuple(window)))
-            after = simulate(Circuit(replacement))
-            worst = max(worst, nm.phase_distance(after, before))
-    return worst, worst <= tol
-
-
-def _selftest_reduce(rng, trials, tol=1e-10):
+def _selftest_reduce(rng, trials):
     from .circuit import CNOT, Axis, Rotation, Swap
 
     worst = 0.0
@@ -268,7 +254,7 @@ def _selftest_reduce(rng, trials, tol=1e-10):
         circuit = Circuit(tuple(gates))
         reduced, _ = reduce_circuit(circuit)
         worst = max(worst, nm.phase_distance(simulate(reduced), simulate(circuit)))
-    return worst, worst <= tol
+    return worst, worst <= nm.ROUNDING_TOL
 
 
 def cmd_selftest(args):
@@ -281,8 +267,9 @@ def cmd_selftest(args):
     for lib in GateLibrary:
         worst, ok = _selftest_synthesis(rng, args.trials, lib)
         rows.append(("synthesis-%s" % lib.value, args.trials, worst, ok))
-    worst, ok = _selftest_rules()
-    rows.append(("rewrite-rules", sum(len(r.samples) for r in RULES.values()), worst, ok))
+    worst = rule_residual()
+    samples = sum(len(r.samples) for r in RULES.values())
+    rows.append(("rewrite-rules", samples, worst, worst <= nm.ZERO_TOL))
     worst, ok = _selftest_reduce(rng, args.trials)
     rows.append(("reduce-semantics", args.trials, worst, ok))
 
@@ -313,7 +300,7 @@ def build_parser():
     p.add_argument("--lib", choices=[g.value for g in GateLibrary], default="cyz")
     p.add_argument("--qasm", action="store_true", help="emit OpenQASM 2.0")
     p.add_argument("--enumerate", type=int, metavar="N", help="print up to N alternative circuits")
-    p.add_argument("--verify-tol", type=float, default=1e-8)
+    p.add_argument("--verify-tol", type=float, default=nm.DEFAULT_TOL)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cost", help="CNOT cost class of a unitary (0-3)")

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import numerics as nm
 from .circuit import _su4_normalize
-from .errors import NotUnitary
 
 # chi[gamma] of an SU(4)-normalized CNOT: spectrum {i, i, -i, -i}.
 CNOT_CHI = nm.CharPoly4((1.0, 0.0, 2.0, 0.0, 1.0))
@@ -24,15 +23,12 @@ CNOT_CHI = nm.CharPoly4((1.0, 0.0, 2.0, 0.0, 1.0))
 _SIGN_FLIP = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
 
 
-def gamma(u, tol=1e-8):
+def gamma(u):
     """u @ (sigma_y x sigma_y) @ u.T @ (sigma_y x sigma_y).
 
     Callers wanting coset semantics normalize u into SU(4) first.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if not nm.is_unitary(u, tol):
-        raise NotUnitary("gamma expects a unitary matrix")
-    return nm.gamma4(u)
+    return nm.gamma4(nm.require_unitary(u, "gamma"))
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class InvariantData:
     spectrum: np.ndarray
 
 
-def invariant_data(u, tol=1e-8):
+def invariant_data(u):
     """gamma, its characteristic polynomial, trace, and spectrum.
 
     The spectrum comes from the symmetric form in the magic basis: with
@@ -52,9 +48,10 @@ def invariant_data(u, tol=1e-8):
     ``numerics.diagonalize_symmetric_unitary``) are exactly the eigenvalues
     of gamma(u), in canonical order.
     """
-    g = gamma(u, tol)
-    ut = nm.MAGIC_DAG @ np.asarray(u, dtype=np.complex128) @ nm.MAGIC
-    _, spectrum = nm.diagonalize_symmetric_unitary(ut @ ut.T, tol=tol)
+    u = nm.require_unitary(u, "invariant_data")
+    g = nm.gamma4(u)
+    ut = nm.MAGIC_DAG @ u @ nm.MAGIC
+    _, spectrum = nm._diagonalize_symmetric_unitary(ut @ ut.T)
     return InvariantData(
         gamma=g,
         chi=nm.charpoly4(g),
@@ -68,17 +65,14 @@ def _flip_chi(coeffs):
     return np.asarray(coeffs) * _SIGN_FLIP
 
 
-def same_left_coset(u, v, tol=1e-8, strict=False):
+def same_left_coset(u, v, tol=nm.DEFAULT_TOL, strict=False):
     """Whether u and v differ by a right local factor: u = v (a x b).
 
     Equivalent to gamma(u) == gamma(v); unless ``strict``, equality is taken
     up to the global +-1 absorbing the SU(4) representative freedom.
     """
-    for m in (u, v):
-        if not nm.is_special_unitary(m, tol * 10):
-            raise NotUnitary("same_left_coset expects special-unitary inputs")
-    gu = nm.gamma4(np.asarray(u, np.complex128))
-    gv = nm.gamma4(np.asarray(v, np.complex128))
+    u, v = (nm.require_unitary(m, "same_left_coset", tol, special=True) for m in (u, v))
+    gu, gv = nm.gamma4(u), nm.gamma4(v)
     if np.linalg.norm(gu - gv) <= tol:
         return True
     if strict:
@@ -86,25 +80,22 @@ def same_left_coset(u, v, tol=1e-8, strict=False):
     return bool(np.linalg.norm(gu + gv) <= tol)
 
 
-def same_double_coset(u, v, tol=1e-8, strict=False):
+def same_double_coset(u, v, tol=nm.DEFAULT_TOL, strict=False):
     """Whether u and v differ by local factors on both sides.
 
     Equivalent to chi[gamma(u)] == chi[gamma(v)], again up to the +-1 sign
     on gamma unless ``strict`` (the sign alternates the odd coefficients).
     """
-    for m in (u, v):
-        if not nm.is_special_unitary(m, tol * 10):
-            raise NotUnitary("same_double_coset expects special-unitary inputs")
-    cu = nm.charpoly4(nm.gamma4(np.asarray(u, np.complex128))).as_array()
-    cv = nm.charpoly4(nm.gamma4(np.asarray(v, np.complex128))).as_array()
-    if np.allclose(cu, cv, atol=tol):
+    u, v = (nm.require_unitary(m, "same_double_coset", tol, special=True) for m in (u, v))
+    cu, cv = (nm.charpoly4(nm.gamma4(m)).as_array() for m in (u, v))
+    if nm.allclose(cu, cv, tol):
         return True
     if strict:
         return False
-    return bool(np.allclose(cu, _flip_chi(cv), atol=tol))
+    return nm.allclose(cu, _flip_chi(cv), tol)
 
 
-def cnot_cost(u, tol=1e-8):
+def cnot_cost(u, tol=nm.DEFAULT_TOL):
     """Minimal number of CNOTs needed to realize u with one-qubit gates.
 
     0: gamma is +-identity (u is local up to phase).
@@ -112,12 +103,7 @@ def cnot_cost(u, tol=1e-8):
     2: trace of gamma is real (chi has all-real coefficients).
     3: everything else -- almost every operator.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    # One check covers both tol and the 1e-8 that SU(4) normalization needs.
-    check_tol = min(tol, 1e-8)
-    if not nm.is_unitary(u, check_tol):
-        raise NotUnitary("cnot_cost expects a unitary matrix within tol=%g" % check_tol)
-    v, _ = _su4_normalize(u)
+    v, _ = _su4_normalize(nm.require_unitary(u, "cnot_cost", tol))
     g = nm.gamma4(v)
     if min(np.linalg.norm(g - nm.I4), np.linalg.norm(g + nm.I4)) <= tol:
         return 0

@@ -4,7 +4,7 @@ Everything operates on 2x2 and 4x4 complex128 NumPy arrays: Kronecker
 products, the gamma product, 4x4 characteristic polynomials, simultaneous
 diagonalization of symmetric unitary matrices (LAPACK ``eigh``), and the
 phase-blind distance used for circuit verification.  Matrix constants used
-throughout the package live here.
+throughout the package live here, and so does every numerical tolerance.
 """
 
 import cmath
@@ -14,6 +14,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSymmetricUnitary, NotUnitary
+
+# --- tolerances --------------------------------------------------------------
+# Every tolerance of the package, each with its unit and the reason for its
+# value.  The paper obtains every gate parameter in closed form, so none of
+# them is part of the method: each is a numerical policy.  No other line of
+# the package writes a tolerance as a literal (tests/test_tolerances.py).
+
+#: Input check.  Unit: ||m^dag m - I||_F, and |det m - 1| or ||m - m^T||_F
+#: where a function needs those too.  The value of DEFAULT_TOL: no circuit
+#: meets the verification bound on an input much farther than this from
+#: every unitary.
+UNITARY_TOL = 1e-8
+
+#: Rounding floor.  Unit: as UNITARY_TOL.  Rounding leaves about 1e-15 on a
+#: computed 4x4 unitary.  A caller's tighter ``tol`` tightens the input
+#: check down to this value and no further, so an unreachable verification
+#: bound raises VerificationFailed and not NotUnitary; ``selftest`` bounds
+#: its exact identities by it.
+ROUNDING_TOL = 1e-10
+
+#: Verification.  Unit: phase distance min_phi ||e^{i phi} u - v||_F.  Every
+#: emitted circuit is simulated and checked against its input at this
+#: bound.  It is also the default ``tol`` of every call that takes one.
+DEFAULT_TOL = 1e-8
+
+#: One-qubit structure.  Unit: Frobenius norm or phase distance.  How far a
+#: split into one-qubit factors may miss (``tensor_factor`` and the local
+#: layer of synthesis), and how near a gate must be to a Pauli or a quarter
+#: turn for ``reduce`` to treat it as one.  A tenth of DEFAULT_TOL, so a
+#: circuit built from such parts still verifies.
+LOCAL_TOL = 1e-9
+
+#: Zero.  Unit: radians, or the entries of a 2x2 matrix.  A rotation angle
+#: this small is dropped, as is a one-qubit matrix this near a multiple of
+#: the identity; a determinant this near -1 takes the argument +pi; every
+#: rewrite rule is sound to this bound.  Rounding leaves about 1e-15 on each.
+ZERO_TOL = 1e-12
+
+#: Spectrum alignment.  Unit: max |difference| of two unit eigenvalues.  Two
+#: gamma spectra this close are taken for the same double coset.  Rounding
+#: leaves about 1e-15 on a matched pair; the wide margin costs nothing,
+#: because a false match fails the verification at DEFAULT_TOL.
+SPECTRUM_TOL = 1e-6
+
+#: Diagonalizer acceptance.  Unit: largest |off-diagonal entry| of q p q^T.
+#: A basis or mixing angle that leaves more gives way to the next one.
+#: ``eigh`` of a separated spectrum leaves about 1e-15.
+OFF_DIAGONAL_TOL = 1e-13
+
+#: Relative term of coefficient comparisons (``allclose``).  Unit: fraction
+#: of the compared coefficient.  NumPy's ``allclose`` default, kept so that
+#: no cost class moves, though it lets ``cnot_cost`` answer 1 up to about
+#: 1e-3 from the CNOT corner of the Weyl chamber.
+COEFF_RTOL = 1e-5
+# --- end of tolerances -------------------------------------------------------
 
 I2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -73,7 +128,7 @@ def kron(a, b):
 _EYE = {2: I2, 4: I4}
 
 
-def is_unitary(m, tol=1e-9):
+def is_unitary(m, tol=UNITARY_TOL):
     """Whether ||m^dag m - I||_F <= tol for a finite square matrix m."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m.real).all():
@@ -84,9 +139,9 @@ def is_unitary(m, tol=1e-9):
 
 
 def allclose(a, b, atol):
-    """``np.allclose(a, b, atol=atol)`` (rtol 1e-5) for finite arrays,
-    without its generic-dispatch cost."""
-    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
+    """``np.allclose(a, b, atol=atol)`` (rtol ``COEFF_RTOL``) for finite
+    arrays, without its generic-dispatch cost."""
+    return bool((np.abs(a - b) <= atol + COEFF_RTOL * np.abs(b)).all())
 
 
 def det2(m):
@@ -94,13 +149,33 @@ def det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def is_special_unitary(m, tol=1e-9):
+def is_special_unitary(m, tol=UNITARY_TOL):
     return is_unitary(m, tol) and abs(np.linalg.det(np.asarray(m)) - 1.0) <= tol
 
 
-def _require_unitary(m, tol=1e-8):
-    if not is_unitary(m, tol):
-        raise NotUnitary("matrix is not unitary within tol=%g" % tol)
+def _is_identity_up_to_phase(m):
+    """Whether a 2x2 matrix is a multiple of the identity, entrywise to
+    ``ZERO_TOL``."""
+    off = abs(m[0, 1]) + abs(m[1, 0])
+    return off <= ZERO_TOL and abs(m[0, 0] - m[1, 1]) <= ZERO_TOL
+
+
+def require_unitary(m, caller, tol=UNITARY_TOL, size=4, special=False, symmetric=False):
+    """The one input check of a public call: ``m`` as a complex128 array if
+    it is a ``size`` x ``size`` unitary (with det 1 if ``special``, equal to
+    its transpose if ``symmetric``) to min(UNITARY_TOL, max(tol,
+    ROUNDING_TOL)).  Otherwise NotUnitary (NotSymmetricUnitary if
+    ``symmetric``), naming ``caller`` and the tolerance that applied."""
+    m = np.asarray(m, dtype=np.complex128)
+    tol = min(UNITARY_TOL, max(tol, ROUNDING_TOL))
+    ok = m.shape == (size, size) and (is_special_unitary if special else is_unitary)(m, tol)
+    if ok and symmetric:
+        ok = np.linalg.norm(m - m.T) <= tol
+    if not ok:
+        kind = "symmetric unitary" if symmetric else "special-unitary" if special else "unitary"
+        error = NotSymmetricUnitary if symmetric else NotUnitary
+        raise error("%s expects a %dx%d %s matrix within tol=%g" % (caller, size, size, kind, tol))
+    return m
 
 
 @dataclass(frozen=True)
@@ -116,8 +191,8 @@ class CharPoly4:
     def as_array(self):
         return np.array(self.coeffs, dtype=np.complex128)
 
-    def close_to(self, other, tol=1e-9):
-        return bool(np.allclose(self.as_array(), other.as_array(), atol=tol))
+    def close_to(self, other, tol=DEFAULT_TOL):
+        return allclose(self.as_array(), other.as_array(), tol)
 
 
 def charpoly4(m):
@@ -138,7 +213,7 @@ def charpoly4(m):
     return CharPoly4(tuple(coeffs))
 
 
-def diagonalize_symmetric_unitary(p, tol=1e-8):
+def diagonalize_symmetric_unitary(p):
     """Diagonalize a symmetric unitary matrix by a real orthogonal one.
 
     Returns ``(q, d)`` with ``q`` real orthogonal, ``det(q) = +1``, and
@@ -155,11 +230,7 @@ def diagonalize_symmetric_unitary(p, tol=1e-8):
     symmetric cos(t) Re(p) + sin(t) Im(p) finds it for every t that
     separates the distinct eigenvalues of p (see ``_MIX_ANGLES``).
     """
-    p = np.asarray(p, dtype=np.complex128)
-    if np.linalg.norm(p - p.T) > tol * 10:
-        raise NotSymmetricUnitary("matrix is not symmetric within tol")
-    if not is_unitary(p, tol * 10):
-        raise NotSymmetricUnitary("matrix is not unitary within tol")
+    p = require_unitary(p, "diagonalize_symmetric_unitary", symmetric=True)
     return _diagonalize_symmetric_unitary(p)
 
 
@@ -189,10 +260,6 @@ _CORE_BASES = (
     np.eye(4),
 )
 
-#: Largest off-diagonal entry of q p q^T accepted without trying the next
-#: basis or mixing angle.
-_OFF_DIAGONAL_TOL = 1e-13
-
 _OFF_DIAGONAL = np.flatnonzero(~np.eye(4, dtype=bool))
 
 
@@ -204,14 +271,14 @@ def _off_diagonal(m):
 def _diagonalize_symmetric_unitary(p):
     """``diagonalize_symmetric_unitary`` without its input checks, for a
     complex128 ``p`` that is symmetric unitary by construction: the first
-    of ``_CORE_BASES`` that leaves q p q^T diagonal to ``_OFF_DIAGONAL_TOL``,
+    of ``_CORE_BASES`` that leaves q p q^T diagonal to ``OFF_DIAGONAL_TOL``,
     else the first mixing angle whose eigenvectors do, else the best one."""
     for q in _CORE_BASES:
         # Entry (0, 1) of q p q^T rejects an input the basis does not fit
         # before the full product is formed.
-        if abs(q[0] @ p @ q[1]) <= _OFF_DIAGONAL_TOL:
+        if abs(q[0] @ p @ q[1]) <= OFF_DIAGONAL_TOL:
             m = q @ p @ q.T
-            if _off_diagonal(m) <= _OFF_DIAGONAL_TOL:
+            if _off_diagonal(m) <= OFF_DIAGONAL_TOL:
                 return _canonical(q, m.diagonal())
     best = None
     for t in _MIX_ANGLES:
@@ -221,7 +288,7 @@ def _diagonalize_symmetric_unitary(p):
         off = _off_diagonal(m)
         if best is None or off < best[0]:
             best = (off, v, m)
-        if off <= _OFF_DIAGONAL_TOL:
+        if off <= OFF_DIAGONAL_TOL:
             break
     _, v, m = best
     return _canonical(v.T, m.diagonal())

@@ -2,7 +2,8 @@
 
 Every rule is a local window rewrite that preserves the simulated matrix up
 to global phase; all registered rules are re-verified numerically on sample
-instances when this module is imported, so a broken identity cannot ship.
+instances when this module is imported (``rule_residual``), so a broken
+identity cannot ship.
 
 ``reduce`` applies rules greedily in priority order (cancellations, then
 rotation merging, then SWAP pushing, then commutations) under a strictly
@@ -37,9 +38,6 @@ from .circuit import (
 )
 from .errors import NoMatch, UnsupportedGate
 
-_PHASE_TOL = 1e-9
-_MERGE_ZERO = 1e-12
-
 
 def _one_qubit_matrix(g):
     if isinstance(g, Rotation):
@@ -49,8 +47,8 @@ def _one_qubit_matrix(g):
     return None
 
 
-def _phase_close2(m, target, tol=_PHASE_TOL):
-    return nm.phase_distance(m, target) <= tol
+def _phase_close2(m, target):
+    return nm.phase_distance(m, target) <= nm.LOCAL_TOL
 
 
 def _is_pauli(g, axis):
@@ -271,11 +269,11 @@ def _merge_rotations(w):
         return None
     if isinstance(g1, Rotation) and isinstance(g2, Rotation) and g1.axis is g2.axis:
         angle = wrap_angle(g1.angle + g2.angle)
-        if abs(angle) <= _MERGE_ZERO:
+        if abs(angle) <= nm.ZERO_TOL:
             return []
         return [Rotation(g1.axis, g1.qubit, angle)]
     prod = _one_qubit_matrix(g2) @ _one_qubit_matrix(g1)
-    if abs(prod[0, 1]) + abs(prod[1, 0]) <= _MERGE_ZERO and abs(prod[0, 0] - prod[1, 1]) <= _MERGE_ZERO:
+    if nm._is_identity_up_to_phase(prod):
         return []
     return [Generic1Q(g1.qubit, prod)]
 
@@ -534,22 +532,23 @@ def _build_rules():
 RULES = _build_rules()
 
 
-def _validate_rules():
+def rule_residual():
+    """The largest phase distance between a sample window of a rule and its
+    rewrite, over every sample of every rule in ``RULES``; RuntimeError when
+    a rule does not rewrite the whole of its own sample."""
+    worst = 0.0
     for rule in RULES.values():
         for window in rule.samples:
             hit = rule.match(window, 0)
             if hit is None or hit[0] != len(window):
                 raise RuntimeError("rewrite rule %s failed to match its own sample" % rule.id)
             before = simulate(Circuit(tuple(window)))
-            after = simulate(Circuit(hit[1]))
-            err = nm.phase_distance(after, before)
-            if err > 1e-12:
-                raise RuntimeError(
-                    "rewrite rule %s is numerically unsound (%.3g)" % (rule.id, err)
-                )
+            worst = max(worst, nm.phase_distance(simulate(Circuit(hit[1])), before))
+    return worst
 
 
-_validate_rules()
+if (_worst := rule_residual()) > nm.ZERO_TOL:
+    raise RuntimeError("rewrite rules are numerically unsound (%.3g)" % _worst)
 
 
 # ---------------------------------------------------------------------------

@@ -48,20 +48,10 @@ from .circuit import (
     _so4_factors,
     _su4_normalize,
     simulate,
-    su4_normalize,
     wrap_angle,
 )
-from .errors import CosetMismatch, NotUnitary, VerificationFailed
-from .invariants import invariant_data
-
-DEFAULT_TOL = 1e-8
-
-_ZERO_ANGLE = 1e-12
-
-
-def _vtol(tol):
-    """Input-validation tolerance: tracks tol but never below noise floor."""
-    return max(tol * 10.0, 1e-9)
+from .errors import CosetMismatch, VerificationFailed
+from .numerics import DEFAULT_TOL
 
 
 class GateLibrary(enum.Enum):
@@ -100,7 +90,7 @@ class SynthesisResult:
 EIGEN_ORDERS = tuple(itertools.permutations(range(4), 3))
 
 
-def core_params_cyz(u, order=(0, 1, 2), tol=DEFAULT_TOL):
+def core_params_cyz(u, order=(0, 1, 2)):
     """Rotation angles (alpha, beta, delta) of the CYZ core for u.
 
     ``order`` picks which three eigenvalues e^{ix}, e^{iy}, e^{iz} of
@@ -110,10 +100,8 @@ def core_params_cyz(u, order=(0, 1, 2), tol=DEFAULT_TOL):
     the spectrum of gamma(core) land exactly on that of gamma(u) (up to the
     global sign).
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if not nm.is_special_unitary(u, _vtol(tol)):
-        raise NotUnitary("core_params_cyz expects a special-unitary matrix")
-    return _cyz_params(invariant_data(u, max(tol, 1e-10)).spectrum, order)
+    u = nm.require_unitary(u, "core_params_cyz", special=True)
+    return _cyz_params(_magic_form(u).d, order)
 
 
 def _cyz_params(spectrum, order):
@@ -168,7 +156,7 @@ def _delta_matrix(psi):
     return nm.CNOT01 @ nm.kron(nm.I2, np.diag([np.exp(-0.5j * psi), np.exp(0.5j * psi)])) @ nm.CNOT01
 
 
-def core_params_cxz(u_prime, tol=DEFAULT_TOL):
+def core_params_cxz(u_prime):
     """CXZ core parameters (psi, theta, phi) for the target ``u_prime``.
 
     With U = u_prime C[0->1], the diagonal entries t_i of gamma(U^T)^T fix
@@ -178,12 +166,8 @@ def core_params_cxz(u_prime, tol=DEFAULT_TOL):
     theta = (r+s)/2, phi = (r-s)/2.  psi is atan2 of the two (0 when both
     vanish) or that plus pi, whichever leaves the smaller imaginary trace.
     """
-    u_prime = np.asarray(u_prime, dtype=np.complex128)
-    if not nm.is_special_unitary(u_prime, _vtol(tol)):
-        raise NotUnitary("core_params_cxz expects a special-unitary matrix")
-    u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
-    psi, m_mat = _cxz_shift(u_mat)
-    return _cxz_params(psi, invariant_data(m_mat, max(tol, 1e-10)).spectrum)
+    params, _ = _cxz_state(nm.require_unitary(u_prime, "core_params_cxz", special=True))
+    return params
 
 
 def _cxz_shift(u_mat):
@@ -217,17 +201,17 @@ _PARITY = tuple(round(np.linalg.det(np.eye(4)[p])) for p in _PERMS)
 def _align_spectra(du, dv):
     """(sign, perm, parity) minimizing max |du - sign dv[perm]| over
     sign = +-1 and every permutation, the identity with sign +1 winning
-    ties; CosetMismatch when even that misses by more than 1e-6."""
+    ties; CosetMismatch when even that misses by more than ``SPECTRUM_TOL``."""
     cands = dv[_PERMS]
     err = np.abs(np.concatenate((du - cands, du + cands))).max(axis=1)
     k = int(np.argmin(err))
-    if err[k] > 1e-6:
+    if err[k] > nm.SPECTRUM_TOL:
         raise CosetMismatch("gamma spectra cannot be aligned")
     k, sign = (k, 1) if k < len(_PERMS) else (k - len(_PERMS), -1)
     return sign, _PERMS[k], _PARITY[k]
 
 
-def match_local_factors(u, v, tol=DEFAULT_TOL):
+def match_local_factors(u, v):
     """One-qubit factors (a, b, c, d) with u = (a x b) v (c x d) up to phase.
 
     Requires u and v in the same double coset.  Both operators are taken to
@@ -238,18 +222,8 @@ def match_local_factors(u, v, tol=DEFAULT_TOL):
     sign of gamma, v is matched as i v, which is invisible up to phase;
     CosetMismatch when they agree with neither sign.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    for m in (u, v):
-        if not nm.is_special_unitary(m, _vtol(tol) * 10.0):
-            raise NotUnitary("match_local_factors expects special-unitary inputs")
-
-    ut = nm.MAGIC_DAG @ u @ nm.MAGIC
-    vt = nm.MAGIC_DAG @ v @ nm.MAGIC
-    dtol = max(tol, 1e-10)
-    qu, du = nm.diagonalize_symmetric_unitary(ut @ ut.T, tol=dtol)
-    qv, dv = nm.diagonalize_symmetric_unitary(vt @ vt.T, tol=dtol)
-    return _local_factors(_MagicForm(ut, qu, du), _MagicForm(vt, qv, dv))
+    u, v = (nm.require_unitary(m, "match_local_factors", special=True) for m in (u, v))
+    return _local_factors(_magic_form(u), _magic_form(v))
 
 
 class _MagicForm(NamedTuple):
@@ -287,35 +261,22 @@ def _local_factors(fu, fv):
     return a, b, c, d
 
 
-def _target(m, tol):
-    """The magic form of the SU(4) operator m that every candidate core is
-    matched against.  Its unitarity check is the one input check kept here:
-    its tolerance can be tighter than the caller's."""
-    nm._require_unitary(m, max(tol, 1e-10))
-    return _magic_form(m)
-
-
 def _euler_gates(m2, qubit, outer, inner):
     """Rotation gates realizing a one-qubit matrix, zero angles dropped."""
     theta, phi, psi, _ = _euler_angles(m2, outer, inner)
     gates = []
     for axis, ang in ((outer, psi), (inner, phi), (outer, theta)):
         ang = wrap_angle(ang)
-        if abs(ang) > _ZERO_ANGLE:
+        if abs(ang) > nm.ZERO_TOL:
             gates.append(Rotation(axis, qubit, ang))
     return gates
-
-
-def _is_identity_1q(m2):
-    off = abs(m2[0, 1]) + abs(m2[1, 0])
-    return off <= 1e-10 and abs(m2[0, 0] - m2[1, 1]) <= 1e-10
 
 
 def _local_gates(m2, qubit, lib):
     """The gates of one factor from ``_local_factors``, which is in SU(2) by
     construction."""
     if lib is GateLibrary.BASIC:
-        return [] if _is_identity_1q(m2) else [Generic1Q._trusted(qubit, m2)]
+        return [] if nm._is_identity_up_to_phase(m2) else [Generic1Q._trusted(qubit, m2)]
     if lib is GateLibrary.CXZ:
         return _euler_gates(m2, qubit, Axis.Z, Axis.X)
     return _euler_gates(m2, qubit, Axis.Z, Axis.Y)
@@ -326,7 +287,7 @@ def _strip_zero_rotations(gates):
     for g in gates:
         if isinstance(g, Rotation):
             ang = wrap_angle(g.angle)
-            if abs(ang) <= _ZERO_ANGLE:
+            if abs(ang) <= nm.ZERO_TOL:
                 continue
             g = Rotation(g.axis, g.qubit, ang)
         out.append(g)
@@ -368,12 +329,13 @@ def _synthesize_cxy(target, order):
     return Circuit(tuple(_map_cxy_gate(g) for g in circuit.gates)), tag
 
 
-def _cxz_state(u_norm, tol):
+def _cxz_state(u_norm):
     """The per-input state of the CXZ construction: its core parameters and
-    the ``_target`` of M = su4(u C[0->1] Delta(psi)); no variant changes either."""
+    the magic form of M = su4(u C[0->1] Delta(psi)), which every variant is
+    matched against; no variant changes either."""
     u_mat, _ = _su4_normalize(u_norm @ nm.CNOT01)
     psi, m_mat = _cxz_shift(u_mat)
-    target = _target(m_mat, tol)
+    target = _magic_form(m_mat)
     return _cxz_params(psi, target.d), target
 
 
@@ -425,18 +387,17 @@ def _candidate_tags(lib):
     return EIGEN_ORDERS
 
 
-def _prepare(u, lib, tol):
+def _prepare(u, lib):
     """The per-input state of one call on a validated unitary ``u``: u in
     SU(4) with its magic form and its diagonalization (for CXY those of the
     H x H conjugate; for CXZ those of M, with the core parameters).  Every
     candidate reads it; none recomputes it."""
     if lib is GateLibrary.CXY:
-        u_norm, _ = su4_normalize(_CXY_CONJ @ u @ _CXY_CONJ)
-    else:
-        u_norm, _ = _su4_normalize(u)
+        u = _CXY_CONJ @ u @ _CXY_CONJ
+    u_norm, _ = _su4_normalize(u)
     if lib is GateLibrary.CXZ:
-        return _cxz_state(u_norm, tol)
-    return _target(u_norm, tol)
+        return _cxz_state(u_norm)
+    return _magic_form(u_norm)
 
 
 def _synthesize_one(state, lib, candidate):
@@ -461,6 +422,22 @@ def _result_for(u, circuit, tag, tol):
     )
 
 
+def _outcomes(u, lib, tol, caller):
+    """Check ``u`` once, prepare it once, then try every candidate of
+    ``lib`` in order, yielding for each its verified SynthesisResult or the
+    VerificationFailed or CosetMismatch it raised."""
+    u = nm.require_unitary(u, caller, tol)
+    lib = GateLibrary(lib)
+    state = _prepare(u, lib)
+    for candidate in _candidate_tags(lib):
+        try:
+            circuit, tag = _synthesize_one(state, lib, candidate)
+            outcome = _result_for(u, circuit, tag, tol)
+        except (VerificationFailed, CosetMismatch) as exc:
+            outcome = exc
+        yield outcome
+
+
 def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
     """Decompose a two-qubit unitary over the given library.
 
@@ -469,18 +446,11 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
     eigenvalue orderings are tried in deterministic order; the first
     verified circuit wins.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if not nm.is_unitary(u, 1e-8):
-        raise NotUnitary("synthesize expects a unitary matrix")
-    lib = GateLibrary(lib)
-    state = _prepare(u, lib, tol)
     last_error = None
-    for candidate in _candidate_tags(lib):
-        try:
-            circuit, tag = _synthesize_one(state, lib, candidate)
-            return _result_for(u, circuit, tag, tol)
-        except (VerificationFailed, CosetMismatch) as exc:
-            last_error = exc
+    for outcome in _outcomes(u, lib, tol, "synthesize"):
+        if isinstance(outcome, SynthesisResult):
+            return outcome
+        last_error = outcome
     raise VerificationFailed(
         "no candidate ordering produced a verified circuit: %s" % last_error
     )
@@ -498,20 +468,12 @@ def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
     """Distinct verified circuits from the eigenvalue-ordering freedom."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    u = np.asarray(u, dtype=np.complex128)
-    if not nm.is_unitary(u, 1e-8):
-        raise NotUnitary("enumerate_circuits expects a unitary matrix")
-    lib = GateLibrary(lib)
-    state = _prepare(u, lib, tol)
     results = []
     seen = set()
-    for candidate in _candidate_tags(lib):
-        try:
-            circuit, tag = _synthesize_one(state, lib, candidate)
-            result = _result_for(u, circuit, tag, tol)
-        except (VerificationFailed, CosetMismatch):
+    for result in _outcomes(u, lib, tol, "enumerate_circuits"):
+        if not isinstance(result, SynthesisResult):
             continue
-        key = tuple(_dedupe_key(g) for g in circuit.gates)
+        key = tuple(_dedupe_key(g) for g in result.circuit.gates)
         if key in seen:
             continue
         seen.add(key)

@@ -134,6 +134,16 @@ class TestSimulateAndCounts:
         assert abs(np.linalg.det(v) - 1.0) <= 1e-12
         assert np.allclose(np.exp(1j * phase) * v, u, atol=1e-12)
 
+    @pytest.mark.parametrize("imag", [0.0, -0.0, 1e-16, -1e-16, 1e-13, -1e-13])
+    def test_su4_normalize_takes_plus_pi_at_det_minus_one(self, imag):
+        # A determinant of -1 whose imaginary part is zero of either sign or
+        # at rounding level: arg det is +pi, not -pi, so the SU(4)
+        # representative does not depend on that sign.
+        u = np.diag([complex(math.cos(imag), math.sin(imag)), 1.0, 1.0, -1.0])
+        v, phase = su4_normalize(u)
+        assert phase == math.pi / 4
+        assert abs(np.linalg.det(v) - 1.0) <= 1e-12
+
 
 class TestEulerDecompose:
     FRAMES = [

@@ -119,25 +119,25 @@ def chamber_corpus(draws=4):
                 yield with_haar_locals(canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d))), rng)
 
 
-def reference_candidate(u, lib, candidate, tol=DEFAULT_TOL):
+def reference_candidate(u, lib, candidate):
     """One candidate composed from the public stage functions, each with its
     own input checks: su4_normalize, core_params_*, the core circuit,
     match_local_factors, then the local gates."""
     if lib is GateLibrary.CXY:
-        circuit, tag = reference_candidate(_CXY_CONJ @ u @ _CXY_CONJ, GateLibrary.CYZ, candidate, tol)
+        circuit, tag = reference_candidate(_CXY_CONJ @ u @ _CXY_CONJ, GateLibrary.CYZ, candidate)
         return Circuit(tuple(_map_cxy_gate(g) for g in circuit.gates)), tag
     u_norm, _ = su4_normalize(u)
     if lib is not GateLibrary.CXZ:
-        core = cyz_core_circuit(core_params_cyz(u_norm, candidate, tol))
+        core = cyz_core_circuit(core_params_cyz(u_norm, candidate))
         core_norm, _ = su4_normalize(simulate(core))
-        a, b, c, d = match_local_factors(u_norm, core_norm, tol)
+        a, b, c, d = match_local_factors(u_norm, core_norm)
         gates = _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
         gates += _strip_zero_rotations(core.gates)
         gates += _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
         return Circuit(tuple(gates)), "%d%d%d" % candidate
 
     neg, swap_rs, swap_wires = candidate
-    params = core_params_cxz(u_norm, tol)
+    params = core_params_cxz(u_norm)
     theta, phi = params.theta, -params.phi if swap_rs else params.phi
     if neg:
         theta, phi = -theta, -phi
@@ -149,7 +149,7 @@ def reference_candidate(u, lib, candidate, tol=DEFAULT_TOL):
     w_norm, _ = su4_normalize(simulate(w_core))
     u_mat, _ = su4_normalize(u_norm @ nm.CNOT01)
     m_mat, _ = su4_normalize(u_mat @ _delta_matrix(params.psi))
-    a, b, c, d = match_local_factors(m_mat, w_norm, tol)
+    a, b, c, d = match_local_factors(m_mat, w_norm)
     gates = [Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1)]
     gates += _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
     gates += _strip_zero_rotations(w_core.gates)
@@ -164,7 +164,7 @@ def reference_synthesize(u, lib, tol=DEFAULT_TOL):
     last_error = None
     for candidate in _candidate_tags(lib):
         try:
-            circuit, tag = reference_candidate(u, lib, candidate, tol)
+            circuit, tag = reference_candidate(u, lib, candidate)
             return _result_for(u, circuit, tag, tol)
         except (VerificationFailed, CosetMismatch) as exc:
             last_error = exc
@@ -413,6 +413,27 @@ class TestSinglePass:
             calls.clear()
             synthesize(u, lib)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("order", [(0.0, 1.0, 2.0, 0.5, 2.5), (2.5, 0.5, 2.0, 1.0, 0.0)])
+    def test_mixing_angle_order_changes_no_output(self, order, monkeypatch):
+        # The 3-CNOT core's determinant is exactly -1.  When its SU(4) form
+        # took arg det = +-pi by the sign of a rounding-level imaginary part,
+        # the order of the mixing angles (which moves the input's spectrum by
+        # about 1e-16) changed the local gates of inputs 80 and 208 (first
+        # order) or 208 and 298 (second order).
+        rng = np.random.default_rng(16)
+        inputs = [nm.haar_unitary(4, rng) for _ in range(300)]
+        before = [synthesize(u, GateLibrary.CYZ) for u in inputs]
+        monkeypatch.setattr(nm, "_MIX_ANGLES", order)
+        for u, expected in zip(inputs, before):
+            result = synthesize(u, GateLibrary.CYZ)
+            assert result.eigen_order == expected.eigen_order
+            assert len(result.circuit.gates) == len(expected.circuit.gates)
+            for g, h in zip(result.circuit.gates, expected.circuit.gates):
+                assert type(g) is type(h)
+                if isinstance(g, Rotation):
+                    assert (g.axis, g.qubit) == (h.axis, h.qubit)
+                    assert g.angle == pytest.approx(h.angle, abs=1e-9)
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_same_circuits_as_public_stage_composition(self, lib):

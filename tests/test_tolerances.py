@@ -1,0 +1,235 @@
+"""The tolerance model: every tolerance sits in the block at the top of
+``numerics``, and every public call checks each input matrix once, through
+``numerics.require_unitary``, at the tolerance that block gives it."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import q2synth
+from q2synth import numerics as nm
+from q2synth.circuit import Axis, Generic1Q, euler_decompose, su4_normalize, tensor_factor
+from q2synth.cli import parse_matrix_text
+from q2synth.errors import NotLocal, NotSymmetricUnitary, NotUnitary, VerificationFailed
+from q2synth.invariants import cnot_cost, gamma, invariant_data, same_double_coset, same_left_coset
+from q2synth.synthesis import (
+    GateLibrary,
+    core_params_cxz,
+    core_params_cyz,
+    enumerate_circuits,
+    match_local_factors,
+    synthesize,
+)
+
+SRC = Path(q2synth.__file__).parent
+
+
+def tolerance_block():
+    """(first, last) line numbers of the tolerance block of numerics.py."""
+    lines = (SRC / "numerics.py").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith("# --- tolerances"))
+    last = next(i for i, line in enumerate(lines, 1) if line.startswith("# --- end of tolerances"))
+    return first, last
+
+
+class TestToleranceBlock:
+    def test_no_small_float_literal_outside_the_block(self):
+        first, last = tolerance_block()
+        stray = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Constant) and isinstance(node.value, float)):
+                    continue
+                if not 0.0 < abs(node.value) < 1e-4:
+                    continue
+                if path.name == "numerics.py" and first < node.lineno < last:
+                    continue
+                stray.append("%s:%d: %r" % (path.name, node.lineno, node.value))
+        assert stray == []
+
+    def test_the_block_names_every_tolerance(self):
+        first, last = tolerance_block()
+        tree = ast.parse((SRC / "numerics.py").read_text())
+        table = {
+            node.targets[0].id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and first < node.lineno < last
+        }
+        assert table == {
+            "UNITARY_TOL": 1e-8,
+            "ROUNDING_TOL": 1e-10,
+            "DEFAULT_TOL": 1e-8,
+            "LOCAL_TOL": 1e-9,
+            "ZERO_TOL": 1e-12,
+            "SPECTRUM_TOL": 1e-6,
+            "OFF_DIAGONAL_TOL": 1e-13,
+            "COEFF_RTOL": 1e-5,
+        }
+        assert q2synth.synthesis.DEFAULT_TOL is nm.DEFAULT_TOL
+
+
+def off_unitary(m, r):
+    """m (unitary) scaled so that ||m^dag m - I||_F = r; for det m = 1 the
+    determinant then misses 1 by about r too."""
+    return m * math.sqrt(1.0 + r / math.sqrt(m.shape[0]))
+
+
+def matrix_text(m):
+    return "\n".join(" ".join("%.17g %.17g" % (z.real, z.imag) for z in row) for row in m)
+
+
+def _haar4(rng):
+    return nm.haar_unitary(4, rng)
+
+
+def _su4(rng):
+    return su4_normalize(nm.haar_unitary(4, rng))[0]
+
+
+def _su2(rng):
+    u = nm.haar_unitary(2, rng)
+    return u / np.sqrt(np.linalg.det(u))
+
+
+def _symmetric_unitary(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    return q.T @ np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 4))) @ q
+
+
+#: Every public entry point that checks a unitary input: (name in its
+#: error message, the call, a valid input from a seeded generator, the
+#: error it raises).
+ENTRY_POINTS = [
+    ("synthesize", synthesize, _haar4, NotUnitary),
+    ("enumerate_circuits", lambda m: enumerate_circuits(m, limit=1), _haar4, NotUnitary),
+    ("cnot_cost", cnot_cost, _haar4, NotUnitary),
+    ("gamma", gamma, _haar4, NotUnitary),
+    ("invariant_data", invariant_data, _haar4, NotUnitary),
+    ("same_left_coset", lambda m: same_left_coset(m, m), _su4, NotUnitary),
+    ("same_double_coset", lambda m: same_double_coset(m, m), _su4, NotUnitary),
+    ("core_params_cyz", core_params_cyz, _su4, NotUnitary),
+    ("core_params_cxz", core_params_cxz, _su4, NotUnitary),
+    ("match_local_factors", lambda m: match_local_factors(m, m), _su4, NotUnitary),
+    ("su4_normalize", su4_normalize, _haar4, NotUnitary),
+    ("tensor_factor", tensor_factor, lambda r: nm.kron(_su2(r), _su2(r)), NotUnitary),
+    ("euler_decompose", lambda m: euler_decompose(m, Axis.Z, Axis.Y), _su2, NotUnitary),
+    ("Generic1Q", lambda m: Generic1Q(0, m), _su2, NotUnitary),
+    ("parse_matrix_text", lambda m: parse_matrix_text(matrix_text(m)), _haar4, NotUnitary),
+    (
+        "diagonalize_symmetric_unitary",
+        nm.diagonalize_symmetric_unitary,
+        _symmetric_unitary,
+        NotSymmetricUnitary,
+    ),
+]
+
+#: Entry points that split their input into one-qubit factors to LOCAL_TOL.
+#: An input 0.9 UNITARY_TOL from unitary passes their input check, and the
+#: split then misses it by more than LOCAL_TOL, so they refuse it with
+#: NotLocal (a standing defect: only inputs within about 2e-9 of unitary
+#: are synthesized).
+MAY_REFUSE = {"synthesize", "enumerate_circuits", "match_local_factors", "tensor_factor"}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("name,call,make,error", ENTRY_POINTS, ids=[e[0] for e in ENTRY_POINTS])
+    def test_boundary(self, name, call, make, error):
+        m = make(np.random.default_rng(20))
+        try:
+            call(off_unitary(m, 0.9 * nm.UNITARY_TOL))
+        except NotLocal:
+            assert name in MAY_REFUSE
+        with pytest.raises(error, match=r"^%s expects .* within tol=1e-08$" % name):
+            call(off_unitary(m, 1.1 * nm.UNITARY_TOL))
+
+    def test_every_entry_point_is_listed(self):
+        # Each name that calls the helper in src/ is an entry point above.
+        # synthesize and enumerate_circuits pass their names through the
+        # shared candidate loop, synthesis._outcomes.
+        callers = set()
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                index = {"require_unitary": 1, "_outcomes": 3}.get(name)
+                if index is not None and isinstance(node.args[index], ast.Constant):
+                    callers.add(node.args[index].value)
+        assert callers == {e[0] for e in ENTRY_POINTS}
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("synthesize", lambda m, tol: synthesize(m, tol=tol)),
+            ("enumerate_circuits", lambda m, tol: enumerate_circuits(m, tol=tol)),
+            ("cnot_cost", lambda m, tol: cnot_cost(m, tol=tol)),
+            ("same_left_coset", lambda m, tol: same_left_coset(m, m, tol=tol)),
+            ("same_double_coset", lambda m, tol: same_double_coset(m, m, tol=tol)),
+        ],
+    )
+    def test_a_caller_tol_tightens_the_check_down_to_the_floor(self, name, call):
+        m = _su4(np.random.default_rng(21))
+        # A looser tol leaves the check at UNITARY_TOL.
+        with pytest.raises(NotUnitary, match=r"^%s .*tol=1e-08$" % name):
+            call(off_unitary(m, 1.1e-8), 1e-6)
+        # A tighter one tightens it ...
+        with pytest.raises(NotUnitary, match=r"^%s .*tol=1e-09$" % name):
+            call(off_unitary(m, 1.1e-9), 1e-9)
+        # ... but not below ROUNDING_TOL: an unreachable verification bound
+        # fails verification, not the input check.
+        with pytest.raises(NotUnitary, match=r"^%s .*tol=1e-10$" % name):
+            call(off_unitary(m, 1.1e-10), 1e-18)
+        try:
+            call(off_unitary(m, 0.9e-10), 1e-18)
+        except VerificationFailed:
+            pass
+
+
+class TestOneCheckPerCall:
+    """Each public call checks each input matrix once, itself; a public
+    function calling another does not check again."""
+
+    @staticmethod
+    def record(monkeypatch):
+        checks, unitary = [], []
+        require, is_unitary = nm.require_unitary, nm.is_unitary
+
+        def recording_require(m, caller, *args, **kwargs):
+            checks.append(caller)
+            return require(m, caller, *args, **kwargs)
+
+        def counting_is_unitary(*args, **kwargs):
+            unitary.append(None)
+            return is_unitary(*args, **kwargs)
+
+        monkeypatch.setattr(nm, "require_unitary", recording_require)
+        monkeypatch.setattr(nm, "is_unitary", counting_is_unitary)
+        return checks, unitary
+
+    @pytest.mark.parametrize(
+        "call,expected",
+        [
+            (lambda u, v: core_params_cyz(u), ["core_params_cyz"]),
+            (lambda u, v: core_params_cxz(u), ["core_params_cxz"]),
+            (lambda u, v: match_local_factors(u, v), ["match_local_factors"] * 2),
+            (lambda u, v: invariant_data(u), ["invariant_data"]),
+            (lambda u, v: cnot_cost(u), ["cnot_cost"]),
+        ]
+        + [(lambda u, v, lib=lib: synthesize(u, lib), ["synthesize"]) for lib in GateLibrary],
+        ids=["core_params_cyz", "core_params_cxz", "match_local_factors", "invariant_data"]
+        + ["cnot_cost"]
+        + ["synthesize-%s" % lib.value for lib in GateLibrary],
+    )
+    def test_checks_per_call(self, call, expected, monkeypatch):
+        checks, unitary = self.record(monkeypatch)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            u = _su4(rng)
+            v = nm.kron(_su2(rng), _su2(rng)) @ u @ nm.kron(_su2(rng), _su2(rng))
+            del checks[:], unitary[:]
+            call(u, v)
+            assert checks == expected
+            assert len(unitary) == len(expected)
