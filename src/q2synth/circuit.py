@@ -366,9 +366,10 @@ def tensor_factor(g):
     distance.  In the magic basis a local g is e^{i phi} o with o in SO(4),
     and the squares of its 16 entries sum to 4 e^{2i phi}; that sum removes
     the phase (up to a sign, which o and -o share) and ``_so4_factors``
-    splits o.
+    splits o.  Both run on the polar step of ``g`` (``numerics._polar_step``),
+    so a non-unitarity the input check accepts is not taken for a miss.
     """
-    g = nm.require_unitary(g, "tensor_factor")
+    g = nm._polar_step(nm.require_unitary(g, "tensor_factor"))
     m = nm.MAGIC_DAG @ g @ nm.MAGIC
     s = complex(np.sum(m * m))
     if s == 0:

@@ -1,16 +1,20 @@
 """Local-equivalence invariants and CNOT-cost classification.
 
 The central object is the invariant gamma(u) = u (sy x sy) u^T (sy x sy).
-It is constant on left cosets of the local subgroup SU(2) x SU(2), its
-characteristic polynomial chi[gamma] is constant on double cosets, and both
-drive the classifier that predicts how many CNOT gates an operator needs.
+It is constant on left cosets of the local subgroup SU(2) x SU(2), and its
+spectrum, like chi[gamma], on double cosets.  Every local-equivalence
+decision of the package (``same_double_coset``, ``cnot_cost``, the local
+layer of synthesis) is one test, ``_align_spectra``, which aligns two gamma
+spectra; chi[gamma] is reported, and no decision reads it.
 
 Representatives of the same physical operator in SU(4) differ by 4th roots
 of unity, under which gamma picks up a factor of +-1; every comparison here
 therefore admits an optional global sign on gamma (strict=True disables it).
 """
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +24,48 @@ from .circuit import _su4_normalize
 # chi[gamma] of an SU(4)-normalized CNOT: spectrum {i, i, -i, -i}.
 CNOT_CHI = nm.CharPoly4((1.0, 0.0, 2.0, 0.0, 1.0))
 
-_SIGN_FLIP = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+# gamma spectra of the identity and of an SU(4)-normalized CNOT.
+_LOCAL_SPECTRUM = np.ones(4, dtype=np.complex128)
+_CNOT_SPECTRUM = np.array([1j, 1j, -1j, -1j])
+
+#: Every permutation of four eigenvalues, the identity first, and its
+#: parity (+1 even, -1 odd); then each again with 4 added, to index -dv in
+#: (dv, -dv).
+_PERMS = np.array(list(itertools.permutations(range(4))))
+_PARITY = tuple(round(np.linalg.det(np.eye(4)[p])) for p in _PERMS)
+_SIGNED_PERMS = np.concatenate((_PERMS, _PERMS + 4))
+
+
+class _MagicForm(NamedTuple):
+    """An operator m in the magic basis, mt = E^dag m E, with the real
+    orthogonal diagonalization (q, d) of the symmetric form mt mt^T, whose
+    eigenvalues d are those of gamma(m)."""
+
+    mt: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+
+
+def _magic_form(m):
+    """``_MagicForm`` of a checked 4x4 unitary, with mt one polar step
+    (``numerics._polar_step``) nearer unitary: an input up to UNITARY_TOL
+    from unitary still splits into one-qubit factors to LOCAL_TOL."""
+    mt = nm._polar_step(nm.MAGIC_DAG @ m @ nm.MAGIC)
+    q, d = nm._diagonalize_symmetric_unitary(mt @ mt.T)
+    return _MagicForm(mt, q, d)
+
+
+def _align_spectra(du, dv, strict=False):
+    """The one local-equivalence test: (distance, sign, perm, parity)
+    minimizing distance = max |du - sign dv[perm]| over every permutation
+    and sign = +-1 (+1 only if ``strict``), the identity with sign +1
+    winning ties.  The distance is linear in the distance between the
+    operators, also where eigenvalues coincide."""
+    n = len(_PERMS)
+    cands = np.concatenate((dv, -dv))[_SIGNED_PERMS[:n] if strict else _SIGNED_PERMS]
+    err = np.abs(du - cands).max(axis=1)
+    k = int(err.argmin())
+    return float(err[k]), 1 if k < n else -1, _PERMS[k % n], _PARITY[k % n]
 
 
 def gamma(u):
@@ -42,27 +87,17 @@ class InvariantData:
 def invariant_data(u):
     """gamma, its characteristic polynomial, trace, and spectrum.
 
-    The spectrum comes from the symmetric form in the magic basis: with
-    ut = E^dag u E, the matrix ut @ ut.T equals E^dag gamma(u) E, so its
-    eigenvalues (computed by the real orthogonal diagonalization of
-    ``numerics.diagonalize_symmetric_unitary``) are exactly the eigenvalues
-    of gamma(u), in canonical order.
+    The spectrum is that of the symmetric form ut ut^T = E^dag gamma(u) E
+    (``_magic_form``), in the canonical order of its diagonalization.
     """
     u = nm.require_unitary(u, "invariant_data")
     g = nm.gamma4(u)
-    ut = nm.MAGIC_DAG @ u @ nm.MAGIC
-    _, spectrum = nm._diagonalize_symmetric_unitary(ut @ ut.T)
     return InvariantData(
         gamma=g,
         chi=nm.charpoly4(g),
         trace=complex(np.trace(g)),
-        spectrum=spectrum,
+        spectrum=_magic_form(u).d,
     )
-
-
-def _flip_chi(coeffs):
-    """Coefficients of chi[-m] given those of chi[m] (degree 4)."""
-    return np.asarray(coeffs) * _SIGN_FLIP
 
 
 def same_left_coset(u, v, tol=nm.DEFAULT_TOL, strict=False):
@@ -83,34 +118,32 @@ def same_left_coset(u, v, tol=nm.DEFAULT_TOL, strict=False):
 def same_double_coset(u, v, tol=nm.DEFAULT_TOL, strict=False):
     """Whether u and v differ by local factors on both sides.
 
-    Equivalent to chi[gamma(u)] == chi[gamma(v)], again up to the +-1 sign
-    on gamma unless ``strict`` (the sign alternates the odd coefficients).
+    Equivalent to gamma(u) and gamma(v) having the same spectrum; true when
+    ``_align_spectra`` leaves a largest eigenvalue difference of at most
+    ``tol``, again up to the +-1 sign on gamma unless ``strict``.
     """
     u, v = (nm.require_unitary(m, "same_double_coset", tol, special=True) for m in (u, v))
-    cu, cv = (nm.charpoly4(nm.gamma4(m)).as_array() for m in (u, v))
-    if nm.allclose(cu, cv, tol):
-        return True
-    if strict:
-        return False
-    return nm.allclose(cu, _flip_chi(cv), tol)
+    return _align_spectra(_magic_form(u).d, _magic_form(v).d, strict)[0] <= tol
 
 
 def cnot_cost(u, tol=nm.DEFAULT_TOL):
     """Minimal number of CNOTs needed to realize u with one-qubit gates.
 
-    0: gamma is +-identity (u is local up to phase).
-    1: chi[gamma] matches the CNOT class.
-    2: trace of gamma is real (chi has all-real coefficients).
+    Read from the spectrum d of gamma(u) for u in SU(4), by
+    ``_align_spectra`` at ``tol`` (a largest eigenvalue difference):
+
+    0: d aligns with (1, 1, 1, 1): gamma is +-identity, u is local.
+    1: d aligns with (i, i, -i, -i), the spectrum of the CNOT class.
+    2: d aligns with its own conjugate (sign +1): the trace of gamma is real.
     3: everything else -- almost every operator.
     """
     v, _ = _su4_normalize(nm.require_unitary(u, "cnot_cost", tol))
-    g = nm.gamma4(v)
-    if min(np.linalg.norm(g - nm.I4), np.linalg.norm(g + nm.I4)) <= tol:
+    d = _magic_form(v).d
+    if _align_spectra(d, _LOCAL_SPECTRUM)[0] <= tol:
         return 0
-    chi = nm.charpoly4(g).as_array()
-    if nm.allclose(chi, CNOT_CHI.as_array(), tol):
+    if _align_spectra(d, _CNOT_SPECTRUM)[0] <= tol:
         return 1
-    if abs(np.trace(g).imag) <= tol:
+    if _align_spectra(d, d.conj(), strict=True)[0] <= tol:
         return 2
     return 3
 

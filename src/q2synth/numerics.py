@@ -52,22 +52,17 @@ LOCAL_TOL = 1e-9
 #: rewrite rule is sound to this bound.  Rounding leaves about 1e-15 on each.
 ZERO_TOL = 1e-12
 
-#: Spectrum alignment.  Unit: max |difference| of two unit eigenvalues.  Two
-#: gamma spectra this close are taken for the same double coset.  Rounding
-#: leaves about 1e-15 on a matched pair; the wide margin costs nothing,
-#: because a false match fails the verification at DEFAULT_TOL.
+#: Spectrum alignment.  Unit: max |difference| of two aligned gamma
+#: spectra (``invariants._align_spectra``, also the unit of ``tol`` in
+#: ``cnot_cost`` and ``same_double_coset``).  The local layer matches a core
+#: and a target this close.  Rounding leaves about 1e-15 on a matched pair;
+#: a false match fails the verification at DEFAULT_TOL.
 SPECTRUM_TOL = 1e-6
 
 #: Diagonalizer acceptance.  Unit: largest |off-diagonal entry| of q p q^T.
 #: A basis or mixing angle that leaves more gives way to the next one.
 #: ``eigh`` of a separated spectrum leaves about 1e-15.
 OFF_DIAGONAL_TOL = 1e-13
-
-#: Relative term of coefficient comparisons (``allclose``).  Unit: fraction
-#: of the compared coefficient.  NumPy's ``allclose`` default, kept so that
-#: no cost class moves, though it lets ``cnot_cost`` answer 1 up to about
-#: 1e-3 from the CNOT corner of the Weyl chamber.
-COEFF_RTOL = 1e-5
 # --- end of tolerances -------------------------------------------------------
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -138,12 +133,6 @@ def is_unitary(m, tol=UNITARY_TOL):
     return math.sqrt(np.vdot(r, r).real) <= tol
 
 
-def allclose(a, b, atol):
-    """``np.allclose(a, b, atol=atol)`` (rtol ``COEFF_RTOL``) for finite
-    arrays, without its generic-dispatch cost."""
-    return bool((np.abs(a - b) <= atol + COEFF_RTOL * np.abs(b)).all())
-
-
 def det2(m):
     """Determinant of a 2x2 matrix, in closed form."""
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -158,6 +147,12 @@ def _is_identity_up_to_phase(m):
     ``ZERO_TOL``."""
     off = abs(m[0, 1]) + abs(m[1, 0])
     return off <= ZERO_TOL and abs(m[0, 0] - m[1, 1]) <= ZERO_TOL
+
+
+def _polar_step(m):
+    """One Newton-Schulz step m (3I - m^dag m) / 2 toward the unitary polar
+    factor of a 4x4 m: a residual ||m^dag m - I||_F of r becomes about r^2."""
+    return m @ (3.0 * I4 - m.conj().T @ m) / 2.0
 
 
 def require_unitary(m, caller, tol=UNITARY_TOL, size=4, special=False, symmetric=False):
@@ -192,7 +187,8 @@ class CharPoly4:
         return np.array(self.coeffs, dtype=np.complex128)
 
     def close_to(self, other, tol=DEFAULT_TOL):
-        return allclose(self.as_array(), other.as_array(), tol)
+        """Whether no coefficient differs by more than ``tol``, absolutely."""
+        return bool(np.abs(self.as_array() - other.as_array()).max() <= tol)
 
 
 def charpoly4(m):

@@ -15,11 +15,11 @@ All emitted circuits are verified against the input up to global phase; the
 eigenvalue-ordering freedom in the core extraction yields alternative
 circuits, which ``enumerate_circuits`` exposes.
 
-Local equivalence is decided from the spectrum of gamma alone: a core
-matches the target when their gamma spectra align, up to the global sign
-that the SU(4) representative leaves free.  A call validates its input once
-and prepares the per-input state once (the input in SU(4), its magic-basis
-form and that form's diagonalization, the one ``eigh`` of the call); each
+A core matches the target when ``invariants._align_spectra`` aligns their
+gamma spectra to ``SPECTRUM_TOL``, up to the global sign that the SU(4)
+representative leaves free.  A call validates its input once and prepares
+the per-input state once (the input in SU(4), its magic-basis form and that
+form's diagonalization, the one ``eigh`` of the call); each
 candidate then adds only its own core, whose diagonalization is a constant
 basis (``numerics._CORE_BASES``), and reads its one-qubit factors in closed
 form from two SO(4) matrices.  The public stage functions
@@ -33,7 +33,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .circuit import (
     wrap_angle,
 )
 from .errors import CosetMismatch, VerificationFailed
+from .invariants import _align_spectra, _magic_form
 from .numerics import DEFAULT_TOL
 
 
@@ -173,8 +173,10 @@ def core_params_cxz(u_prime):
 def _cxz_shift(u_mat):
     """(psi, M) for U = ``u_mat`` in SU(4): the angle psi of
     ``core_params_cxz`` and M = su4(U Delta(psi)), whose gamma has a real
-    trace."""
-    t = np.diag(nm.SYY @ u_mat.T @ nm.SYY @ u_mat)
+    trace.  psi is read from the polar step of U, because the local layer
+    sees that of M (``invariants._magic_form``)."""
+    p = nm._polar_step(u_mat)
+    t = np.diag(nm.SYY @ p.T @ nm.SYY @ p)
     psi = math.atan2(float(np.imag(t.sum())), float(np.real(t[0] + t[3] - t[1] - t[2])))
     # tan fixes psi modulo pi; keep whichever branch actually kills Im tr.
     best_psi, best_m, best_im = None, None, None
@@ -192,25 +194,6 @@ def _cxz_params(psi, spectrum):
     return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0)
 
 
-#: Every permutation of four eigenvalues, the identity first, and its
-#: parity (+1 even, -1 odd).
-_PERMS = np.array(list(itertools.permutations(range(4))))
-_PARITY = tuple(round(np.linalg.det(np.eye(4)[p])) for p in _PERMS)
-
-
-def _align_spectra(du, dv):
-    """(sign, perm, parity) minimizing max |du - sign dv[perm]| over
-    sign = +-1 and every permutation, the identity with sign +1 winning
-    ties; CosetMismatch when even that misses by more than ``SPECTRUM_TOL``."""
-    cands = dv[_PERMS]
-    err = np.abs(np.concatenate((du - cands, du + cands))).max(axis=1)
-    k = int(np.argmin(err))
-    if err[k] > nm.SPECTRUM_TOL:
-        raise CosetMismatch("gamma spectra cannot be aligned")
-    k, sign = (k, 1) if k < len(_PERMS) else (k - len(_PERMS), -1)
-    return sign, _PERMS[k], _PARITY[k]
-
-
 def match_local_factors(u, v):
     """One-qubit factors (a, b, c, d) with u = (a x b) v (c x d) up to phase.
 
@@ -220,26 +203,11 @@ def match_local_factors(u, v):
     local factor, and ct = (q_v vt)^dag (q_u ut) is real orthogonal and
     produces the right one.  When the spectra agree only up to the global
     sign of gamma, v is matched as i v, which is invisible up to phase;
-    CosetMismatch when they agree with neither sign.
+    CosetMismatch when ``invariants._align_spectra`` leaves them more than
+    ``SPECTRUM_TOL`` apart.
     """
     u, v = (nm.require_unitary(m, "match_local_factors", special=True) for m in (u, v))
     return _local_factors(_magic_form(u), _magic_form(v))
-
-
-class _MagicForm(NamedTuple):
-    """An operator m in the magic basis, mt = E^dag m E, with the real
-    orthogonal diagonalization (q, d) of the symmetric form mt mt^T."""
-
-    mt: np.ndarray
-    q: np.ndarray
-    d: np.ndarray
-
-
-def _magic_form(m):
-    """``_MagicForm`` of an SU(4) matrix, without input checks."""
-    mt = nm.MAGIC_DAG @ m @ nm.MAGIC
-    q, d = nm._diagonalize_symmetric_unitary(mt @ mt.T)
-    return _MagicForm(mt, q, d)
 
 
 def _local_factors(fu, fv):
@@ -251,7 +219,9 @@ def _local_factors(fu, fv):
     flipped, v is replaced by i v: gamma(i v) = -gamma(v) has the same
     diagonalizer, and the factor i goes into ct, whose real part is then
     Im(ct)."""
-    sign, perm, parity = _align_spectra(fu.d, fv.d)
+    distance, sign, perm, parity = _align_spectra(fu.d, fv.d)
+    if distance > nm.SPECTRUM_TOL:
+        raise CosetMismatch("gamma spectra cannot be aligned")
     qv = fv.q[perm]
     if parity < 0:
         qv[0] = -qv[0]

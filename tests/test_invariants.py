@@ -6,7 +6,7 @@ import pytest
 
 from q2synth import numerics as nm
 from q2synth.circuit import su4_normalize
-from q2synth.errors import NotUnitary
+from q2synth.errors import CosetMismatch, NotUnitary
 from q2synth.invariants import (
     CNOT_CHI,
     cnot_cost,
@@ -16,6 +16,7 @@ from q2synth.invariants import (
     same_double_coset,
     same_left_coset,
 )
+from q2synth.synthesis import match_local_factors
 
 
 def su2(rng):
@@ -29,6 +30,20 @@ def random_local(rng):
 
 def gamma1(a):
     return a @ nm.SIGMA_Y @ a.T @ nm.SIGMA_Y
+
+
+Q = math.pi / 4
+_XX = nm.kron(nm.SIGMA_X, nm.SIGMA_X)
+_ZZ = nm.kron(nm.SIGMA_Z, nm.SIGMA_Z)
+
+
+def dressed_canonical(a, b, c, rng):
+    """can(a, b, c) = exp(i(a XX + b YY + c ZZ)) between seeded local
+    factors."""
+    out = nm.I4
+    for t, p in ((a, _XX), (b, nm.SYY), (c, _ZZ)):
+        out = out @ (math.cos(t) * nm.I4 + 1j * math.sin(t) * p)
+    return random_local(rng) @ out @ random_local(rng)
 
 
 class TestGamma:
@@ -84,10 +99,13 @@ class TestGamma:
             assert np.max(np.abs(gamma(u @ random_local(rng)) - gamma(u))) <= 1e-10
 
     def test_chi_double_coset_invariance(self):
+        # chi[gamma], the reported invariant, agrees with the spectrum test
+        # on exactly equivalent pairs.
         rng = np.random.default_rng(5)
         for _ in range(50):
             u, _ = su4_normalize(nm.haar_unitary(4, rng))
             w = random_local(rng) @ u @ random_local(rng)
+            assert same_double_coset(u, w)
             cu = nm.charpoly4(gamma(u)).as_array()
             cw = nm.charpoly4(gamma(w)).as_array()
             assert np.max(np.abs(cu - cw)) <= 1e-9
@@ -140,6 +158,24 @@ class TestCosets:
         assert not same_double_coset(np.eye(4), cnot)
         assert not same_double_coset(cnot, swap)
 
+    @pytest.mark.parametrize("gap", [1e-7, 1e-5])
+    def test_double_coset_accepts_what_match_local_factors_accepts(self, gap):
+        # can(a, b, c) and can(a + gap/2, b, c) have gamma spectra gap apart.
+        # At SPECTRUM_TOL both calls accept the 1e-7 pair and refuse the
+        # 1e-5 pair, which a chi comparison with a relative term accepted.
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            u = dressed_canonical(0.3, 0.2, 0.1, rng)
+            v = dressed_canonical(0.3 + gap / 2.0, 0.2, 0.1, rng)
+            du, dv = (np.sort_complex(np.linalg.eigvals(gamma(m))) for m in (u, v))
+            assert np.abs(du - dv).max() == pytest.approx(gap, rel=1e-3)
+            try:
+                match_local_factors(u, v)
+                matched = True
+            except CosetMismatch:
+                matched = False
+            assert same_double_coset(u, v, tol=nm.SPECTRUM_TOL) == matched == (gap < nm.SPECTRUM_TOL)
+
     def test_strict_mode_rejects_non_special(self):
         with pytest.raises(NotUnitary):
             same_left_coset(nm.CNOT01, nm.CNOT01, strict=True)
@@ -181,6 +217,27 @@ class TestCnotCost:
         rng = np.random.default_rng(14)
         hits = sum(cnot_cost(nm.haar_unitary(4, rng)) == 3 for _ in range(100))
         assert hits >= 99
+
+    @pytest.mark.parametrize(
+        "point,expected",
+        [
+            # 1e-5 from the CNOT corner on the c = 0 face: 2 CNOTs, not 1.
+            ((Q, 1e-5, 0.0), 2),
+            # 1e-6 off that face, near the CNOT class: 3.
+            ((1e-6, Q, 1e-6), 3),
+            # 1e-6 from the identity corner in a generic direction, off
+            # every face: 3, not 2.
+            ((0.48e-6, 0.6e-6, 0.64e-6), 3),
+        ],
+    )
+    def test_near_class_boundaries(self, point, expected):
+        # A chi comparison answered 1, 1 and 2: its distance is second
+        # order near a class, and its relative term widened the class-1
+        # test to about 1e-3.  Each input lies 1e-6 or more from every
+        # class with fewer CNOTs, far beyond DEFAULT_TOL.
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            assert cnot_cost(dressed_canonical(*point, rng)) == expected
 
     def test_accepts_any_global_phase(self):
         assert cnot_cost(np.exp(0.3j) * nm.CNOT01) == 1

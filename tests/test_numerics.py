@@ -63,6 +63,8 @@ class TestCharPoly:
         b = nm.charpoly4(np.eye(4) * (1 + 1e-14))
         assert a.close_to(b, tol=1e-10)
         assert not a.close_to(nm.charpoly4(-np.eye(4)), tol=1e-10)
+        # Absolute: coefficients up to 6 in size get no relative slack.
+        assert not a.close_to(nm.charpoly4(np.exp(1e-6j) * np.eye(4)), tol=1e-10)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

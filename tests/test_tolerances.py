@@ -13,7 +13,7 @@ import q2synth
 from q2synth import numerics as nm
 from q2synth.circuit import Axis, Generic1Q, euler_decompose, su4_normalize, tensor_factor
 from q2synth.cli import parse_matrix_text
-from q2synth.errors import NotLocal, NotSymmetricUnitary, NotUnitary, VerificationFailed
+from q2synth.errors import NotSymmetricUnitary, NotUnitary, VerificationFailed
 from q2synth.invariants import cnot_cost, gamma, invariant_data, same_double_coset, same_left_coset
 from q2synth.synthesis import (
     GateLibrary,
@@ -66,7 +66,6 @@ class TestToleranceBlock:
             "ZERO_TOL": 1e-12,
             "SPECTRUM_TOL": 1e-6,
             "OFF_DIAGONAL_TOL": 1e-13,
-            "COEFF_RTOL": 1e-5,
         }
         assert q2synth.synthesis.DEFAULT_TOL is nm.DEFAULT_TOL
 
@@ -126,22 +125,13 @@ ENTRY_POINTS = [
     ),
 ]
 
-#: Entry points that split their input into one-qubit factors to LOCAL_TOL.
-#: An input 0.9 UNITARY_TOL from unitary passes their input check, and the
-#: split then misses it by more than LOCAL_TOL, so they refuse it with
-#: NotLocal (a standing defect: only inputs within about 2e-9 of unitary
-#: are synthesized).
-MAY_REFUSE = {"synthesize", "enumerate_circuits", "match_local_factors", "tensor_factor"}
-
-
 class TestInputChecks:
     @pytest.mark.parametrize("name,call,make,error", ENTRY_POINTS, ids=[e[0] for e in ENTRY_POINTS])
     def test_boundary(self, name, call, make, error):
+        # An input the check accepts is served, also by the entry points
+        # that split it into one-qubit factors to LOCAL_TOL.
         m = make(np.random.default_rng(20))
-        try:
-            call(off_unitary(m, 0.9 * nm.UNITARY_TOL))
-        except NotLocal:
-            assert name in MAY_REFUSE
+        call(off_unitary(m, 0.9 * nm.UNITARY_TOL))
         with pytest.raises(error, match=r"^%s expects .* within tol=1e-08$" % name):
             call(off_unitary(m, 1.1 * nm.UNITARY_TOL))
 
