@@ -45,16 +45,22 @@ def wrap_angle(theta):
     return t
 
 
-def rotation_matrix2(axis, angle):
-    """R_n(theta) = exp(-i sigma_n theta / 2) as a 2x2 matrix."""
+def _rotation_entries(axis, angle):
+    """The entries (m00, m01, m10, m11) of R_n(theta), as Python scalars."""
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
     if axis is Axis.X:
-        return np.array([[c, complex(0.0, -s)], [complex(0.0, -s), c]], dtype=np.complex128)
+        return c, complex(0.0, -s), complex(0.0, -s), c
     if axis is Axis.Y:
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+        return c, -s, s, c
     if axis is Axis.Z:
-        return np.array([[complex(c, -s), 0.0], [0.0, complex(c, s)]], dtype=np.complex128)
+        return complex(c, -s), 0.0, 0.0, complex(c, s)
     raise KeyError(axis)
+
+
+def rotation_matrix2(axis, angle):
+    """R_n(theta) = exp(-i sigma_n theta / 2) as a 2x2 matrix."""
+    m00, m01, m10, m11 = _rotation_entries(axis, angle)
+    return np.array([[m00, m01], [m10, m11]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -121,21 +127,9 @@ class Swap:
 Gate = Rotation | CNOT | Generic1Q | Swap
 
 
-def _on_wire(m2, qubit):
-    return nm.kron(m2, nm.I2) if qubit == 0 else nm.kron(nm.I2, m2)
-
-
 def gate_matrix(g):
     """The 4x4 operator of a single gate (CNOTs carry unit global phase)."""
-    if isinstance(g, Rotation):
-        return _on_wire(rotation_matrix2(g.axis, g.angle), g.qubit)
-    if isinstance(g, CNOT):
-        return nm.CNOT01 if g.control == 0 else nm.CNOT10
-    if isinstance(g, Generic1Q):
-        return _on_wire(g.matrix, g.qubit)
-    if isinstance(g, Swap):
-        return nm.SWAP_MAT
-    raise TypeError("not a gate: %r" % (g,))
+    return simulate(Circuit((g,)))
 
 
 @dataclass(frozen=True)
@@ -172,27 +166,70 @@ class Circuit:
         return total
 
 
-def _apply_1q(m2, qubit, m):
-    """(m2 on ``qubit``) @ m, without forming the 4x4 Kronecker product.
+def _mul2(x, y):
+    """x @ y for 2x2 matrices given as entries (m00, m01, m10, m11)."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3
 
-    Row index 2*i + j of m carries qubit 0 in i and qubit 1 in j.
-    """
-    if qubit == 0:
-        return (m2 @ m.reshape(2, 8)).reshape(4, 4)
-    return (m2 @ m.reshape(2, 2, 4)).reshape(4, 4)
+
+_ID2 = (1.0, 0.0, 0.0, 1.0)
+
+
+def _kron_layer(a, b):
+    """a x b as a 4x4 array, for 2x2 entries a (qubit 0) and b (qubit 1):
+    entry (2i + k, 2j + l) is a[i, j] * b[k, l], as in ``numerics.kron``."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.array(
+        [[a0 * b0, a0 * b1, a1 * b0, a1 * b1], [a0 * b2, a0 * b3, a1 * b2, a1 * b3],
+         [a2 * b0, a2 * b1, a3 * b0, a3 * b1], [a2 * b2, a2 * b3, a3 * b2, a3 * b3]],
+        dtype=np.complex128,
+    )
+
+
+def _flush(runs, m):
+    """(a x b) @ m for the pending runs a and b of the two wires, the
+    identity standing in for a wire without one; ``m`` if neither has."""
+    if runs == [None, None]:
+        return m
+    layer = _kron_layer(runs[0] or _ID2, runs[1] or _ID2)
+    return layer if m is nm.I4 else layer @ m
+
+
+#: The row order that applies a CNOT or a SWAP to the product so far:
+#: gate @ m is m with its rows permuted.
+_ROWS = {
+    CNOT(0, 1): np.array([0, 1, 3, 2]),
+    CNOT(1, 0): np.array([0, 3, 2, 1]),
+    Swap(): np.array([0, 2, 1, 3]),
+}
 
 
 def simulate(c):
-    """Ordered matrix product of a circuit; later gates multiply on the left."""
-    m = nm.I4.copy()
+    """Ordered matrix product of a circuit; later gates multiply on the left.
+
+    Each run of one-qubit gates on a wire is multiplied into one 2x2 in
+    scalar arithmetic.  At each two-qubit gate, and at the end, the runs of
+    both wires are applied as one Kronecker layer, and a CNOT or SWAP as a
+    row permutation.  Always a new array.
+    """
+    m = nm.I4
+    runs = [None, None]
     for g in c.gates:
         if isinstance(g, Rotation):
-            m = _apply_1q(rotation_matrix2(g.axis, g.angle), g.qubit, m)
+            e = _rotation_entries(g.axis, g.angle)
         elif isinstance(g, Generic1Q):
-            m = _apply_1q(g.matrix, g.qubit, m)
+            e = g.matrix.ravel().tolist()
+        elif isinstance(g, (CNOT, Swap)):
+            m = _flush(runs, m).take(_ROWS[g], axis=0)
+            runs = [None, None]
+            continue
         else:
-            m = gate_matrix(g) @ m
-    return m
+            raise TypeError("not a gate: %r" % (g,))
+        runs[g.qubit] = e if runs[g.qubit] is None else _mul2(e, runs[g.qubit])
+    m = _flush(runs, m)
+    return m.copy() if m is nm.I4 else m
 
 
 def su4_normalize(u):
@@ -211,11 +248,11 @@ def _su4_normalize(u):
     3-CNOT core's is exactly -1, and the sign of its rounding-level
     imaginary part would otherwise pick -pi or +pi, and so the SU(4)
     representative, from one input to the next."""
-    det = np.linalg.det(u)
+    det = nm.det4(u)
     if det.real < 0.0 and abs(det.imag) <= nm.ZERO_TOL:
         det = complex(det.real, 0.0)
-    phase = np.angle(det) / 4.0
-    return u * np.exp(-1j * phase), float(phase)
+    phase = cmath.phase(det) / 4.0
+    return u * cmath.exp(-1j * phase), phase
 
 
 def _su2(x0, x1, x2, x3):

@@ -24,10 +24,6 @@ from .circuit import _su4_normalize
 # chi[gamma] of an SU(4)-normalized CNOT: spectrum {i, i, -i, -i}.
 CNOT_CHI = nm.CharPoly4((1.0, 0.0, 2.0, 0.0, 1.0))
 
-# gamma spectra of the identity and of an SU(4)-normalized CNOT.
-_LOCAL_SPECTRUM = np.ones(4, dtype=np.complex128)
-_CNOT_SPECTRUM = np.array([1j, 1j, -1j, -1j])
-
 #: Every permutation of four eigenvalues, the identity first, and its
 #: parity (+1 even, -1 odd); then each again with 4 added, to index -dv in
 #: (dv, -dv).
@@ -136,12 +132,18 @@ def cnot_cost(u, tol=nm.DEFAULT_TOL):
     1: d aligns with (i, i, -i, -i), the spectrum of the CNOT class.
     2: d aligns with its own conjugate (sign +1): the trace of gamma is real.
     3: everything else -- almost every operator.
+
+    The first two references need no search: +-(1, 1, 1, 1) is degenerate,
+    and (i, i, -i, -i), its own negative, takes the two eigenvalues of
+    largest imaginary part at i, as |z - i| falls when Im z grows.
     """
     v, _ = _su4_normalize(nm.require_unitary(u, "cnot_cost", tol))
     d = _magic_form(v).d
-    if _align_spectra(d, _LOCAL_SPECTRUM)[0] <= tol:
+    z = d.tolist()
+    if min(max(abs(x - 1.0) for x in z), max(abs(x + 1.0) for x in z)) <= tol:
         return 0
-    if _align_spectra(d, _CNOT_SPECTRUM)[0] <= tol:
+    lo0, lo1, hi0, hi1 = sorted(z, key=lambda x: x.imag)
+    if max(abs(lo0 + 1j), abs(lo1 + 1j), abs(hi0 - 1j), abs(hi1 - 1j)) <= tol:
         return 1
     if _align_spectra(d, d.conj(), strict=True)[0] <= tol:
         return 2

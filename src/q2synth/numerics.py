@@ -138,8 +138,26 @@ def det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
+def det4(m):
+    """Determinant of a 4x4 array, in closed form: Laplace expansion along
+    rows 0 and 1, in scalar arithmetic on ``m.tolist()``."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m.tolist()
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+
+
 def is_special_unitary(m, tol=UNITARY_TOL):
-    return is_unitary(m, tol) and abs(np.linalg.det(np.asarray(m)) - 1.0) <= tol
+    """Whether a 2x2 or 4x4 m is unitary with |det m - 1| <= tol."""
+    m = np.asarray(m)
+    if not is_unitary(m, tol) or m.shape[0] not in (2, 4):
+        return False
+    return abs((det2 if m.shape[0] == 2 else det4)(m) - 1.0) <= tol
 
 
 def _is_identity_up_to_phase(m):
@@ -306,7 +324,7 @@ def _canonical(q, d):
     order = sorted(range(4), key=angles.__getitem__)
     rows = q.tolist()
     q = np.array([rows[i] if _leading(rows[i]) > 0.0 else [-x for x in rows[i]] for i in order])
-    if np.linalg.det(q) < 0.0:
+    if det4(q) < 0.0:
         q[0] = -q[0]
     return q, d[order]
 

@@ -29,6 +29,7 @@ the same private steps.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 import math
@@ -164,7 +165,7 @@ def core_params_cxz(u_prime):
     two-CNOT diagonal Delta(psi) makes the trace of gamma real, so the
     spectrum falls into conjugate pairs {e^{+-ir}, e^{+-is}} and
     theta = (r+s)/2, phi = (r-s)/2.  psi is atan2 of the two (0 when both
-    vanish) or that plus pi, whichever leaves the smaller imaginary trace.
+    vanish); psi + pi would do as well (see ``_cxz_shift``).
     """
     params, _ = _cxz_state(nm.require_unitary(u_prime, "core_params_cxz", special=True))
     return params
@@ -174,18 +175,14 @@ def _cxz_shift(u_mat):
     """(psi, M) for U = ``u_mat`` in SU(4): the angle psi of
     ``core_params_cxz`` and M = su4(U Delta(psi)), whose gamma has a real
     trace.  psi is read from the polar step of U, because the local layer
-    sees that of M (``invariants._magic_form``)."""
+    sees that of M (``invariants._magic_form``).  tan fixes psi modulo pi,
+    and either branch does: Delta(psi + pi) = -i Delta(psi) (Z x Z), with
+    Z x Z local, so gamma changes at most by its sign."""
     p = nm._polar_step(u_mat)
     t = np.diag(nm.SYY @ p.T @ nm.SYY @ p)
     psi = math.atan2(float(np.imag(t.sum())), float(np.real(t[0] + t[3] - t[1] - t[2])))
-    # tan fixes psi modulo pi; keep whichever branch actually kills Im tr.
-    best_psi, best_m, best_im = None, None, None
-    for cand in (psi, wrap_angle(psi + math.pi)):
-        m_mat, _ = _su4_normalize(u_mat @ _delta_matrix(cand))
-        im = abs(np.trace(nm.gamma4(m_mat)).imag)
-        if best_im is None or im < best_im:
-            best_psi, best_m, best_im = cand, m_mat, im
-    return best_psi, best_m
+    m_mat, _ = _su4_normalize(u_mat @ _delta_matrix(psi))
+    return psi, m_mat
 
 
 def _cxz_params(psi, spectrum):
@@ -264,10 +261,15 @@ def _strip_zero_rotations(gates):
     return out
 
 
+#: The factor that takes the CYZ core, of determinant exactly -1 (arg +pi),
+#: to SU(4): bit for bit ``_su4_normalize(simulate(core))[0]``.
+_CORE_PHASE = cmath.exp(-1j * (math.pi / 4.0))
+
+
 def _synthesize_cyz_like(target, lib, order):
     """CYZ and BASIC share the same core; only the local-layer encoding differs."""
     core = cyz_core_circuit(_cyz_params(target.d, order))
-    core_norm, _ = _su4_normalize(simulate(core))
+    core_norm = simulate(core) * _CORE_PHASE
     a, b, c, d = _local_factors(target, _magic_form(core_norm))
     gates = []
     gates += _local_gates(c, 0, lib)

@@ -112,6 +112,26 @@ class TestSimulateAndCounts:
                 expect = gate_matrix(g) @ expect
             assert np.abs(simulate(Circuit(tuple(gates))) - expect).max() <= 1e-13
 
+    def test_result_is_a_new_array(self):
+        # The empty circuit, a permutation alone, a one-qubit layer alone and
+        # a one-gate circuit: writing into the result changes neither the
+        # package's constants nor a later result.
+        circuits = [
+            Circuit(()),
+            Circuit((CNOT(0, 1),)),
+            Circuit((Swap(), CNOT(1, 0))),
+            Circuit((Rotation(Axis.Z, 0, 0.3),)),
+        ]
+        for c in circuits:
+            m = simulate(c)
+            expected = m.copy()
+            m[:] = 7.0
+            assert np.array_equal(simulate(c), expected)
+        g = gate_matrix(CNOT(0, 1))
+        g[:] = 7.0
+        assert np.array_equal(nm.I4, np.eye(4))
+        assert np.array_equal(nm.CNOT01, np.eye(4)[[0, 1, 3, 2]])
+
     def test_counts(self):
         c = Circuit(
             (
@@ -143,6 +163,84 @@ class TestSimulateAndCounts:
         v, phase = su4_normalize(u)
         assert phase == math.pi / 4
         assert abs(np.linalg.det(v) - 1.0) <= 1e-12
+
+
+_SIGMA = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
+
+
+def reference_gate_matrix(g):
+    """The 4x4 operator of one gate from np.kron and the numerics constants,
+    independent of ``simulate``."""
+    if isinstance(g, CNOT):
+        return nm.CNOT01 if g.control == 0 else nm.CNOT10
+    if isinstance(g, Swap):
+        return nm.SWAP_MAT
+    if isinstance(g, Rotation):
+        m2 = math.cos(g.angle / 2) * nm.I2 - 1j * math.sin(g.angle / 2) * _SIGMA[g.axis]
+    else:
+        m2 = g.matrix
+    return np.kron(m2, nm.I2) if g.qubit == 0 else np.kron(nm.I2, m2)
+
+
+def random_one_qubit_gate(rng, qubit):
+    if rng.random() < 0.25:
+        return Generic1Q(qubit, nm.haar_unitary(2, rng))
+    return Rotation(list(Axis)[int(rng.integers(3))], qubit, float(rng.uniform(-4, 4)))
+
+
+def random_fused_circuit(rng):
+    """Seeded segments: runs of 1-4 one-qubit gates on one wire or on both
+    wires interleaved, and 1-3 back-to-back CNOTs (either way) and SWAPs."""
+    gates = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = int(rng.integers(4))
+        if kind == 3:
+            for _ in range(int(rng.integers(1, 4))):
+                gates.append([CNOT(0, 1), CNOT(1, 0), Swap()][int(rng.integers(3))])
+        else:
+            for _ in range(int(rng.integers(1, 5))):
+                gates.append(random_one_qubit_gate(rng, int(rng.integers(2)) if kind == 2 else kind))
+    return Circuit(tuple(gates))
+
+
+class TestFusedSimulate:
+    """simulate multiplies each one-qubit run into one 2x2, applies both
+    wires' runs as one Kronecker layer and a CNOT or SWAP as a row
+    permutation; the result is the ordered product of the gates."""
+
+    @staticmethod
+    def ordered_product(c):
+        out = np.eye(4, dtype=complex)
+        for g in c.gates:
+            out = reference_gate_matrix(g) @ out
+        return out
+
+    def test_random_circuits(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            c = random_fused_circuit(rng)
+            assert np.abs(simulate(c) - self.ordered_product(c)).max() <= 1e-13
+
+    def test_special_shapes(self):
+        rng = np.random.default_rng(32)
+        a, b = Generic1Q(0, nm.haar_unitary(2, rng)), Generic1Q(1, nm.haar_unitary(2, rng))
+        rz, rx, ry = Rotation(Axis.Z, 1, 0.7), Rotation(Axis.X, 1, -1.9), Rotation(Axis.Y, 0, 2.4)
+        circuits = [
+            (),
+            (rz, rx, b),  # one wire only
+            (ry, a),  # the other wire only
+            (CNOT(0, 1), CNOT(1, 0), Swap()),  # permutations only
+            (CNOT(1, 0), ry, rz, a, rx, b),  # ends in a layer
+            (ry, rz, CNOT(0, 1), Swap()),  # ends in back-to-back two-qubit gates
+            (rz, CNOT(0, 1), rx, Swap(), ry, CNOT(1, 0), a),
+        ]
+        for gates in circuits:
+            c = Circuit(gates)
+            assert np.abs(simulate(c) - self.ordered_product(c)).max() <= 1e-13
+
+    def test_rejects_a_non_gate(self):
+        with pytest.raises(TypeError):
+            simulate(Circuit((object(),)))
 
 
 class TestEulerDecompose:

@@ -9,6 +9,8 @@ from q2synth.circuit import su4_normalize
 from q2synth.errors import CosetMismatch, NotUnitary
 from q2synth.invariants import (
     CNOT_CHI,
+    _align_spectra,
+    _magic_form,
     cnot_cost,
     cnot_lower_bound,
     gamma,
@@ -183,6 +185,29 @@ class TestCosets:
             same_double_coset(nm.CNOT01, nm.CNOT01, strict=True)
 
 
+#: The Weyl-chamber corners, edges and faces of the weyl-degenerate
+#: benchmark workload.
+CHAMBER_POINTS = (
+    (0.0, 0.0, 0.0), (Q, 0.0, 0.0), (Q, Q, 0.0), (Q, Q, Q), (0.37, 0.0, 0.0),
+    (Q, 0.41, 0.0), (0.29, 0.29, 0.0), (0.53, 0.53, 0.53), (Q, 0.22, 0.22),
+    (Q, Q, 0.61), (0.62, 0.27, 0.0), (Q, 0.47, 0.19), (0.58, 0.58, 0.31),
+    (0.66, 0.35, 0.35),
+)
+
+
+def aligned_cost(spectrum, tol):
+    """The CNOT cost class of a gamma spectrum from three full
+    ``_align_spectra`` searches: against (1, 1, 1, 1), against
+    (i, i, -i, -i), and against its own conjugate."""
+    if _align_spectra(spectrum, np.ones(4, dtype=complex))[0] <= tol:
+        return 0
+    if _align_spectra(spectrum, np.array([1j, 1j, -1j, -1j]))[0] <= tol:
+        return 1
+    if _align_spectra(spectrum, spectrum.conj(), strict=True)[0] <= tol:
+        return 2
+    return 3
+
+
 class TestCnotCost:
     def test_class_zero(self):
         rng = np.random.default_rng(11)
@@ -238,6 +263,30 @@ class TestCnotCost:
         rng = np.random.default_rng(24)
         for _ in range(10):
             assert cnot_cost(dressed_canonical(*point, rng)) == expected
+
+    def test_agrees_with_full_spectrum_alignment(self):
+        # cnot_cost tests classes 0 and 1 in closed form; aligning the
+        # spectrum with (1, 1, 1, 1) and with (i, i, -i, -i) by the full
+        # permutation search of _align_spectra gives the same class, at
+        # Weyl-chamber corners, edges and faces, eps off them, and on Haar
+        # inputs; each under a seeded global phase, which flips the sign
+        # of gamma on some.
+        rng = np.random.default_rng(25)
+        inputs = [nm.haar_unitary(4, rng) for _ in range(500)]
+        for point in CHAMBER_POINTS:
+            for eps in (0.0, 1e-12, 3e-9, 1e-9, 1e-8, 1e-6, 1e-4):
+                for _ in range(10):
+                    d = rng.standard_normal(3)
+                    inputs.append(dressed_canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d)), rng))
+        seen = set()
+        for u in inputs:
+            u = u * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            spectrum = _magic_form(su4_normalize(u)[0]).d
+            for tol in (1e-8, 1e-6, 1e-4):
+                expected = aligned_cost(spectrum, tol)
+                assert cnot_cost(u, tol) == expected
+                seen.add(expected)
+        assert seen == {0, 1, 2, 3}
 
     def test_accepts_any_global_phase(self):
         assert cnot_cost(np.exp(0.3j) * nm.CNOT01) == 1

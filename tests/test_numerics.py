@@ -254,3 +254,24 @@ class TestUnitarityChecks:
         assert not nm.is_special_unitary(nm.CNOT01)  # det -1
         assert nm.is_special_unitary(np.eye(4))
 
+
+    def test_is_special_unitary_on_one_qubit(self):
+        assert not nm.is_special_unitary(nm.SIGMA_X)  # det -1
+        assert nm.is_special_unitary(1j * nm.SIGMA_X)
+        assert not nm.is_special_unitary(np.eye(3))  # neither 2x2 nor 4x4
+
+
+class TestDet4:
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            m = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 2.0
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            for x in (m, q, nm.haar_unitary(4, rng)):
+                assert abs(nm.det4(x) - np.linalg.det(x)) <= 1e-14
+
+    def test_exact_on_permutations(self):
+        assert nm.det4(nm.I4) == 1.0
+        assert nm.det4(nm.CNOT01) == -1.0
+        assert nm.det4(nm.SWAP_MAT) == -1.0
+        assert nm.det4(np.diag([2.0, 3.0, 5.0, 7.0])) == 210.0

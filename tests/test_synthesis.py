@@ -11,12 +11,14 @@ from q2synth.circuit import (
     Circuit,
     Generic1Q,
     Rotation,
+    _su4_normalize,
     simulate,
     su4_normalize,
 )
 from q2synth.errors import CosetMismatch, NotUnitary, VerificationFailed
 from q2synth.invariants import gamma, same_double_coset
 from q2synth.synthesis import (
+    _CORE_PHASE,
     _CXY_CONJ,
     DEFAULT_TOL,
     EIGEN_ORDERS,
@@ -203,15 +205,19 @@ class TestCoreParamsCYZ:
         assert c.cnot_count == 3
 
 
+def psi_inputs():
+    """Haar inputs, and inputs at which the two terms fixing tan(psi) both
+    vanish or nearly do: CNOT, SWAP and can(eps, eps, eps)."""
+    rng = np.random.default_rng(2)
+    inputs = [su4(rng) for _ in range(30)]
+    for m in (nm.CNOT01, nm.SWAP_MAT, canonical(1e-6, 1e-6, 1e-6)):
+        inputs += [m] + [with_haar_locals(m, rng) for _ in range(10)]
+    return inputs
+
+
 class TestCoreParamsCXZ:
     def test_psi_makes_the_invariant_trace_real(self):
-        # Haar inputs, and inputs at which the two terms fixing tan(psi)
-        # both vanish or nearly do: CNOT, SWAP and can(eps, eps, eps).
-        rng = np.random.default_rng(2)
-        inputs = [su4(rng) for _ in range(30)]
-        for m in (nm.CNOT01, nm.SWAP_MAT, canonical(1e-6, 1e-6, 1e-6)):
-            inputs += [m] + [with_haar_locals(m, rng) for _ in range(10)]
-        for u in inputs:
+        for u in psi_inputs():
             u_prime, _ = su4_normalize(u @ nm.CNOT01)
             params = core_params_cxz(u_prime)
             m, _ = su4_normalize(u_prime @ nm.CNOT01 @ _delta_matrix(params.psi))
@@ -219,6 +225,20 @@ class TestCoreParamsCXZ:
             u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
             m2, _ = su4_normalize(u_mat @ _delta_matrix(params.psi))
             assert abs(np.trace(gamma(m2)).imag) <= 1e-9
+
+    def test_both_psi_branches_leave_the_same_imaginary_trace(self):
+        # tan fixes psi modulo pi, and core_params_cxz takes the atan2
+        # branch alone: Delta(psi + pi) = -i Delta(psi) (Z x Z), with Z x Z
+        # local, so the other branch leaves the same |Im tr gamma|.
+        for u in psi_inputs():
+            u_prime, _ = su4_normalize(u @ nm.CNOT01)
+            u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
+            psi = core_params_cxz(u_prime).psi
+            im = [
+                abs(np.trace(gamma(su4_normalize(u_mat @ _delta_matrix(p))[0])).imag)
+                for p in (psi, psi + math.pi)
+            ]
+            assert abs(im[0] - im[1]) <= 1e-12
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_pair_angles_at_minus_one(self, zero):
@@ -504,6 +524,18 @@ class TestCoreBases:
                 mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
             p = magic_symmetric_form(simulate(Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))))
             assert nm._off_diagonal(q @ p @ q.T) <= 1e-13
+
+
+class TestCorePhase:
+    def test_core_phase_is_su4_normalize_bit_for_bit(self):
+        # The CYZ core's determinant is exactly -1, so the constant
+        # exp(-i pi / 4) takes it to the SU(4) form su4_normalize gives.
+        rng = np.random.default_rng(20)
+        triples = list(itertools.product(CORE_ANGLES, repeat=3))
+        triples += [tuple(rng.uniform(-math.pi, math.pi, 3)) for _ in range(200)]
+        for alpha, beta, delta in triples:
+            core = simulate(cyz_core_circuit(CYZCore(alpha, beta, delta)))
+            assert np.array_equal(core * _CORE_PHASE, _su4_normalize(core)[0])
 
 
 class TestEnumerate:
