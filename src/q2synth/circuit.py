@@ -104,9 +104,10 @@ class Generic1Q:
     def _trusted(cls, qubit, matrix):
         """A Generic1Q on ``qubit`` whose ``matrix`` is already checked.
 
-        Skips ``__post_init__``: the matrix must be a complex128 element of
-        SU(2), taken from another Generic1Q or built in SU(2) by
-        construction, and the qubit must be 0 or 1.
+        Skips ``__post_init__``: the matrix must be a complex128 2x2
+        unitary to UNITARY_TOL (in SU(2) by construction, another
+        Generic1Q's, or a product of those taken back to unitary), and the
+        qubit must be 0 or 1.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "qubit", qubit)
@@ -441,30 +442,34 @@ def circuit_to_text(c):
     return "\n".join(gate_to_text(g) for g in c.gates) + ("\n" if c.gates else "")
 
 
+#: The number of values after each gate name on a circuit-file line.
+_ARGUMENTS = {"RX": 2, "RY": 2, "RZ": 2, "CNOT": 2, "U3": 9, "SWAP": 0}
+
+
 def parse_circuit(text):
     gates = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        op = parts[0].upper()
+        op, *args = line.split()
+        op = op.upper()
         try:
-            if op in ("RX", "RY", "RZ"):
-                gates.append(Rotation(Axis(op[1].lower()), int(parts[1]), float(parts[2])))
-            elif op == "CNOT":
-                gates.append(CNOT(int(parts[1]), int(parts[2])))
-            elif op == "U3":
-                vals = [float(p) for p in parts[2:]]
-                if len(vals) != 8:
-                    raise ValueError("U3 needs 8 floats")
-                m = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-                gates.append(Generic1Q(int(parts[1]), m.reshape(2, 2)))
-            elif op == "SWAP":
-                gates.append(Swap())
-            else:
+            if op not in _ARGUMENTS:
                 raise ValueError("unknown gate %r" % op)
-        except (ValueError, IndexError, NotUnitary) as exc:
+            if len(args) != _ARGUMENTS[op]:
+                raise ValueError("%s takes %d values, got %d" % (op, _ARGUMENTS[op], len(args)))
+            if op in ("RX", "RY", "RZ"):
+                gates.append(Rotation(Axis(op[1].lower()), int(args[0]), float(args[1])))
+            elif op == "CNOT":
+                gates.append(CNOT(int(args[0]), int(args[1])))
+            elif op == "U3":
+                vals = [float(p) for p in args[1:]]
+                m = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+                gates.append(Generic1Q(int(args[0]), m.reshape(2, 2)))
+            else:
+                gates.append(Swap())
+        except (ValueError, NotUnitary) as exc:
             raise CircuitParseError("line %d: %s" % (lineno, exc)) from exc
     return Circuit(tuple(gates))
 

@@ -18,13 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .circuit import Circuit, circuit_to_text, parse_circuit, simulate, to_qasm
-from .errors import (
-    CircuitParseError,
-    NotUnitary,
-    Q2SynthError,
-    UnsupportedGate,
-    VerificationFailed,
-)
+from .errors import CircuitParseError, Q2SynthError, VerificationFailed
 from .invariants import cnot_cost, gamma, invariant_data
 from .rewrite import RULES, effectively_separated, rule_residual
 from .rewrite import reduce as reduce_circuit
@@ -336,10 +330,7 @@ def main(argv=None):
     except VerificationFailed as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return EXIT_VERIFY
-    except (CircuitParseError, NotUnitary, UnsupportedGate, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except Q2SynthError as exc:
+    except (Q2SynthError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
 

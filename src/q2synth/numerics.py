@@ -169,8 +169,9 @@ def _is_identity_up_to_phase(m):
 
 def _polar_step(m):
     """One Newton-Schulz step m (3I - m^dag m) / 2 toward the unitary polar
-    factor of a 4x4 m: a residual ||m^dag m - I||_F of r becomes about r^2."""
-    return m @ (3.0 * I4 - m.conj().T @ m) / 2.0
+    factor of a 2x2 or 4x4 m: a residual ||m^dag m - I||_F of r becomes
+    about r^2."""
+    return m @ (3.0 * _EYE[len(m)] - m.conj().T @ m) / 2.0
 
 
 def require_unitary(m, caller, tol=UNITARY_TOL, size=4, special=False, symmetric=False):

@@ -5,12 +5,15 @@ to global phase; all registered rules are re-verified numerically on sample
 instances when this module is imported (``rule_residual``), so a broken
 identity cannot ship.
 
-``reduce`` applies rules greedily in priority order (cancellations, then
-rotation merging, then SWAP pushing, then commutations) under a strictly
-decreasing lexicographic measure -- (gate count, CNOT position sum, SWAP
-distance from the right end) -- which both forces termination and picks the
-measure-decreasing direction of each bidirectional rule.  SWAPs therefore
-accumulate at the end of the circuit.
+A rule's first matcher is its forward direction, and further matchers read
+the same identity backward.  ``reduce`` applies only the forward direction
+of its rules, greedily in priority order (cancellations, then rotation
+merging, then SWAP pushing, then commutations).  For those rules the
+forward direction is declared to be the reducing one: wherever it fires, it
+lowers the lexicographic measure (gate count, CNOT position sum, SWAP
+distance from the right end), so the reduction terminates, CNOTs move left
+and SWAPs accumulate at the end of the circuit.  The tests check this on
+every sample of every rule ``reduce`` uses.
 
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
 rewrites can ever make two CNOTs adjacent, by breadth-first search over the
@@ -38,13 +41,14 @@ from .circuit import (
 )
 from .errors import NoMatch, UnsupportedGate
 
+_ONE_QUBIT = (Rotation, Generic1Q)
+
 
 def _one_qubit_matrix(g):
+    """The 2x2 matrix of a Rotation or Generic1Q."""
     if isinstance(g, Rotation):
         return rotation_matrix2(g.axis, g.angle)
-    if isinstance(g, Generic1Q):
-        return g.matrix
-    return None
+    return g.matrix
 
 
 def _phase_close2(m, target):
@@ -59,18 +63,16 @@ def _is_pauli(g, axis):
     """
     if isinstance(g, Rotation) and g.axis is not axis:
         return False
-    m = _one_qubit_matrix(g)
-    return m is not None and _phase_close2(m, _PAULI[axis])
+    return isinstance(g, _ONE_QUBIT) and _phase_close2(_one_qubit_matrix(g), _PAULI[axis])
 
 
 _S_MATS = {axis: rotation_matrix2(axis, math.pi / 2.0) for axis in Axis}
 
 
 def _s_gate_axis(g):
-    """Axis a such that g is a quarter-turn rotation about a, else None."""
+    """Axis a such that the one-qubit gate g is a quarter-turn rotation
+    about a, else None."""
     m = _one_qubit_matrix(g)
-    if m is None:
-        return None
     for axis, s in _S_MATS.items():
         if _phase_close2(m, s):
             return axis
@@ -92,9 +94,12 @@ class RewriteRule:
     """A window rewrite: ``matchers`` maps a gate window to its replacement.
 
     Each matcher is (window_length, fn); fn returns the replacement gate
-    list or None.  Rules with matchers for both reading directions are
-    bidirectional.  ``samples`` produces concrete windows used to verify
-    the rule numerically at registration time.
+    list or None.  ``matchers[0]`` is the forward direction, the only one
+    ``reduce`` applies; for every rule it uses, that direction lowers
+    reduce's measure wherever it fires.  A bidirectional rule adds matchers
+    that read the identity backward, which ``apply_rule`` and
+    ``effectively_separated`` also try.  ``samples`` produces concrete
+    windows used to verify the rule numerically at registration time.
     """
 
     id: str
@@ -145,125 +150,81 @@ def _cnot_pair_from_swap(w):
     return None
 
 
-def _commute_rot_cnot(axis, line):
-    """Rotation about ``axis`` on the CNOT's ``line`` ('control'/'target')."""
-
-    def fw(w):
-        r, c = w
-        if (
-            isinstance(r, Rotation)
-            and r.axis is axis
-            and isinstance(c, CNOT)
-            and r.qubit == getattr(c, line)
-        ):
-            return [c, r]
-        return None
-
-    def bw(w):
-        c, r = w
-        if (
-            isinstance(c, CNOT)
-            and isinstance(r, Rotation)
-            and r.axis is axis
-            and r.qubit == getattr(c, line)
-        ):
-            return [r, c]
-        return None
-
-    return fw, bw
+def _on_line(g, c, line):
+    """Whether g is a one-qubit gate on the ``line`` ('control' or 'target')
+    of the CNOT c."""
+    return isinstance(c, CNOT) and isinstance(g, _ONE_QUBIT) and g.qubit == getattr(c, line)
 
 
-def _commute_pauli_cnot(axis, line):
-    def on_line(g, c):
-        return (
-            isinstance(c, CNOT)
-            and isinstance(g, (Rotation, Generic1Q))
-            and g.qubit == getattr(c, line)
-            and _is_pauli(g, axis)
-        )
+def _commute(axis, line, pauli):
+    """Matchers (forward, backward) exchanging a CNOT with a one-qubit gate
+    on its ``line`` that commutes with it: a rotation about ``axis``, or if
+    ``pauli`` any gate equal to the Pauli about ``axis``; forward moves the
+    CNOT left."""
+
+    def fits(g, c):
+        if not _on_line(g, c, line):
+            return False
+        if pauli:
+            return _is_pauli(g, axis)
+        return isinstance(g, Rotation) and g.axis is axis
 
     def fw(w):
         g, c = w
-        if on_line(g, c):
+        if fits(g, c):
             return [c, g]
         return None
 
     def bw(w):
         c, g = w
-        if on_line(g, c):
+        if fits(g, c):
             return [g, c]
         return None
 
-    return fw, bw
+    return (2, fw), (2, bw)
 
 
-def _move_sigma_x_fw(w):
-    g, c = w
-    if isinstance(c, CNOT) and _is_pauli(g, Axis.X) and g.qubit == c.control:
-        return [c, Rotation(Axis.X, c.control, math.pi), Rotation(Axis.X, c.target, math.pi)]
-    return None
+def _move_pauli(axis, line):
+    """Matchers (forward, backward) moving the Pauli about ``axis`` on the
+    CNOT's ``line`` through it, where it becomes that Pauli on both wires."""
 
-
-def _move_sigma_x_bw(w):
-    c, g1, g2 = w
-    if not isinstance(c, CNOT):
+    def fw(w):
+        g, c = w
+        if _on_line(g, c, line) and _is_pauli(g, axis):
+            return [c, Rotation(axis, g.qubit, math.pi), Rotation(axis, 1 - g.qubit, math.pi)]
         return None
-    if not (_is_pauli(g1, Axis.X) and _is_pauli(g2, Axis.X)):
+
+    def bw(w):
+        c, g1, g2 = w
+        if isinstance(c, CNOT) and _is_pauli(g1, axis) and _is_pauli(g2, axis) and g1.qubit != g2.qubit:
+            return [Rotation(axis, getattr(c, line), math.pi), c]
         return None
-    if {g1.qubit, g2.qubit} != {c.control, c.target}:
+
+    return (2, fw), (3, bw)
+
+
+def _through_swap(kinds):
+    """Matchers (forward, backward) moving a gate of type ``kinds`` through
+    a SWAP, which mirrors its wires; forward moves the SWAP right."""
+
+    def fw(w):
+        s, g = w
+        if isinstance(s, Swap) and isinstance(g, kinds):
+            return [_mirror_gate(g), s]
         return None
-    return [Rotation(Axis.X, c.control, math.pi), c]
 
-
-def _move_sigma_z_fw(w):
-    g, c = w
-    if isinstance(c, CNOT) and _is_pauli(g, Axis.Z) and g.qubit == c.target:
-        return [c, Rotation(Axis.Z, c.target, math.pi), Rotation(Axis.Z, c.control, math.pi)]
-    return None
-
-
-def _move_sigma_z_bw(w):
-    c, g1, g2 = w
-    if not isinstance(c, CNOT):
+    def bw(w):
+        g, s = w
+        if isinstance(s, Swap) and isinstance(g, kinds):
+            return [s, _mirror_gate(g)]
         return None
-    if not (_is_pauli(g1, Axis.Z) and _is_pauli(g2, Axis.Z)):
-        return None
-    if {g1.qubit, g2.qubit} != {c.control, c.target}:
-        return None
-    return [Rotation(Axis.Z, c.target, math.pi), c]
 
-
-def _move_cnot_via_swap_fw(w):
-    s, c = w
-    if isinstance(s, Swap) and isinstance(c, CNOT):
-        return [CNOT(c.target, c.control), s]
-    return None
-
-
-def _move_cnot_via_swap_bw(w):
-    c, s = w
-    if isinstance(c, CNOT) and isinstance(s, Swap):
-        return [s, CNOT(c.target, c.control)]
-    return None
-
-
-def _move_1q_via_swap_fw(w):
-    s, g = w
-    if isinstance(s, Swap) and _one_qubit_matrix(g) is not None:
-        return [_mirror_gate(g), s]
-    return None
-
-
-def _move_1q_via_swap_bw(w):
-    g, s = w
-    if isinstance(s, Swap) and _one_qubit_matrix(g) is not None:
-        return [s, _mirror_gate(g)]
-    return None
+    return (2, fw), (2, bw)
 
 
 def _merge_rotations(w):
     g1, g2 = w
-    if not (isinstance(g1, (Rotation, Generic1Q)) and isinstance(g2, (Rotation, Generic1Q))):
+    if not (isinstance(g1, _ONE_QUBIT) and isinstance(g2, _ONE_QUBIT)):
         return None
     if g1.qubit != g2.qubit:
         return None
@@ -275,7 +236,11 @@ def _merge_rotations(w):
     prod = _one_qubit_matrix(g2) @ _one_qubit_matrix(g1)
     if nm._is_identity_up_to_phase(prod):
         return []
-    return [Generic1Q(g1.qubit, prod)]
+    # Each factor may be UNITARY_TOL from unitary, and so their product
+    # twice that; one polar step then takes it back to rounding.
+    if not nm.is_unitary(prod):
+        prod = nm._polar_step(prod)
+    return [Generic1Q._trusted(g1.qubit, prod)]
 
 
 #: Conjugating R_n by the quarter turn S_a sends the axis n around a:
@@ -294,30 +259,23 @@ _AXIS_TABLE = {
 _AXIS_TABLE_INV = {(a, np): (n, s) for (a, n), (np, s) in _AXIS_TABLE.items()}
 
 
-def _axis_change_fw(w):
-    r, s = w
-    if not (isinstance(r, Rotation) and _one_qubit_matrix(s) is not None):
-        return None
-    if r.qubit != s.qubit:
-        return None
-    a = _s_gate_axis(s)
-    if a is None or a is r.axis:
-        return None
-    new_axis, sign = _AXIS_TABLE[(a, r.axis)]
-    return [s, Rotation(new_axis, r.qubit, sign * r.angle)]
+def _axis_change(table, rotation_first):
+    """Matcher moving a rotation through a quarter turn S_a on its wire,
+    from the window's first slot if ``rotation_first``, else from its
+    second; ``table`` gives the new axis and sign."""
 
+    def fn(w):
+        r, s = w if rotation_first else w[::-1]
+        if not (isinstance(r, Rotation) and isinstance(s, _ONE_QUBIT) and r.qubit == s.qubit):
+            return None
+        a = _s_gate_axis(s)
+        if a is None or a is r.axis:
+            return None
+        new_axis, sign = table[(a, r.axis)]
+        moved = Rotation(new_axis, r.qubit, sign * r.angle)
+        return [s, moved] if rotation_first else [moved, s]
 
-def _axis_change_bw(w):
-    s, r = w
-    if not (isinstance(r, Rotation) and _one_qubit_matrix(s) is not None):
-        return None
-    if r.qubit != s.qubit:
-        return None
-    a = _s_gate_axis(s)
-    if a is None or a is r.axis:
-        return None
-    new_axis, sign = _AXIS_TABLE_INV[(a, r.axis)]
-    return [Rotation(new_axis, r.qubit, sign * r.angle), s]
+    return fn
 
 
 def _flip_window(w):
@@ -356,11 +314,11 @@ def _sz(q):
     return Generic1Q(q, nm.SIGMA_Z)
 
 
-def _rule(rule_id, direction, matchers, samples):
+def _rule(rule_id, matchers, samples):
     return RewriteRule(
         id=rule_id,
         arity=tuple(sorted({length for length, _ in matchers})),
-        direction=direction,
+        direction="bidirectional" if len(matchers) > 1 else "forward",
         matchers=tuple(matchers),
         samples=tuple(tuple(s) for s in samples),
     )
@@ -368,126 +326,87 @@ def _rule(rule_id, direction, matchers, samples):
 
 def _build_rules():
     a1, a2 = 0.7, -1.3
-    rules = []
-
-    rules.append(
+    rules = [
         _rule(
             "CancelCNOT",
-            "forward",
             [(2, _cancel_cnot)],
             [[CNOT(0, 1), CNOT(0, 1)], [CNOT(1, 0), CNOT(1, 0)]],
-        )
-    )
-    rules.append(_rule("CancelSWAP", "forward", [(2, _cancel_swap)], [[Swap(), Swap()]]))
-    rules.append(
+        ),
+        _rule("CancelSWAP", [(2, _cancel_swap)], [[Swap(), Swap()]]),
         _rule(
             "CNOTPairToSWAP",
-            "bidirectional",
             [(2, _cnot_pair_to_swap), (2, _cnot_pair_from_swap)],
             [
                 [CNOT(0, 1), CNOT(1, 0)],
                 [CNOT(1, 0), CNOT(0, 1)],
                 [CNOT(0, 1), Swap()],
             ],
-        )
-    )
-
-    fw, bw = _commute_rot_cnot(Axis.X, "target")
-    rules.append(
+        ),
         _rule(
             "CommuteRxTarget",
-            "bidirectional",
-            [(2, fw), (2, bw)],
+            _commute(Axis.X, "target", pauli=False),
             [
                 [Rotation(Axis.X, 1, a1), CNOT(0, 1)],
                 [CNOT(1, 0), Rotation(Axis.X, 0, a2)],
             ],
-        )
-    )
-    fw, bw = _commute_rot_cnot(Axis.Z, "control")
-    rules.append(
+        ),
         _rule(
             "CommuteRzControl",
-            "bidirectional",
-            [(2, fw), (2, bw)],
+            _commute(Axis.Z, "control", pauli=False),
             [
                 [Rotation(Axis.Z, 0, a1), CNOT(0, 1)],
                 [CNOT(1, 0), Rotation(Axis.Z, 1, a2)],
             ],
-        )
-    )
-    fw, bw = _commute_pauli_cnot(Axis.X, "target")
-    rules.append(
+        ),
         _rule(
             "CommuteSxTarget",
-            "bidirectional",
-            [(2, fw), (2, bw)],
+            _commute(Axis.X, "target", pauli=True),
             [
                 [_sx(1), CNOT(0, 1)],
                 [CNOT(1, 0), Rotation(Axis.X, 0, math.pi)],
             ],
-        )
-    )
-    fw, bw = _commute_pauli_cnot(Axis.Z, "control")
-    rules.append(
+        ),
         _rule(
             "CommuteSzControl",
-            "bidirectional",
-            [(2, fw), (2, bw)],
+            _commute(Axis.Z, "control", pauli=True),
             [
                 [_sz(0), CNOT(0, 1)],
                 [CNOT(1, 0), Rotation(Axis.Z, 1, math.pi)],
             ],
-        )
-    )
-
-    rules.append(
+        ),
         _rule(
             "MoveSigmaX",
-            "bidirectional",
-            [(2, _move_sigma_x_fw), (3, _move_sigma_x_bw)],
+            _move_pauli(Axis.X, "control"),
             [
                 [_sx(0), CNOT(0, 1)],
                 [Rotation(Axis.X, 1, math.pi), CNOT(1, 0)],
                 [CNOT(0, 1), _sx(0), _sx(1)],
             ],
-        )
-    )
-    rules.append(
+        ),
         _rule(
             "MoveSigmaZ",
-            "bidirectional",
-            [(2, _move_sigma_z_fw), (3, _move_sigma_z_bw)],
+            _move_pauli(Axis.Z, "target"),
             [
                 [_sz(1), CNOT(0, 1)],
                 [Rotation(Axis.Z, 0, math.pi), CNOT(1, 0)],
                 [CNOT(0, 1), _sz(1), _sz(0)],
             ],
-        )
-    )
-    rules.append(
+        ),
         _rule(
             "MoveCNOTviaSWAP",
-            "bidirectional",
-            [(2, _move_cnot_via_swap_fw), (2, _move_cnot_via_swap_bw)],
+            _through_swap(CNOT),
             [[Swap(), CNOT(0, 1)], [CNOT(1, 0), Swap()]],
-        )
-    )
-    rules.append(
+        ),
         _rule(
             "Move1QviaSWAP",
-            "bidirectional",
-            [(2, _move_1q_via_swap_fw), (2, _move_1q_via_swap_bw)],
+            _through_swap(_ONE_QUBIT),
             [
                 [Swap(), Rotation(Axis.Y, 0, a1)],
                 [Generic1Q(1, rotation_matrix2(Axis.X, a2) @ rotation_matrix2(Axis.Z, a1)), Swap()],
             ],
-        )
-    )
-    rules.append(
+        ),
         _rule(
             "MergeRotations",
-            "forward",
             [(2, _merge_rotations)],
             [
                 [Rotation(Axis.Y, 0, a1), Rotation(Axis.Y, 0, a2)],
@@ -495,13 +414,10 @@ def _build_rules():
                 [Rotation(Axis.Z, 0, a1), Rotation(Axis.Y, 0, a2)],
                 [Generic1Q(1, rotation_matrix2(Axis.Y, a1)), Rotation(Axis.X, 1, a2)],
             ],
-        )
-    )
-    rules.append(
+        ),
         _rule(
             "AxisChange",
-            "bidirectional",
-            [(2, _axis_change_fw), (2, _axis_change_bw)],
+            [(2, _axis_change(_AXIS_TABLE, True)), (2, _axis_change(_AXIS_TABLE_INV, False))],
             [
                 [Rotation(Axis.Y, 0, a1), Rotation(Axis.X, 0, math.pi / 2.0)],
                 [Rotation(Axis.Z, 1, a2), Rotation(Axis.X, 1, math.pi / 2.0)],
@@ -511,12 +427,9 @@ def _build_rules():
                 [Rotation(Axis.Y, 1, a2), Rotation(Axis.Z, 1, math.pi / 2.0)],
                 [Rotation(Axis.X, 0, math.pi / 2.0), Rotation(Axis.Y, 0, a1)],
             ],
-        )
-    )
-    rules.append(
+        ),
         _rule(
             "FlipCNOTPair",
-            "bidirectional",
             [(4, _flip_window), (3, _flip_window)],
             [
                 [CNOT(0, 1), Rotation(Axis.X, 0, a1), Rotation(Axis.Z, 1, a2), CNOT(0, 1)],
@@ -524,8 +437,8 @@ def _build_rules():
                 [CNOT(0, 1), Rotation(Axis.X, 0, a1), CNOT(0, 1)],
                 [CNOT(0, 1), Rotation(Axis.Z, 1, a2), CNOT(0, 1)],
             ],
-        )
-    )
+        ),
+    ]
     return {r.id: r for r in rules}
 
 
@@ -585,45 +498,34 @@ _REDUCE_PRIORITY = (
     ("CommuteRxTarget", "CommuteRzControl", "CommuteSxTarget", "CommuteSzControl"),
 )
 
+#: The tiers of ``_REDUCE_PRIORITY``, each rule trimmed to its reducing
+#: direction ``matchers[0]``.
+_REDUCE_TIERS = tuple(
+    tuple(_rule(rule_id, RULES[rule_id].matchers[:1], ()) for rule_id in tier)
+    for tier in _REDUCE_PRIORITY
+)
+
 #: How far left of a rewritten span a window can start and still overlap it.
-_REACH = max(a for tier in _REDUCE_PRIORITY for rule_id in tier for a in RULES[rule_id].arity) - 1
-
-
-def _lowers_measure(window, replacement, pos, n):
-    """Whether replacing ``window`` at ``pos`` of an ``n``-gate circuit lowers
-    the measure (gate count, CNOT index sum, SWAP distance from the end).
-
-    Gates outside the window keep their index unless the length changes, and
-    then the gate count alone decides, so the change is computed locally.
-    """
-    if len(replacement) != len(window):
-        return len(replacement) < len(window)
-    cnot_sum = swap_deficit = 0
-    for j, (old, new) in enumerate(zip(window, replacement)):
-        cnot_sum += (pos + j) * (isinstance(new, CNOT) - isinstance(old, CNOT))
-        swap_deficit += (n - pos - j) * (isinstance(new, Swap) - isinstance(old, Swap))
-    return (cnot_sum, swap_deficit) < (0, 0)
+_REACH = max(a for tier in _REDUCE_TIERS for rule in tier for a in rule.arity) - 1
 
 
 def _first_hit(tier, gates, pos):
-    """(rule_id, length, replacement) of the first rule of ``tier`` whose
-    match at ``pos`` lowers the measure, else None."""
-    for rule_id in tier:
-        hit = RULES[rule_id].match(gates, pos)
+    """(rule_id, length, replacement) of the first rule of ``tier`` that
+    matches at ``pos``, else None."""
+    for rule in tier:
+        hit = rule.match(gates, pos)
         if hit is not None:
-            length, replacement = hit
-            if _lowers_measure(gates[pos : pos + length], replacement, pos, len(gates)):
-                return rule_id, length, replacement
+            return (rule.id,) + hit
     return None
 
 
 def reduce(c):
     """Greedy fixed-point reduction; returns (circuit, ReductionTrace).
 
-    Each step applies the first measure-decreasing rule application in
-    (tier, position, rule-within-tier) order, so commutations only move
-    CNOTs leftward and SWAPs only move rightward; the reduction terminates
-    and never grows the circuit.
+    Each step applies the first reducing-direction match in (tier, position,
+    rule-within-tier) order, so commutations only move CNOTs leftward and
+    SWAPs only move rightward; the reduction terminates and never grows the
+    circuit.
     """
     gates = list(c.gates)
     initial = len(gates)
@@ -632,11 +534,8 @@ def reduce(c):
     # is 1 where it is not None, so the first hit is a C-speed find.  A
     # rewrite at pos only changes windows that start in [pos - _REACH,
     # pos + len(replacement)); later entries shift with the gates and are
-    # kept.  Keeping them is exact only because no verdict of
-    # _lowers_measure for these rules depends on where the window sits or
-    # on the circuit length: a same-length rewrite that changes the number
-    # of CNOTs or SWAPs moves them the way its index sums already point.
-    hits = [[_first_hit(tier, gates, p) for p in range(len(gates))] for tier in _REDUCE_PRIORITY]
+    # kept, since a match depends only on its window.
+    hits = [[_first_hit(tier, gates, p) for p in range(len(gates))] for tier in _REDUCE_TIERS]
     found = [bytearray(h is not None for h in tier_hits) for tier_hits in hits]
     while True:
         for tier_hits, flags in zip(hits, found):
@@ -649,7 +548,7 @@ def reduce(c):
         gates[pos : pos + length] = replacement
         steps.append((rule_id, pos))
         lo, old_end, new_end = max(pos - _REACH, 0), pos + length, pos + len(replacement)
-        for tier, tier_hits, flags in zip(_REDUCE_PRIORITY, hits, found):
+        for tier, tier_hits, flags in zip(_REDUCE_TIERS, hits, found):
             fresh = [_first_hit(tier, gates, p) for p in range(lo, new_end)]
             tier_hits[lo:old_end] = fresh
             flags[lo:old_end] = bytes(h is not None for h in fresh)

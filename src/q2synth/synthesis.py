@@ -326,8 +326,8 @@ def _synthesize_cxz(state, variant):
     else:
         mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
     w_core = Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))
-    w_norm, _ = _su4_normalize(simulate(w_core))
-    a, b, c, d = _local_factors(target, _magic_form(w_norm))
+    # CNOT (Rx x Rz) CNOT has determinant 1: the core is its own SU(4) form.
+    a, b, c, d = _local_factors(target, _magic_form(simulate(w_core)))
 
     gates = [Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1)]
     gates += _local_gates(c, 0, GateLibrary.CXZ)

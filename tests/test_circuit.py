@@ -361,6 +361,10 @@ class TestSerialization:
             ("RX 5 0.3\n", "line 1"),
             ("CNOT 0 1\nRY zero 1\n", "line 2"),
             ("U3 0 1 2 3\n", "line 1"),
+            ("RX 0 0.5 7\n", "line 1"),
+            ("CNOT 0 1 junk\n", "line 1"),
+            ("SWAP 0 1\n", "line 1"),
+            ("CNOT 0 1\nSWAP 1\n", "line 2"),
         ],
     )
     def test_parse_errors_cite_line(self, text, fragment):

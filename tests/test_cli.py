@@ -180,6 +180,15 @@ class TestReports:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("text", ["RX 0 0.5 7\n", "CNOT 0 1 junk\n", "SWAP 0 1\n"])
+    def test_trailing_values_exit(self, tmp_path, capsys, text):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "reduce", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 1" in err
+
 
 class TestSelftest:
     def test_passes_and_is_deterministic(self, capsys):

@@ -11,6 +11,8 @@ from q2synth.circuit import (
     Generic1Q,
     Rotation,
     Swap,
+    circuit_to_text,
+    parse_circuit,
     rotation_matrix2,
     simulate,
 )
@@ -21,7 +23,6 @@ from q2synth.rewrite import (
     ReductionTrace,
     RewriteRule,
     _is_pauli,
-    _lowers_measure,
     apply_rule,
     effectively_separated,
     reduce,
@@ -279,6 +280,17 @@ class TestReduce:
                 else:
                     assert not seen_swap, out.gates
 
+    def test_merges_gates_at_the_unitarity_tolerance(self):
+        # Each gate is 9.6e-9 from unitary and passes the input check; their
+        # product is 1.9e-8 from unitary and must not be checked again.
+        rng = np.random.default_rng(5)
+        scale = 1.0 + 9.6e-9 / (2.0 * math.sqrt(2.0))
+        c = C([Generic1Q(0, scale * nm.haar_unitary(2, rng)) for _ in range(2)])
+        out, trace = reduce(c)
+        assert trace.steps == (("MergeRotations", 0),)
+        for result in (out, parse_circuit(circuit_to_text(out))):
+            assert nm.phase_distance(simulate(result), simulate(c)) <= 2 * nm.UNITARY_TOL
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -328,19 +340,25 @@ class TestIncrementalReduce:
         _, trace = reduce(c)
         assert len(calls) <= 20 * (len(c.gates) + len(trace.steps))
 
-    def test_verdicts_do_not_depend_on_position(self):
-        # The cache in reduce keeps a window's verdict while the window
-        # shifts and the circuit length changes.
+    def test_first_matcher_alone_lowers_the_measure(self):
+        # reduce applies only matchers[0] and keeps its cached hits while
+        # windows shift, so the first matcher must lower the measure at any
+        # position in any circuit length, and no other matcher may.
+        rng = np.random.default_rng(14)
+        pads = [long_circuit(rng, n).gates for n in (0, 1, 3, 17, 40)]
         for tier in _REDUCE_PRIORITY:
             for rule_id in tier:
                 for window in RULES[rule_id].samples:
-                    _, replacement = RULES[rule_id].match(window, 0)
-                    verdicts = {
-                        _lowers_measure(window, replacement, pos, n)
-                        for pos in range(65)
-                        for n in range(pos + len(window), 129)
-                    }
-                    assert len(verdicts) == 1, (rule_id, window)
+                    for k, (length, fn) in enumerate(RULES[rule_id].matchers):
+                        replacement = fn(window) if length == len(window) else None
+                        if replacement is None:
+                            continue
+                        for left in pads:
+                            for right in pads:
+                                before = left + window + right
+                                after = left + tuple(replacement) + right
+                                lowers = _measure(after) < _measure(before)
+                                assert lowers == (k == 0), (rule_id, k, window, len(left), len(right))
 
 
 class TestPauliTest:

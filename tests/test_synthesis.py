@@ -537,6 +537,21 @@ class TestCorePhase:
             core = simulate(cyz_core_circuit(CYZCore(alpha, beta, delta)))
             assert np.array_equal(core * _CORE_PHASE, _su4_normalize(core)[0])
 
+    @pytest.mark.parametrize("swap_wires", [False, True])
+    def test_cxz_core_is_already_special_unitary(self, swap_wires):
+        # CNOT (Rx x Rz) CNOT has determinant 1 by construction, so the CXZ
+        # path uses the simulated core as its SU(4) form unchanged.
+        rng = np.random.default_rng(21)
+        pairs = list(itertools.product(CORE_ANGLES, repeat=2))
+        pairs += [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
+        for theta, phi in pairs:
+            if swap_wires:
+                mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
+            else:
+                mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
+            core = simulate(Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),)))
+            assert np.array_equal(core, _su4_normalize(core)[0])
+
 
 class TestEnumerate:
     def test_yields_distinct_verified_circuits(self):
