@@ -28,11 +28,6 @@ class Axis(enum.Enum):
 
 
 _PAULI = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
-_AXIS_VEC = {
-    Axis.X: np.array([1.0, 0.0, 0.0]),
-    Axis.Y: np.array([0.0, 1.0, 0.0]),
-    Axis.Z: np.array([0.0, 0.0, 1.0]),
-}
 
 
 def wrap_angle(theta):
@@ -264,44 +259,21 @@ def _su2(x0, x1, x2, x3):
     )
 
 
-def _su2_from_rotation(r):
-    """SU(2) element realizing a 3x3 rotation matrix (quaternion lift)."""
-    t = np.trace(r)
-    if t > 0:
-        w = math.sqrt(1.0 + t) / 2.0
-        x = (r[2, 1] - r[1, 2]) / (4.0 * w)
-        y = (r[0, 2] - r[2, 0]) / (4.0 * w)
-        z = (r[1, 0] - r[0, 1]) / (4.0 * w)
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(1.0 + r[i, i] - r[j, j] - r[k, k]) * 2.0
-        q = [0.0, 0.0, 0.0]
-        q[i] = s / 4.0
-        q[j] = (r[j, i] + r[i, j]) / s
-        q[k] = (r[k, i] + r[i, k]) / s
-        w = (r[k, j] - r[j, k]) / s
-        x, y, z = q
-    return _su2(w, x, y, z)
+_QUARTER = math.pi / 2.0
 
-
-def _frame_change(outer, inner):
-    """(g^dag, g) for g in SU(2) with g sigma_z g^dag = sigma_outer and
-    g sigma_y g^dag = sigma_inner."""
-    zv = _AXIS_VEC[outer]
-    yv = _AXIS_VEC[inner]
-    xv = np.cross(yv, zv)
-    g = _su2_from_rotation(np.column_stack([xv, yv, zv]))
-    return g.conj().T.copy(), g
-
-
-#: ``_frame_change`` of every axis pair but (Z, Y), whose frame change is
-#: the identity.
+#: (g^dag, g) for every axis pair (outer, inner) but (Z, Y), whose frame
+#: change is the identity: g in SU(2) with g sigma_z g^dag = sigma_outer and
+#: g sigma_y g^dag = sigma_inner exactly, not only up to a sign, as a
+#: product of quarter turns (rightmost applied first).
 _FRAMES = {
-    (o, i): _frame_change(o, i)
-    for o in Axis
-    for i in Axis
-    if o is not i and (o, i) != (Axis.Z, Axis.Y)
+    pair: (g.conj().T.copy(), g)
+    for pair, g in (
+        ((Axis.Z, Axis.X), rotation_matrix2(Axis.Z, -_QUARTER)),
+        ((Axis.X, Axis.Y), rotation_matrix2(Axis.Y, _QUARTER)),
+        ((Axis.X, Axis.Z), rotation_matrix2(Axis.Z, _QUARTER) @ rotation_matrix2(Axis.X, _QUARTER)),
+        ((Axis.Y, Axis.X), rotation_matrix2(Axis.X, -_QUARTER) @ rotation_matrix2(Axis.Z, -_QUARTER)),
+        ((Axis.Y, Axis.Z), rotation_matrix2(Axis.X, _QUARTER) @ rotation_matrix2(Axis.Y, 2 * _QUARTER)),
+    )
 }
 
 

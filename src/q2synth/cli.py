@@ -118,7 +118,7 @@ def cmd_synth(args):
     u = _resolve_input(args)
     lib = GateLibrary(args.lib)
     print("# input cnot_cost: %d" % cnot_cost(u))
-    if args.enumerate:
+    if args.enumerate is not None:
         results = enumerate_circuits(u, lib, limit=args.enumerate, tol=tol)
         for k, result in enumerate(results, start=1):
             print("# --- candidate %d of %d ---" % (k, len(results)))

@@ -179,7 +179,10 @@ def require_unitary(m, caller, tol=UNITARY_TOL, size=4, special=False, symmetric
     it is a ``size`` x ``size`` unitary (with det 1 if ``special``, equal to
     its transpose if ``symmetric``) to min(UNITARY_TOL, max(tol,
     ROUNDING_TOL)).  Otherwise NotUnitary (NotSymmetricUnitary if
-    ``symmetric``), naming ``caller`` and the tolerance that applied."""
+    ``symmetric``), naming ``caller`` and the tolerance that applied.  A NaN
+    or negative ``tol`` raises ValueError, naming ``caller``."""
+    if not tol >= 0.0:
+        raise ValueError("%s expects tol >= 0, got %r" % (caller, tol))
     m = np.asarray(m, dtype=np.complex128)
     tol = min(UNITARY_TOL, max(tol, ROUNDING_TOL))
     ok = m.shape == (size, size) and (is_special_unitary if special else is_unitary)(m, tol)

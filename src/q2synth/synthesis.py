@@ -25,6 +25,10 @@ basis (``numerics._CORE_BASES``), and reads its one-qubit factors in closed
 form from two SO(4) matrices.  The public stage functions
 (``core_params_*``, ``match_local_factors``) check their inputs and then run
 the same private steps.
+
+One function, ``_assemble``, lays out every library's circuit (a prefix,
+the one-qubit factors c x d, the CNOT core, the factors a x b) and is the
+one place that drops gates, those within ``ZERO_TOL`` of the identity.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def core_params_cyz(u, order=(0, 1, 2)):
 
 def _cyz_params(spectrum, order):
     """``core_params_cyz`` from the canonically ordered spectrum of gamma(u)."""
-    angles = np.angle(spectrum)
+    angles = np.angle(spectrum).tolist()
     x, y, z = (angles[i] - math.pi / 2.0 for i in order)
     return CYZCore(alpha=(x + y) / 2.0, beta=(x + z) / 2.0, delta=(y + z) / 2.0)
 
@@ -228,84 +232,77 @@ def _local_factors(fu, fv):
     return a, b, c, d
 
 
-def _euler_gates(m2, qubit, outer, inner):
-    """Rotation gates realizing a one-qubit matrix, zero angles dropped."""
-    theta, phi, psi, _ = _euler_angles(m2, outer, inner)
-    gates = []
-    for axis, ang in ((outer, psi), (inner, phi), (outer, theta)):
-        ang = wrap_angle(ang)
-        if abs(ang) > nm.ZERO_TOL:
-            gates.append(Rotation(axis, qubit, ang))
-    return gates
+_CXY_CONJ = nm.kron(nm.HADAMARD, nm.HADAMARD)
+
+#: Conjugation by H x H maps R_z(t) to R_x(t) and R_y(t) to R_y(-t).
+_CXY_AXES = {Axis.Z: (Axis.X, 1.0), Axis.Y: (Axis.Y, -1.0)}
+
+
+def _map_cxy_gate(g):
+    """The CXY gate for a CNOT or a CYZ rotation; KeyError or AttributeError,
+    which no candidate loop catches, for any other gate."""
+    if isinstance(g, CNOT):
+        return CNOT(g.target, g.control)
+    axis, sign = _CXY_AXES[g.axis]
+    return Rotation(axis, g.qubit, sign * g.angle)
 
 
 def _local_gates(m2, qubit, lib):
     """The gates of one factor from ``_local_factors``, which is in SU(2) by
-    construction."""
+    construction: the factor itself in BASIC, else its Euler rotations about
+    the library's axes, zero angles included (``_assemble`` drops them)."""
     if lib is GateLibrary.BASIC:
-        return [] if nm._is_identity_up_to_phase(m2) else [Generic1Q._trusted(qubit, m2)]
-    if lib is GateLibrary.CXZ:
-        return _euler_gates(m2, qubit, Axis.Z, Axis.X)
-    return _euler_gates(m2, qubit, Axis.Z, Axis.Y)
+        return (Generic1Q._trusted(qubit, m2),)
+    inner = Axis.X if lib is GateLibrary.CXZ else Axis.Y
+    theta, phi, psi, _ = _euler_angles(m2, Axis.Z, inner)
+    return (Rotation(Axis.Z, qubit, psi), Rotation(inner, qubit, phi), Rotation(Axis.Z, qubit, theta))
 
 
-def _strip_zero_rotations(gates):
-    out = []
-    for g in gates:
+def _assemble(prefix, core, factors, lib):
+    """The circuit ``prefix``, c x d, ``core``, a x b for the factors (a, b,
+    c, d) of ``_local_factors``, in the gates of ``lib`` (for CXY, the CYZ
+    gates through ``_map_cxy_gate``).  Each rotation is wrapped to (-pi, pi]
+    and dropped within ``ZERO_TOL`` of 0, each Generic1Q within ``ZERO_TOL``
+    of the identity."""
+    cxy = lib is GateLibrary.CXY
+    a, b, c, d = factors
+    right = _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
+    left = _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
+    gates = []
+    for g in itertools.chain(prefix, right, core, left):
+        if cxy:
+            g = _map_cxy_gate(g)
         if isinstance(g, Rotation):
-            ang = wrap_angle(g.angle)
-            if abs(ang) <= nm.ZERO_TOL:
+            angle = wrap_angle(g.angle)
+            if abs(angle) <= nm.ZERO_TOL:
                 continue
-            g = Rotation(g.axis, g.qubit, ang)
-        out.append(g)
-    return out
+            if angle != g.angle:
+                g = Rotation(g.axis, g.qubit, angle)
+        elif isinstance(g, Generic1Q) and nm._is_identity_up_to_phase(g.matrix):
+            continue
+        gates.append(g)
+    return Circuit(tuple(gates))
 
 
-#: The factor that takes the CYZ core, of determinant exactly -1 (arg +pi),
-#: to SU(4): bit for bit ``_su4_normalize(simulate(core))[0]``.
+#: The factor that takes an operator of determinant exactly -1 to SU(4), bit
+#: for bit as ``_su4_normalize`` does: the CYZ core in ``_synthesize_cyz_like``
+#: and u C[0->1], u in SU(4), in ``_cxz_state``.
 _CORE_PHASE = cmath.exp(-1j * (math.pi / 4.0))
 
 
 def _synthesize_cyz_like(target, lib, order):
-    """CYZ and BASIC share the same core; only the local-layer encoding differs."""
+    """CYZ, CXY and BASIC share the same core; only the local-layer encoding
+    differs.  For CXY ``target`` is prepared from (H x H) u (H x H)."""
     core = cyz_core_circuit(_cyz_params(target.d, order))
-    core_norm = simulate(core) * _CORE_PHASE
-    a, b, c, d = _local_factors(target, _magic_form(core_norm))
-    gates = []
-    gates += _local_gates(c, 0, lib)
-    gates += _local_gates(d, 1, lib)
-    gates += _strip_zero_rotations(core.gates)
-    gates += _local_gates(a, 0, lib)
-    gates += _local_gates(b, 1, lib)
-    return Circuit(tuple(gates)), "%d%d%d" % order
-
-
-_CXY_CONJ = nm.kron(nm.HADAMARD, nm.HADAMARD)
-
-
-def _map_cxy_gate(g):
-    if isinstance(g, Rotation):
-        if g.axis is Axis.Z:
-            return Rotation(Axis.X, g.qubit, g.angle)
-        if g.axis is Axis.Y:
-            return Rotation(Axis.Y, g.qubit, -g.angle)
-        raise VerificationFailed("unexpected axis in CYZ intermediate circuit")
-    if isinstance(g, CNOT):
-        return CNOT(g.target, g.control)
-    raise VerificationFailed("unexpected gate in CYZ intermediate circuit")
-
-
-def _synthesize_cxy(target, order):
-    """``target`` is prepared from (H x H) u (H x H)."""
-    circuit, tag = _synthesize_cyz_like(target, GateLibrary.CYZ, order)
-    return Circuit(tuple(_map_cxy_gate(g) for g in circuit.gates)), tag
+    factors = _local_factors(target, _magic_form(simulate(core) * _CORE_PHASE))
+    return _assemble((), core.gates, factors, lib), "%d%d%d" % order
 
 
 def _cxz_state(u_norm):
     """The per-input state of the CXZ construction: its core parameters and
     the magic form of M = su4(u C[0->1] Delta(psi)), which every variant is
     matched against; no variant changes either."""
-    u_mat, _ = _su4_normalize(u_norm @ nm.CNOT01)
+    u_mat = u_norm @ nm.CNOT01 * _CORE_PHASE
     psi, m_mat = _cxz_shift(u_mat)
     target = _magic_form(m_mat)
     return _cxz_params(psi, target.d), target
@@ -320,42 +317,34 @@ def _synthesize_cxz(state, variant):
         phi = -phi
     if neg:
         theta, phi = -theta, -phi
-
     if swap_wires:
         mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
     else:
         mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
-    w_core = Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))
+    core = (CNOT(0, 1),) + mid + (CNOT(0, 1),)
     # CNOT (Rx x Rz) CNOT has determinant 1: the core is its own SU(4) form.
-    a, b, c, d = _local_factors(target, _magic_form(simulate(w_core)))
-
-    gates = [Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1)]
-    gates += _local_gates(c, 0, GateLibrary.CXZ)
-    gates += _local_gates(d, 1, GateLibrary.CXZ)
-    gates += _strip_zero_rotations(w_core.gates)
-    gates += _local_gates(a, 0, GateLibrary.CXZ)
-    gates += _local_gates(b, 1, GateLibrary.CXZ)
-    tag = "rs"
-    if swap_rs:
-        tag = "sr"
-    if neg:
-        tag = "-" + tag
-    if swap_wires:
-        tag += ":zx"
-    return Circuit(tuple(_strip_zero_rotations(gates))), tag
+    factors = _local_factors(target, _magic_form(simulate(Circuit(core))))
+    prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
+    return _assemble(prefix, core, factors, GateLibrary.CXZ), _CXZ_TAGS[variant]
 
 
-_CXZ_VARIANTS = tuple(
-    (neg, swap_rs, swap_wires)
-    for swap_wires in (False, True)
-    for neg in (False, True)
-    for swap_rs in (False, True)
-)
+#: Every CXZ variant (conjugate_labeling, swap_pair_roles,
+#: swap_core_wires), in the order they are tried, with its tag.
+_CXZ_TAGS = {
+    (False, False, False): "rs",
+    (False, True, False): "sr",
+    (True, False, False): "-rs",
+    (True, True, False): "-sr",
+    (False, False, True): "rs:zx",
+    (False, True, True): "sr:zx",
+    (True, False, True): "-rs:zx",
+    (True, True, True): "-sr:zx",
+}
 
 
 def _candidate_tags(lib):
     if lib is GateLibrary.CXZ:
-        return _CXZ_VARIANTS
+        return tuple(_CXZ_TAGS)
     return EIGEN_ORDERS
 
 
@@ -370,14 +359,6 @@ def _prepare(u, lib):
     if lib is GateLibrary.CXZ:
         return _cxz_state(u_norm)
     return _magic_form(u_norm)
-
-
-def _synthesize_one(state, lib, candidate):
-    if lib is GateLibrary.CXZ:
-        return _synthesize_cxz(state, candidate)
-    if lib is GateLibrary.CXY:
-        return _synthesize_cxy(state, candidate)
-    return _synthesize_cyz_like(state, lib, candidate)
 
 
 def _result_for(u, circuit, tag, tol):
@@ -403,7 +384,10 @@ def _outcomes(u, lib, tol, caller):
     state = _prepare(u, lib)
     for candidate in _candidate_tags(lib):
         try:
-            circuit, tag = _synthesize_one(state, lib, candidate)
+            if lib is GateLibrary.CXZ:
+                circuit, tag = _synthesize_cxz(state, candidate)
+            else:
+                circuit, tag = _synthesize_cyz_like(state, lib, candidate)
             outcome = _result_for(u, circuit, tag, tol)
         except (VerificationFailed, CosetMismatch) as exc:
             outcome = exc

@@ -95,6 +95,18 @@ class TestSynthCommand:
         assert code == 3
         assert "verification" in err
 
+    def test_nan_verify_tol_exit_code(self, capsys):
+        # A NaN bound would accept any circuit: it is refused as bad input.
+        code, _, err = run(capsys, "synth", "--gate", "cnot", "--verify-tol", "nan")
+        assert code == 2
+        assert "tol >= 0" in err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_enumerate_below_one_exit_code(self, capsys, count):
+        code, _, err = run(capsys, "synth", "--gate", "cnot", "--enumerate", count)
+        assert code == 2
+        assert "limit must be >= 1" in err
+
     def test_matrix_input(self, tmp_path, capsys):
         u = named_gate("random", 9)
         path = tmp_path / "m.txt"

@@ -25,13 +25,12 @@ from q2synth.synthesis import (
     CXZCore,
     CYZCore,
     GateLibrary,
+    _assemble,
     _candidate_tags,
     _conjugate_pair_angles,
     _delta_matrix,
-    _local_gates,
     _map_cxy_gate,
     _result_for,
-    _strip_zero_rotations,
     core_params_cxz,
     core_params_cyz,
     cyz_core_circuit,
@@ -124,19 +123,15 @@ def chamber_corpus(draws=4):
 def reference_candidate(u, lib, candidate):
     """One candidate composed from the public stage functions, each with its
     own input checks: su4_normalize, core_params_*, the core circuit,
-    match_local_factors, then the local gates."""
+    match_local_factors, then ``_assemble``."""
     if lib is GateLibrary.CXY:
-        circuit, tag = reference_candidate(_CXY_CONJ @ u @ _CXY_CONJ, GateLibrary.CYZ, candidate)
-        return Circuit(tuple(_map_cxy_gate(g) for g in circuit.gates)), tag
+        u = _CXY_CONJ @ u @ _CXY_CONJ
     u_norm, _ = su4_normalize(u)
     if lib is not GateLibrary.CXZ:
         core = cyz_core_circuit(core_params_cyz(u_norm, candidate))
         core_norm, _ = su4_normalize(simulate(core))
-        a, b, c, d = match_local_factors(u_norm, core_norm)
-        gates = _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
-        gates += _strip_zero_rotations(core.gates)
-        gates += _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
-        return Circuit(tuple(gates)), "%d%d%d" % candidate
+        factors = match_local_factors(u_norm, core_norm)
+        return _assemble((), core.gates, factors, lib), "%d%d%d" % candidate
 
     neg, swap_rs, swap_wires = candidate
     params = core_params_cxz(u_norm)
@@ -151,13 +146,10 @@ def reference_candidate(u, lib, candidate):
     w_norm, _ = su4_normalize(simulate(w_core))
     u_mat, _ = su4_normalize(u_norm @ nm.CNOT01)
     m_mat, _ = su4_normalize(u_mat @ _delta_matrix(params.psi))
-    a, b, c, d = match_local_factors(m_mat, w_norm)
-    gates = [Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1)]
-    gates += _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
-    gates += _strip_zero_rotations(w_core.gates)
-    gates += _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
+    factors = match_local_factors(m_mat, w_norm)
+    prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
     tag = ("-" if neg else "") + ("sr" if swap_rs else "rs") + (":zx" if swap_wires else "")
-    return Circuit(tuple(_strip_zero_rotations(gates))), tag
+    return _assemble(prefix, w_core.gates, factors, lib), tag
 
 
 def reference_synthesize(u, lib, tol=DEFAULT_TOL):
@@ -305,16 +297,46 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_library_conformance(self, lib):
-        rng = np.random.default_rng(7)
-        u = nm.haar_unitary(4, rng)
-        result = synthesize(u, lib)
-        for g in result.circuit.gates:
-            if isinstance(g, Rotation):
-                assert lib is GateLibrary.BASIC or g.axis in ROTATION_AXES[lib]
-            elif isinstance(g, Generic1Q):
-                assert lib is GateLibrary.BASIC
-            else:
-                assert isinstance(g, CNOT)
+        # The contract of _assemble, on chamber inputs and named gates, whose
+        # cores and factors have zero angles and identity factors: every
+        # rotation angle wrapped and nonzero, every gate in the library.
+        inputs = [nm.haar_unitary(4, np.random.default_rng(7))] + list(chamber_corpus())
+        inputs += [nm.I4, nm.CNOT01, nm.SWAP_MAT, nm.CZ_MAT]
+        for u in inputs:
+            for g in synthesize(u, lib).circuit.gates:
+                if isinstance(g, Rotation):
+                    assert -math.pi < g.angle <= math.pi
+                    assert abs(g.angle) > nm.ZERO_TOL
+                    assert lib is GateLibrary.BASIC or g.axis in ROTATION_AXES[lib]
+                elif isinstance(g, Generic1Q):
+                    assert lib is GateLibrary.BASIC
+                    assert not nm._is_identity_up_to_phase(g.matrix)
+                else:
+                    assert isinstance(g, CNOT)
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_assemble_drops_what_is_within_zero_tol(self, lib):
+        # Identity factors, of either sign or a rounding-level phase away,
+        # and rotations by multiples of 2 pi or by rounding-level angles.
+        near = np.diag([np.exp(0.4e-12j), np.exp(-0.4e-12j)])
+        core = (
+            CNOT(1, 0),
+            Rotation(Axis.Z, 0, 2 * math.pi),
+            Rotation(Axis.Y, 1, -3 * math.pi),
+            CNOT(0, 1),
+            Rotation(Axis.Y, 1, 0.5e-12),
+            CNOT(1, 0),
+        )
+        circuit = _assemble((), core, (nm.I2, -nm.I2, near, nm.I2), lib)
+        assert len(circuit) == 4 and circuit.cnot_count == 3
+        rotations = [(g.axis, g.qubit, g.angle) for g in circuit.gates if isinstance(g, Rotation)]
+        assert rotations == [(Axis.Y, 1, math.pi)]
+
+    def test_cxy_map_refuses_a_gate_outside_cyz(self):
+        # Not a VerificationFailed, which the candidate loop would take for
+        # a failed candidate.
+        with pytest.raises(KeyError):
+            _map_cxy_gate(Rotation(Axis.X, 0, 0.3))
 
     @pytest.mark.parametrize(
         "name,matrix",
@@ -536,6 +558,18 @@ class TestCorePhase:
         for alpha, beta, delta in triples:
             core = simulate(cyz_core_circuit(CYZCore(alpha, beta, delta)))
             assert np.array_equal(core * _CORE_PHASE, _su4_normalize(core)[0])
+
+    def test_core_phase_takes_u_cnot_to_su4_bit_for_bit(self):
+        # u C[0->1], u in SU(4), has determinant -1 as the CYZ core does, so
+        # _cxz_state takes it to SU(4) by the same constant; also for inputs
+        # 0.9 UNITARY_TOL off unitary, which the input check accepts.
+        rng = np.random.default_rng(22)
+        scale = math.sqrt(1.0 + 0.9 * nm.UNITARY_TOL / 2.0)
+        for _ in range(300):
+            m = nm.haar_unitary(4, rng)
+            for u in (m, m * scale):
+                prod = _su4_normalize(u)[0] @ nm.CNOT01
+                assert np.array_equal(prod * _CORE_PHASE, _su4_normalize(prod)[0])
 
     @pytest.mark.parametrize("swap_wires", [False, True])
     def test_cxz_core_is_already_special_unitary(self, swap_wires):

@@ -125,6 +125,17 @@ ENTRY_POINTS = [
     ),
 ]
 
+#: Every public call that takes a ``tol``: (name in its error message, the
+#: call on an input and a tol).
+TOL_CALLS = [
+    ("synthesize", lambda m, tol: synthesize(m, tol=tol)),
+    ("enumerate_circuits", lambda m, tol: enumerate_circuits(m, tol=tol)),
+    ("cnot_cost", lambda m, tol: cnot_cost(m, tol=tol)),
+    ("same_left_coset", lambda m, tol: same_left_coset(m, m, tol=tol)),
+    ("same_double_coset", lambda m, tol: same_double_coset(m, m, tol=tol)),
+]
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("name,call,make,error", ENTRY_POINTS, ids=[e[0] for e in ENTRY_POINTS])
     def test_boundary(self, name, call, make, error):
@@ -150,16 +161,7 @@ class TestInputChecks:
                     callers.add(node.args[index].value)
         assert callers == {e[0] for e in ENTRY_POINTS}
 
-    @pytest.mark.parametrize(
-        "name,call",
-        [
-            ("synthesize", lambda m, tol: synthesize(m, tol=tol)),
-            ("enumerate_circuits", lambda m, tol: enumerate_circuits(m, tol=tol)),
-            ("cnot_cost", lambda m, tol: cnot_cost(m, tol=tol)),
-            ("same_left_coset", lambda m, tol: same_left_coset(m, m, tol=tol)),
-            ("same_double_coset", lambda m, tol: same_double_coset(m, m, tol=tol)),
-        ],
-    )
+    @pytest.mark.parametrize("name,call", TOL_CALLS)
     def test_a_caller_tol_tightens_the_check_down_to_the_floor(self, name, call):
         m = _su4(np.random.default_rng(21))
         # A looser tol leaves the check at UNITARY_TOL.
@@ -176,6 +178,15 @@ class TestInputChecks:
             call(off_unitary(m, 0.9e-10), 1e-18)
         except VerificationFailed:
             pass
+
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12])
+    @pytest.mark.parametrize("name,call", TOL_CALLS)
+    def test_a_nan_or_negative_tol_is_refused(self, name, call, tol):
+        # ``residual > nan`` is False, so a NaN tol would accept any circuit.
+        m = _su4(np.random.default_rng(21))
+        with pytest.raises(ValueError, match=r"^%s expects tol >= 0" % name):
+            call(m, tol)
 
 
 class TestOneCheckPerCall:
