@@ -117,14 +117,18 @@ def cmd_synth(args):
     tol = args.verify_tol
     u = _resolve_input(args)
     lib = GateLibrary(args.lib)
-    print("# input cnot_cost: %d" % cnot_cost(u))
+    # Everything is computed before the first line is printed, so a refused
+    # command writes nothing to stdout.
+    cost = cnot_cost(u)
     if args.enumerate is not None:
         results = enumerate_circuits(u, lib, limit=args.enumerate, tol=tol)
-        for k, result in enumerate(results, start=1):
-            print("# --- candidate %d of %d ---" % (k, len(results)))
-            _print_result(result, lib, args.qasm)
     else:
-        _print_result(synthesize(u, lib, tol=tol), lib, args.qasm)
+        results = [synthesize(u, lib, tol=tol)]
+    print("# input cnot_cost: %d" % cost)
+    for k, result in enumerate(results, start=1):
+        if args.enumerate is not None:
+            print("# --- candidate %d of %d ---" % (k, len(results)))
+        _print_result(result, lib, args.qasm)
     return EXIT_OK
 
 

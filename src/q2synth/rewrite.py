@@ -13,7 +13,10 @@ forward direction is declared to be the reducing one: wherever it fires, it
 lowers the lexicographic measure (gate count, CNOT position sum, SWAP
 distance from the right end), so the reduction terminates, CNOTs move left
 and SWAPs accumulate at the end of the circuit.  The tests check this on
-every sample of every rule ``reduce`` uses.
+every sample of every rule ``reduce`` uses.  Every forward window has two
+gates of fixed types (``_REDUCE_SLOTS``), so ``reduce`` looks up the rules
+that can fire on a window by the types of its gates (``_DISPATCH``, built
+at import) and caches only the lowest-tier hit at each position.
 
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
 rewrites can ever make two CNOTs adjacent, by breadth-first search over the
@@ -498,25 +501,35 @@ _REDUCE_PRIORITY = (
     ("CommuteRxTarget", "CommuteRzControl", "CommuteSxTarget", "CommuteSzControl"),
 )
 
-#: The tiers of ``_REDUCE_PRIORITY``, each rule trimmed to its reducing
-#: direction ``matchers[0]``.
-_REDUCE_TIERS = tuple(
-    tuple(_rule(rule_id, RULES[rule_id].matchers[:1], ()) for rule_id in tier)
-    for tier in _REDUCE_PRIORITY
-)
+#: The gate types that the two slots of each reduce rule's forward window
+#: must have; on a window of any other types its matcher returns None.
+_REDUCE_SLOTS = {
+    "CancelCNOT": (CNOT, CNOT),
+    "CancelSWAP": (Swap, Swap),
+    "MergeRotations": (_ONE_QUBIT, _ONE_QUBIT),
+    "CNOTPairToSWAP": (CNOT, CNOT),
+    "MoveCNOTviaSWAP": (Swap, CNOT),
+    "Move1QviaSWAP": (Swap, _ONE_QUBIT),
+    "CommuteRxTarget": (Rotation, CNOT),
+    "CommuteRzControl": (Rotation, CNOT),
+    "CommuteSxTarget": (_ONE_QUBIT, CNOT),
+    "CommuteSzControl": (_ONE_QUBIT, CNOT),
+}
 
-#: How far left of a rewritten span a window can start and still overlap it.
-_REACH = max(a for tier in _REDUCE_TIERS for rule in tier for a in rule.arity) - 1
+_GATE_TYPES = (Rotation, CNOT, Generic1Q, Swap)
 
-
-def _first_hit(tier, gates, pos):
-    """(rule_id, length, replacement) of the first rule of ``tier`` that
-    matches at ``pos``, else None."""
-    for rule in tier:
-        hit = rule.match(gates, pos)
-        if hit is not None:
-            return (rule.id,) + hit
-    return None
+#: (type(a), type(b)) -> the (tier, rule_id, forward matcher) entries that
+#: can fire on a window (a, b), in priority order.
+_DISPATCH = {
+    (ta, tb): tuple(
+        (tier, rule_id, RULES[rule_id].matchers[0][1])
+        for tier, rule_ids in enumerate(_REDUCE_PRIORITY)
+        for rule_id in rule_ids
+        if issubclass(ta, _REDUCE_SLOTS[rule_id][0]) and issubclass(tb, _REDUCE_SLOTS[rule_id][1])
+    )
+    for ta in _GATE_TYPES
+    for tb in _GATE_TYPES
+}
 
 
 def reduce(c):
@@ -528,30 +541,57 @@ def reduce(c):
     circuit.
     """
     gates = list(c.gates)
+    for g in gates:
+        if type(g) not in _GATE_TYPES:
+            raise TypeError("not a gate: %r" % (g,))
+    # hits[p] caches the lowest-tier hit at position p, and flags[t][p] is 1
+    # where that hit is of tier t, so the first position of the lowest tier
+    # with any hit is a C-speed find.  No position holds a hit of a tier
+    # below that one, so this is the step that trying every tier in turn
+    # would choose.  Every forward window has two gates: a rewrite at pos
+    # changes only the windows that start in [pos - 1, pos +
+    # len(replacement)); later entries shift with the gates and are kept,
+    # since a match depends only on its window.
+    hits = []
+    flags = [bytearray() for _ in _REDUCE_PRIORITY]
+
+    def lowest_hit(p):
+        """(tier, rule_id, replacement) of the first dispatched rule that
+        fires on the window at p, else None."""
+        if p + 1 < len(gates):
+            a, b = gates[p], gates[p + 1]
+            for tier, rule_id, fn in _DISPATCH[type(a), type(b)]:
+                rep = fn((a, b))
+                if rep is not None:
+                    return tier, rule_id, rep
+        return None
+
+    def refresh(lo, old_end, new_end):
+        """Match the windows at [lo, new_end), in place of the cached
+        entries at [lo, old_end)."""
+        fresh = [lowest_hit(p) for p in range(lo, new_end)]
+        hits[lo:old_end] = fresh
+        blank = bytes(len(fresh))
+        for tier_flags in flags:
+            tier_flags[lo:old_end] = blank
+        for p, h in enumerate(fresh, lo):
+            if h is not None:
+                flags[h[0]][p] = 1
+
     initial = len(gates)
     steps = []
-    # hits[t][p] caches _first_hit of tier t at position p, and found[t][p]
-    # is 1 where it is not None, so the first hit is a C-speed find.  A
-    # rewrite at pos only changes windows that start in [pos - _REACH,
-    # pos + len(replacement)); later entries shift with the gates and are
-    # kept, since a match depends only on its window.
-    hits = [[_first_hit(tier, gates, p) for p in range(len(gates))] for tier in _REDUCE_TIERS]
-    found = [bytearray(h is not None for h in tier_hits) for tier_hits in hits]
+    refresh(0, 0, initial)
     while True:
-        for tier_hits, flags in zip(hits, found):
-            pos = flags.find(1)
+        for tier_flags in flags:
+            pos = tier_flags.find(1)
             if pos >= 0:
                 break
         else:
             break
-        rule_id, length, replacement = tier_hits[pos]
-        gates[pos : pos + length] = replacement
+        _, rule_id, replacement = hits[pos]
+        gates[pos : pos + 2] = replacement
         steps.append((rule_id, pos))
-        lo, old_end, new_end = max(pos - _REACH, 0), pos + length, pos + len(replacement)
-        for tier, tier_hits, flags in zip(_REDUCE_TIERS, hits, found):
-            fresh = [_first_hit(tier, gates, p) for p in range(lo, new_end)]
-            tier_hits[lo:old_end] = fresh
-            flags[lo:old_end] = bytes(h is not None for h in fresh)
+        refresh(max(pos - 1, 0), pos + 2, pos + len(replacement))
     trace = ReductionTrace(steps=tuple(steps), initial_gate_count=initial, final_gate_count=len(gates))
     return Circuit(tuple(gates)), trace
 

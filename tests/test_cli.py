@@ -107,6 +107,21 @@ class TestSynthCommand:
         assert code == 2
         assert "limit must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["--verify-tol", "nan"], 2),
+            (["--enumerate", "0"], 2),
+            (["--verify-tol", "1e-18"], 3),
+            (["--enumerate", "4", "--verify-tol", "1e-18"], 3),
+        ],
+    )
+    def test_refused_synth_writes_nothing_to_stdout(self, capsys, argv, exit_code):
+        code, out, err = run(capsys, "synth", "--gate", "random", "--seed", "5", *argv)
+        assert code == exit_code
+        assert out == ""
+        assert err
+
     def test_matrix_input(self, tmp_path, capsys):
         u = named_gate("random", 9)
         path = tmp_path / "m.txt"

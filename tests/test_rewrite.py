@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from q2synth import numerics as nm
+from q2synth import rewrite
 from q2synth.circuit import (
     CNOT,
     Axis,
@@ -18,10 +19,10 @@ from q2synth.circuit import (
 )
 from q2synth.errors import NoMatch, UnsupportedGate
 from q2synth.rewrite import (
+    _DISPATCH,
     _REDUCE_PRIORITY,
     RULES,
     ReductionTrace,
-    RewriteRule,
     _is_pauli,
     apply_rule,
     effectively_separated,
@@ -291,6 +292,35 @@ class TestReduce:
         for result in (out, parse_circuit(circuit_to_text(out))):
             assert nm.phase_distance(simulate(result), simulate(c)) <= 2 * nm.UNITARY_TOL
 
+    def test_rejects_a_non_gate(self):
+        with pytest.raises(TypeError, match="not a gate: 'junk'"):
+            reduce(C([CNOT(0, 1), "junk", CNOT(0, 1), CNOT(0, 1)]))
+        with pytest.raises(TypeError, match="not a gate"):
+            reduce(C(["junk"]))
+
+    def test_dispatch_lists_every_rule_that_can_fire(self):
+        # A window's rules are looked up by the exact types of its two
+        # gates; a rule left out of a type pair must never fire on it.
+        gates = [g for rule in RULES.values() for window in rule.samples for g in window]
+        gates += long_circuit(np.random.default_rng(15), 60).gates
+        assert {type(g) for g in gates} == {CNOT, Swap, Rotation, Generic1Q}
+        order = [(tier, rule_id) for tier, rule_ids in enumerate(_REDUCE_PRIORITY) for rule_id in rule_ids]
+        assert all(RULES[rule_id].matchers[0][0] == 2 for _, rule_id in order)
+        fired = set()
+        for a in gates:
+            for b in gates:
+                entries = _DISPATCH[type(a), type(b)]
+                listed = [(tier, rule_id) for tier, rule_id, _ in entries]
+                assert listed == sorted(listed, key=order.index)
+                for _, rule_id, fn in entries:
+                    assert fn is RULES[rule_id].matchers[0][1]
+                for tier, rule_id in order:
+                    if RULES[rule_id].matchers[0][1]((a, b)) is None:
+                        continue
+                    assert (tier, rule_id) in listed, (rule_id, a, b)
+                    fired.add(rule_id)
+        assert fired == {rule_id for _, rule_id in order}
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -329,15 +359,22 @@ class TestIncrementalReduce:
 
     def test_match_attempts_are_linear(self, monkeypatch):
         calls = []
-        match = RewriteRule.match
 
-        def counting(self, gates, pos):
-            calls.append(None)
-            return match(self, gates, pos)
+        def counting(fn):
+            def matcher(w):
+                calls.append(None)
+                return fn(w)
 
-        monkeypatch.setattr(RewriteRule, "match", counting)
+            return matcher
+
+        counted = {
+            types: tuple((tier, rule_id, counting(fn)) for tier, rule_id, fn in entries)
+            for types, entries in _DISPATCH.items()
+        }
+        monkeypatch.setattr(rewrite, "_DISPATCH", counted)
         c = long_circuit(np.random.default_rng(13), 400)
         _, trace = reduce(c)
+        assert calls
         assert len(calls) <= 20 * (len(c.gates) + len(trace.steps))
 
     def test_first_matcher_alone_lowers_the_measure(self):
