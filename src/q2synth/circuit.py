@@ -65,6 +65,8 @@ class Rotation:
     angle: float
 
     def __post_init__(self):
+        if not isinstance(self.axis, Axis):
+            raise ValueError("rotation axis must be an Axis, not %r" % (self.axis,))
         if self.qubit not in (0, 1):
             raise ValueError("qubit must be 0 or 1")
         if not math.isfinite(self.angle):

@@ -21,9 +21,6 @@ import numpy as np
 from . import numerics as nm
 from .circuit import _su4_normalize
 
-# chi[gamma] of an SU(4)-normalized CNOT: spectrum {i, i, -i, -i}.
-CNOT_CHI = nm.CharPoly4((1.0, 0.0, 2.0, 0.0, 1.0))
-
 #: Every permutation of four eigenvalues, the identity first, and its
 #: parity (+1 even, -1 odd); then each again with 4 added, to index -dv in
 #: (dv, -dv).

@@ -13,10 +13,14 @@ forward direction is declared to be the reducing one: wherever it fires, it
 lowers the lexicographic measure (gate count, CNOT position sum, SWAP
 distance from the right end), so the reduction terminates, CNOTs move left
 and SWAPs accumulate at the end of the circuit.  The tests check this on
-every sample of every rule ``reduce`` uses.  Every forward window has two
-gates of fixed types (``_REDUCE_SLOTS``), so ``reduce`` looks up the rules
-that can fire on a window by the types of its gates (``_DISPATCH``, built
-at import) and caches only the lowest-tier hit at each position.
+every sample of every rule ``reduce`` uses.
+
+Each matcher declares its window once, as a tuple of slot types, one per
+gate; ``RewriteRule.match`` checks them, so a matcher function sees only
+windows of its types.  Every forward window of a ``reduce`` rule has two
+slots, so ``reduce`` looks up the rules that can fire on a window by the
+types of its gates (``_DISPATCH``, built at import from those slots) and
+caches only the lowest-tier hit at each position.
 
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
 rewrites can ever make two CNOTs adjacent, by breadth-first search over the
@@ -59,14 +63,15 @@ def _phase_close2(m, target):
 
 
 def _is_pauli(g, axis):
-    """Whether g is the Pauli matrix about ``axis``, up to global phase.
+    """Whether the one-qubit gate g is the Pauli matrix about ``axis``, up
+    to global phase.
 
     A rotation about another axis b never is: tr(sigma_axis R_b(t)) = 0, so
     its phase distance to sigma_axis is exactly 2.
     """
     if isinstance(g, Rotation) and g.axis is not axis:
         return False
-    return isinstance(g, _ONE_QUBIT) and _phase_close2(_one_qubit_matrix(g), _PAULI[axis])
+    return _phase_close2(_one_qubit_matrix(g), _PAULI[axis])
 
 
 _S_MATS = {axis: rotation_matrix2(axis, math.pi / 2.0) for axis in Axis}
@@ -96,13 +101,15 @@ def _mirror_gate(g):
 class RewriteRule:
     """A window rewrite: ``matchers`` maps a gate window to its replacement.
 
-    Each matcher is (window_length, fn); fn returns the replacement gate
-    list or None.  ``matchers[0]`` is the forward direction, the only one
-    ``reduce`` applies; for every rule it uses, that direction lowers
-    reduce's measure wherever it fires.  A bidirectional rule adds matchers
-    that read the identity backward, which ``apply_rule`` and
-    ``effectively_separated`` also try.  ``samples`` produces concrete
-    windows used to verify the rule numerically at registration time.
+    Each matcher is (slots, fn): ``slots`` holds the gate type (or tuple of
+    types) of each window position, and fn, called only on a window of
+    those types, returns the replacement gate list or None.  ``matchers[0]``
+    is the forward direction, the only one ``reduce`` applies; for every
+    rule it uses, that direction lowers reduce's measure wherever it fires.
+    A bidirectional rule adds matchers that read the identity backward,
+    which ``apply_rule`` and ``effectively_separated`` also try.
+    ``samples`` holds concrete windows, with every type that each slot
+    admits, used to verify the rule numerically at registration time.
     """
 
     id: str
@@ -113,12 +120,18 @@ class RewriteRule:
 
     def match(self, gates, pos):
         """(consumed_length, replacement) for the first matcher that fires."""
-        for length, fn in self.matchers:
+        for slots, fn in self.matchers:
+            length = len(slots)
             if pos + length > len(gates):
                 continue
-            rep = fn(tuple(gates[pos : pos + length]))
-            if rep is not None:
-                return length, tuple(rep)
+            # Slot by slot, so a window of other types costs no tuple.
+            for p, slot in enumerate(slots, pos):
+                if not isinstance(gates[p], slot):
+                    break
+            else:
+                rep = fn(tuple(gates[pos : pos + length]))
+                if rep is not None:
+                    return length, tuple(rep)
         return None
 
 
@@ -128,49 +141,40 @@ class RewriteRule:
 
 def _cancel_cnot(w):
     a, b = w
-    if isinstance(a, CNOT) and isinstance(b, CNOT) and a.control == b.control and a.target == b.target:
+    if a.control == b.control and a.target == b.target:
         return []
     return None
 
 
 def _cancel_swap(w):
-    if isinstance(w[0], Swap) and isinstance(w[1], Swap):
-        return []
-    return None
+    return []
 
 
 def _cnot_pair_to_swap(w):
     a, b = w
-    if isinstance(a, CNOT) and isinstance(b, CNOT) and a.control == b.target and a.target == b.control:
+    if a.control == b.target and a.target == b.control:
         return [b, Swap()]
     return None
 
 
 def _cnot_pair_from_swap(w):
-    a, b = w
-    if isinstance(a, CNOT) and isinstance(b, Swap):
-        return [CNOT(a.target, a.control), a]
-    return None
-
-
-def _on_line(g, c, line):
-    """Whether g is a one-qubit gate on the ``line`` ('control' or 'target')
-    of the CNOT c."""
-    return isinstance(c, CNOT) and isinstance(g, _ONE_QUBIT) and g.qubit == getattr(c, line)
+    a, _ = w
+    return [CNOT(a.target, a.control), a]
 
 
 def _commute(axis, line, pauli):
     """Matchers (forward, backward) exchanging a CNOT with a one-qubit gate
-    on its ``line`` that commutes with it: a rotation about ``axis``, or if
-    ``pauli`` any gate equal to the Pauli about ``axis``; forward moves the
-    CNOT left."""
+    on its ``line`` ('control' or 'target') that commutes with it: a
+    rotation about ``axis``, or if ``pauli`` any gate equal to the Pauli
+    about ``axis``; forward moves the CNOT left."""
+    kind = _ONE_QUBIT if pauli else Rotation
 
     def fits(g, c):
-        if not _on_line(g, c, line):
+        if g.qubit != getattr(c, line):
             return False
         if pauli:
             return _is_pauli(g, axis)
-        return isinstance(g, Rotation) and g.axis is axis
+        return g.axis is axis
 
     def fw(w):
         g, c = w
@@ -184,7 +188,7 @@ def _commute(axis, line, pauli):
             return [g, c]
         return None
 
-    return (2, fw), (2, bw)
+    return ((kind, CNOT), fw), ((CNOT, kind), bw)
 
 
 def _move_pauli(axis, line):
@@ -193,42 +197,36 @@ def _move_pauli(axis, line):
 
     def fw(w):
         g, c = w
-        if _on_line(g, c, line) and _is_pauli(g, axis):
+        if g.qubit == getattr(c, line) and _is_pauli(g, axis):
             return [c, Rotation(axis, g.qubit, math.pi), Rotation(axis, 1 - g.qubit, math.pi)]
         return None
 
     def bw(w):
         c, g1, g2 = w
-        if isinstance(c, CNOT) and _is_pauli(g1, axis) and _is_pauli(g2, axis) and g1.qubit != g2.qubit:
+        if _is_pauli(g1, axis) and _is_pauli(g2, axis) and g1.qubit != g2.qubit:
             return [Rotation(axis, getattr(c, line), math.pi), c]
         return None
 
-    return (2, fw), (3, bw)
+    return ((_ONE_QUBIT, CNOT), fw), ((CNOT, _ONE_QUBIT, _ONE_QUBIT), bw)
 
 
-def _through_swap(kinds):
-    """Matchers (forward, backward) moving a gate of type ``kinds`` through
+def _through_swap(kind):
+    """Matchers (forward, backward) moving a gate of type ``kind`` through
     a SWAP, which mirrors its wires; forward moves the SWAP right."""
 
     def fw(w):
         s, g = w
-        if isinstance(s, Swap) and isinstance(g, kinds):
-            return [_mirror_gate(g), s]
-        return None
+        return [_mirror_gate(g), s]
 
     def bw(w):
         g, s = w
-        if isinstance(s, Swap) and isinstance(g, kinds):
-            return [s, _mirror_gate(g)]
-        return None
+        return [s, _mirror_gate(g)]
 
-    return (2, fw), (2, bw)
+    return ((Swap, kind), fw), ((kind, Swap), bw)
 
 
 def _merge_rotations(w):
     g1, g2 = w
-    if not (isinstance(g1, _ONE_QUBIT) and isinstance(g2, _ONE_QUBIT)):
-        return None
     if g1.qubit != g2.qubit:
         return None
     if isinstance(g1, Rotation) and isinstance(g2, Rotation) and g1.axis is g2.axis:
@@ -269,7 +267,7 @@ def _axis_change(table, rotation_first):
 
     def fn(w):
         r, s = w if rotation_first else w[::-1]
-        if not (isinstance(r, Rotation) and isinstance(s, _ONE_QUBIT) and r.qubit == s.qubit):
+        if r.qubit != s.qubit:
             return None
         a = _s_gate_axis(s)
         if a is None or a is r.axis:
@@ -278,21 +276,19 @@ def _axis_change(table, rotation_first):
         moved = Rotation(new_axis, r.qubit, sign * r.angle)
         return [s, moved] if rotation_first else [moved, s]
 
-    return fn
+    return ((Rotation, _ONE_QUBIT) if rotation_first else (_ONE_QUBIT, Rotation)), fn
 
 
 def _flip_window(w):
     first, last = w[0], w[-1]
-    if not (isinstance(first, CNOT) and isinstance(last, CNOT)):
-        return None
     if first.control != last.control or first.target != last.target:
         return None
     c, t = first.control, first.target
     rx = rz = None
     for g in w[1:-1]:
-        if isinstance(g, Rotation) and g.axis is Axis.X and g.qubit == c and rx is None:
+        if g.axis is Axis.X and g.qubit == c and rx is None:
             rx = g
-        elif isinstance(g, Rotation) and g.axis is Axis.Z and g.qubit == t and rz is None:
+        elif g.axis is Axis.Z and g.qubit == t and rz is None:
             rz = g
         else:
             return None
@@ -320,7 +316,7 @@ def _sz(q):
 def _rule(rule_id, matchers, samples):
     return RewriteRule(
         id=rule_id,
-        arity=tuple(sorted({length for length, _ in matchers})),
+        arity=tuple(sorted({len(slots) for slots, _ in matchers})),
         direction="bidirectional" if len(matchers) > 1 else "forward",
         matchers=tuple(matchers),
         samples=tuple(tuple(s) for s in samples),
@@ -332,13 +328,13 @@ def _build_rules():
     rules = [
         _rule(
             "CancelCNOT",
-            [(2, _cancel_cnot)],
+            [((CNOT, CNOT), _cancel_cnot)],
             [[CNOT(0, 1), CNOT(0, 1)], [CNOT(1, 0), CNOT(1, 0)]],
         ),
-        _rule("CancelSWAP", [(2, _cancel_swap)], [[Swap(), Swap()]]),
+        _rule("CancelSWAP", [((Swap, Swap), _cancel_swap)], [[Swap(), Swap()]]),
         _rule(
             "CNOTPairToSWAP",
-            [(2, _cnot_pair_to_swap), (2, _cnot_pair_from_swap)],
+            [((CNOT, CNOT), _cnot_pair_to_swap), ((CNOT, Swap), _cnot_pair_from_swap)],
             [
                 [CNOT(0, 1), CNOT(1, 0)],
                 [CNOT(1, 0), CNOT(0, 1)],
@@ -366,7 +362,9 @@ def _build_rules():
             _commute(Axis.X, "target", pauli=True),
             [
                 [_sx(1), CNOT(0, 1)],
+                [Rotation(Axis.X, 0, -math.pi), CNOT(1, 0)],
                 [CNOT(1, 0), Rotation(Axis.X, 0, math.pi)],
+                [CNOT(0, 1), _sx(1)],
             ],
         ),
         _rule(
@@ -374,7 +372,9 @@ def _build_rules():
             _commute(Axis.Z, "control", pauli=True),
             [
                 [_sz(0), CNOT(0, 1)],
+                [Rotation(Axis.Z, 1, -math.pi), CNOT(1, 0)],
                 [CNOT(1, 0), Rotation(Axis.Z, 1, math.pi)],
+                [CNOT(0, 1), _sz(0)],
             ],
         ),
         _rule(
@@ -384,6 +384,7 @@ def _build_rules():
                 [_sx(0), CNOT(0, 1)],
                 [Rotation(Axis.X, 1, math.pi), CNOT(1, 0)],
                 [CNOT(0, 1), _sx(0), _sx(1)],
+                [CNOT(1, 0), Rotation(Axis.X, 0, math.pi), Rotation(Axis.X, 1, -math.pi)],
             ],
         ),
         _rule(
@@ -393,6 +394,7 @@ def _build_rules():
                 [_sz(1), CNOT(0, 1)],
                 [Rotation(Axis.Z, 0, math.pi), CNOT(1, 0)],
                 [CNOT(0, 1), _sz(1), _sz(0)],
+                [CNOT(1, 0), Rotation(Axis.Z, 1, -math.pi), Rotation(Axis.Z, 0, math.pi)],
             ],
         ),
         _rule(
@@ -405,22 +407,25 @@ def _build_rules():
             _through_swap(_ONE_QUBIT),
             [
                 [Swap(), Rotation(Axis.Y, 0, a1)],
+                [Swap(), Generic1Q(1, rotation_matrix2(Axis.Z, a2) @ rotation_matrix2(Axis.Y, a1))],
                 [Generic1Q(1, rotation_matrix2(Axis.X, a2) @ rotation_matrix2(Axis.Z, a1)), Swap()],
+                [Rotation(Axis.X, 0, a2), Swap()],
             ],
         ),
         _rule(
             "MergeRotations",
-            [(2, _merge_rotations)],
+            [((_ONE_QUBIT, _ONE_QUBIT), _merge_rotations)],
             [
                 [Rotation(Axis.Y, 0, a1), Rotation(Axis.Y, 0, a2)],
                 [Rotation(Axis.Z, 1, a1), Rotation(Axis.Z, 1, -a1)],
                 [Rotation(Axis.Z, 0, a1), Rotation(Axis.Y, 0, a2)],
                 [Generic1Q(1, rotation_matrix2(Axis.Y, a1)), Rotation(Axis.X, 1, a2)],
+                [Rotation(Axis.X, 0, a1), Generic1Q(0, rotation_matrix2(Axis.Z, a2))],
             ],
         ),
         _rule(
             "AxisChange",
-            [(2, _axis_change(_AXIS_TABLE, True)), (2, _axis_change(_AXIS_TABLE_INV, False))],
+            [_axis_change(_AXIS_TABLE, True), _axis_change(_AXIS_TABLE_INV, False)],
             [
                 [Rotation(Axis.Y, 0, a1), Rotation(Axis.X, 0, math.pi / 2.0)],
                 [Rotation(Axis.Z, 1, a2), Rotation(Axis.X, 1, math.pi / 2.0)],
@@ -428,12 +433,14 @@ def _build_rules():
                 [Rotation(Axis.Z, 0, a2), Rotation(Axis.Y, 0, math.pi / 2.0)],
                 [Rotation(Axis.X, 1, a1), Rotation(Axis.Z, 1, math.pi / 2.0)],
                 [Rotation(Axis.Y, 1, a2), Rotation(Axis.Z, 1, math.pi / 2.0)],
+                [Rotation(Axis.Y, 1, a1), Generic1Q(1, rotation_matrix2(Axis.Z, math.pi / 2.0))],
                 [Rotation(Axis.X, 0, math.pi / 2.0), Rotation(Axis.Y, 0, a1)],
+                [Generic1Q(0, rotation_matrix2(Axis.X, math.pi / 2.0)), Rotation(Axis.Z, 0, a2)],
             ],
         ),
         _rule(
             "FlipCNOTPair",
-            [(4, _flip_window), (3, _flip_window)],
+            [((CNOT, Rotation, Rotation, CNOT), _flip_window), ((CNOT, Rotation, CNOT), _flip_window)],
             [
                 [CNOT(0, 1), Rotation(Axis.X, 0, a1), Rotation(Axis.Z, 1, a2), CNOT(0, 1)],
                 [CNOT(1, 0), Rotation(Axis.X, 1, a1), Rotation(Axis.Z, 0, a2), CNOT(1, 0)],
@@ -501,31 +508,17 @@ _REDUCE_PRIORITY = (
     ("CommuteRxTarget", "CommuteRzControl", "CommuteSxTarget", "CommuteSzControl"),
 )
 
-#: The gate types that the two slots of each reduce rule's forward window
-#: must have; on a window of any other types its matcher returns None.
-_REDUCE_SLOTS = {
-    "CancelCNOT": (CNOT, CNOT),
-    "CancelSWAP": (Swap, Swap),
-    "MergeRotations": (_ONE_QUBIT, _ONE_QUBIT),
-    "CNOTPairToSWAP": (CNOT, CNOT),
-    "MoveCNOTviaSWAP": (Swap, CNOT),
-    "Move1QviaSWAP": (Swap, _ONE_QUBIT),
-    "CommuteRxTarget": (Rotation, CNOT),
-    "CommuteRzControl": (Rotation, CNOT),
-    "CommuteSxTarget": (_ONE_QUBIT, CNOT),
-    "CommuteSzControl": (_ONE_QUBIT, CNOT),
-}
-
 _GATE_TYPES = (Rotation, CNOT, Generic1Q, Swap)
 
-#: (type(a), type(b)) -> the (tier, rule_id, forward matcher) entries that
-#: can fire on a window (a, b), in priority order.
+#: (type(a), type(b)) -> the (tier, rule_id, forward matcher fn) entries
+#: whose two slots admit a window (a, b), in priority order.
 _DISPATCH = {
     (ta, tb): tuple(
-        (tier, rule_id, RULES[rule_id].matchers[0][1])
+        (tier, rule_id, fn)
         for tier, rule_ids in enumerate(_REDUCE_PRIORITY)
         for rule_id in rule_ids
-        if issubclass(ta, _REDUCE_SLOTS[rule_id][0]) and issubclass(tb, _REDUCE_SLOTS[rule_id][1])
+        for (sa, sb), fn in RULES[rule_id].matchers[:1]
+        if issubclass(ta, sa) and issubclass(tb, sb)
     )
     for ta in _GATE_TYPES
     for tb in _GATE_TYPES

@@ -46,6 +46,13 @@ class TestGates:
         with pytest.raises(ValueError):
             Rotation(Axis.X, 0, float("nan"))
 
+    @pytest.mark.parametrize("axis", ["x", "X", None, 0])
+    def test_rotation_rejects_an_axis_that_is_not_an_axis(self, axis):
+        # A string axis would reach simulate as a bare KeyError, and reduce
+        # would merge two such gates without complaint.
+        with pytest.raises(ValueError, match="rotation axis must be an Axis"):
+            Rotation(axis, 0, 0.3)
+
     def test_cnot_validation(self):
         with pytest.raises(ValueError):
             CNOT(0, 0)

@@ -8,7 +8,6 @@ from q2synth import numerics as nm
 from q2synth.circuit import su4_normalize
 from q2synth.errors import CosetMismatch, NotUnitary
 from q2synth.invariants import (
-    CNOT_CHI,
     _align_spectra,
     _magic_form,
     cnot_cost,
@@ -63,7 +62,8 @@ class TestGamma:
         assert sorted(np.angle(data.spectrum)) == pytest.approx(
             [-math.pi / 2, -math.pi / 2, math.pi / 2, math.pi / 2], abs=1e-10
         )
-        assert data.chi.close_to(CNOT_CHI, tol=1e-10)
+        # chi of the spectrum {i, i, -i, -i} is (x^2 + 1)^2.
+        assert data.chi.close_to(nm.CharPoly4((1.0, 0.0, 2.0, 0.0, 1.0)), tol=1e-10)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):

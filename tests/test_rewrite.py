@@ -100,6 +100,18 @@ def long_circuit(rng, n):
     return C(gates)
 
 
+GATE_TYPES = (CNOT, Swap, Rotation, Generic1Q)
+
+
+def fires(matcher, window):
+    """The replacement that a (slots, fn) matcher gives on ``window``, or
+    None when the window does not fit its slots or fn does not fire."""
+    slots, fn = matcher
+    if len(window) != len(slots) or not all(isinstance(g, s) for g, s in zip(window, slots)):
+        return None
+    return fn(tuple(window))
+
+
 def _measure(gates):
     cnot_sum = sum(i for i, g in enumerate(gates) if isinstance(g, CNOT))
     swap_deficit = sum(len(gates) - i for i, g in enumerate(gates) if isinstance(g, Swap))
@@ -151,6 +163,21 @@ class TestRegistry:
                     simulate(C(replacement)), simulate(C(window))
                 )
                 assert err <= 1e-12, (rule.id, err)
+
+    def test_samples_cover_every_slot_type(self):
+        # A matcher's slots are its only type declaration, so a slot too
+        # narrow for its identity shows only on a sample of a type it drops:
+        # the samples that fire a matcher must hold, at each slot, exactly
+        # the types the slot admits, and every sample must fire a matcher.
+        for rule in RULES.values():
+            unfired = set(range(len(rule.samples)))
+            for matcher in rule.matchers:
+                fired = [i for i, w in enumerate(rule.samples) if fires(matcher, w) is not None]
+                unfired -= set(fired)
+                for k, slot in enumerate(matcher[0]):
+                    admitted = {t for t in GATE_TYPES if issubclass(t, slot)}
+                    assert {type(rule.samples[i][k]) for i in fired} == admitted, (rule.id, k)
+            assert not unfired, rule.id
 
     def test_rule_metadata(self):
         for rule in RULES.values():
@@ -303,9 +330,9 @@ class TestReduce:
         # gates; a rule left out of a type pair must never fire on it.
         gates = [g for rule in RULES.values() for window in rule.samples for g in window]
         gates += long_circuit(np.random.default_rng(15), 60).gates
-        assert {type(g) for g in gates} == {CNOT, Swap, Rotation, Generic1Q}
+        assert {type(g) for g in gates} == set(GATE_TYPES)
         order = [(tier, rule_id) for tier, rule_ids in enumerate(_REDUCE_PRIORITY) for rule_id in rule_ids]
-        assert all(RULES[rule_id].matchers[0][0] == 2 for _, rule_id in order)
+        assert all(len(RULES[rule_id].matchers[0][0]) == 2 for _, rule_id in order)
         fired = set()
         for a in gates:
             for b in gates:
@@ -315,7 +342,7 @@ class TestReduce:
                 for _, rule_id, fn in entries:
                     assert fn is RULES[rule_id].matchers[0][1]
                 for tier, rule_id in order:
-                    if RULES[rule_id].matchers[0][1]((a, b)) is None:
+                    if fires(RULES[rule_id].matchers[0], (a, b)) is None:
                         continue
                     assert (tier, rule_id) in listed, (rule_id, a, b)
                     fired.add(rule_id)
@@ -383,19 +410,23 @@ class TestIncrementalReduce:
         # position in any circuit length, and no other matcher may.
         rng = np.random.default_rng(14)
         pads = [long_circuit(rng, n).gates for n in (0, 1, 3, 17, 40)]
+        forward_fired = set()
         for tier in _REDUCE_PRIORITY:
             for rule_id in tier:
                 for window in RULES[rule_id].samples:
-                    for k, (length, fn) in enumerate(RULES[rule_id].matchers):
-                        replacement = fn(window) if length == len(window) else None
+                    for k, matcher in enumerate(RULES[rule_id].matchers):
+                        replacement = fires(matcher, window)
                         if replacement is None:
                             continue
+                        if k == 0:
+                            forward_fired.add(rule_id)
                         for left in pads:
                             for right in pads:
                                 before = left + window + right
                                 after = left + tuple(replacement) + right
                                 lowers = _measure(after) < _measure(before)
                                 assert lowers == (k == 0), (rule_id, k, window, len(left), len(right))
+        assert forward_fired == {rule_id for tier in _REDUCE_PRIORITY for rule_id in tier}
 
 
 class TestPauliTest:
