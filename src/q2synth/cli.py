@@ -232,23 +232,35 @@ def _selftest_synthesis(rng, trials, lib):
 
 
 def _selftest_reduce(rng, trials):
-    from .circuit import CNOT, Axis, Rotation, Swap
+    from .circuit import CNOT, Axis, Generic1Q, Rotation, Swap, rotation_matrix2
 
     worst = 0.0
     axes = list(Axis)
     for _ in range(trials):
         gates = []
         for _ in range(int(rng.integers(1, 30))):
-            k = int(rng.integers(0, 3))
-            if k == 0:
-                c = int(rng.integers(0, 2))
-                gates.append(CNOT(c, 1 - c))
-            elif k == 1:
+            k = int(rng.integers(0, 6))
+            wire = int(rng.integers(0, 2))
+            if k < 2:
+                gates.append(CNOT(wire, 1 - wire))
+            elif k == 2:
                 gates.append(Swap())
+            elif k == 3:
+                angle = float(rng.uniform(-3, 3))
+                gates.append(Rotation(axes[int(rng.integers(0, 3))], wire, angle))
             else:
-                gates.append(
-                    Rotation(axes[int(rng.integers(0, 3))], int(rng.integers(0, 2)), float(rng.uniform(-3, 3)))
-                )
+                # A Haar gate, an exact sigma_x or sigma_z, or a quarter
+                # turn, at a random global phase: the Pauli commutations and
+                # the one-qubit merges all have work.
+                j = int(rng.integers(0, 3))
+                if j == 0:
+                    m = nm.haar_unitary(2, rng)
+                elif j == 1:
+                    m = nm.SIGMA_X if rng.random() < 0.5 else nm.SIGMA_Z
+                else:
+                    quarter = np.pi / 2.0 if rng.random() < 0.5 else -np.pi / 2.0
+                    m = rotation_matrix2(axes[int(rng.integers(0, 3))], quarter)
+                gates.append(Generic1Q(wire, np.exp(1j * rng.uniform(-np.pi, np.pi)) * m))
         circuit = Circuit(tuple(gates))
         reduced, _ = reduce_circuit(circuit)
         worst = max(worst, nm.phase_distance(simulate(reduced), simulate(circuit)))

@@ -22,6 +22,12 @@ slots, so ``reduce`` looks up the rules that can fire on a window by the
 types of its gates (``_DISPATCH``, built at import from those slots) and
 caches only the lowest-tier hit at each position.
 
+The rules' one-qubit questions (is a gate a Pauli or a quarter turn, is a
+merged product the identity, or off unitary) are answered on the gate's four
+entries as Python scalars.  A Pauli or quarter-turn test first compares the
+entry magnitudes, an exact lower bound on the phase distance, and runs the
+NumPy phase distance only for a gate that this screen cannot refuse.
+
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
 rewrites can ever make two CNOTs adjacent, by breadth-first search over the
 rewrite graph with wire-relabeling symmetry folded out.  A ``True`` answer
@@ -33,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import numerics as nm
 from .circuit import (
     _PAULI,
@@ -42,6 +50,8 @@ from .circuit import (
     Generic1Q,
     Rotation,
     Swap,
+    _mul2,
+    _rotation_entries,
     rotation_matrix2,
     simulate,
     wrap_angle,
@@ -51,15 +61,44 @@ from .errors import NoMatch, UnsupportedGate
 _ONE_QUBIT = (Rotation, Generic1Q)
 
 
-def _one_qubit_matrix(g):
-    """The 2x2 matrix of a Rotation or Generic1Q."""
+def _entries(g):
+    """The entries (m00, m01, m10, m11) of a Rotation or Generic1Q, as
+    Python scalars."""
     if isinstance(g, Rotation):
-        return rotation_matrix2(g.axis, g.angle)
-    return g.matrix
+        return _rotation_entries(g.axis, g.angle)
+    return g.matrix.ravel().tolist()
 
 
-def _phase_close2(m, target):
-    return nm.phase_distance(m, target) <= nm.LOCAL_TOL
+def _matrix(e):
+    """The 2x2 complex128 matrix with entries e."""
+    return np.array([e[:2], e[2:]], dtype=np.complex128)
+
+
+def _target(m):
+    """A target of the one-qubit tests: its matrix and its entry magnitudes."""
+    return m, tuple(abs(x) for x in m.ravel().tolist())
+
+
+#: For every phase phi, |e^{i phi} u_ij - v_ij| >= ||u_ij| - |v_ij||, so the
+#: sum of the squared magnitude gaps is a lower bound on the squared phase
+#: distance.  A gate is refused only above (2 LOCAL_TOL)^2, a margin that
+#: rounding in the bound cannot cross, so the screen never refuses a gate
+#: that the phase distance accepts.
+_SCREEN = (2.0 * nm.LOCAL_TOL) ** 2
+
+
+def _phase_close(e, target):
+    """Whether the matrix with entries e is within LOCAL_TOL of the target's
+    matrix up to global phase: the magnitude screen, then the distance."""
+    m, (v0, v1, v2, v3) = target
+    e0, e1, e2, e3 = e
+    gap = (abs(e0) - v0) ** 2 + (abs(e1) - v1) ** 2 + (abs(e2) - v2) ** 2 + (abs(e3) - v3) ** 2
+    if gap > _SCREEN:
+        return False
+    return nm.phase_distance(_matrix(e), m) <= nm.LOCAL_TOL
+
+
+_PAULI_TARGETS = {axis: _target(m) for axis, m in _PAULI.items()}
 
 
 def _is_pauli(g, axis):
@@ -71,20 +110,29 @@ def _is_pauli(g, axis):
     """
     if isinstance(g, Rotation) and g.axis is not axis:
         return False
-    return _phase_close2(_one_qubit_matrix(g), _PAULI[axis])
+    return _phase_close(_entries(g), _PAULI_TARGETS[axis])
 
 
-_S_MATS = {axis: rotation_matrix2(axis, math.pi / 2.0) for axis in Axis}
+_S_TARGETS = {axis: _target(rotation_matrix2(axis, math.pi / 2.0)) for axis in Axis}
 
 
 def _s_gate_axis(g):
     """Axis a such that the one-qubit gate g is a quarter-turn rotation
     about a, else None."""
-    m = _one_qubit_matrix(g)
-    for axis, s in _S_MATS.items():
-        if _phase_close2(m, s):
+    e = _entries(g)
+    for axis, target in _S_TARGETS.items():
+        if _phase_close(e, target):
             return axis
     return None
+
+
+def _unitarity_residual(e):
+    """||m^dag m - I||_F of the 2x2 matrix with entries e, in closed form."""
+    a, b, c, d = e
+    n0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0
+    n1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0
+    off = a.conjugate() * b + c.conjugate() * d
+    return math.sqrt(n0 * n0 + n1 * n1 + 2.0 * (off.real * off.real + off.imag * off.imag))
 
 
 def _mirror_gate(g):
@@ -234,12 +282,16 @@ def _merge_rotations(w):
         if abs(angle) <= nm.ZERO_TOL:
             return []
         return [Rotation(g1.axis, g1.qubit, angle)]
-    prod = _one_qubit_matrix(g2) @ _one_qubit_matrix(g1)
-    if nm._is_identity_up_to_phase(prod):
+    p = _mul2(_entries(g2), _entries(g1))
+    # The rule of numerics._is_identity_up_to_phase, on the entries.
+    p0, p1, p2, p3 = p
+    if abs(p1) + abs(p2) <= nm.ZERO_TOL and abs(p0 - p3) <= nm.ZERO_TOL:
         return []
+    prod = _matrix(p)
     # Each factor may be UNITARY_TOL from unitary, and so their product
-    # twice that; one polar step then takes it back to rounding.
-    if not nm.is_unitary(prod):
+    # twice that; one polar step then takes it back to rounding.  A NaN
+    # residual takes the step too.
+    if not _unitarity_residual(p) <= nm.UNITARY_TOL:
         prod = nm._polar_step(prod)
     return [Generic1Q._trusted(g1.qubit, prod)]
 
@@ -610,10 +662,16 @@ def _gate_key(g):
     return ("c", g.control, g.target)
 
 
+def _mirror_key(k):
+    """The key of the mirror image of the gate whose key is k."""
+    if k[0] == "r":
+        return ("r", k[1], 1 - k[2], k[3])
+    return ("c", k[2], k[1])
+
+
 def _canonical_key(gates):
     direct = tuple(_gate_key(g) for g in gates)
-    mirrored = tuple(_gate_key(_mirror_gate(g)) for g in gates)
-    return min(direct, mirrored)
+    return min(direct, tuple(_mirror_key(k) for k in direct))
 
 
 def _has_adjacent_cnots(gates):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import q2synth
+from q2synth import cli
 from q2synth import numerics as nm
-from q2synth.circuit import parse_circuit, simulate
+from q2synth.circuit import Generic1Q, parse_circuit, simulate
 from q2synth.cli import QFT2, main, named_gate, parse_matrix_text
 from q2synth.errors import CircuitParseError, NotUnitary
+from q2synth.rewrite import apply_rule
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pyproject.toml")
 
@@ -229,6 +231,29 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--trials", "1", "--seed", "0")
         assert code == 0
         assert "gamma-properties" in out
+
+    def test_reduce_row_runs_the_one_qubit_tests(self, monkeypatch):
+        # The reduce-semantics row must merge Generic1Qs and move Paulis
+        # through CNOTs, not only handle rotations.
+        seen = []
+        reduce_circuit = cli.reduce_circuit
+
+        def recording(c):
+            out = reduce_circuit(c)
+            seen.append((c, out[1]))
+            return out
+
+        monkeypatch.setattr(cli, "reduce_circuit", recording)
+        worst, ok = cli._selftest_reduce(np.random.default_rng(0), 25)
+        assert ok and worst <= nm.ROUNDING_TOL
+        # (rule id, whether its window holds a Generic1Q) of every step.
+        fired = set()
+        for c, trace in seen:
+            for rule_id, pos in trace.steps:
+                fired.add((rule_id, any(isinstance(g, Generic1Q) for g in c.gates[pos : pos + 2])))
+                c = apply_rule(c, rule_id, pos)
+        assert {"CommuteSxTarget", "CommuteSzControl"} <= {rule_id for rule_id, _ in fired}
+        assert ("MergeRotations", True) in fired
 
 
 def _child_env():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from q2synth import numerics as nm
 from q2synth import rewrite
@@ -23,7 +25,12 @@ from q2synth.rewrite import (
     _REDUCE_PRIORITY,
     RULES,
     ReductionTrace,
+    _canonical_key,
+    _gate_key,
     _is_pauli,
+    _mirror_gate,
+    _s_gate_axis,
+    _unitarity_residual,
     apply_rule,
     effectively_separated,
     reduce,
@@ -110,6 +117,25 @@ def fires(matcher, window):
     if len(window) != len(slots) or not all(isinstance(g, s) for g, s in zip(window, slots)):
         return None
     return fn(tuple(window))
+
+
+def _magnitude_gap(e, v):
+    """sum_ij (|e_ij| - |v_ij|)^2, a lower bound on the squared phase
+    distance between the matrices with entries e and v."""
+    return sum((abs(complex(x)) - abs(complex(y))) ** 2 for x, y in zip(e, v))
+
+
+def separation_circuit(rng, n):
+    """CNOT/Rx/Rz gates with no two CNOTs adjacent to begin with."""
+    gates = []
+    while len(gates) < n:
+        wire = int(rng.integers(2))
+        if rng.random() < 0.35 and not (gates and isinstance(gates[-1], CNOT)):
+            gates.append(CNOT(wire, 1 - wire))
+        else:
+            axis = Axis.X if rng.random() < 0.5 else Axis.Z
+            gates.append(Rotation(axis, wire, float(rng.uniform(-math.pi, math.pi))))
+    return C(gates)
 
 
 def _measure(gates):
@@ -404,6 +430,38 @@ class TestIncrementalReduce:
         assert calls
         assert len(calls) <= 20 * (len(c.gates) + len(trace.steps))
 
+    def test_one_qubit_tests_do_no_numpy_work_on_far_gates(self, monkeypatch):
+        # Merges check unitarity in closed form, and a phase distance runs
+        # only for a gate whose entry magnitudes pass the screen, which
+        # refuses the Haar gates that make up most of the circuit.
+        c = long_circuit(np.random.default_rng(13), 400)
+        unitary_calls, distance_calls = [], []
+        passed = []
+        is_unitary, phase_distance, phase_close = nm.is_unitary, nm.phase_distance, rewrite._phase_close
+
+        def counting_is_unitary(*args, **kwargs):
+            unitary_calls.append(None)
+            return is_unitary(*args, **kwargs)
+
+        def counting_phase_distance(u, v):
+            distance_calls.append(None)
+            assert _magnitude_gap(np.ravel(u), np.ravel(v)) <= (2.0 * nm.LOCAL_TOL) ** 2
+            return phase_distance(u, v)
+
+        def counting_phase_close(e, target):
+            if _magnitude_gap(e, target[0].ravel()) <= (2.0 * nm.LOCAL_TOL) ** 2:
+                passed.append(None)
+            return phase_close(e, target)
+
+        monkeypatch.setattr(nm, "is_unitary", counting_is_unitary)
+        monkeypatch.setattr(nm, "phase_distance", counting_phase_distance)
+        monkeypatch.setattr(rewrite, "_phase_close", counting_phase_close)
+        _, trace = reduce(c)
+        assert {"MergeRotations", "CommuteSxTarget", "CommuteSzControl"} <= {r for r, _ in trace.steps}
+        assert unitary_calls == []
+        assert distance_calls
+        assert len(distance_calls) <= len(passed)
+
     def test_first_matcher_alone_lowers_the_measure(self):
         # reduce applies only matchers[0] and keeps its cached hits while
         # windows shift, so the first matcher must lower the measure at any
@@ -444,6 +502,106 @@ class TestPauliTest:
                 g = Rotation(axis, qubit, angle)
                 expect = nm.phase_distance(rotation_matrix2(axis, angle), pauli) <= 1e-9
                 assert _is_pauli(g, pauli_axis) == expect, (axis, pauli_axis, angle)
+
+
+_PAULIS = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
+_QUARTER_TURNS = {axis: rotation_matrix2(axis, math.pi / 2.0) for axis in Axis}
+
+#: Examples per property test; derandomized, with no example database, so
+#: the suite draws the same gates on every run.
+_PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+def _gate_matrix2(g):
+    return rotation_matrix2(g.axis, g.angle) if isinstance(g, Rotation) else g.matrix
+
+
+@st.composite
+def near_special_gates(draw):
+    """A Rotation or Generic1Q at phase distance log-uniform in [1e-12,
+    1e-6] from a Pauli or a quarter turn, a Generic1Q at a random global
+    phase."""
+    axis = draw(st.sampled_from(list(Axis)))
+    pauli = draw(st.booleans())
+    distance = 10.0 ** draw(st.floats(-12.0, -6.0))
+    qubit = draw(st.integers(0, 1))
+    # The phase distance of R_n(delta) from the identity is about
+    # |delta| / sqrt(2).
+    delta = math.sqrt(2.0) * distance * draw(st.sampled_from((1.0, -1.0)))
+    if draw(st.booleans()):
+        turn = math.pi if pauli else math.pi / 2.0
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        return Rotation(axis, qubit, sign * turn + delta)
+    n = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = np.linalg.norm(n)
+    n = n / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
+    step = math.cos(delta / 2.0) * nm.I2 - 1j * math.sin(delta / 2.0) * (
+        n[0] * nm.SIGMA_X + n[1] * nm.SIGMA_Y + n[2] * nm.SIGMA_Z
+    )
+    target = _PAULIS[axis] if pauli else _QUARTER_TURNS[axis]
+    phase = np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return Generic1Q(qubit, phase * (target @ step))
+
+
+class TestScalarOneQubitTests:
+    """The one-qubit tests of the rewrite rules run on four scalars behind a
+    magnitude screen; their verdicts must be the ones the phase distance
+    gives, right at LOCAL_TOL."""
+
+    def test_pauli_verdict_equals_phase_distance_verdict(self):
+        verdicts = set()
+
+        @_PROPERTY
+        @given(near_special_gates(), st.sampled_from(list(Axis)))
+        def check(g, axis):
+            expect = nm.phase_distance(_gate_matrix2(g), _PAULIS[axis]) <= nm.LOCAL_TOL
+            assert _is_pauli(g, axis) == expect
+            verdicts.add(expect)
+
+        check()
+        assert verdicts == {True, False}
+
+    def test_quarter_turn_axis_equals_phase_distance_axis(self):
+        answers = set()
+
+        @_PROPERTY
+        @given(near_special_gates())
+        def check(g):
+            m = _gate_matrix2(g)
+            expect = next((a for a, s in _QUARTER_TURNS.items() if nm.phase_distance(m, s) <= nm.LOCAL_TOL), None)
+            assert _s_gate_axis(g) is expect
+            answers.add(expect)
+
+        check()
+        assert answers == {None, *Axis}
+
+    def test_unitarity_residual_agrees_with_is_unitary(self):
+        verdicts = set()
+
+        def near_unitary(rng, size):
+            # A Haar gate plus a random complex matrix of Frobenius norm
+            # ``size``: about 2 * size or less from unitary.
+            e = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            return nm.haar_unitary(2, rng) + size * e / np.linalg.norm(e)
+
+        size = st.floats(0.0, nm.UNITARY_TOL / 2.0)
+
+        @_PROPERTY
+        @given(st.integers(0, 2**32 - 1), size, size)
+        def check(seed, size1, size2):
+            rng = np.random.default_rng(seed)
+            m = near_unitary(rng, size1) @ near_unitary(rng, size2)
+            residual = _unitarity_residual(m.ravel().tolist())
+            exact = float(np.linalg.norm(m.conj().T @ m - nm.I2))
+            assert abs(residual - exact) <= 1e-15
+            # Both computations round; only a residual right at the bound
+            # could tell them apart.
+            if abs(exact - nm.UNITARY_TOL) > 1e-15:
+                assert (residual <= nm.UNITARY_TOL) == nm.is_unitary(m)
+                verdicts.add(nm.is_unitary(m))
+
+        check()
+        assert verdicts == {True, False}
 
 
 class TestEffectivelySeparated:
@@ -493,6 +651,31 @@ class TestEffectivelySeparated:
         for earlier, later in zip(results, results[1:]):
             if not earlier:
                 assert not later
+
+    def test_canonical_key_is_the_key_of_the_mirrored_gates(self):
+        # The mirrored key is read off the direct key, without building the
+        # mirrored gates.
+        rng = np.random.default_rng(19)
+        for n in (0, 1, 2, 5, 10, 20):
+            for _ in range(20):
+                gates = separation_circuit(rng, n).gates
+                direct = tuple(_gate_key(g) for g in gates)
+                mirrored = tuple(_gate_key(_mirror_gate(g)) for g in gates)
+                assert _canonical_key(gates) == min(direct, mirrored)
+
+    def test_search_builds_no_mirrored_gates(self, monkeypatch):
+        calls = []
+        mirror_gate = rewrite._mirror_gate
+
+        def counting(g):
+            calls.append(g)
+            return mirror_gate(g)
+
+        monkeypatch.setattr(rewrite, "_mirror_gate", counting)
+        rng = np.random.default_rng(20)
+        answers = {effectively_separated(separation_circuit(rng, 10)) for _ in range(40)}
+        assert answers == {True, False}
+        assert calls == []
 
     def test_rejects_unsupported_gates(self):
         with pytest.raises(UnsupportedGate):
