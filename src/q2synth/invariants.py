@@ -32,17 +32,21 @@ _SIGNED_PERMS = np.concatenate((_PERMS, _PERMS + 4))
 class _MagicForm(NamedTuple):
     """An operator m in the magic basis, mt = E^dag m E, with the real
     orthogonal diagonalization (q, d) of the symmetric form mt mt^T, whose
-    eigenvalues d are those of gamma(m)."""
+    eigenvalues d are those of gamma(m); and, where the local layer of
+    synthesis aligns its rows, the product q mt."""
 
     mt: np.ndarray
     q: np.ndarray
     d: np.ndarray
+    qmt: np.ndarray | None = None
 
 
 def _magic_form(m):
     """``_MagicForm`` of a checked 4x4 unitary, with mt one polar step
     (``numerics._polar_step``) nearer unitary: an input up to UNITARY_TOL
-    from unitary still splits into one-qubit factors to LOCAL_TOL."""
+    from unitary still splits into one-qubit factors to LOCAL_TOL.  A
+    synthesis core, unitary by construction, takes its form from its angles
+    (``synthesis._core_form``) instead."""
     mt = nm._polar_step(nm.MAGIC_DAG @ m @ nm.MAGIC)
     q, d = nm._diagonalize_symmetric_unitary(mt @ mt.T)
     return _MagicForm(mt, q, d)

@@ -48,8 +48,10 @@ LOCAL_TOL = 1e-9
 
 #: Zero.  Unit: radians, or the entries of a 2x2 matrix.  A rotation angle
 #: this small is dropped, as is a one-qubit matrix this near a multiple of
-#: the identity; a determinant this near -1 takes the argument +pi; every
-#: rewrite rule is sound to this bound.  Rounding leaves about 1e-15 on each.
+#: the identity; a determinant this near -1 takes the argument +pi, and so
+#: does a synthesis core's eigenvalue, whose arguments this close are tied;
+#: every rewrite rule is sound to this bound.  Rounding leaves about 1e-15
+#: on each.
 ZERO_TOL = 1e-12
 
 #: Spectrum alignment.  Unit: max |difference| of two aligned gamma
@@ -269,7 +271,9 @@ _MIX_ANGLES = (1.0, 2.0, 0.5, 2.5, 0.0)
 #: form of a synthesis core at every angle, tried before any ``eigh``.  The
 #: CYZ core's form is two 2x2 blocks [[x, y], [y, x]], diagonalized by the
 #: rows (1, +-1, 0, 0) / sqrt 2 and (0, 0, 1, +-1) / sqrt 2; the CXZ core's
-#: form is diagonal already.
+#: form is diagonal already.  ``synthesis._core_form`` reads a candidate
+#: core's diagonalizer from them without this screen; the screen serves
+#: operators given to the public functions.
 _CORE_BASES = (
     np.array(
         [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]]

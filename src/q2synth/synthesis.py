@@ -20,9 +20,11 @@ gamma spectra to ``SPECTRUM_TOL``, up to the global sign that the SU(4)
 representative leaves free.  A call validates its input once and prepares
 the per-input state once (the input in SU(4), its magic-basis form and that
 form's diagonalization, the one ``eigh`` of the call); each
-candidate then adds only its own core, whose diagonalization is a constant
-basis (``numerics._CORE_BASES``), and reads its one-qubit factors in closed
-form from two SO(4) matrices.  The public stage functions
+candidate then adds only its own core, whose magic form, diagonalizer and
+gamma spectrum are read from its angles in closed form (``_core_form``: no
+simulation, polar step or diagonalizer), and reads its one-qubit factors in
+closed form from two SO(4) matrices.  The one ``simulate`` of a candidate
+is the verifying one.  The public stage functions
 (``core_params_*``, ``match_local_factors``) check their inputs and then run
 the same private steps.
 
@@ -51,11 +53,12 @@ from .circuit import (
     _euler_angles,
     _so4_factors,
     _su4_normalize,
+    rotation_matrix2,
     simulate,
     wrap_angle,
 )
 from .errors import CosetMismatch, VerificationFailed
-from .invariants import _align_spectra, _magic_form
+from .invariants import _PARITY, _PERMS, _align_spectra, _magic_form, _MagicForm
 from .numerics import DEFAULT_TOL
 
 
@@ -157,8 +160,12 @@ def _conjugate_pair_angles(spectrum):
     return r, s
 
 
-def _delta_matrix(psi):
-    return nm.CNOT01 @ nm.kron(nm.I2, np.diag([np.exp(-0.5j * psi), np.exp(0.5j * psi)])) @ nm.CNOT01
+def _delta_diagonal(psi):
+    """The diagonal of Delta(psi) = C[0->1] (I x diag(e^{-i psi/2},
+    e^{i psi/2})) C[0->1]: the CNOTs swap the last two entries of the
+    diagonal I x diag(...)."""
+    h = cmath.exp(0.5j * psi)
+    return np.array((h.conjugate(), h, h, h.conjugate()))
 
 
 def core_params_cxz(u_prime):
@@ -185,7 +192,7 @@ def _cxz_shift(u_mat):
     p = nm._polar_step(u_mat)
     t = np.diag(nm.SYY @ p.T @ nm.SYY @ p)
     psi = math.atan2(float(np.imag(t.sum())), float(np.real(t[0] + t[3] - t[1] - t[2])))
-    m_mat, _ = _su4_normalize(u_mat @ _delta_matrix(psi))
+    m_mat, _ = _su4_normalize(u_mat * _delta_diagonal(psi))
     return psi, m_mat
 
 
@@ -208,25 +215,33 @@ def match_local_factors(u, v):
     ``SPECTRUM_TOL`` apart.
     """
     u, v = (nm.require_unitary(m, "match_local_factors", special=True) for m in (u, v))
-    return _local_factors(_magic_form(u), _magic_form(v))
+    return _local_factors(_target_form(u), _target_form(v))
+
+
+def _target_form(m):
+    """``_magic_form`` of m with the product q mt that ``_local_factors``
+    aligns."""
+    form = _magic_form(m)
+    return form._replace(qmt=form.q @ form.mt)
 
 
 def _local_factors(fu, fv):
     """The factors (a, b, c, d) of ``match_local_factors`` from the magic
-    forms of u and of v, read in closed form from the SO(4) matrices
-    qu^T qv (for a x b) and ct (for c x d).  Both diagonalizers have
-    det +1, so qv keeps det +1 by negating its row 0 after an odd
-    permutation.  When the spectra align only with the sign of gamma(v)
-    flipped, v is replaced by i v: gamma(i v) = -gamma(v) has the same
-    diagonalizer, and the factor i goes into ct, whose real part is then
-    Im(ct)."""
+    forms of u and of v (``_target_form``, or ``_core_form`` for a core),
+    read in closed form from the SO(4) matrices qu^T qv (for a x b) and
+    ct = (qv vt)^dag (qu ut) (for c x d), whose two products the forms
+    carry as qmt.  Both diagonalizers have det +1, so qv keeps det +1 by
+    negating its row 0 after an odd permutation.  When the spectra align
+    only with the sign of gamma(v) flipped, v is replaced by i v:
+    gamma(i v) = -gamma(v) has the same diagonalizer, and the factor i goes
+    into ct, whose real part is then Im(ct)."""
     distance, sign, perm, parity = _align_spectra(fu.d, fv.d)
     if distance > nm.SPECTRUM_TOL:
         raise CosetMismatch("gamma spectra cannot be aligned")
-    qv = fv.q[perm]
+    qv, qvt = fv.q[perm], fv.qmt[perm]
     if parity < 0:
-        qv[0] = -qv[0]
-    ct = (qv @ fv.mt).conj().T @ (fu.q @ fu.mt)
+        qv[0], qvt[0] = -qv[0], -qvt[0]
+    ct = qvt.conj().T @ fu.qmt
     a, b = _so4_factors(fu.q.T @ qv)
     c, d = _so4_factors(ct.real if sign > 0 else ct.imag)
     return a, b, c, d
@@ -285,17 +300,104 @@ def _assemble(prefix, core, factors, lib):
 
 
 #: The factor that takes an operator of determinant exactly -1 to SU(4), bit
-#: for bit as ``_su4_normalize`` does: the CYZ core in ``_synthesize_cyz_like``
-#: and u C[0->1], u in SU(4), in ``_cxz_state``.
+#: for bit as ``_su4_normalize`` does: u C[0->1], u in SU(4), in
+#: ``_cxz_state``, and the CYZ core, whose closed form (``_core_form``)
+#: carries it.
 _CORE_PHASE = cmath.exp(-1j * (math.pi / 4.0))
+
+
+def _ordered_rows(basis, image):
+    """For every row order of ``_core_order``, the (q, C) of ``_core_form``:
+    the rows of ``basis`` and of ``image`` in that order, row 0 of each
+    negated after an odd order so that det q = +1, as ``numerics._canonical``
+    makes it; read-only."""
+    table = {}
+    for perm, parity in zip(_PERMS.tolist(), _PARITY):
+        q, c = basis[perm], image[perm]
+        if parity < 0:
+            q[0], c[0] = -q[0], -c[0]
+        q.flags.writeable = c.flags.writeable = False
+        table[tuple(perm)] = (q, c)
+    return table
+
+
+#: The (q, C) tables of ``_core_form``: the CYZ core's basis B is the first
+#: of ``numerics._CORE_BASES`` and its image C is B with its last two rows
+#: swapped; the CXZ core's are both I.
+_CYZ_ROWS = _ordered_rows(nm._CORE_BASES[0], nm._CORE_BASES[0][[0, 1, 3, 2]])
+_CXZ_ROWS = _ordered_rows(nm._CORE_BASES[1], nm._CORE_BASES[1])
+_IDENTITY_ROWS = _CXZ_ROWS[(0, 1, 2, 3)][0]
+_UNIT_SPECTRUM = np.ones(4, dtype=np.complex128)
+_UNIT_SPECTRUM.flags.writeable = False
+_CUT = nm.ZERO_TOL - math.pi
+
+
+def _core_order(d):
+    """The canonical row order, a tuple, of a core form whose basis row k
+    has eigenvalue d[k]: ascending principal argument, where an eigenvalue
+    within ZERO_TOL of the cut at -1 takes +pi, as a determinant does in
+    ``_su4_normalize``.  An argument within ZERO_TOL of the one before it
+    is tied with it, and tied rows keep basis-row order, so exactly tied
+    eigenvalues, which rounding leaves about 1e-15 apart, come in basis-row
+    order whatever their rounding."""
+    angles = [x + 2.0 * math.pi if x < _CUT else x for x in map(cmath.phase, d)]
+    runs = []
+    for k in sorted(range(4), key=angles.__getitem__):
+        if runs and angles[k] - angles[runs[-1][-1]] <= nm.ZERO_TOL:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return tuple(k for run in runs for k in sorted(run))
+
+
+def _core_form(params):
+    """The ``_MagicForm`` of a candidate core in SU(4), read from its angles:
+    no simulation, polar step or diagonalizer.  ``params`` is a ``CYZCore``
+    or a CXZ triple (theta, phi, swap_wires).
+
+    The form is mt = B^T diag(lam) C for constant real orthogonal B and C,
+    so the rows of B diagonalize mt mt^T = B^T diag(lam^2) B, d = lam^2 and
+    q mt = diag(lam) C:
+
+    * CYZ: B and C are those of ``_CYZ_ROWS``, and lam_k = e^{-i pi/4}
+      e^{i s_k . (alpha, beta, delta) / 2} for the sign vectors s = (+ + -),
+      (- - -), (+ - +), (- + +); e^{-i pi/4} is ``_CORE_PHASE``.
+    * CXZ: CNOT (Rx(theta) x Rz(phi)) CNOT = exp(-i theta XX / 2)
+      exp(-i phi ZZ / 2) has determinant 1 and is diagonal in the magic
+      basis: B = C = I and lam = e^{-i(theta + phi)/2}, e^{i(theta - phi)/2},
+      e^{-i(theta - phi)/2}, e^{i(theta + phi)/2}.
+    * CXZ with swapped wires: CNOT (Rz x Rx) CNOT = Rz x Rx is local, so mt
+      is real orthogonal, d = (1, 1, 1, 1) and q = I.
+
+    The rows come in the order of ``_core_order``, with row 0 of q and of
+    q mt negated after an odd order (``_ordered_rows``)."""
+    if isinstance(params, CYZCore):
+        a, b, c = (cmath.exp(0.5j * t) for t in (params.alpha, params.beta, params.delta))
+        ea, eb, ec = a.conjugate(), b.conjugate(), c.conjugate()
+        lam = tuple(_CORE_PHASE * x for x in (a * b * ec, ea * eb * ec, a * eb * c, ea * b * c))
+        rows = _CYZ_ROWS
+    else:
+        theta, phi, swap_wires = params
+        if swap_wires:
+            local = nm.kron(rotation_matrix2(Axis.Z, theta), rotation_matrix2(Axis.X, phi))
+            mt = nm.MAGIC_DAG @ local @ nm.MAGIC
+            return _MagicForm(mt, _IDENTITY_ROWS, _UNIT_SPECTRUM, mt)
+        s, t = cmath.exp(0.5j * (theta + phi)), cmath.exp(0.5j * (theta - phi))
+        lam = (s.conjugate(), t, t.conjugate(), s)
+        rows = _CXZ_ROWS
+    d = [x * x for x in lam]
+    order = _core_order(d)
+    q, image = rows[order]
+    qmt = np.array([lam[k] for k in order])[:, None] * image
+    return _MagicForm(q.T @ qmt, q, np.array([d[k] for k in order]), qmt)
 
 
 def _synthesize_cyz_like(target, lib, order):
     """CYZ, CXY and BASIC share the same core; only the local-layer encoding
     differs.  For CXY ``target`` is prepared from (H x H) u (H x H)."""
-    core = cyz_core_circuit(_cyz_params(target.d, order))
-    factors = _local_factors(target, _magic_form(simulate(core) * _CORE_PHASE))
-    return _assemble((), core.gates, factors, lib), "%d%d%d" % order
+    params = _cyz_params(target.d, order)
+    factors = _local_factors(target, _core_form(params))
+    return _assemble((), cyz_core_circuit(params).gates, factors, lib), "%d%d%d" % order
 
 
 def _cxz_state(u_norm):
@@ -304,7 +406,7 @@ def _cxz_state(u_norm):
     matched against; no variant changes either."""
     u_mat = u_norm @ nm.CNOT01 * _CORE_PHASE
     psi, m_mat = _cxz_shift(u_mat)
-    target = _magic_form(m_mat)
+    target = _target_form(m_mat)
     return _cxz_params(psi, target.d), target
 
 
@@ -322,8 +424,7 @@ def _synthesize_cxz(state, variant):
     else:
         mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
     core = (CNOT(0, 1),) + mid + (CNOT(0, 1),)
-    # CNOT (Rx x Rz) CNOT has determinant 1: the core is its own SU(4) form.
-    factors = _local_factors(target, _magic_form(simulate(Circuit(core))))
+    factors = _local_factors(target, _core_form((theta, phi, swap_wires)))
     prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
     return _assemble(prefix, core, factors, GateLibrary.CXZ), _CXZ_TAGS[variant]
 
@@ -358,7 +459,7 @@ def _prepare(u, lib):
     u_norm, _ = _su4_normalize(u)
     if lib is GateLibrary.CXZ:
         return _cxz_state(u_norm)
-    return _magic_form(u_norm)
+    return _target_form(u_norm)
 
 
 def _result_for(u, circuit, tag, tol):

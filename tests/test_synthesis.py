@@ -1,10 +1,15 @@
+import cmath
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from q2synth import numerics as nm
+from q2synth import synthesis
 from q2synth.circuit import (
     CNOT,
     Axis,
@@ -28,8 +33,12 @@ from q2synth.synthesis import (
     _assemble,
     _candidate_tags,
     _conjugate_pair_angles,
-    _delta_matrix,
+    _core_form,
+    _core_order,
+    _delta_diagonal,
+    _local_factors,
     _map_cxy_gate,
+    _target_form,
     _result_for,
     core_params_cxz,
     core_params_cyz,
@@ -120,17 +129,41 @@ def chamber_corpus(draws=4):
                 yield with_haar_locals(canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d))), rng)
 
 
-def reference_candidate(u, lib, candidate):
+def core_circuit(params):
+    """The core circuit of a ``CYZCore`` or a CXZ triple (theta, phi,
+    swap_wires)."""
+    if isinstance(params, CYZCore):
+        return cyz_core_circuit(params)
+    theta, phi, swap_wires = params
+    if swap_wires:
+        mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
+    else:
+        mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
+    return Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))
+
+
+def reference_factors(u, core, params, simulated):
+    """The one-qubit factors that match ``core`` to ``u``: the input checked
+    as match_local_factors checks it and taken to its magic form, the core
+    in closed form (``_core_form`` of ``params``); or, if ``simulated``,
+    match_local_factors on u and the SU(4) form of the simulated core."""
+    if simulated:
+        return match_local_factors(u, su4_normalize(simulate(core))[0])
+    u = nm.require_unitary(u, "match_local_factors", special=True)
+    return _local_factors(_target_form(u), _core_form(params))
+
+
+def reference_candidate(u, lib, candidate, simulated=False):
     """One candidate composed from the public stage functions, each with its
-    own input checks: su4_normalize, core_params_*, the core circuit,
-    match_local_factors, then ``_assemble``."""
+    own input checks: su4_normalize, core_params_*, the core circuit, its
+    factors by ``reference_factors``, then ``_assemble``."""
     if lib is GateLibrary.CXY:
         u = _CXY_CONJ @ u @ _CXY_CONJ
     u_norm, _ = su4_normalize(u)
     if lib is not GateLibrary.CXZ:
-        core = cyz_core_circuit(core_params_cyz(u_norm, candidate))
-        core_norm, _ = su4_normalize(simulate(core))
-        factors = match_local_factors(u_norm, core_norm)
+        params = core_params_cyz(u_norm, candidate)
+        core = cyz_core_circuit(params)
+        factors = reference_factors(u_norm, core, params, simulated)
         return _assemble((), core.gates, factors, lib), "%d%d%d" % candidate
 
     neg, swap_rs, swap_wires = candidate
@@ -138,27 +171,22 @@ def reference_candidate(u, lib, candidate):
     theta, phi = params.theta, -params.phi if swap_rs else params.phi
     if neg:
         theta, phi = -theta, -phi
-    if swap_wires:
-        mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
-    else:
-        mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
-    w_core = Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))
-    w_norm, _ = su4_normalize(simulate(w_core))
+    w_core = core_circuit((theta, phi, swap_wires))
     u_mat, _ = su4_normalize(u_norm @ nm.CNOT01)
-    m_mat, _ = su4_normalize(u_mat @ _delta_matrix(params.psi))
-    factors = match_local_factors(m_mat, w_norm)
+    m_mat, _ = su4_normalize(u_mat * _delta_diagonal(params.psi))
+    factors = reference_factors(m_mat, w_core, (theta, phi, swap_wires), simulated)
     prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
     tag = ("-" if neg else "") + ("sr" if swap_rs else "rs") + (":zx" if swap_wires else "")
     return _assemble(prefix, w_core.gates, factors, lib), tag
 
 
-def reference_synthesize(u, lib, tol=DEFAULT_TOL):
+def reference_synthesize(u, lib, tol=DEFAULT_TOL, simulated=False):
     """synthesize with every candidate composed by ``reference_candidate``."""
     u = np.asarray(u, dtype=np.complex128)
     last_error = None
     for candidate in _candidate_tags(lib):
         try:
-            circuit, tag = reference_candidate(u, lib, candidate)
+            circuit, tag = reference_candidate(u, lib, candidate, simulated)
             return _result_for(u, circuit, tag, tol)
         except (VerificationFailed, CosetMismatch) as exc:
             last_error = exc
@@ -212,10 +240,10 @@ class TestCoreParamsCXZ:
         for u in psi_inputs():
             u_prime, _ = su4_normalize(u @ nm.CNOT01)
             params = core_params_cxz(u_prime)
-            m, _ = su4_normalize(u_prime @ nm.CNOT01 @ _delta_matrix(params.psi))
+            m, _ = su4_normalize((u_prime @ nm.CNOT01) * _delta_diagonal(params.psi))
             # building the shifted operator directly from the definition
             u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
-            m2, _ = su4_normalize(u_mat @ _delta_matrix(params.psi))
+            m2, _ = su4_normalize(u_mat * _delta_diagonal(params.psi))
             assert abs(np.trace(gamma(m2)).imag) <= 1e-9
 
     def test_both_psi_branches_leave_the_same_imaginary_trace(self):
@@ -227,10 +255,20 @@ class TestCoreParamsCXZ:
             u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
             psi = core_params_cxz(u_prime).psi
             im = [
-                abs(np.trace(gamma(su4_normalize(u_mat @ _delta_matrix(p))[0])).imag)
+                abs(np.trace(gamma(su4_normalize(u_mat * _delta_diagonal(p))[0])).imag)
                 for p in (psi, psi + math.pi)
             ]
             assert abs(im[0] - im[1]) <= 1e-12
+
+    def test_delta_diagonal_is_the_two_cnot_product(self):
+        # Delta(psi) = C[0->1] (I x diag(e^{-i psi/2}, e^{i psi/2})) C[0->1],
+        # as _cxz_shift once formed it, scales the columns of U.
+        for u in psi_inputs():
+            u_mat, _ = su4_normalize(su4_normalize(u @ nm.CNOT01)[0] @ nm.CNOT01)
+            psi = core_params_cxz(su4_normalize(u @ nm.CNOT01)[0]).psi
+            half = np.diag([np.exp(-0.5j * psi), np.exp(0.5j * psi)])
+            product = nm.CNOT01 @ np.kron(nm.I2, half) @ nm.CNOT01
+            assert np.abs(u_mat * _delta_diagonal(psi) - u_mat @ product).max() <= 1e-15
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_pair_angles_at_minus_one(self, zero):
@@ -436,8 +474,9 @@ class TestSinglePass:
 
     def test_input_diagonalized_once_when_every_candidate_fails(self, monkeypatch):
         # All 24 orderings fail at tol=1e-18; the input is diagonalized once
-        # and every core by its constant basis, with no eigh.  An eigh per
-        # core made 25; rebuilding the input side per candidate made 72.
+        # and every core's diagonalizer is read from its angles, with no
+        # eigh.  An eigh per core made 25; rebuilding the input side per
+        # candidate made 72.
         calls = self.count_calls(monkeypatch, np.linalg, "eigh")
         u = nm.haar_unitary(4, np.random.default_rng(10))
         with pytest.raises(VerificationFailed):
@@ -478,14 +517,47 @@ class TestSinglePass:
                     assert g.angle == pytest.approx(h.angle, abs=1e-9)
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
-    def test_same_circuits_as_public_stage_composition(self, lib):
-        rng = np.random.default_rng(16)
-        inputs = [nm.haar_unitary(4, rng) for _ in range(20)]
-        inputs += list(near_corner_and_edge_inputs())
+    def test_core_side_runs_no_simulate_polar_step_or_diagonalizer(self, lib, monkeypatch):
+        # A Haar call verifies its first candidate.  The one simulate is the
+        # verifying one, and the input side alone takes the polar step (cxz
+        # also for psi) and runs the diagonalizer.  Each core's own simulate
+        # and magic form made 2 simulate calls and 2 of each of the others.
+        counts = {
+            name: self.count_calls(monkeypatch, owner, name)
+            for owner, name in (
+                (synthesis, "simulate"),
+                (nm, "_diagonalize_symmetric_unitary"),
+                (nm, "_polar_step"),
+            )
+        }
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            u = nm.haar_unitary(4, rng)
+            for calls in counts.values():
+                calls.clear()
+            result = synthesize(u, lib)
+            assert result.eigen_order == ("rs" if lib is GateLibrary.CXZ else "012")
+            assert {name: len(calls) for name, calls in counts.items()} == {
+                "simulate": 1,
+                "_diagonalize_symmetric_unitary": 1,
+                "_polar_step": 2 if lib is GateLibrary.CXZ else 1,
+            }
+
+    def test_one_simulate_per_candidate_when_every_candidate_fails(self, monkeypatch):
+        # All 24 orderings fail at tol=1e-18: 24 verifying simulate calls,
+        # where simulating each core too made 48.
+        calls = self.count_calls(monkeypatch, synthesis, "simulate")
+        u = nm.haar_unitary(4, np.random.default_rng(10))
+        with pytest.raises(VerificationFailed):
+            synthesize(u, GateLibrary.CYZ, tol=1e-18)
+        assert len(calls) == 24
+
+    @staticmethod
+    def assert_same_synthesis(inputs, lib, simulated=False):
         refused = 0
         for u in inputs:
             try:
-                expected = reference_synthesize(u, lib)
+                expected = reference_synthesize(u, lib, simulated=simulated)
             except VerificationFailed:
                 refused += 1
                 with pytest.raises(VerificationFailed):
@@ -505,6 +577,20 @@ class TestSinglePass:
                 else:
                     assert g == h
         assert refused < len(inputs)
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_same_circuits_as_public_stage_composition(self, lib):
+        rng = np.random.default_rng(16)
+        inputs = [nm.haar_unitary(4, rng) for _ in range(20)]
+        inputs += list(near_corner_and_edge_inputs())
+        self.assert_same_synthesis(inputs, lib)
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_same_circuits_as_simulated_core_composition(self, lib):
+        # The composition with each core simulated, normalized into SU(4)
+        # and matched by match_local_factors, on the Haar inputs.
+        rng = np.random.default_rng(16)
+        self.assert_same_synthesis([nm.haar_unitary(4, rng) for _ in range(20)], lib, simulated=True)
 
 
 def magic_symmetric_form(m):
@@ -540,12 +626,86 @@ class TestCoreBases:
         pairs = list(itertools.product(CORE_ANGLES, repeat=2))
         pairs += [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
         for theta, phi in pairs:
-            if swap_wires:
-                mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
-            else:
-                mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
-            p = magic_symmetric_form(simulate(Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))))
+            p = magic_symmetric_form(simulate(core_circuit((theta, phi, swap_wires))))
             assert nm._off_diagonal(q @ p @ q.T) <= 1e-13
+
+
+def principal_angles(d):
+    """The arguments of d, one within ZERO_TOL of -pi taken as +pi."""
+    angles = [cmath.phase(z) for z in d.tolist()]
+    return [x + 2 * math.pi if x < nm.ZERO_TOL - math.pi else x for x in angles]
+
+
+def assert_core_form_matches_simulation(params):
+    """``_core_form(params)`` against the magic form of the simulated core in
+    SU(4): mt to 1e-14; q real orthogonal with det +1, diagonalizing the
+    simulated mt mt^T to OFF_DIAGONAL_TOL; d that diagonal in ascending
+    argument; and qmt = q mt."""
+    form = _core_form(params)
+    mt = nm.MAGIC_DAG @ su4_normalize(simulate(core_circuit(params)))[0] @ nm.MAGIC
+    assert np.abs(form.mt - mt).max() <= 1e-14
+    assert np.abs(form.q @ form.q.T - np.eye(4)).max() <= 1e-15
+    assert np.linalg.det(form.q) > 0.0
+    m = form.q @ (mt @ mt.T) @ form.q.T
+    assert nm._off_diagonal(m) <= nm.OFF_DIAGONAL_TOL
+    assert np.abs(m.diagonal() - form.d).max() <= 1e-14
+    angles = principal_angles(form.d)
+    assert all(b >= a - nm.ZERO_TOL for a, b in zip(angles, angles[1:]))
+    assert np.abs(form.qmt - form.q @ form.mt).max() <= 1e-15
+
+
+class TestCoreForm:
+    """``_core_form`` reads each core's magic form, diagonalizer and spectrum
+    from its angles; they must be those of the simulated core."""
+
+    def test_cyz_core(self):
+        rng = np.random.default_rng(24)
+        triples = list(itertools.product(CORE_ANGLES, repeat=3))
+        triples += [tuple(rng.uniform(-math.pi, math.pi, 3)) for _ in range(200)]
+        for alpha, beta, delta in triples:
+            assert_core_form_matches_simulation(CYZCore(alpha, beta, delta))
+
+    @pytest.mark.parametrize("swap_wires", [False, True])
+    def test_cxz_core(self, swap_wires):
+        rng = np.random.default_rng(25)
+        pairs = list(itertools.product(CORE_ANGLES, repeat=2))
+        pairs += [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
+        for theta, phi in pairs:
+            assert_core_form_matches_simulation((theta, phi, swap_wires))
+
+    @pytest.mark.parametrize(
+        "params,order",
+        [
+            (CYZCore(0.0, 0.0, 0.0), [0, 1, 2, 3]),
+            # x = y = z = 0.3 on rows 0, 2 and 3, -(x + y + z) on row 1.
+            (CYZCore(0.3, 0.3, 0.3), [1, 0, 2, 3]),
+            ((0.0, 0.0, False), [0, 1, 2, 3]),
+            ((0.0, 0.7, False), [0, 1, 2, 3]),
+            ((0.0, 0.7, True), [0, 1, 2, 3]),
+        ],
+    )
+    def test_tied_eigenvalues_keep_basis_row_order(self, params, order):
+        # Rounding-level changes of the angles, which move the computed tied
+        # eigenvalues in either direction, leave tied rows in basis-row
+        # order; row 0 is negated after an odd order.
+        q = nm._CORE_BASES[0 if isinstance(params, CYZCore) else 1][order]
+        if np.linalg.det(q) < 0.0:
+            q[0] = -q[0]
+        for step in (0.0, 1e-16, -1e-16, 3e-15, -3e-15):
+            if isinstance(params, CYZCore):
+                moved = CYZCore(params.alpha + step, params.beta - step, params.delta + step)
+            else:
+                moved = (params[0] + step, params[1] - step, params[2])
+            assert np.array_equal(_core_form(moved).q, q)
+
+    def test_order_at_the_cut(self):
+        # -1 takes +pi with either sign of its zero imaginary part, and ties
+        # keep basis-row order.
+        for zero in (0.0, -0.0):
+            d = [complex(-1.0, zero), 1j, complex(-1.0, -zero), -1j]
+            assert _core_order(d) == (3, 1, 0, 2)
+        assert _core_order([1j, 1j, -1j, 1.0]) == (2, 3, 0, 1)
+        assert _core_order([1.0, -1j, 1j, 1j]) == (1, 0, 2, 3)
 
 
 class TestCorePhase:
@@ -574,16 +734,12 @@ class TestCorePhase:
     @pytest.mark.parametrize("swap_wires", [False, True])
     def test_cxz_core_is_already_special_unitary(self, swap_wires):
         # CNOT (Rx x Rz) CNOT has determinant 1 by construction, so the CXZ
-        # path uses the simulated core as its SU(4) form unchanged.
+        # core's closed form (_core_form) carries no phase factor.
         rng = np.random.default_rng(21)
         pairs = list(itertools.product(CORE_ANGLES, repeat=2))
         pairs += [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
         for theta, phi in pairs:
-            if swap_wires:
-                mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
-            else:
-                mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
-            core = simulate(Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),)))
+            core = simulate(core_circuit((theta, phi, swap_wires)))
             assert np.array_equal(core, _su4_normalize(core)[0])
 
 
@@ -626,3 +782,81 @@ class TestEnumerate:
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             enumerate_circuits(np.eye(4), GateLibrary.CYZ, limit=0)
+
+
+#: Examples per property test; derandomized, with no example database, so
+#: the suite draws the same inputs on every run.
+_PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+_PAULI_MATRICES = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
+
+
+def plain_product(circuit):
+    """The matrix of a CNOT/one-qubit circuit by np.kron and matmul alone:
+    R_n(t) = cos(t/2) I - i sin(t/2) sigma_n, qubit 0 the left factor."""
+    out = np.eye(4, dtype=np.complex128)
+    for g in circuit.gates:
+        if isinstance(g, CNOT):
+            m = nm.CNOT01 if g.control == 0 else nm.CNOT10
+        else:
+            if isinstance(g, Rotation):
+                one = math.cos(g.angle / 2) * np.eye(2) - 1j * math.sin(g.angle / 2) * _PAULI_MATRICES[g.axis]
+            else:
+                one = g.matrix
+            m = np.kron(one, np.eye(2)) if g.qubit == 0 else np.kron(np.eye(2), one)
+        out = m @ out
+    return out
+
+
+def plain_phase_distance(u, v):
+    t = np.vdot(v, u)
+    return float(np.linalg.norm(u * np.exp(-1j * np.angle(t)) - v))
+
+
+#: A chamber coordinate: a corner value with positive probability.
+_COORDINATE = st.one_of(st.sampled_from((0.0, Q)), st.floats(0.0, Q))
+
+
+@st.composite
+def chamber_inputs(draw):
+    """can(a, b, c), pi/4 >= a >= b >= c >= 0, offset by eps in a seeded
+    direction, between Haar locals from a drawn seed.  Corners, edges and
+    faces come with positive probability: each coordinate may be 0 or pi/4,
+    and a = b and b = c may be forced.  eps is 0 or log-uniform in [1e-12,
+    1e-4]."""
+    a, b, c = sorted((draw(_COORDINATE) for _ in range(3)), reverse=True)
+    if draw(st.booleans()):
+        b = a
+    if draw(st.booleans()):
+        c = b
+    eps = draw(st.one_of(st.just(0.0), st.floats(-12.0, -4.0).map(lambda x: 10.0**x)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.standard_normal(3)
+    return with_haar_locals(canonical(*(np.array([a, b, c]) + eps * d / np.linalg.norm(d))), rng)
+
+
+class TestSynthesisProperties:
+    def test_chamber_inputs_verify_and_every_tried_core_form_is_exact(self):
+        # Every answer of every library verifies against the plain product,
+        # a refusal is only VerificationFailed, and the closed form of each
+        # core a call tried is that of the simulated core.
+        answered = []
+
+        @_PROPERTY
+        @given(chamber_inputs())
+        def check(u):
+            for lib in GateLibrary:
+                with mock.patch.object(synthesis, "_core_form", wraps=synthesis._core_form) as spy:
+                    try:
+                        result = synthesize(u, lib)
+                    except VerificationFailed:
+                        result = None
+                assert spy.call_args_list
+                for call in spy.call_args_list:
+                    assert_core_form_matches_simulation(*call.args)
+                if result is not None:
+                    assert plain_phase_distance(plain_product(result.circuit), u) <= 1e-8
+                    answered.append(lib)
+
+        check()
+        assert set(answered) == set(GateLibrary)
