@@ -3,9 +3,12 @@
 The central object is the invariant gamma(u) = u (sy x sy) u^T (sy x sy).
 It is constant on left cosets of the local subgroup SU(2) x SU(2), and its
 spectrum, like chi[gamma], on double cosets.  Every local-equivalence
-decision of the package (``same_double_coset``, ``cnot_cost``, the local
-layer of synthesis) is one test, ``_align_spectra``, which aligns two gamma
-spectra; chi[gamma] is reported, and no decision reads it.
+decision between two given operators (``same_double_coset``, ``cnot_cost``,
+``synthesis.match_local_factors``) is one test, ``_align_spectra``, which
+aligns two gamma spectra; chi[gamma] is reported, and no decision reads it.
+A synthesis candidate needs no search: its core is built from the target's
+spectrum, which fixes the row correspondence, and only the sign of gamma
+is compared.
 
 Representatives of the same physical operator in SU(4) differ by 4th roots
 of unity, under which gamma picks up a factor of +-1; every comparison here
@@ -21,11 +24,9 @@ import numpy as np
 from . import numerics as nm
 from .circuit import _su4_normalize
 
-#: Every permutation of four eigenvalues, the identity first, and its
-#: parity (+1 even, -1 odd); then each again with 4 added, to index -dv in
-#: (dv, -dv).
+#: Every permutation of four eigenvalues, the identity first; then each
+#: again with 4 added, to index -dv in (dv, -dv).
 _PERMS = np.array(list(itertools.permutations(range(4))))
-_PARITY = tuple(round(np.linalg.det(np.eye(4)[p])) for p in _PERMS)
 _SIGNED_PERMS = np.concatenate((_PERMS, _PERMS + 4))
 
 
@@ -53,16 +54,16 @@ def _magic_form(m):
 
 
 def _align_spectra(du, dv, strict=False):
-    """The one local-equivalence test: (distance, sign, perm, parity)
-    minimizing distance = max |du - sign dv[perm]| over every permutation
-    and sign = +-1 (+1 only if ``strict``), the identity with sign +1
-    winning ties.  The distance is linear in the distance between the
-    operators, also where eigenvalues coincide."""
+    """The one local-equivalence test: (distance, perm) minimizing
+    distance = max |du - sign dv[perm]| over every permutation and
+    sign = +-1 (+1 only if ``strict``), the identity with sign +1 winning
+    ties.  The distance is linear in the distance between the operators,
+    also where eigenvalues coincide."""
     n = len(_PERMS)
     cands = np.concatenate((dv, -dv))[_SIGNED_PERMS[:n] if strict else _SIGNED_PERMS]
     err = np.abs(du - cands).max(axis=1)
     k = int(err.argmin())
-    return float(err[k]), 1 if k < n else -1, _PERMS[k % n], _PARITY[k % n]
+    return float(err[k]), _PERMS[k % n]
 
 
 def gamma(u):

@@ -48,10 +48,9 @@ LOCAL_TOL = 1e-9
 
 #: Zero.  Unit: radians, or the entries of a 2x2 matrix.  A rotation angle
 #: this small is dropped, as is a one-qubit matrix this near a multiple of
-#: the identity; a determinant this near -1 takes the argument +pi, and so
-#: does a synthesis core's eigenvalue, whose arguments this close are tied;
-#: every rewrite rule is sound to this bound.  Rounding leaves about 1e-15
-#: on each.
+#: the identity; a determinant this near -1 takes the argument +pi; every
+#: rewrite rule is sound to this bound.  Rounding leaves about 1e-15 on
+#: each.
 ZERO_TOL = 1e-12
 
 #: Spectrum alignment.  Unit: max |difference| of two aligned gamma
@@ -62,7 +61,7 @@ ZERO_TOL = 1e-12
 SPECTRUM_TOL = 1e-6
 
 #: Diagonalizer acceptance.  Unit: largest |off-diagonal entry| of q p q^T.
-#: A basis or mixing angle that leaves more gives way to the next one.
+#: A mixing angle that leaves more gives way to the next one.
 #: ``eigh`` of a separated spectrum leaves about 1e-15.
 OFF_DIAGONAL_TOL = 1e-13
 # --- end of tolerances -------------------------------------------------------
@@ -245,9 +244,8 @@ def diagonalize_symmetric_unitary(p):
     the same ``(q, d)``.
 
     Works because the real and imaginary parts of a symmetric unitary
-    commute, hence share an orthonormal eigenbasis.  The constant bases of
-    ``_CORE_BASES`` are tried first; otherwise one ``eigh`` of the real
-    symmetric cos(t) Re(p) + sin(t) Im(p) finds it for every t that
+    commute, hence share an orthonormal eigenbasis.  One ``eigh`` of the
+    real symmetric cos(t) Re(p) + sin(t) Im(p) finds it for every t that
     separates the distinct eigenvalues of p (see ``_MIX_ANGLES``).
     """
     p = require_unitary(p, "diagonalize_symmetric_unitary", symmetric=True)
@@ -267,21 +265,6 @@ def diagonalize_symmetric_unitary(p):
 #: which angle succeeds.
 _MIX_ANGLES = (1.0, 2.0, 0.5, 2.5, 0.0)
 
-#: Real orthogonal bases (rows) that diagonalize the symmetric magic-basis
-#: form of a synthesis core at every angle, tried before any ``eigh``.  The
-#: CYZ core's form is two 2x2 blocks [[x, y], [y, x]], diagonalized by the
-#: rows (1, +-1, 0, 0) / sqrt 2 and (0, 0, 1, +-1) / sqrt 2; the CXZ core's
-#: form is diagonal already.  ``synthesis._core_form`` reads a candidate
-#: core's diagonalizer from them without this screen; the screen serves
-#: operators given to the public functions.
-_CORE_BASES = (
-    np.array(
-        [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]]
-    )
-    / math.sqrt(2.0),
-    np.eye(4),
-)
-
 _OFF_DIAGONAL = np.flatnonzero(~np.eye(4, dtype=bool))
 
 
@@ -292,16 +275,9 @@ def _off_diagonal(m):
 
 def _diagonalize_symmetric_unitary(p):
     """``diagonalize_symmetric_unitary`` without its input checks, for a
-    complex128 ``p`` that is symmetric unitary by construction: the first
-    of ``_CORE_BASES`` that leaves q p q^T diagonal to ``OFF_DIAGONAL_TOL``,
-    else the first mixing angle whose eigenvectors do, else the best one."""
-    for q in _CORE_BASES:
-        # Entry (0, 1) of q p q^T rejects an input the basis does not fit
-        # before the full product is formed.
-        if abs(q[0] @ p @ q[1]) <= OFF_DIAGONAL_TOL:
-            m = q @ p @ q.T
-            if _off_diagonal(m) <= OFF_DIAGONAL_TOL:
-                return _canonical(q, m.diagonal())
+    complex128 ``p`` that is symmetric unitary by construction: the
+    eigenvectors of the first mixing angle that leave q p q^T diagonal to
+    ``OFF_DIAGONAL_TOL``, else those of the best one."""
     best = None
     for t in _MIX_ANGLES:
         x = math.cos(t) * p.real + math.sin(t) * p.imag
@@ -322,19 +298,27 @@ def _leading(row):
     return next(x for x in row if abs(x) >= 0.25)
 
 
+def _row_signs(q):
+    """The signs, a column of +-1, that put the rows of an orthogonal ``q``
+    in canonical sign: rows 1-3 with their ``_leading`` entry positive, and
+    row 0 with that sign too unless the other sign is needed for det = +1.
+    Negating a row negates ``det4`` exactly, so the signed rows do not
+    depend on the signs the rows came in."""
+    signs = [1.0 if _leading(row) > 0.0 else -1.0 for row in q.tolist()]
+    if det4(q) * signs[0] * signs[1] * signs[2] * signs[3] < 0.0:
+        signs[0] = -signs[0]
+    return np.array(signs)[:, None]
+
+
 def _canonical(q, d):
     """The canonical form of an orthogonal diagonalization (rows of ``q``,
     eigenvalues ``d``): ascending principal argument of d, ties in input
-    order; rows 1-3 with their ``_leading`` entry positive, and row 0 with
-    that sign too unless the other sign is needed for det(q) = +1.  A new
-    array; ``q`` is not modified."""
+    order, and the rows in the signs of ``_row_signs``.  A new array; ``q``
+    is not modified."""
     angles = [cmath.phase(z) for z in d.tolist()]
     order = sorted(range(4), key=angles.__getitem__)
-    rows = q.tolist()
-    q = np.array([rows[i] if _leading(rows[i]) > 0.0 else [-x for x in rows[i]] for i in order])
-    if det4(q) < 0.0:
-        q[0] = -q[0]
-    return q, d[order]
+    q = q[order]
+    return q * _row_signs(q), d[order]
 
 
 def phase_distance(u, v):

@@ -15,8 +15,10 @@ All emitted circuits are verified against the input up to global phase; the
 eigenvalue-ordering freedom in the core extraction yields alternative
 circuits, which ``enumerate_circuits`` exposes.
 
-A core matches the target when ``invariants._align_spectra`` aligns their
-gamma spectra to ``SPECTRUM_TOL``, up to the global sign that the SU(4)
+Each core is built from the target's gamma spectrum, which fixes the core
+eigenvalue that answers each target eigenvalue: ``_core_form`` gives the
+core's rows in the target's order, and the two spectra are compared row by
+row at ``SPECTRUM_TOL``, up to the global sign that the SU(4)
 representative leaves free.  A call validates its input once and prepares
 the per-input state once (the input in SU(4), its magic-basis form and that
 form's diagonalization, the one ``eigh`` of the call); each
@@ -26,7 +28,8 @@ simulation, polar step or diagonalizer), and reads its one-qubit factors in
 closed form from two SO(4) matrices.  The one ``simulate`` of a candidate
 is the verifying one.  The public stage functions
 (``core_params_*``, ``match_local_factors``) check their inputs and then run
-the same private steps.
+the same private steps; ``match_local_factors``, whose second operator is
+arbitrary, first aligns the spectra (``invariants._align_spectra``).
 
 One function, ``_assemble``, lays out every library's circuit (a prefix,
 the one-qubit factors c x d, the CNOT core, the factors a x b) and is the
@@ -58,7 +61,7 @@ from .circuit import (
     wrap_angle,
 )
 from .errors import CosetMismatch, VerificationFailed
-from .invariants import _PARITY, _PERMS, _align_spectra, _magic_form, _MagicForm
+from .invariants import _align_spectra, _magic_form, _MagicForm
 from .numerics import DEFAULT_TOL
 
 
@@ -141,23 +144,26 @@ _PAIRINGS = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
 
 
 def _conjugate_pair_angles(spectrum):
-    """Split a conjugation-closed unit spectrum into angles r >= s in [0, pi].
+    """Split a conjugation-closed unit spectrum into angles r >= s in [0, pi]
+    and the indices (of e^{ir}, e^{-ir}, e^{is}, e^{-is}) where they sit.
 
     The multiset is {e^{+-ir}, e^{+-is}}; the pairing whose products are
     nearest 1 is taken, and each pair's angle is read from its chord and
     its mean, so an eigenvalue -1 gives pi whatever the sign of its zero
-    imaginary part.
+    imaginary part.  In each pair the eigenvalue with the larger imaginary
+    part, the first on a tie, is e^{+i angle}; r = s keeps the pairing's
+    order.
     """
     best = min(
         _PAIRINGS,
         key=lambda prs: max(abs(spectrum[i] * spectrum[j] - 1.0) for i, j in prs),
     )
-    angles = (
-        math.atan2(abs(spectrum[j] - spectrum[i]) / 2.0, (spectrum[i] + spectrum[j]).real / 2.0)
-        for i, j in best
-    )
-    r, s = sorted(angles, reverse=True)
-    return r, s
+    pairs = []
+    for i, j in best:
+        angle = math.atan2(abs(spectrum[j] - spectrum[i]) / 2.0, (spectrum[i] + spectrum[j]).real / 2.0)
+        pairs.append((angle, (i, j) if spectrum[i].imag >= spectrum[j].imag else (j, i)))
+    (r, rows_r), (s, rows_s) = sorted(pairs, key=lambda pair: pair[0], reverse=True)
+    return r, s, rows_r + rows_s
 
 
 def _delta_diagonal(psi):
@@ -178,7 +184,7 @@ def core_params_cxz(u_prime):
     theta = (r+s)/2, phi = (r-s)/2.  psi is atan2 of the two (0 when both
     vanish); psi + pi would do as well (see ``_cxz_shift``).
     """
-    params, _ = _cxz_state(nm.require_unitary(u_prime, "core_params_cxz", special=True))
+    params, _, _ = _cxz_state(nm.require_unitary(u_prime, "core_params_cxz", special=True))
     return params
 
 
@@ -196,12 +202,6 @@ def _cxz_shift(u_mat):
     return psi, m_mat
 
 
-def _cxz_params(psi, spectrum):
-    """``core_params_cxz`` from psi and the spectrum of gamma(M)."""
-    r, s = _conjugate_pair_angles(spectrum)
-    return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0)
-
-
 def match_local_factors(u, v):
     """One-qubit factors (a, b, c, d) with u = (a x b) v (c x d) up to phase.
 
@@ -215,35 +215,45 @@ def match_local_factors(u, v):
     ``SPECTRUM_TOL`` apart.
     """
     u, v = (nm.require_unitary(m, "match_local_factors", special=True) for m in (u, v))
-    return _local_factors(_target_form(u), _target_form(v))
+    return _aligned_factors(_target_form(u), _target_form(v))
 
 
 def _target_form(m):
     """``_magic_form`` of m with the product q mt that ``_local_factors``
-    aligns."""
+    reads."""
     form = _magic_form(m)
     return form._replace(qmt=form.q @ form.mt)
 
 
+def _aligned_factors(fu, fv):
+    """``_local_factors`` for a form fv whose rows do not yet answer those
+    of fu, in the order of ``invariants._align_spectra`` and the signs of
+    ``numerics._row_signs``, as ``_core_form`` gives a core's: the factors
+    do not depend on the order or the signs in which fv gave its rows."""
+    _, perm = _align_spectra(fu.d, fv.d)
+    q, qmt = fv.q[perm], fv.qmt[perm]
+    signs = nm._row_signs(q)
+    return _local_factors(fu, fv._replace(q=q * signs, d=fv.d[perm], qmt=qmt * signs))
+
+
 def _local_factors(fu, fv):
     """The factors (a, b, c, d) of ``match_local_factors`` from the magic
-    forms of u and of v (``_target_form``, or ``_core_form`` for a core),
+    forms of u and of v whose rows answer each other: row k of each
+    diagonalizer has eigenvalue fu.d[k] up to one global sign.  They are
     read in closed form from the SO(4) matrices qu^T qv (for a x b) and
     ct = (qv vt)^dag (qu ut) (for c x d), whose two products the forms
-    carry as qmt.  Both diagonalizers have det +1, so qv keeps det +1 by
-    negating its row 0 after an odd permutation.  When the spectra align
-    only with the sign of gamma(v) flipped, v is replaced by i v:
-    gamma(i v) = -gamma(v) has the same diagonalizer, and the factor i goes
-    into ct, whose real part is then Im(ct)."""
-    distance, sign, perm, parity = _align_spectra(fu.d, fv.d)
-    if distance > nm.SPECTRUM_TOL:
-        raise CosetMismatch("gamma spectra cannot be aligned")
-    qv, qvt = fv.q[perm], fv.qmt[perm]
-    if parity < 0:
-        qv[0], qvt[0] = -qv[0], -qvt[0]
-    ct = qvt.conj().T @ fu.qmt
-    a, b = _so4_factors(fu.q.T @ qv)
-    c, d = _so4_factors(ct.real if sign > 0 else ct.imag)
+    carry as qmt.  The sign is the better of +-1, +1 on a tie;
+    CosetMismatch when the rows stay more than ``SPECTRUM_TOL`` apart.
+    With sign -1, v is replaced by i v: gamma(i v) = -gamma(v) has the same
+    diagonalizer, and the factor i goes into ct, whose real part is then
+    Im(ct)."""
+    plus = np.abs(fu.d - fv.d).max()
+    minus = np.abs(fu.d + fv.d).max()
+    if min(plus, minus) > nm.SPECTRUM_TOL:
+        raise CosetMismatch("gamma spectra do not match row by row")
+    ct = fv.qmt.conj().T @ fu.qmt
+    a, b = _so4_factors(fu.q.T @ fv.q)
+    c, d = _so4_factors(ct.real if plus <= minus else ct.imag)
     return a, b, c, d
 
 
@@ -306,113 +316,112 @@ def _assemble(prefix, core, factors, lib):
 _CORE_PHASE = cmath.exp(-1j * (math.pi / 4.0))
 
 
-def _ordered_rows(basis, image):
-    """For every row order of ``_core_order``, the (q, C) of ``_core_form``:
-    the rows of ``basis`` and of ``image`` in that order, row 0 of each
-    negated after an odd order so that det q = +1, as ``numerics._canonical``
-    makes it; read-only."""
-    table = {}
-    for perm, parity in zip(_PERMS.tolist(), _PARITY):
-        q, c = basis[perm], image[perm]
-        if parity < 0:
-            q[0], c[0] = -q[0], -c[0]
-        q.flags.writeable = c.flags.writeable = False
-        table[tuple(perm)] = (q, c)
-    return table
+#: The constant bases B (rows) of ``_core_form``, and C of the CYZ core, B
+#: with its last two rows swapped.  Their rows lead with a positive entry
+#: and det B = +1, so B in any order, row 0 negated after an odd one, is in
+#: the signs of ``numerics._row_signs``.
+_CYZ_BASIS = np.array(
+    [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]]
+) / math.sqrt(2.0)
+_CYZ_IMAGE = _CYZ_BASIS[[0, 1, 3, 2]]
+_CXZ_BASIS = np.eye(4)
 
 
-#: The (q, C) tables of ``_core_form``: the CYZ core's basis B is the first
-#: of ``numerics._CORE_BASES`` and its image C is B with its last two rows
-#: swapped; the CXZ core's are both I.
-_CYZ_ROWS = _ordered_rows(nm._CORE_BASES[0], nm._CORE_BASES[0][[0, 1, 3, 2]])
-_CXZ_ROWS = _ordered_rows(nm._CORE_BASES[1], nm._CORE_BASES[1])
-_IDENTITY_ROWS = _CXZ_ROWS[(0, 1, 2, 3)][0]
-_UNIT_SPECTRUM = np.ones(4, dtype=np.complex128)
-_UNIT_SPECTRUM.flags.writeable = False
-_CUT = nm.ZERO_TOL - math.pi
-
-
-def _core_order(d):
-    """The canonical row order, a tuple, of a core form whose basis row k
-    has eigenvalue d[k]: ascending principal argument, where an eigenvalue
-    within ZERO_TOL of the cut at -1 takes +pi, as a determinant does in
-    ``_su4_normalize``.  An argument within ZERO_TOL of the one before it
-    is tied with it, and tied rows keep basis-row order, so exactly tied
-    eigenvalues, which rounding leaves about 1e-15 apart, come in basis-row
-    order whatever their rounding."""
-    angles = [x + 2.0 * math.pi if x < _CUT else x for x in map(cmath.phase, d)]
-    runs = []
-    for k in sorted(range(4), key=angles.__getitem__):
-        if runs and angles[k] - angles[runs[-1][-1]] <= nm.ZERO_TOL:
-            runs[-1].append(k)
-        else:
-            runs.append([k])
-    return tuple(k for run in runs for k in sorted(run))
-
-
-def _core_form(params):
+def _core_form(params, sigma):
     """The ``_MagicForm`` of a candidate core in SU(4), read from its angles:
     no simulation, polar step or diagonalizer.  ``params`` is a ``CYZCore``
-    or a CXZ triple (theta, phi, swap_wires).
+    or a CXZ triple (theta, phi, swap_wires).  Row t of the form is core
+    row ``sigma[t]`` (a list), whose eigenvalue answers the target's row t.
 
     The form is mt = B^T diag(lam) C for constant real orthogonal B and C,
     so the rows of B diagonalize mt mt^T = B^T diag(lam^2) B, d = lam^2 and
     q mt = diag(lam) C:
 
-    * CYZ: B and C are those of ``_CYZ_ROWS``, and lam_k = e^{-i pi/4}
-      e^{i s_k . (alpha, beta, delta) / 2} for the sign vectors s = (+ + -),
-      (- - -), (+ - +), (- + +); e^{-i pi/4} is ``_CORE_PHASE``.
+    * CYZ: B and C are ``_CYZ_BASIS`` and ``_CYZ_IMAGE``, and
+      lam_k = e^{-i pi/4} e^{i s_k . (alpha, beta, delta) / 2} for the sign
+      vectors s = (+ + -), (- - -), (+ - +), (- + +); e^{-i pi/4} is
+      ``_CORE_PHASE``.
     * CXZ: CNOT (Rx(theta) x Rz(phi)) CNOT = exp(-i theta XX / 2)
       exp(-i phi ZZ / 2) has determinant 1 and is diagonal in the magic
       basis: B = C = I and lam = e^{-i(theta + phi)/2}, e^{i(theta - phi)/2},
       e^{-i(theta - phi)/2}, e^{i(theta + phi)/2}.
     * CXZ with swapped wires: CNOT (Rz x Rx) CNOT = Rz x Rx is local, so mt
-      is real orthogonal, d = (1, 1, 1, 1) and q = I.
+      is real orthogonal: B = I, lam = 1 and C = mt.
 
-    The rows come in the order of ``_core_order``, with row 0 of q and of
-    q mt negated after an odd order (``_ordered_rows``)."""
+    The rows are taken in the order sigma, q = B[sigma] and
+    q mt = diag(lam[sigma]) C[sigma], with row 0 of each negated when sigma
+    is odd, so that det q = +1."""
     if isinstance(params, CYZCore):
         a, b, c = (cmath.exp(0.5j * t) for t in (params.alpha, params.beta, params.delta))
         ea, eb, ec = a.conjugate(), b.conjugate(), c.conjugate()
         lam = tuple(_CORE_PHASE * x for x in (a * b * ec, ea * eb * ec, a * eb * c, ea * b * c))
-        rows = _CYZ_ROWS
+        basis, image = _CYZ_BASIS, _CYZ_IMAGE
     else:
         theta, phi, swap_wires = params
+        basis = _CXZ_BASIS
         if swap_wires:
             local = nm.kron(rotation_matrix2(Axis.Z, theta), rotation_matrix2(Axis.X, phi))
-            mt = nm.MAGIC_DAG @ local @ nm.MAGIC
-            return _MagicForm(mt, _IDENTITY_ROWS, _UNIT_SPECTRUM, mt)
-        s, t = cmath.exp(0.5j * (theta + phi)), cmath.exp(0.5j * (theta - phi))
-        lam = (s.conjugate(), t, t.conjugate(), s)
-        rows = _CXZ_ROWS
-    d = [x * x for x in lam]
-    order = _core_order(d)
-    q, image = rows[order]
-    qmt = np.array([lam[k] for k in order])[:, None] * image
-    return _MagicForm(q.T @ qmt, q, np.array([d[k] for k in order]), qmt)
+            lam, image = (complex(1.0),) * 4, nm.MAGIC_DAG @ local @ nm.MAGIC
+        else:
+            s, t = cmath.exp(0.5j * (theta + phi)), cmath.exp(0.5j * (theta - phi))
+            lam, image = (s.conjugate(), t, t.conjugate(), s), basis
+    lam = [lam[k] for k in sigma]
+    q, qmt = basis[sigma], np.array(lam)[:, None] * image[sigma]
+    if sum(j > k for j, k in itertools.combinations(sigma, 2)) % 2:
+        q[0], qmt[0] = -q[0], -qmt[0]
+    return _MagicForm(q.T @ qmt, q, np.array([x * x for x in lam]), qmt)
+
+
+def _cyz_rows(order):
+    """The sigma of ``_core_form`` for the eigenvalue order (i, j, k) of
+    ``_cyz_params``: core rows 0, 2 and 3 have the eigenvalues -d[i],
+    -d[j] and -d[k] of the target's spectrum d, and row 1, whose
+    eigenvalue is -1 / (d[i] d[j] d[k]), that of the fourth row."""
+    sigma = [1, 1, 1, 1]
+    i, j, k = order
+    sigma[i], sigma[j], sigma[k] = 0, 2, 3
+    return sigma
+
+
+def _cxz_rows(rows, neg, swap_rs):
+    """The sigma of ``_core_form`` for a CXZ variant, from the indices
+    ``rows`` of e^{ir}, e^{-ir}, e^{is}, e^{-is} in the target's spectrum
+    (``_conjugate_pair_angles``).  The variant's core rows 0-3 have the
+    eigenvalues e^{-ia}, e^{ib}, e^{-ib}, e^{ia} for a = theta + phi and
+    b = theta - phi: (a, b) is (r, s), and (s, r) after ``swap_rs``;
+    ``neg`` negates both."""
+    pr, mr, ps, ms = rows
+    ap, am, bp, bm = (ps, ms, pr, mr) if swap_rs else rows
+    if neg:
+        ap, am, bp, bm = am, ap, bm, bp
+    sigma = [0, 0, 0, 0]
+    sigma[am], sigma[bp], sigma[bm], sigma[ap] = 0, 1, 2, 3
+    return sigma
 
 
 def _synthesize_cyz_like(target, lib, order):
     """CYZ, CXY and BASIC share the same core; only the local-layer encoding
     differs.  For CXY ``target`` is prepared from (H x H) u (H x H)."""
     params = _cyz_params(target.d, order)
-    factors = _local_factors(target, _core_form(params))
+    factors = _local_factors(target, _core_form(params, _cyz_rows(order)))
     return _assemble((), cyz_core_circuit(params).gates, factors, lib), "%d%d%d" % order
 
 
 def _cxz_state(u_norm):
-    """The per-input state of the CXZ construction: its core parameters and
+    """The per-input state of the CXZ construction: its core parameters,
+    the indices of e^{+-ir} and e^{+-is} in the spectrum of gamma(M), and
     the magic form of M = su4(u C[0->1] Delta(psi)), which every variant is
-    matched against; no variant changes either."""
+    matched against; no variant changes any of them."""
     u_mat = u_norm @ nm.CNOT01 * _CORE_PHASE
     psi, m_mat = _cxz_shift(u_mat)
     target = _target_form(m_mat)
-    return _cxz_params(psi, target.d), target
+    r, s, rows = _conjugate_pair_angles(target.d)
+    return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0), rows, target
 
 
 def _synthesize_cxz(state, variant):
     """variant = (conjugate_labeling, swap_pair_roles, swap_core_wires)."""
-    params, target = state
+    params, rows, target = state
     neg, swap_rs, swap_wires = variant
     theta, phi = params.theta, params.phi
     if swap_rs:
@@ -424,7 +433,8 @@ def _synthesize_cxz(state, variant):
     else:
         mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
     core = (CNOT(0, 1),) + mid + (CNOT(0, 1),)
-    factors = _local_factors(target, _core_form((theta, phi, swap_wires)))
+    sigma = [0, 1, 2, 3] if swap_wires else _cxz_rows(rows, neg, swap_rs)
+    factors = _local_factors(target, _core_form((theta, phi, swap_wires), sigma))
     prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
     return _assemble(prefix, core, factors, GateLibrary.CXZ), _CXZ_TAGS[variant]
 
