@@ -31,15 +31,14 @@ _SIGNED_PERMS = np.concatenate((_PERMS, _PERMS + 4))
 
 
 class _MagicForm(NamedTuple):
-    """An operator m in the magic basis, mt = E^dag m E, with the real
-    orthogonal diagonalization (q, d) of the symmetric form mt mt^T, whose
-    eigenvalues d are those of gamma(m); and, where the local layer of
-    synthesis aligns its rows, the product q mt."""
+    """An operator m in the magic basis, mt = E^dag m E, as the local layer
+    of synthesis reads it: the real orthogonal diagonalization (q, d) of the
+    symmetric form mt mt^T, whose eigenvalues d are those of gamma(m), and
+    the product q mt."""
 
-    mt: np.ndarray
     q: np.ndarray
     d: np.ndarray
-    qmt: np.ndarray | None = None
+    qmt: np.ndarray
 
 
 def _magic_form(m):
@@ -50,7 +49,7 @@ def _magic_form(m):
     (``synthesis._core_form``) instead."""
     mt = nm._polar_step(nm.MAGIC_DAG @ m @ nm.MAGIC)
     q, d = nm._diagonalize_symmetric_unitary(mt @ mt.T)
-    return _MagicForm(mt, q, d)
+    return _MagicForm(q, d, q @ mt)
 
 
 def _align_spectra(du, dv, strict=False):

@@ -127,7 +127,7 @@ _EYE = {2: I2, 4: I4}
 def is_unitary(m, tol=UNITARY_TOL):
     """Whether ||m^dag m - I||_F <= tol for a finite square matrix m."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m.real).all():
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
         return False
     n = m.shape[0]
     r = m.conj().T @ m - (_EYE[n] if n in _EYE else np.eye(n))

@@ -4,32 +4,33 @@ Every 4x4 unitary decomposes into exactly three CNOTs plus one-qubit
 rotations.  The pipeline: extract core rotation angles from the spectrum of
 the gamma invariant, build the fixed core topology, then solve for the
 one-qubit factors that close the gap between the core and the target
-(constructive coset matching in the magic basis).  Supported gate libraries:
+(constructive coset matching in the magic basis).  Each gate library
+emits one universal circuit, whose candidates differ only in their angles:
 
 * CYZ   -- CNOT + {R_y, R_z}, 15 rotations.
 * CXY   -- CNOT + {R_x, R_y}, by conjugating the CYZ solution with H x H.
-* CXZ   -- CNOT + {R_x, R_z}, different core with a trailing R_z.
+* CXZ   -- CNOT + {R_x, R_z}, 15 rotations, core C[0->1] (R_x x R_z) C[0->1].
 * BASIC -- CNOT + whole one-qubit gates, 10 gates total.
 
-All emitted circuits are verified against the input up to global phase; the
-eigenvalue-ordering freedom in the core extraction yields alternative
-circuits, which ``enumerate_circuits`` exposes.
+All emitted circuits are verified against the input up to global phase.  A
+candidate's tag names its reading of the core angles from the spectrum:
+the eigenvalue order ``ijk``, or for CXZ ``rs``, ``sr``, ``-rs``, ``-sr``;
+``enumerate_circuits`` exposes the alternatives.
 
-Each core is built from the target's gamma spectrum, which fixes the core
-eigenvalue that answers each target eigenvalue: ``_core_form`` gives the
-core's rows in the target's order, and the two spectra are compared row by
-row at ``SPECTRUM_TOL``, up to the global sign that the SU(4)
-representative leaves free.  A call validates its input once and prepares
-the per-input state once (the input in SU(4), its magic-basis form and that
-form's diagonalization, the one ``eigh`` of the call); each
-candidate then adds only its own core, whose magic form, diagonalizer and
-gamma spectrum are read from its angles in closed form (``_core_form``: no
-simulation, polar step or diagonalizer), and reads its one-qubit factors in
-closed form from two SO(4) matrices.  The one ``simulate`` of a candidate
-is the verifying one.  The public stage functions
-(``core_params_*``, ``match_local_factors``) check their inputs and then run
-the same private steps; ``match_local_factors``, whose second operator is
-arbitrary, first aligns the spectra (``invariants._align_spectra``).
+A call validates its input once and prepares the per-input state once: the
+input in SU(4), its magic-basis form and that form's diagonalization, the
+one ``eigh`` of the call.  Each candidate adds only its core, built from
+the target's gamma spectrum, which fixes the core eigenvalue that answers
+each target row: ``_core_form`` reads the core's diagonalizer, spectrum and
+q mt from its angles (no simulation, polar step or diagonalizer), its rows
+in the target's order.  The two spectra are compared row by row at
+``SPECTRUM_TOL``, up to the global sign that the SU(4) representative
+leaves free, and the one-qubit factors are read in closed form from two
+SO(4) matrices.  The one ``simulate`` of a candidate is the verifying one.
+The public stage functions (``core_params_*``, ``match_local_factors``)
+check their inputs and then run the same private steps;
+``match_local_factors``, whose second operator is arbitrary, first aligns
+the spectra (``invariants._align_spectra``).
 
 One function, ``_assemble``, lays out every library's circuit (a prefix,
 the one-qubit factors c x d, the CNOT core, the factors a x b) and is the
@@ -56,7 +57,6 @@ from .circuit import (
     _euler_angles,
     _so4_factors,
     _su4_normalize,
-    rotation_matrix2,
     simulate,
     wrap_angle,
 )
@@ -215,14 +215,7 @@ def match_local_factors(u, v):
     ``SPECTRUM_TOL`` apart.
     """
     u, v = (nm.require_unitary(m, "match_local_factors", special=True) for m in (u, v))
-    return _aligned_factors(_target_form(u), _target_form(v))
-
-
-def _target_form(m):
-    """``_magic_form`` of m with the product q mt that ``_local_factors``
-    reads."""
-    form = _magic_form(m)
-    return form._replace(qmt=form.q @ form.mt)
+    return _aligned_factors(_magic_form(u), _magic_form(v))
 
 
 def _aligned_factors(fu, fv):
@@ -330,12 +323,12 @@ _CXZ_BASIS = np.eye(4)
 def _core_form(params, sigma):
     """The ``_MagicForm`` of a candidate core in SU(4), read from its angles:
     no simulation, polar step or diagonalizer.  ``params`` is a ``CYZCore``
-    or a CXZ triple (theta, phi, swap_wires).  Row t of the form is core
-    row ``sigma[t]`` (a list), whose eigenvalue answers the target's row t.
+    or a CXZ pair (theta, phi).  Row t of the form is core row ``sigma[t]``
+    (a list), whose eigenvalue answers the target's row t.
 
-    The form is mt = B^T diag(lam) C for constant real orthogonal B and C,
-    so the rows of B diagonalize mt mt^T = B^T diag(lam^2) B, d = lam^2 and
-    q mt = diag(lam) C:
+    In both cases the core's magic form is mt = B^T diag(lam) C for
+    constant real orthogonal B and C, so the rows of B diagonalize
+    mt mt^T = B^T diag(lam^2) B, d = lam^2 and q mt = diag(lam) C:
 
     * CYZ: B and C are ``_CYZ_BASIS`` and ``_CYZ_IMAGE``, and
       lam_k = e^{-i pi/4} e^{i s_k . (alpha, beta, delta) / 2} for the sign
@@ -345,8 +338,6 @@ def _core_form(params, sigma):
       exp(-i phi ZZ / 2) has determinant 1 and is diagonal in the magic
       basis: B = C = I and lam = e^{-i(theta + phi)/2}, e^{i(theta - phi)/2},
       e^{-i(theta - phi)/2}, e^{i(theta + phi)/2}.
-    * CXZ with swapped wires: CNOT (Rz x Rx) CNOT = Rz x Rx is local, so mt
-      is real orthogonal: B = I, lam = 1 and C = mt.
 
     The rows are taken in the order sigma, q = B[sigma] and
     q mt = diag(lam[sigma]) C[sigma], with row 0 of each negated when sigma
@@ -357,19 +348,14 @@ def _core_form(params, sigma):
         lam = tuple(_CORE_PHASE * x for x in (a * b * ec, ea * eb * ec, a * eb * c, ea * b * c))
         basis, image = _CYZ_BASIS, _CYZ_IMAGE
     else:
-        theta, phi, swap_wires = params
-        basis = _CXZ_BASIS
-        if swap_wires:
-            local = nm.kron(rotation_matrix2(Axis.Z, theta), rotation_matrix2(Axis.X, phi))
-            lam, image = (complex(1.0),) * 4, nm.MAGIC_DAG @ local @ nm.MAGIC
-        else:
-            s, t = cmath.exp(0.5j * (theta + phi)), cmath.exp(0.5j * (theta - phi))
-            lam, image = (s.conjugate(), t, t.conjugate(), s), basis
+        theta, phi = params
+        s, t = cmath.exp(0.5j * (theta + phi)), cmath.exp(0.5j * (theta - phi))
+        lam, basis, image = (s.conjugate(), t, t.conjugate(), s), _CXZ_BASIS, _CXZ_BASIS
     lam = [lam[k] for k in sigma]
     q, qmt = basis[sigma], np.array(lam)[:, None] * image[sigma]
     if sum(j > k for j, k in itertools.combinations(sigma, 2)) % 2:
         q[0], qmt[0] = -q[0], -qmt[0]
-    return _MagicForm(q.T @ qmt, q, np.array([x * x for x in lam]), qmt)
+    return _MagicForm(q, np.array([x * x for x in lam]), qmt)
 
 
 def _cyz_rows(order):
@@ -414,42 +400,32 @@ def _cxz_state(u_norm):
     matched against; no variant changes any of them."""
     u_mat = u_norm @ nm.CNOT01 * _CORE_PHASE
     psi, m_mat = _cxz_shift(u_mat)
-    target = _target_form(m_mat)
+    target = _magic_form(m_mat)
     r, s, rows = _conjugate_pair_angles(target.d)
     return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0), rows, target
 
 
 def _synthesize_cxz(state, variant):
-    """variant = (conjugate_labeling, swap_pair_roles, swap_core_wires)."""
+    """Rz(-psi) on wire 1, C[0->1], c x d, the core C[0->1] (Rx(theta) x
+    Rz(phi)) C[0->1], a x b for ``variant`` = (neg, swap_rs): ``swap_rs``
+    negates phi, exchanging r and s, and ``neg`` negates both angles."""
     params, rows, target = state
-    neg, swap_rs, swap_wires = variant
-    theta, phi = params.theta, params.phi
-    if swap_rs:
-        phi = -phi
+    neg, swap_rs = variant
+    theta, phi = params.theta, -params.phi if swap_rs else params.phi
     if neg:
         theta, phi = -theta, -phi
-    if swap_wires:
-        mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
-    else:
-        mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
-    core = (CNOT(0, 1),) + mid + (CNOT(0, 1),)
-    sigma = [0, 1, 2, 3] if swap_wires else _cxz_rows(rows, neg, swap_rs)
-    factors = _local_factors(target, _core_form((theta, phi, swap_wires), sigma))
+    core = (CNOT(0, 1), Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi), CNOT(0, 1))
+    factors = _local_factors(target, _core_form((theta, phi), _cxz_rows(rows, neg, swap_rs)))
     prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
     return _assemble(prefix, core, factors, GateLibrary.CXZ), _CXZ_TAGS[variant]
 
 
-#: Every CXZ variant (conjugate_labeling, swap_pair_roles,
-#: swap_core_wires), in the order they are tried, with its tag.
+#: Every CXZ variant (neg, swap_rs), in the order they are tried, with tag.
 _CXZ_TAGS = {
-    (False, False, False): "rs",
-    (False, True, False): "sr",
-    (True, False, False): "-rs",
-    (True, True, False): "-sr",
-    (False, False, True): "rs:zx",
-    (False, True, True): "sr:zx",
-    (True, False, True): "-rs:zx",
-    (True, True, True): "-sr:zx",
+    (False, False): "rs",
+    (False, True): "sr",
+    (True, False): "-rs",
+    (True, True): "-sr",
 }
 
 
@@ -469,7 +445,7 @@ def _prepare(u, lib):
     u_norm, _ = _su4_normalize(u)
     if lib is GateLibrary.CXZ:
         return _cxz_state(u_norm)
-    return _target_form(u_norm)
+    return _magic_form(u_norm)
 
 
 def _result_for(u, circuit, tag, tol):

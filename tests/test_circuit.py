@@ -1,8 +1,11 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from q2synth import numerics as nm
 from q2synth.circuit import (
@@ -414,3 +417,46 @@ class TestSerialization:
         assert gate_to_text(CNOT(0, 1)) == "CNOT 0 1"
         assert gate_to_text(Swap()) == "SWAP"
         assert gate_to_text(Generic1Q(0, nm.I2)).startswith("U3 0 ")
+
+
+#: Derandomized, with no example database, so the suite draws the same
+#: circuits on every run.
+_PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+#: Any finite angle, with +-0 and +-pi drawn often.
+_ANGLES = st.one_of(
+    st.sampled_from((0.0, -0.0, math.pi, -math.pi)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def generic_gates(draw):
+    """A Generic1Q on a drawn wire: a Haar unitary from a drawn seed at a
+    drawn global phase."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phase = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return Generic1Q(draw(st.integers(0, 1)), phase * nm.haar_unitary(2, rng))
+
+
+_GATES = st.one_of(
+    st.builds(Rotation, st.sampled_from(list(Axis)), st.integers(0, 1), _ANGLES),
+    st.sampled_from((CNOT(0, 1), CNOT(1, 0), Swap())),
+    generic_gates(),
+)
+
+
+class TestSerializationProperties:
+    def test_text_round_trip_is_exact(self):
+        # parse_circuit(circuit_to_text(c)) == c for every gate type, and
+        # printing the parsed circuit gives the same text, so the sign of a
+        # zero angle survives too.
+        @_PROPERTY
+        @given(st.lists(_GATES, max_size=8).map(lambda gates: Circuit(tuple(gates))))
+        def check(c):
+            text = circuit_to_text(c)
+            back = parse_circuit(text)
+            assert back == c
+            assert circuit_to_text(back) == text
+
+        check()

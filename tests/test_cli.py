@@ -4,13 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import q2synth
 from q2synth import cli
 from q2synth import numerics as nm
 from q2synth.circuit import Generic1Q, parse_circuit, simulate
 from q2synth.cli import QFT2, main, named_gate, parse_matrix_text
-from q2synth.errors import CircuitParseError, NotUnitary
+from q2synth.errors import CircuitParseError, NotUnitary, Q2SynthError
 from q2synth.rewrite import apply_rule
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pyproject.toml")
@@ -56,6 +58,60 @@ class TestInputs:
             parse_matrix_text("a b c d e f g h\n" * 4)
         with pytest.raises(NotUnitary):
             parse_matrix_text("2 0 0 0 0 0 0 0\n" * 4)
+
+
+#: Tokens of malformed matrix text: non-finite and overflowing numbers,
+#: words, and empty tokens (which leave a short line or an empty one).
+_BAD_TOKENS = st.one_of(
+    st.sampled_from(("nan", "-nan", "inf", "-inf", "1e400", "-1e400", "NaN", "Infinity", "", "1j", "0x1")),
+    st.text(alphabet="abcxyz.-+e", min_size=1, max_size=4),
+)
+
+
+@st.composite
+def malformed_matrix_text(draw):
+    """A Haar unitary from a drawn seed in the matrix format, with drawn
+    edits: a token replaced by a bad one, a token dropped or added, a line
+    dropped, an empty line inserted; or lines of drawn tokens."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.lists(st.one_of(_BAD_TOKENS, st.just("0.5")), max_size=9), max_size=6))
+        return "\n".join(" ".join(line) for line in lines)
+    u = nm.haar_unitary(4, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    rows = [["%.17g" % x for z in row for x in (z.real, z.imag)] for row in u]
+    for _ in range(draw(st.integers(1, 3))):  # at most 3 of the 4 lines go
+        r = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(("replace", "drop", "add", "drop-line", "empty-line")))
+        if edit in ("replace", "drop") and rows[r]:
+            k = draw(st.integers(0, len(rows[r]) - 1))
+            if edit == "replace":
+                rows[r][k] = draw(_BAD_TOKENS)
+            else:
+                del rows[r][k]
+        elif edit == "add":
+            rows[r].append(draw(st.one_of(_BAD_TOKENS, st.just("0"))))
+        elif edit == "drop-line":
+            del rows[r]
+        else:
+            rows.insert(r, [])
+    return "\n".join(" ".join(row) for row in rows)
+
+
+class TestMatrixTextProperties:
+    def test_malformed_text_raises_only_typed_errors(self):
+        # A refusal is a Q2SynthError; anything accepted is a 4x4 unitary.
+        @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+        @given(malformed_matrix_text())
+        # An infinite imaginary part passed a finiteness check of the real
+        # parts and made the unitarity product warn.
+        @example("1 inf 0 0 0 0 0 0\n0 0 1 0 0 0 0 0\n0 0 0 0 1 0 0 0\n0 0 0 0 0 0 1 0")
+        def check(text):
+            try:
+                m = parse_matrix_text(text)
+            except Q2SynthError:
+                return
+            assert m.shape == (4, 4) and nm.is_unitary(m)
+
+        check()
 
 
 class TestSynthCommand:

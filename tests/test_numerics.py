@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,16 @@ class TestUnitarityChecks:
     def test_is_unitary(self):
         assert nm.is_unitary(nm.CNOT01)
         assert not nm.is_unitary(np.ones((4, 4)))
+
+    @pytest.mark.parametrize(
+        "entry", [complex(1.0, math.inf), complex(math.nan, 0.0), complex(0.0, -math.inf)]
+    )
+    def test_a_non_finite_entry_is_refused_before_any_product(self, entry):
+        # An infinite imaginary part passed a check of the real parts alone,
+        # and m^dag m then warned "invalid value encountered in matmul".
+        m = np.eye(4, dtype=np.complex128)
+        m[0, 0] = entry
+        assert not nm.is_unitary(m)
 
     def test_is_special_unitary(self):
         assert not nm.is_special_unitary(nm.CNOT01)  # det -1

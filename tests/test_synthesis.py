@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 from unittest import mock
@@ -21,7 +22,7 @@ from q2synth.circuit import (
     su4_normalize,
 )
 from q2synth.errors import CosetMismatch, NotUnitary, VerificationFailed
-from q2synth.invariants import gamma, same_double_coset
+from q2synth.invariants import _magic_form, gamma, same_double_coset
 from q2synth.synthesis import (
     _CORE_PHASE,
     _CXY_CONJ,
@@ -42,7 +43,6 @@ from q2synth.synthesis import (
     _delta_diagonal,
     _local_factors,
     _map_cxy_gate,
-    _target_form,
     _result_for,
     core_params_cxz,
     core_params_cyz,
@@ -134,16 +134,11 @@ def chamber_corpus(draws=4):
 
 
 def core_circuit(params):
-    """The core circuit of a ``CYZCore`` or a CXZ triple (theta, phi,
-    swap_wires)."""
+    """The core circuit of a ``CYZCore`` or a CXZ pair (theta, phi)."""
     if isinstance(params, CYZCore):
         return cyz_core_circuit(params)
-    theta, phi, swap_wires = params
-    if swap_wires:
-        mid = (Rotation(Axis.Z, 0, theta), Rotation(Axis.X, 1, phi))
-    else:
-        mid = (Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi))
-    return Circuit((CNOT(0, 1),) + mid + (CNOT(0, 1),))
+    theta, phi = params
+    return Circuit((CNOT(0, 1), Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi), CNOT(0, 1)))
 
 
 def reference_factors(u, core, params, sigma, simulated):
@@ -156,7 +151,7 @@ def reference_factors(u, core, params, sigma, simulated):
     if simulated:
         return match_local_factors(u, su4_normalize(simulate(core))[0])
     u = nm.require_unitary(u, "match_local_factors", special=True)
-    target = _target_form(u)
+    target = _magic_form(u)
     return _local_factors(target, _core_form(params, sigma(target.d)))
 
 
@@ -173,22 +168,21 @@ def reference_candidate(u, lib, candidate, simulated=False):
         factors = reference_factors(u_norm, core, params, lambda d: _cyz_rows(candidate), simulated)
         return _assemble((), core.gates, factors, lib), "%d%d%d" % candidate
 
-    neg, swap_rs, swap_wires = candidate
+    neg, swap_rs = candidate
     params = core_params_cxz(u_norm)
     theta, phi = params.theta, -params.phi if swap_rs else params.phi
     if neg:
         theta, phi = -theta, -phi
-    w_core = core_circuit((theta, phi, swap_wires))
+    w_core = core_circuit((theta, phi))
     u_mat, _ = su4_normalize(u_norm @ nm.CNOT01)
     m_mat, _ = su4_normalize(u_mat * _delta_diagonal(params.psi))
+
     def sigma(d):
-        if swap_wires:
-            return [0, 1, 2, 3]
         return _cxz_rows(_conjugate_pair_angles(d)[2], neg, swap_rs)
 
-    factors = reference_factors(m_mat, w_core, (theta, phi, swap_wires), sigma, simulated)
+    factors = reference_factors(m_mat, w_core, (theta, phi), sigma, simulated)
     prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
-    tag = ("-" if neg else "") + ("sr" if swap_rs else "rs") + (":zx" if swap_wires else "")
+    tag = ("-" if neg else "") + ("sr" if swap_rs else "rs")
     return _assemble(prefix, w_core.gates, factors, lib), tag
 
 
@@ -356,7 +350,7 @@ class TestMatchLocalFactors:
                 v = nm.kron(su2(rng), su2(rng)) @ u @ nm.kron(su2(rng), su2(rng))
                 v = 1j * v if k % 3 else v
             expected = match_local_factors(u, v)
-            fu, fv = _target_form(u), _target_form(v)
+            fu, fv = _magic_form(u), _magic_form(v)
             for _ in range(4):
                 perm = rng.permutation(4)
                 signs = rng.choice([-1.0, 1.0], size=4)[:, None]
@@ -695,26 +689,25 @@ class TestCoreBases:
             p = magic_symmetric_form(simulate(cyz_core_circuit(CYZCore(alpha, beta, delta))))
             assert nm._off_diagonal(q @ p @ q.T) <= 1e-13
 
-    @pytest.mark.parametrize("swap_wires", [False, True])
-    def test_cxz_core(self, swap_wires):
+    def test_cxz_core(self):
         q = _CXZ_BASIS
         rng = np.random.default_rng(19)
         pairs = list(itertools.product(CORE_ANGLES, repeat=2))
         pairs += [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
         for theta, phi in pairs:
-            p = magic_symmetric_form(simulate(core_circuit((theta, phi, swap_wires))))
+            p = magic_symmetric_form(simulate(core_circuit((theta, phi))))
             assert nm._off_diagonal(q @ p @ q.T) <= 1e-13
 
 
 def assert_core_form_matches_simulation(params, sigma):
-    """``_core_form(params, sigma)`` against the magic form of the simulated
-    core in SU(4): mt to 1e-14; q the rows of the core's constant basis in
-    the order sigma, real orthogonal with det +1 and in the signs of
+    """``_core_form(params, sigma)`` against the magic form mt of the
+    simulated core in SU(4): q the rows of the core's constant basis in the
+    order sigma, real orthogonal with det +1 and in the signs of
     ``numerics._row_signs``, diagonalizing the simulated mt mt^T to
-    OFF_DIAGONAL_TOL; d that diagonal; and qmt = q mt."""
+    OFF_DIAGONAL_TOL; d that diagonal; and q^T qmt = mt to 1e-14."""
     form = _core_form(params, sigma)
     mt = nm.MAGIC_DAG @ su4_normalize(simulate(core_circuit(params)))[0] @ nm.MAGIC
-    assert np.abs(form.mt - mt).max() <= 1e-14
+    assert np.abs(form.q.T @ form.qmt - mt).max() <= 1e-14
     basis = _CYZ_BASIS if isinstance(params, CYZCore) else _CXZ_BASIS
     assert np.array_equal(np.abs(form.q), np.abs(basis[list(sigma)]))
     assert np.abs(form.q @ form.q.T - np.eye(4)).max() <= 1e-15
@@ -723,7 +716,6 @@ def assert_core_form_matches_simulation(params, sigma):
     m = form.q @ (mt @ mt.T) @ form.q.T
     assert nm._off_diagonal(m) <= nm.OFF_DIAGONAL_TOL
     assert np.abs(m.diagonal() - form.d).max() <= 1e-14
-    assert np.abs(form.qmt - form.q @ form.mt).max() <= 1e-15
 
 
 #: Largest row gap |d_target - sign d_core| of a candidate core on the
@@ -751,21 +743,19 @@ class TestCoreForm:
         for n, (alpha, beta, delta) in enumerate(triples):
             assert_core_form_matches_simulation(CYZCore(alpha, beta, delta), ROW_ORDERS[n % 24])
 
-    @pytest.mark.parametrize("swap_wires", [False, True])
-    def test_cxz_core(self, swap_wires):
+    def test_cxz_core(self):
         rng = np.random.default_rng(25)
         pairs = list(itertools.product(CORE_ANGLES, repeat=2))
         pairs += [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
         for n, (theta, phi) in enumerate(pairs):
-            assert_core_form_matches_simulation((theta, phi, swap_wires), ROW_ORDERS[n % 24])
+            assert_core_form_matches_simulation((theta, phi), ROW_ORDERS[n % 24])
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_every_candidate_core_answers_its_target_row_by_row(self, lib):
         # Every candidate of a call, on Haar and chamber inputs: the core's
         # rows (q_v, in the order sigma) diagonalize the simulated core's
         # form, and d_target = sign d_core[sigma] row by row, with sign -1
-        # for the cyz core and +1 for the cxz core.  The wire-swapped cxz
-        # core is local (d_core = 1) and answers only local targets.
+        # for the cyz core and +1 for the cxz core.
         rng = np.random.default_rng(27)
         inputs = [nm.haar_unitary(4, rng) for _ in range(10)] + list(chamber_corpus(draws=1))
         for u in inputs:
@@ -786,7 +776,7 @@ class TestCoreForm:
                 assert_core_form_matches_simulation(params, sigma)
                 if isinstance(params, CYZCore):
                     assert np.abs(target.d + core.d).max() <= ROW_GAP_CYZ
-                elif not params[2]:
+                else:
                     assert np.abs(target.d - core.d).max() <= ROW_GAP_CXZ
 
 
@@ -813,15 +803,14 @@ class TestCorePhase:
                 prod = _su4_normalize(u)[0] @ nm.CNOT01
                 assert np.array_equal(prod * _CORE_PHASE, _su4_normalize(prod)[0])
 
-    @pytest.mark.parametrize("swap_wires", [False, True])
-    def test_cxz_core_is_already_special_unitary(self, swap_wires):
+    def test_cxz_core_is_already_special_unitary(self):
         # CNOT (Rx x Rz) CNOT has determinant 1 by construction, so the CXZ
         # core's closed form (_core_form) carries no phase factor.
         rng = np.random.default_rng(21)
         pairs = list(itertools.product(CORE_ANGLES, repeat=2))
         pairs += [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
         for theta, phi in pairs:
-            core = simulate(core_circuit((theta, phi, swap_wires)))
+            core = simulate(core_circuit((theta, phi)))
             assert np.array_equal(core, _su4_normalize(core)[0])
 
 
@@ -864,6 +853,56 @@ class TestEnumerate:
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             enumerate_circuits(np.eye(4), GateLibrary.CYZ, limit=0)
+
+
+def gate_shape(g):
+    """(gate type, axis, wire) of a gate, a CNOT's wire (control, target)."""
+    if isinstance(g, CNOT):
+        return ("CNOT", None, (g.control, g.target))
+    return (type(g).__name__, getattr(g, "axis", None), g.qubit)
+
+
+def near_cnot_input(draw):
+    """Draw ``draw`` (0-based) of (a x b) CNOT can(eps d), with eps
+    log-uniform in [1e-12, 1e-6], d a unit vector and a, b Haar, seed 2024."""
+    rng = np.random.default_rng(2024)
+    for _ in range(draw + 1):
+        eps = 10.0 ** rng.uniform(-12.0, -6.0)
+        d = rng.standard_normal(3)
+        a, b = nm.haar_unitary(2, rng), nm.haar_unitary(2, rng)
+    return np.kron(a, b) @ nm.CNOT01 @ canonical(*(eps * d / np.linalg.norm(d)))
+
+
+class TestOneUniversalCircuit:
+    """Each library emits one universal circuit: its candidates differ only
+    in their angles and one-qubit matrices."""
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_every_candidate_has_the_same_gate_sequence(self, lib):
+        rng = np.random.default_rng(29)
+        shapes = set()
+        for _ in range(4):
+            for result in enumerate_circuits(nm.haar_unitary(4, rng), lib, limit=24):
+                shapes.add(tuple(gate_shape(g) for g in result.circuit.gates))
+        assert len(shapes) == 1
+        kinds = collections.Counter(kind for kind, _, _ in shapes.pop())
+        if lib is GateLibrary.BASIC:
+            assert kinds == {"CNOT": 3, "Rotation": 3, "Generic1Q": 4}
+        else:
+            assert kinds == {"CNOT": 3, "Rotation": 15}
+
+    def test_cxz_has_four_candidates(self):
+        assert len(_candidate_tags(GateLibrary.CXZ)) == 4
+
+    def test_near_cnot_input_gets_the_four_cxz_variants_only(self):
+        # At eps = 4.46e-9 the wire-swapped cores CNOT (Rz x Rx) CNOT, which
+        # are local, once verified too (residual 3.1e-9), with a second
+        # topology: enumerate_circuits returned rs:zx and -rs:zx as well.
+        u = near_cnot_input(58)
+        results = enumerate_circuits(u, GateLibrary.CXZ)
+        assert [r.eigen_order for r in results] == ["rs", "sr", "-rs", "-sr"]
+        for r in results:
+            assert plain_phase_distance(plain_product(r.circuit), u) <= 1e-8
 
 
 #: Examples per property test; derandomized, with no example database, so

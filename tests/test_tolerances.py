@@ -70,6 +70,75 @@ class TestToleranceBlock:
         assert q2synth.synthesis.DEFAULT_TOL is nm.DEFAULT_TOL
 
 
+def module_trees():
+    """{file name: AST} of every module of the package."""
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def names_read(tree):
+    """Every name a module reads: its loaded names, the attribute names it
+    reads and the names it imports from another module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+class TestNoDeadNames:
+    """What a deletion leaves behind in src/: an import nothing uses, or a
+    private module-level name nothing else in src/ reads.  Tests do not
+    count as readers."""
+
+    def test_every_import_is_used(self):
+        unused = []
+        for name, tree in module_trees().items():
+            used = {
+                node.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+            }
+            # A re-export is used by its entry in __all__.
+            used |= {
+                elt.value
+                for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for elt in node.value.elts
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = (alias.asname or alias.name).split(".")[0]
+                        if bound not in used:
+                            unused.append("%s:%d: %s" % (name, node.lineno, bound))
+        assert unused == []
+
+    def test_every_private_module_name_is_read_in_src(self):
+        trees = module_trees()
+        read = set().union(*map(names_read, trees.values()))
+        unread = []
+        for name, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                for private in defined:
+                    if private.startswith("_") and not private.startswith("__") and private not in read:
+                        unread.append("%s:%d: %s" % (name, node.lineno, private))
+        assert unread == []
+
+
 def off_unitary(m, r):
     """m (unitary) scaled so that ||m^dag m - I||_F = r; for det m = 1 the
     determinant then misses 1 by about r too."""
