@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import numerics as nm
-from .circuit import Circuit, circuit_to_text, parse_circuit, simulate, to_qasm
+from .circuit import Circuit, circuit_to_text, parse_circuit, simulate, su4_normalize, to_qasm
 from .errors import CircuitParseError, Q2SynthError, VerificationFailed
-from .invariants import cnot_cost, gamma, invariant_data
+from .invariants import cnot_cost, gamma, invariant_data, same_double_coset
 from .rewrite import RULES, effectively_separated, rule_residual
 from .rewrite import reduce as reduce_circuit
 from .synthesis import GateLibrary, enumerate_circuits, synthesize
@@ -139,8 +139,6 @@ def cmd_cost(args):
 
 
 def cmd_invariants(args):
-    from .circuit import su4_normalize
-
     u, _ = su4_normalize(_resolve_input(args))
     data = invariant_data(u)
     print("gamma spectrum: %s" % "  ".join(_fmt_complex(z) for z in data.spectrum))
@@ -164,17 +162,11 @@ def cmd_reduce(args):
 def cmd_separated(args):
     circuit = parse_circuit(_read_text(args.circuit))
     sep = effectively_separated(circuit, depth_limit=args.depth)
-    if sep:
-        print("true (certified to depth %d)" % args.depth)
-    else:
-        print("false")
+    print("true (certified to depth %d)" % args.depth if sep else "false")
     return EXIT_OK
 
 
 def _selftest_gamma(rng, trials):
-    from .circuit import su4_normalize
-    from .invariants import same_double_coset
-
     worst = 0.0
     sy = nm.SIGMA_Y
 

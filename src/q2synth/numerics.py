@@ -40,10 +40,10 @@ ROUNDING_TOL = 1e-10
 DEFAULT_TOL = 1e-8
 
 #: One-qubit structure.  Unit: Frobenius norm or phase distance.  How far a
-#: split into one-qubit factors may miss (``tensor_factor`` and the local
-#: layer of synthesis), and how near a gate must be to a Pauli or a quarter
-#: turn for ``reduce`` to treat it as one.  A tenth of DEFAULT_TOL, so a
-#: circuit built from such parts still verifies.
+#: split into one-qubit factors may miss (``tensor_factor``, the local layer
+#: of synthesis), how near a gate must be to a Pauli or a quarter turn for
+#: ``reduce`` to treat it as one, and the grid on which ``enumerate_circuits``
+#: compares gates.  A tenth of DEFAULT_TOL: circuits of such parts verify.
 LOCAL_TOL = 1e-9
 
 #: Zero.  Unit: radians, or the entries of a 2x2 matrix.  A rotation angle

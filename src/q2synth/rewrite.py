@@ -29,13 +29,16 @@ entry magnitudes, an exact lower bound on the phase distance, and runs the
 NumPy phase distance only for a gate that this screen cannot refuse.
 
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
-rewrites can ever make two CNOTs adjacent, by breadth-first search over the
-rewrite graph with wire-relabeling symmetry folded out.  A ``True`` answer
-is certified only up to the given depth limit.
+rewrites can make two CNOTs adjacent, by breadth-first search with the wire
+mirror folded out.  No separation rule reads an angle, and each rewrite
+carries every angle along with its gate, so dropping the angles maps the
+search graph onto the graph of the circuit's shape move for move, at the
+same distance from an adjacent CNOT pair.  The search runs on the shape.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -655,72 +658,77 @@ def replay(c, trace):
 
 _SEPARATION_RULES = ("CommuteRxTarget", "CommuteRzControl", "FlipCNOTPair")
 
+#: A gate of each shape the search admits, indexed by the shape's symbol.
+_SHAPES = (CNOT(0, 1), CNOT(1, 0)) + tuple(Rotation(a, q, 1.0) for a in (Axis.X, Axis.Z) for q in (0, 1))
 
-def _gate_key(g):
+
+def _shape(g):
+    """What a separation rule reads of the gate g: axis and wire, or wires."""
     if isinstance(g, Rotation):
-        return ("r", g.axis.value, g.qubit, round(g.angle, 10))
-    return ("c", g.control, g.target)
+        return g.axis, g.qubit
+    return (g.control, g.target) if isinstance(g, CNOT) else None
 
 
-def _mirror_key(k):
-    """The key of the mirror image of the gate whose key is k."""
-    if k[0] == "r":
-        return ("r", k[1], 1 - k[2], k[3])
-    return ("c", k[2], k[1])
+_SYMBOL = {_shape(g): s for s, g in enumerate(_SHAPES)}
+_MIRROR = tuple(_SYMBOL[_shape(_mirror_gate(g))] for g in _SHAPES)
+_IS_CNOT = tuple(isinstance(g, CNOT) for g in _SHAPES)
 
 
-def _canonical_key(gates):
-    direct = tuple(_gate_key(g) for g in gates)
-    return min(direct, tuple(_mirror_key(k) for k in direct))
+def _separation_moves():
+    """{window: rewrite} on symbols, from the separation rules' matchers."""
+    moves = {}
+    for rule_id in _SEPARATION_RULES:
+        for slots, fn in RULES[rule_id].matchers:
+            admitted = [[s for s, g in enumerate(_SHAPES) if isinstance(g, slot)] for slot in slots]
+            for window in itertools.product(*admitted):
+                rep = fn(tuple(_SHAPES[s] for s in window))
+                if rep is not None:
+                    if window in moves:
+                        raise RuntimeError("two separation rewrites of the window %r" % (window,))
+                    moves[window] = tuple(_SYMBOL[_shape(g)] for g in rep)
+    return moves
 
 
-def _has_adjacent_cnots(gates):
-    return any(
-        isinstance(gates[i], CNOT) and isinstance(gates[i + 1], CNOT)
-        for i in range(len(gates) - 1)
-    )
+_MOVES = _separation_moves()
+_WINDOW_LENGTHS = sorted({len(w) for w in _MOVES})
+
+
+def _cnot_pair(state):
+    return any(_IS_CNOT[a] and _IS_CNOT[b] for a, b in zip(state, state[1:]))
 
 
 def effectively_separated(c, depth_limit=8):
     """True if no sequence of ≤ depth_limit commutation/flip rewrites makes
-    two CNOTs adjacent; False as soon as some reachable circuit has an
-    adjacent CNOT pair.
-
-    Only CNOT, R_x and R_z gates are allowed (the setting where the rule
-    set is meaningful); anything else raises UnsupportedGate.  Circuits
-    equal up to relabeling the two wires are identified, which keeps the
-    search finite.  A True answer is a certificate only up to depth_limit.
+    two CNOTs adjacent, else False; a True answer is a certificate only up
+    to depth_limit.  Only CNOT, R_x and R_z gates are allowed (the setting
+    where the rule set is meaningful); anything else raises UnsupportedGate.
+    The search runs on the circuit's angle-free shape, up to relabeling the
+    two wires (see the module docstring).
     """
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1")
-    for g in c.gates:
-        if isinstance(g, CNOT):
-            continue
-        if isinstance(g, Rotation) and g.axis in (Axis.X, Axis.Z):
-            continue
-        raise UnsupportedGate("effective separation is defined over CNOT/R_x/R_z gates only")
-
-    start = tuple(c.gates)
-    if _has_adjacent_cnots(start):
+    try:
+        start = tuple(_SYMBOL[_shape(g)] for g in c.gates)
+    except KeyError:
+        raise UnsupportedGate("effective separation is defined over CNOT/R_x/R_z gates only") from None
+    if _cnot_pair(start):
         return False
-    seen = {_canonical_key(start)}
+    seen = {start, tuple(_MIRROR[s] for s in start)}
     frontier = [start]
     for _ in range(depth_limit):
         nxt = []
-        for gates in frontier:
-            for pos in range(len(gates)):
-                for rule_id in _SEPARATION_RULES:
-                    hit = RULES[rule_id].match(gates, pos)
-                    if hit is None:
+        for state in frontier:
+            for length in _WINDOW_LENGTHS:
+                for pos in range(len(state) - length + 1):
+                    rep = _MOVES.get(state[pos : pos + length])
+                    if rep is None:
                         continue
-                    length, replacement = hit
-                    candidate = gates[:pos] + replacement + gates[pos + length :]
-                    key = _canonical_key(candidate)
-                    if key in seen:
+                    candidate = state[:pos] + rep + state[pos + length :]
+                    if candidate in seen:
                         continue
-                    if _has_adjacent_cnots(candidate):
+                    if _cnot_pair(candidate):
                         return False
-                    seen.add(key)
+                    seen.update((candidate, tuple(_MIRROR[s] for s in candidate)))
                     nxt.append(candidate)
         if not nxt:
             break

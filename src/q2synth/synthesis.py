@@ -501,9 +501,9 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
 
 def _dedupe_key(g):
     if isinstance(g, Rotation):
-        return (g.axis.value, g.qubit, round(g.angle, 9))
+        return (g.axis.value, g.qubit, round(g.angle / nm.LOCAL_TOL))
     if isinstance(g, Generic1Q):
-        return ("u", g.qubit, tuple(np.round(g.matrix, 9).ravel()))
+        return ("u", g.qubit, tuple(np.round(g.matrix / nm.LOCAL_TOL).ravel()))
     return ("cnot", g.control, g.target)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,11 +23,11 @@ from q2synth.circuit import (
 from q2synth.errors import NoMatch, UnsupportedGate
 from q2synth.rewrite import (
     _DISPATCH,
+    _MOVES,
     _REDUCE_PRIORITY,
+    _SHAPES,
     RULES,
     ReductionTrace,
-    _canonical_key,
-    _gate_key,
     _is_pauli,
     _mirror_gate,
     _s_gate_axis,
@@ -135,6 +136,72 @@ def separation_circuit(rng, n):
         else:
             axis = Axis.X if rng.random() < 0.5 else Axis.Z
             gates.append(Rotation(axis, wire, float(rng.uniform(-math.pi, math.pi))))
+    return C(gates)
+
+
+#: The rules of the separation search, and the depths its tests ask at.
+SEPARATION_RULES = ("CommuteRxTarget", "CommuteRzControl", "FlipCNOTPair")
+DEPTHS = (1, 2, 3, 5, 8, 12)
+
+
+def _reference_key(g):
+    if isinstance(g, Rotation):
+        return ("r", g.axis.value, g.qubit, round(g.angle, 10))
+    return ("c", g.control, g.target)
+
+
+def _reference_canonical_key(gates):
+    direct = tuple(_reference_key(g) for g in gates)
+    mirrored = tuple(("r", k[1], 1 - k[2], k[3]) if k[0] == "r" else ("c", k[2], k[1]) for k in direct)
+    return min(direct, mirrored)
+
+
+def _has_adjacent_cnots(gates):
+    return any(isinstance(a, CNOT) and isinstance(b, CNOT) for a, b in zip(gates, gates[1:]))
+
+
+def reference_separated(c, depth_limit=8):
+    """The search over gate objects that ``effectively_separated`` ran before
+    it searched the angle-free shape: every state keyed gate by gate, angles
+    on a 1e-10 grid, and every separation rule matched at every position."""
+    start = tuple(c.gates)
+    if _has_adjacent_cnots(start):
+        return False
+    seen = {_reference_canonical_key(start)}
+    frontier = [start]
+    for _ in range(depth_limit):
+        nxt = []
+        for gates in frontier:
+            for pos in range(len(gates)):
+                for rule_id in SEPARATION_RULES:
+                    hit = RULES[rule_id].match(gates, pos)
+                    if hit is None:
+                        continue
+                    length, replacement = hit
+                    candidate = gates[:pos] + replacement + gates[pos + length :]
+                    key = _reference_canonical_key(candidate)
+                    if key in seen:
+                        continue
+                    if _has_adjacent_cnots(candidate):
+                        return False
+                    seen.add(key)
+                    nxt.append(candidate)
+        if not nxt:
+            break
+        frontier = nxt
+    return True
+
+
+def redrawn(rng, c):
+    """c with every angle drawn anew: uniform, 0, a half or quarter turn, or
+    the angle last drawn, so that the gate keys of the reference coincide."""
+    gates, last = [], 0.0
+    for g in c.gates:
+        if isinstance(g, Rotation):
+            choices = (float(rng.uniform(-math.pi, math.pi)), 0.0, math.pi, math.pi / 2.0, last)
+            last = choices[int(rng.integers(len(choices)))]
+            g = Rotation(g.axis, g.qubit, last)
+        gates.append(g)
     return C(gates)
 
 
@@ -627,6 +694,25 @@ class TestEffectivelySeparated:
         )
         assert effectively_separated(c, 8) is False
 
+    def test_a_four_gate_flip_decides(self):
+        # The last two CNOTs flip only as a 4-gate window.  The flipped
+        # CNOT has wire 1 as its target, so it commutes left past the two
+        # Rx on wire 1 onto the first CNOT: three moves.
+        c = C(
+            [
+                CNOT(1, 0),
+                Rotation(Axis.X, 1, 0.4),
+                Rotation(Axis.X, 1, -0.9),
+                CNOT(1, 0),
+                Rotation(Axis.X, 1, 1.3),
+                Rotation(Axis.Z, 0, 0.2),
+                CNOT(1, 0),
+                Rotation(Axis.Z, 1, 0.7),
+            ]
+        )
+        answers = [effectively_separated(c, d) for d in (2, 3)]
+        assert answers == [reference_separated(c, d) for d in (2, 3)] == [True, False]
+
     def test_adjacent_cnots_fail_immediately(self):
         assert effectively_separated(C([CNOT(0, 1), CNOT(1, 0)]), 1) is False
 
@@ -652,16 +738,77 @@ class TestEffectivelySeparated:
             if not earlier:
                 assert not later
 
-    def test_canonical_key_is_the_key_of_the_mirrored_gates(self):
-        # The mirrored key is read off the direct key, without building the
-        # mirrored gates.
-        rng = np.random.default_rng(19)
-        for n in (0, 1, 2, 5, 10, 20):
-            for _ in range(20):
-                gates = separation_circuit(rng, n).gates
-                direct = tuple(_gate_key(g) for g in gates)
-                mirrored = tuple(_gate_key(_mirror_gate(g)) for g in gates)
-                assert _canonical_key(gates) == min(direct, mirrored)
+    def test_the_answers_of_the_gate_object_search(self):
+        rng = np.random.default_rng(23)
+        answers = set()
+        for n in range(3, 21):
+            for _ in range(6):
+                c = separation_circuit(rng, n)
+                for depth in DEPTHS:
+                    answer = effectively_separated(c, depth)
+                    assert answer is reference_separated(c, depth)
+                    answers.add(answer)
+        assert answers == {True, False}
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 14),
+        depth=st.sampled_from(DEPTHS),
+        mirror=st.booleans(),
+    )
+    def test_the_answer_ignores_the_angles_and_the_wire_mirror(self, seed, n, depth, mirror):
+        # The reference keys its states by their angles; the answer is the
+        # same on every redrawing of them, and on the mirrored circuit.
+        rng = np.random.default_rng(seed)
+        c = separation_circuit(rng, n)
+        other = redrawn(rng, c)
+        if mirror:
+            other = C(_mirror_gate(g) for g in other.gates)
+        answer = effectively_separated(c, depth)
+        assert effectively_separated(other, depth) is answer
+        assert reference_separated(other, depth) is answer
+
+    def test_search_makes_no_match_call(self, monkeypatch):
+        calls = []
+        match = rewrite.RewriteRule.match
+
+        def counting(rule, gates, pos):
+            calls.append(rule.id)
+            return match(rule, gates, pos)
+
+        monkeypatch.setattr(rewrite.RewriteRule, "match", counting)
+        rng = np.random.default_rng(21)
+        answers = {effectively_separated(separation_circuit(rng, 10), 12) for _ in range(40)}
+        assert answers == {True, False}
+        assert calls == []
+
+    def test_the_move_table_is_what_the_matchers_give(self):
+        # Every window of shapes that a separation matcher's slots admit,
+        # with fresh angles, matched by its rule as a gate window.
+        def shape(g):
+            if isinstance(g, Rotation):
+                return type(g), g.axis, g.qubit
+            return type(g), g.control, g.target
+
+        symbol = {shape(g): s for s, g in enumerate(_SHAPES)}
+        assert len(symbol) == 6
+        rng = np.random.default_rng(22)
+        windows, expected = set(), {}
+        for rule_id in SEPARATION_RULES:
+            rule = RULES[rule_id]
+            for slots, _ in rule.matchers:
+                admitted = [[s for s, g in enumerate(_SHAPES) if isinstance(g, slot)] for slot in slots]
+                for window in itertools.product(*admitted):
+                    windows.add(window)
+                    gates = [_SHAPES[s] for s in window]
+                    gates = redrawn(rng, C(gates)).gates
+                    hit = rule.match(gates, 0)
+                    if hit is not None:
+                        assert hit[0] == len(window) and window not in expected
+                        expected[window] = tuple(symbol[shape(g)] for g in hit[1])
+        assert (len(windows), len(expected)) == (96, 16)
+        assert _MOVES == expected
 
     def test_search_builds_no_mirrored_gates(self, monkeypatch):
         calls = []

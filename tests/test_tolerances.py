@@ -50,6 +50,28 @@ class TestToleranceBlock:
                 stray.append("%s:%d: %r" % (path.name, node.lineno, node.value))
         assert stray == []
 
+    def test_no_rounding_to_a_literal_number_of_digits(self):
+        # round(x, 9) is a 1e-9 grid written as a digit count, which the
+        # float-literal test above cannot see; quantize by a named tolerance.
+        stray = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "round":
+                    digits = node.args[1:2]
+                elif isinstance(func, ast.Attribute) and func.attr in ("round", "around"):
+                    # np.round(x, k), or the method x.round(k).
+                    on_module = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+                    digits = node.args[1:2] if on_module else node.args[:1]
+                else:
+                    continue
+                digits += [k.value for k in node.keywords if k.arg in ("ndigits", "decimals")]
+                if any(isinstance(d, ast.Constant) for d in digits):
+                    stray.append("%s:%d: %s" % (path.name, node.lineno, ast.unparse(node)))
+        assert stray == []
+
     def test_the_block_names_every_tolerance(self):
         first, last = tolerance_block()
         tree = ast.parse((SRC / "numerics.py").read_text())
