@@ -122,9 +122,6 @@ class Swap:
     pass
 
 
-Gate = Rotation | CNOT | Generic1Q | Swap
-
-
 def gate_matrix(g):
     """The 4x4 operator of a single gate (CNOTs carry unit global phase)."""
     return simulate(Circuit((g,)))
@@ -162,6 +159,16 @@ class Circuit:
         for g in self.gates:
             total += 3 if isinstance(g, Swap) else 1
         return total
+
+
+def _entries(g):
+    """The entries (m00, m01, m10, m11) of a Rotation or Generic1Q, as
+    Python scalars; TypeError for any other object."""
+    if isinstance(g, Rotation):
+        return _rotation_entries(g.axis, g.angle)
+    if isinstance(g, Generic1Q):
+        return g.matrix.ravel().tolist()
+    raise TypeError("not a gate: %r" % (g,))
 
 
 def _mul2(x, y):
@@ -215,16 +222,11 @@ def simulate(c):
     m = nm.I4
     runs = [None, None]
     for g in c.gates:
-        if isinstance(g, Rotation):
-            e = _rotation_entries(g.axis, g.angle)
-        elif isinstance(g, Generic1Q):
-            e = g.matrix.ravel().tolist()
-        elif isinstance(g, (CNOT, Swap)):
+        if isinstance(g, (CNOT, Swap)):
             m = _flush(runs, m).take(_ROWS[g], axis=0)
             runs = [None, None]
             continue
-        else:
-            raise TypeError("not a gate: %r" % (g,))
+        e = _entries(g)
         runs[g.qubit] = e if runs[g.qubit] is None else _mul2(e, runs[g.qubit])
     m = _flush(runs, m)
     return m.copy() if m is nm.I4 else m

@@ -161,11 +161,11 @@ def is_special_unitary(m, tol=UNITARY_TOL):
     return abs((det2 if m.shape[0] == 2 else det4)(m) - 1.0) <= tol
 
 
-def _is_identity_up_to_phase(m):
-    """Whether a 2x2 matrix is a multiple of the identity, entrywise to
-    ``ZERO_TOL``."""
-    off = abs(m[0, 1]) + abs(m[1, 0])
-    return off <= ZERO_TOL and abs(m[0, 0] - m[1, 1]) <= ZERO_TOL
+def _is_identity_up_to_phase(e):
+    """Whether the 2x2 matrix with entries e = (m00, m01, m10, m11) is a
+    multiple of the identity, entrywise to ``ZERO_TOL``."""
+    m00, m01, m10, m11 = e
+    return abs(m01) + abs(m10) <= ZERO_TOL and abs(m00 - m11) <= ZERO_TOL
 
 
 def _polar_step(m):

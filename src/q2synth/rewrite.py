@@ -53,8 +53,8 @@ from .circuit import (
     Generic1Q,
     Rotation,
     Swap,
+    _entries,
     _mul2,
-    _rotation_entries,
     rotation_matrix2,
     simulate,
     wrap_angle,
@@ -62,14 +62,6 @@ from .circuit import (
 from .errors import NoMatch, UnsupportedGate
 
 _ONE_QUBIT = (Rotation, Generic1Q)
-
-
-def _entries(g):
-    """The entries (m00, m01, m10, m11) of a Rotation or Generic1Q, as
-    Python scalars."""
-    if isinstance(g, Rotation):
-        return _rotation_entries(g.axis, g.angle)
-    return g.matrix.ravel().tolist()
 
 
 def _matrix(e):
@@ -164,8 +156,6 @@ class RewriteRule:
     """
 
     id: str
-    arity: tuple
-    direction: str
     matchers: tuple
     samples: tuple
 
@@ -286,9 +276,7 @@ def _merge_rotations(w):
             return []
         return [Rotation(g1.axis, g1.qubit, angle)]
     p = _mul2(_entries(g2), _entries(g1))
-    # The rule of numerics._is_identity_up_to_phase, on the entries.
-    p0, p1, p2, p3 = p
-    if abs(p1) + abs(p2) <= nm.ZERO_TOL and abs(p0 - p3) <= nm.ZERO_TOL:
+    if nm._is_identity_up_to_phase(p):
         return []
     prod = _matrix(p)
     # Each factor may be UNITARY_TOL from unitary, and so their product
@@ -371,8 +359,6 @@ def _sz(q):
 def _rule(rule_id, matchers, samples):
     return RewriteRule(
         id=rule_id,
-        arity=tuple(sorted({len(slots) for slots, _ in matchers})),
-        direction="bidirectional" if len(matchers) > 1 else "forward",
         matchers=tuple(matchers),
         samples=tuple(tuple(s) for s in samples),
     )
@@ -592,16 +578,16 @@ def reduce(c):
     for g in gates:
         if type(g) not in _GATE_TYPES:
             raise TypeError("not a gate: %r" % (g,))
-    # hits[p] caches the lowest-tier hit at position p, and flags[t][p] is 1
-    # where that hit is of tier t, so the first position of the lowest tier
-    # with any hit is a C-speed find.  No position holds a hit of a tier
-    # below that one, so this is the step that trying every tier in turn
-    # would choose.  Every forward window has two gates: a rewrite at pos
-    # changes only the windows that start in [pos - 1, pos +
-    # len(replacement)); later entries shift with the gates and are kept,
-    # since a match depends only on its window.
+    # hits[p] caches the lowest-tier hit at position p, and tiers[p] is 1 +
+    # its tier (0 for none), so the first position of the lowest tier with
+    # any hit is a C-speed find.  No position holds a hit of a tier below
+    # that one, so this is the step that trying every tier in turn would
+    # choose.  Every forward window has two gates: a rewrite at pos changes
+    # only the windows that start in [pos - 1, pos + len(replacement));
+    # later entries shift with the gates and are kept, since a match
+    # depends only on its window.
     hits = []
-    flags = [bytearray() for _ in _REDUCE_PRIORITY]
+    tiers = bytearray()
 
     def lowest_hit(p):
         """(tier, rule_id, replacement) of the first dispatched rule that
@@ -619,19 +605,14 @@ def reduce(c):
         entries at [lo, old_end)."""
         fresh = [lowest_hit(p) for p in range(lo, new_end)]
         hits[lo:old_end] = fresh
-        blank = bytes(len(fresh))
-        for tier_flags in flags:
-            tier_flags[lo:old_end] = blank
-        for p, h in enumerate(fresh, lo):
-            if h is not None:
-                flags[h[0]][p] = 1
+        tiers[lo:old_end] = bytes(0 if h is None else h[0] + 1 for h in fresh)
 
     initial = len(gates)
     steps = []
     refresh(0, 0, initial)
     while True:
-        for tier_flags in flags:
-            pos = tier_flags.find(1)
+        for code in range(1, len(_REDUCE_PRIORITY) + 1):
+            pos = tiers.find(code)
             if pos >= 0:
                 break
         else:

@@ -17,16 +17,20 @@ candidate's tag names its reading of the core angles from the spectrum:
 the eigenvalue order ``ijk``, or for CXZ ``rs``, ``sr``, ``-rs``, ``-sr``;
 ``enumerate_circuits`` exposes the alternatives.
 
-A call validates its input once and prepares the per-input state once: the
+A call validates its input once; one generator, ``_candidates``, is all
+that differs between the libraries.  It prepares the target once (the
 input in SU(4), its magic-basis form and that form's diagonalization, the
-one ``eigh`` of the call.  Each candidate adds only its core, built from
-the target's gamma spectrum, which fixes the core eigenvalue that answers
-each target row: ``_core_form`` reads the core's diagonalizer, spectrum and
-q mt from its angles (no simulation, polar step or diagonalizer), its rows
-in the target's order.  The two spectra are compared row by row at
-``SPECTRUM_TOL``, up to the global sign that the SU(4) representative
-leaves free, and the one-qubit factors are read in closed form from two
-SO(4) matrices.  The one ``simulate`` of a candidate is the verifying one.
+one ``eigh`` of the call) and then yields the candidates in the order they
+are tried, each built only when it is asked for.  A candidate is its core,
+built from the target's gamma spectrum, which fixes the core eigenvalue
+that answers each target row: ``_core_form`` reads the core's
+diagonalizer, spectrum and q mt from its angles (no simulation, polar step
+or diagonalizer), its rows in the target's order.  ``_outcomes``, the one
+candidate loop, compares the two spectra row by row at ``SPECTRUM_TOL``,
+up to the global sign that the SU(4) representative leaves free, reads the
+one-qubit factors in closed form from two SO(4) matrices, lays out the
+circuit and verifies it; the one ``simulate`` of a candidate is the
+verifying one, and ``synthesize`` stops at the first that verifies.
 The public stage functions (``core_params_*``, ``match_local_factors``)
 check their inputs and then run the same private steps;
 ``match_local_factors``, whose second operator is arbitrary, first aligns
@@ -54,6 +58,7 @@ from .circuit import (
     Circuit,
     Generic1Q,
     Rotation,
+    _entries,
     _euler_angles,
     _so4_factors,
     _su4_normalize,
@@ -296,7 +301,7 @@ def _assemble(prefix, core, factors, lib):
                 continue
             if angle != g.angle:
                 g = Rotation(g.axis, g.qubit, angle)
-        elif isinstance(g, Generic1Q) and nm._is_identity_up_to_phase(g.matrix):
+        elif isinstance(g, Generic1Q) and nm._is_identity_up_to_phase(_entries(g)):
             continue
         gates.append(g)
     return Circuit(tuple(gates))
@@ -385,14 +390,6 @@ def _cxz_rows(rows, neg, swap_rs):
     return sigma
 
 
-def _synthesize_cyz_like(target, lib, order):
-    """CYZ, CXY and BASIC share the same core; only the local-layer encoding
-    differs.  For CXY ``target`` is prepared from (H x H) u (H x H)."""
-    params = _cyz_params(target.d, order)
-    factors = _local_factors(target, _core_form(params, _cyz_rows(order)))
-    return _assemble((), cyz_core_circuit(params).gates, factors, lib), "%d%d%d" % order
-
-
 def _cxz_state(u_norm):
     """The per-input state of the CXZ construction: its core parameters,
     the indices of e^{+-ir} and e^{+-is} in the spectrum of gamma(M), and
@@ -405,21 +402,6 @@ def _cxz_state(u_norm):
     return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0), rows, target
 
 
-def _synthesize_cxz(state, variant):
-    """Rz(-psi) on wire 1, C[0->1], c x d, the core C[0->1] (Rx(theta) x
-    Rz(phi)) C[0->1], a x b for ``variant`` = (neg, swap_rs): ``swap_rs``
-    negates phi, exchanging r and s, and ``neg`` negates both angles."""
-    params, rows, target = state
-    neg, swap_rs = variant
-    theta, phi = params.theta, -params.phi if swap_rs else params.phi
-    if neg:
-        theta, phi = -theta, -phi
-    core = (CNOT(0, 1), Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi), CNOT(0, 1))
-    factors = _local_factors(target, _core_form((theta, phi), _cxz_rows(rows, neg, swap_rs)))
-    prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
-    return _assemble(prefix, core, factors, GateLibrary.CXZ), _CXZ_TAGS[variant]
-
-
 #: Every CXZ variant (neg, swap_rs), in the order they are tried, with tag.
 _CXZ_TAGS = {
     (False, False): "rs",
@@ -429,23 +411,37 @@ _CXZ_TAGS = {
 }
 
 
-def _candidate_tags(lib):
-    if lib is GateLibrary.CXZ:
-        return tuple(_CXZ_TAGS)
-    return EIGEN_ORDERS
+def _candidates(u, lib):
+    """Every candidate of ``lib`` for a validated unitary ``u``, in the order
+    they are tried, each as (target, prefix, core, core form, tag): the
+    target's magic form, the gates before c x d, the core's gates, its
+    ``_core_form`` with rows answering the target's, and its tag.
 
-
-def _prepare(u, lib):
-    """The per-input state of one call on a validated unitary ``u``: u in
-    SU(4) with its magic form and its diagonalization (for CXY those of the
-    H x H conjugate; for CXZ those of M, with the core parameters).  Every
-    candidate reads it; none recomputes it."""
+    The target is prepared once, before the first candidate: u in SU(4)
+    and its magic form (for CXY those of the H x H conjugate), or for CXZ
+    the state of ``_cxz_state``, whose prefix Rz(-psi) on wire 1, C[0->1]
+    every variant shares.  Each candidate then builds only its core, when
+    it is asked for, so a call that verifies its first builds no other.
+    A CXZ variant (neg, swap_rs) negates phi after ``swap_rs``, exchanging
+    r and s, and both angles after ``neg``."""
     if lib is GateLibrary.CXY:
         u = _CXY_CONJ @ u @ _CXY_CONJ
     u_norm, _ = _su4_normalize(u)
-    if lib is GateLibrary.CXZ:
-        return _cxz_state(u_norm)
-    return _magic_form(u_norm)
+    if lib is not GateLibrary.CXZ:
+        target = _magic_form(u_norm)
+        for order in EIGEN_ORDERS:
+            params = _cyz_params(target.d, order)
+            core = cyz_core_circuit(params).gates
+            yield target, (), core, _core_form(params, _cyz_rows(order)), "%d%d%d" % order
+        return
+    params, rows, target = _cxz_state(u_norm)
+    prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
+    for (neg, swap_rs), tag in _CXZ_TAGS.items():
+        theta, phi = params.theta, -params.phi if swap_rs else params.phi
+        if neg:
+            theta, phi = -theta, -phi
+        core = (CNOT(0, 1), Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi), CNOT(0, 1))
+        yield target, prefix, core, _core_form((theta, phi), _cxz_rows(rows, neg, swap_rs)), tag
 
 
 def _result_for(u, circuit, tag, tol):
@@ -463,18 +459,14 @@ def _result_for(u, circuit, tag, tol):
 
 
 def _outcomes(u, lib, tol, caller):
-    """Check ``u`` once, prepare it once, then try every candidate of
-    ``lib`` in order, yielding for each its verified SynthesisResult or the
+    """Check ``u`` once, then try every candidate of ``lib`` in order,
+    yielding for each its verified SynthesisResult or the
     VerificationFailed or CosetMismatch it raised."""
     u = nm.require_unitary(u, caller, tol)
     lib = GateLibrary(lib)
-    state = _prepare(u, lib)
-    for candidate in _candidate_tags(lib):
+    for target, prefix, core, form, tag in _candidates(u, lib):
         try:
-            if lib is GateLibrary.CXZ:
-                circuit, tag = _synthesize_cxz(state, candidate)
-            else:
-                circuit, tag = _synthesize_cyz_like(state, lib, candidate)
+            circuit = _assemble(prefix, core, _local_factors(target, form), lib)
             outcome = _result_for(u, circuit, tag, tol)
         except (VerificationFailed, CosetMismatch) as exc:
             outcome = exc

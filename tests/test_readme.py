@@ -75,6 +75,20 @@ class TestCommandLineExamples:
         assert code == 0
         assert out.rstrip("\n") == console_examples()["q2synth cost --gate swap"]
 
+    def test_invariants(self, capsys, monkeypatch):
+        # The trace and cost lines, verbatim; the spectrum and chi lines
+        # carry rounding-level parts and are abridged in the README.
+        expected = console_examples()["q2synth invariants --gate cnot"]
+        code, out = run(capsys, monkeypatch, ["invariants", "--gate", "cnot"])
+        assert code == 0
+
+        def exact(text):
+            names = ("trace gamma:", "im trace gamma:", "cnot_cost:")
+            return [line for line in text.splitlines() if line.startswith(names)]
+
+        assert len(exact(expected)) == 3
+        assert exact(out) == exact(expected)
+
     def test_reduce(self, capsys, monkeypatch):
         (command,) = [c for c in console_examples() if c.endswith("q2synth reduce -")]
         stdin = command.split("'")[1].encode().decode("unicode_escape")

@@ -272,11 +272,6 @@ class TestRegistry:
                     assert {type(rule.samples[i][k]) for i in fired} == admitted, (rule.id, k)
             assert not unfired, rule.id
 
-    def test_rule_metadata(self):
-        for rule in RULES.values():
-            assert rule.direction in ("forward", "bidirectional")
-            assert all(a >= 2 for a in rule.arity)
-
 
 class TestApplyRule:
     def test_cancel_cnot(self):

@@ -17,6 +17,7 @@ from q2synth.circuit import (
     Circuit,
     Generic1Q,
     Rotation,
+    _entries,
     _su4_normalize,
     simulate,
     su4_normalize,
@@ -27,6 +28,7 @@ from q2synth.synthesis import (
     _CORE_PHASE,
     _CXY_CONJ,
     _CXZ_BASIS,
+    _CXZ_TAGS,
     _CYZ_BASIS,
     DEFAULT_TOL,
     EIGEN_ORDERS,
@@ -35,7 +37,7 @@ from q2synth.synthesis import (
     GateLibrary,
     _aligned_factors,
     _assemble,
-    _candidate_tags,
+    _candidates,
     _conjugate_pair_angles,
     _core_form,
     _cxz_rows,
@@ -190,7 +192,7 @@ def reference_synthesize(u, lib, tol=DEFAULT_TOL, simulated=False):
     """synthesize with every candidate composed by ``reference_candidate``."""
     u = np.asarray(u, dtype=np.complex128)
     last_error = None
-    for candidate in _candidate_tags(lib):
+    for candidate in _CXZ_TAGS if lib is GateLibrary.CXZ else EIGEN_ORDERS:
         try:
             circuit, tag = reference_candidate(u, lib, candidate, simulated)
             return _result_for(u, circuit, tag, tol)
@@ -405,7 +407,7 @@ class TestSynthesize:
                     assert lib is GateLibrary.BASIC or g.axis in ROTATION_AXES[lib]
                 elif isinstance(g, Generic1Q):
                     assert lib is GateLibrary.BASIC
-                    assert not nm._is_identity_up_to_phase(g.matrix)
+                    assert not nm._is_identity_up_to_phase(_entries(g))
                 else:
                     assert isinstance(g, CNOT)
 
@@ -700,16 +702,22 @@ class TestCoreBases:
 
 
 def assert_core_form_matches_simulation(params, sigma):
-    """``_core_form(params, sigma)`` against the magic form mt of the
-    simulated core in SU(4): q the rows of the core's constant basis in the
-    order sigma, real orthogonal with det +1 and in the signs of
-    ``numerics._row_signs``, diagonalizing the simulated mt mt^T to
-    OFF_DIAGONAL_TOL; d that diagonal; and q^T qmt = mt to 1e-14."""
+    """``_core_form(params, sigma)`` against the simulated core, with q the
+    rows of the core's constant basis in the order sigma; see
+    ``assert_form_of``."""
     form = _core_form(params, sigma)
-    mt = nm.MAGIC_DAG @ su4_normalize(simulate(core_circuit(params)))[0] @ nm.MAGIC
-    assert np.abs(form.q.T @ form.qmt - mt).max() <= 1e-14
     basis = _CYZ_BASIS if isinstance(params, CYZCore) else _CXZ_BASIS
     assert np.array_equal(np.abs(form.q), np.abs(basis[list(sigma)]))
+    assert_form_of(core_circuit(params).gates, form)
+
+
+def assert_form_of(core, form):
+    """A core form against the magic form mt of the simulated ``core``
+    gates in SU(4): q real orthogonal with det +1 and in the signs of
+    ``numerics._row_signs``, diagonalizing the simulated mt mt^T to
+    OFF_DIAGONAL_TOL; d that diagonal; and q^T qmt = mt to 1e-14."""
+    mt = nm.MAGIC_DAG @ su4_normalize(simulate(Circuit(core)))[0] @ nm.MAGIC
+    assert np.abs(form.q.T @ form.qmt - mt).max() <= 1e-14
     assert np.abs(form.q @ form.q.T - np.eye(4)).max() <= 1e-15
     assert np.linalg.det(form.q) > 0.0
     assert np.array_equal(nm._row_signs(form.q), np.ones((4, 1)))
@@ -753,31 +761,46 @@ class TestCoreForm:
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_every_candidate_core_answers_its_target_row_by_row(self, lib):
         # Every candidate of a call, on Haar and chamber inputs: the core's
-        # rows (q_v, in the order sigma) diagonalize the simulated core's
-        # form, and d_target = sign d_core[sigma] row by row, with sign -1
-        # for the cyz core and +1 for the cxz core.
+        # rows (q_v) diagonalize the simulated core's form, and
+        # d_target = sign d_core row by row, with sign -1 for the cyz core
+        # and +1 for the cxz core.
         rng = np.random.default_rng(27)
         inputs = [nm.haar_unitary(4, rng) for _ in range(10)] + list(chamber_corpus(draws=1))
         for u in inputs:
-            state = synthesis._prepare(u, lib)
+            tags = []
+            for target, _, core, form, tag in _candidates(u, lib):
+                assert_form_of(core, form)
+                if lib is GateLibrary.CXZ:
+                    assert np.abs(target.d - form.d).max() <= ROW_GAP_CXZ
+                else:
+                    assert np.abs(target.d + form.d).max() <= ROW_GAP_CYZ
+                tags.append(tag)
+            if lib is GateLibrary.CXZ:
+                assert tags == list(_CXZ_TAGS.values())
+            else:
+                assert tags == ["%d%d%d" % order for order in EIGEN_ORDERS]
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_candidates_are_built_only_when_tried(self, lib):
+        # A Haar input verifies on its first candidate, so a call builds and
+        # matches one core; at tol 1e-18 none verifies, and every candidate
+        # is built and matched once.
+        u = nm.haar_unitary(4, np.random.default_rng(31))
+
+        def tried(tol):
+            """(whether the call verified, the cores it built and matched)."""
             with mock.patch.object(synthesis, "_local_factors", wraps=synthesis._local_factors) as match:
                 with mock.patch.object(synthesis, "_core_form", wraps=synthesis._core_form) as form:
-                    for candidate in _candidate_tags(lib):
-                        try:
-                            if lib is GateLibrary.CXZ:
-                                synthesis._synthesize_cxz(state, candidate)
-                            else:
-                                synthesis._synthesize_cyz_like(state, lib, candidate)
-                        except CosetMismatch:
-                            pass
-            assert len(match.call_args_list) == len(form.call_args_list) == len(_candidate_tags(lib))
-            for m_call, f_call in zip(match.call_args_list, form.call_args_list):
-                (target, core), (params, sigma) = m_call.args, f_call.args
-                assert_core_form_matches_simulation(params, sigma)
-                if isinstance(params, CYZCore):
-                    assert np.abs(target.d + core.d).max() <= ROW_GAP_CYZ
-                else:
-                    assert np.abs(target.d - core.d).max() <= ROW_GAP_CXZ
+                    try:
+                        verified = synthesize(u, lib, tol) is not None
+                    except VerificationFailed:
+                        verified = False
+            assert form.call_count == match.call_count
+            return verified, form.call_count
+
+        every = len(_CXZ_TAGS) if lib is GateLibrary.CXZ else len(EIGEN_ORDERS)
+        assert tried(DEFAULT_TOL) == (True, 1)
+        assert tried(1e-18) == (False, every)
 
 
 class TestCorePhase:
@@ -892,7 +915,8 @@ class TestOneUniversalCircuit:
             assert kinds == {"CNOT": 3, "Rotation": 15}
 
     def test_cxz_has_four_candidates(self):
-        assert len(_candidate_tags(GateLibrary.CXZ)) == 4
+        u = nm.haar_unitary(4, np.random.default_rng(30))
+        assert len(list(_candidates(u, GateLibrary.CXZ))) == len(_CXZ_TAGS) == 4
 
     def test_near_cnot_input_gets_the_four_cxz_variants_only(self):
         # At eps = 4.46e-9 the wire-swapped cores CNOT (Rz x Rx) CNOT, which
