@@ -294,10 +294,14 @@ def euler_decompose(u, outer, inner):
     return _euler_angles(u, outer, inner)
 
 
-def _euler_angles(u, outer, inner):
+def _euler_angles(u, outer, inner, psi0=0.0):
     """``euler_decompose`` without its input checks, for a complex128 2x2
     unitary ``u`` and distinct axes: one frame change to (Z, Y), then
-    scalar complex arithmetic on the four entries."""
+    scalar complex arithmetic on the four entries.  Near the gimbal, phi
+    near 0 or pi, only theta + psi or theta - psi is well conditioned, so
+    theta and psi are not a stable function of ``u`` there, though the
+    rotations they make up are; at it (an entry of ``u`` within
+    ``ZERO_TOL`` of 0) psi is ``psi0`` and theta carries the rest."""
     if (outer, inner) != (Axis.Z, Axis.Y):
         g_dag, g = _FRAMES[(outer, inner)]
         u = g_dag @ u @ g
@@ -310,13 +314,13 @@ def _euler_angles(u, outer, inner):
     #   v00 = cos(phi/2) e^{-i(theta+psi)/2},  v10 = sin(phi/2) e^{i(theta-psi)/2}
     a00, a10 = abs(v00), abs(v10)
     if a10 <= nm.ZERO_TOL:
-        theta = wrap_angle(-2.0 * cmath.phase(v00))
+        theta = wrap_angle(-2.0 * cmath.phase(v00) - psi0)
         phi = 0.0 if a00 >= a10 else math.pi
-        psi = 0.0
+        psi = psi0
     elif a00 <= nm.ZERO_TOL:
-        theta = wrap_angle(2.0 * cmath.phase(v10))
+        theta = wrap_angle(2.0 * cmath.phase(v10) + psi0)
         phi = math.pi
-        psi = 0.0
+        psi = psi0
     else:
         phi = 2.0 * math.atan2(a10, a00)
         theta = wrap_angle(cmath.phase(v11) + cmath.phase(v10))

@@ -47,7 +47,11 @@ def _magic_form(m):
     from unitary still splits into one-qubit factors to LOCAL_TOL.  A
     synthesis core, unitary by construction, takes its form from its angles
     (``synthesis._core_form``) instead."""
-    mt = nm._polar_step(nm.MAGIC_DAG @ m @ nm.MAGIC)
+    return _form_of(nm._polar_step(nm.MAGIC_DAG @ m @ nm.MAGIC))
+
+
+def _form_of(mt):
+    """``_MagicForm`` of an operator from its magic form ``mt``, unitary to rounding."""
     q, d = nm._diagonalize_symmetric_unitary(mt @ mt.T)
     return _MagicForm(q, d, q @ mt)
 

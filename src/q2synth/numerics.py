@@ -113,12 +113,12 @@ def gamma4(u):
 
 
 def kron(a, b):
-    """Kronecker product; qubit 0 is the left factor."""
+    """Kronecker product of two 2x2 factors (qubit 0 the left); ValueError otherwise."""
     a, b = np.asarray(a), np.asarray(b)
-    if a.shape == (2, 2) and b.shape == (2, 2):
-        # Entry (2i + k, 2j + l) is a[i, j] * b[k, l], as in np.kron.
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-    return np.kron(a, b)
+    if a.shape != (2, 2) or b.shape != (2, 2):
+        raise ValueError("kron expects two 2x2 factors, got shapes %r and %r" % (a.shape, b.shape))
+    # Entry (2i + k, 2j + l) is a[i, j] * b[k, l], as in np.kron.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 _EYE = {2: I2, 4: I4}

@@ -131,13 +131,12 @@ def _unitarity_residual(e):
 
 
 def _mirror_gate(g):
+    """A CNOT, Rotation or Generic1Q with its wires exchanged."""
     if isinstance(g, Rotation):
         return Rotation(g.axis, 1 - g.qubit, g.angle)
     if isinstance(g, Generic1Q):
         return Generic1Q._trusted(1 - g.qubit, g.matrix)
-    if isinstance(g, CNOT):
-        return CNOT(g.target, g.control)
-    return g
+    return CNOT(g.target, g.control)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ from .circuit import (
     wrap_angle,
 )
 from .errors import CosetMismatch, VerificationFailed
-from .invariants import _align_spectra, _magic_form, _MagicForm
+from .invariants import _align_spectra, _form_of, _magic_form, _MagicForm
 from .numerics import DEFAULT_TOL
 
 
@@ -159,24 +159,14 @@ def _conjugate_pair_angles(spectrum):
     part, the first on a tie, is e^{+i angle}; r = s keeps the pairing's
     order.
     """
-    best = min(
-        _PAIRINGS,
-        key=lambda prs: max(abs(spectrum[i] * spectrum[j] - 1.0) for i, j in prs),
-    )
+    z = spectrum.tolist()
+    best = min(_PAIRINGS, key=lambda prs: max(abs(z[i] * z[j] - 1.0) for i, j in prs))
     pairs = []
     for i, j in best:
-        angle = math.atan2(abs(spectrum[j] - spectrum[i]) / 2.0, (spectrum[i] + spectrum[j]).real / 2.0)
-        pairs.append((angle, (i, j) if spectrum[i].imag >= spectrum[j].imag else (j, i)))
+        angle = math.atan2(abs(z[j] - z[i]) / 2.0, (z[i] + z[j]).real / 2.0)
+        pairs.append((angle, (i, j) if z[i].imag >= z[j].imag else (j, i)))
     (r, rows_r), (s, rows_s) = sorted(pairs, key=lambda pair: pair[0], reverse=True)
     return r, s, rows_r + rows_s
-
-
-def _delta_diagonal(psi):
-    """The diagonal of Delta(psi) = C[0->1] (I x diag(e^{-i psi/2},
-    e^{i psi/2})) C[0->1]: the CNOTs swap the last two entries of the
-    diagonal I x diag(...)."""
-    h = cmath.exp(0.5j * psi)
-    return np.array((h.conjugate(), h, h, h.conjugate()))
 
 
 def core_params_cxz(u_prime):
@@ -186,25 +176,12 @@ def core_params_cxz(u_prime):
     tan(psi) = Im(t1+t2+t3+t4) / Re(t1+t4-t2-t3); multiplying U by the
     two-CNOT diagonal Delta(psi) makes the trace of gamma real, so the
     spectrum falls into conjugate pairs {e^{+-ir}, e^{+-is}} and
-    theta = (r+s)/2, phi = (r-s)/2.  psi is atan2 of the two (0 when both
-    vanish); psi + pi would do as well (see ``_cxz_shift``).
+    theta = (r+s)/2, phi = (r-s)/2.  psi is atan2 of the two (where both
+    vanish, any psi does and rounding picks it); psi + pi would do as well:
+    Delta(psi + pi) = -i Delta(psi) (Z x Z), with Z x Z local.
     """
     params, _, _ = _cxz_state(nm.require_unitary(u_prime, "core_params_cxz", special=True))
     return params
-
-
-def _cxz_shift(u_mat):
-    """(psi, M) for U = ``u_mat`` in SU(4): the angle psi of
-    ``core_params_cxz`` and M = su4(U Delta(psi)), whose gamma has a real
-    trace.  psi is read from the polar step of U, because the local layer
-    sees that of M (``invariants._magic_form``).  tan fixes psi modulo pi,
-    and either branch does: Delta(psi + pi) = -i Delta(psi) (Z x Z), with
-    Z x Z local, so gamma changes at most by its sign."""
-    p = nm._polar_step(u_mat)
-    t = np.diag(nm.SYY @ p.T @ nm.SYY @ p)
-    psi = math.atan2(float(np.imag(t.sum())), float(np.real(t[0] + t[3] - t[1] - t[2])))
-    m_mat, _ = _su4_normalize(u_mat * _delta_diagonal(psi))
-    return psi, m_mat
 
 
 def match_local_factors(u, v):
@@ -273,12 +250,15 @@ def _map_cxy_gate(g):
 def _local_gates(m2, qubit, lib):
     """The gates of one factor from ``_local_factors``, which is in SU(2) by
     construction: the factor itself in BASIC, else its Euler rotations about
-    the library's axes, zero angles included (``_assemble`` drops them)."""
+    the library's axes, zero angles included (``_assemble`` drops them).
+    Each split is about (Z, Y): Ry(phi) = Rz(pi/2) Rx(phi) Rz(-pi/2), and
+    CXZ takes psi = pi/2 at the gimbal, where its first Rz then drops."""
     if lib is GateLibrary.BASIC:
         return (Generic1Q._trusted(qubit, m2),)
-    inner = Axis.X if lib is GateLibrary.CXZ else Axis.Y
-    theta, phi, psi, _ = _euler_angles(m2, Axis.Z, inner)
-    return (Rotation(Axis.Z, qubit, psi), Rotation(inner, qubit, phi), Rotation(Axis.Z, qubit, theta))
+    inner, shift = (Axis.X, math.pi / 2.0) if lib is GateLibrary.CXZ else (Axis.Y, 0.0)
+    theta, phi, psi, _ = _euler_angles(m2, Axis.Z, Axis.Y, shift)
+    first, last = Rotation(Axis.Z, qubit, psi - shift), Rotation(Axis.Z, qubit, theta + shift)
+    return (first, Rotation(inner, qubit, phi), last)
 
 
 def _assemble(prefix, core, factors, lib):
@@ -390,14 +370,23 @@ def _cxz_rows(rows, neg, swap_rs):
     return sigma
 
 
+#: The diagonal s of E^dag (Z x Z) E: Delta(psi) = exp(-i psi (Z x Z) / 2)
+#: scales the columns of a magic form by e^{-i psi s / 2}.
+_ZZ_MAGIC = np.array((1.0, 1.0, -1.0, -1.0))
+
+
 def _cxz_state(u_norm):
     """The per-input state of the CXZ construction: its core parameters,
     the indices of e^{+-ir} and e^{+-is} in the spectrum of gamma(M), and
-    the magic form of M = su4(u C[0->1] Delta(psi)), which every variant is
-    matched against; no variant changes any of them."""
-    u_mat = u_norm @ nm.CNOT01 * _CORE_PHASE
-    psi, m_mat = _cxz_shift(u_mat)
-    target = _magic_form(m_mat)
+    the magic form of M = u C[0->1] Delta(psi) in SU(4), which every variant
+    is matched against; no variant changes any of them.  One polar step of
+    the magic form mt of u C[0->1] serves psi and M: the sums of
+    ``core_params_cxz`` are sum(g) and s . g for the diagonal g of mt^T mt
+    and s = ``_ZZ_MAGIC``, and M's magic form is mt diag(e^{-i psi s / 2})."""
+    mt = nm._polar_step(nm.MAGIC_DAG @ (u_norm @ nm.CNOT01 * _CORE_PHASE) @ nm.MAGIC)
+    g0, g1, g2, g3 = (mt * mt).sum(axis=0).tolist()
+    psi = math.atan2((g0 + g1 + g2 + g3).imag, (g0 + g1 - g2 - g3).real)
+    target = _form_of(mt * np.exp(-0.5j * psi * _ZZ_MAGIC))
     r, s, rows = _conjugate_pair_angles(target.d)
     return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0), rows, target
 

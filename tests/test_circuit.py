@@ -99,6 +99,11 @@ class TestSimulateAndCounts:
         expect = nm.CNOT01 @ gate_matrix(Rotation(Axis.X, 0, 0.4))
         assert np.allclose(simulate(c), expect, atol=1e-14)
 
+    def test_iteration_yields_the_gates_in_order(self):
+        gates = (Rotation(Axis.X, 0, 0.4), CNOT(0, 1), Generic1Q(1, nm.HADAMARD))
+        assert tuple(Circuit(gates)) == gates
+        assert list(Circuit(())) == []
+
     def test_empty_circuit_is_identity(self):
         assert np.allclose(simulate(Circuit(())), np.eye(4))
 

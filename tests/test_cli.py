@@ -37,6 +37,10 @@ class TestInputs:
             for k in range(4):
                 assert f[j, k] == pytest.approx((1j) ** (j * k) / 2)
 
+    def test_unknown_gate_name_is_a_parse_error(self):
+        with pytest.raises(CircuitParseError, match="bogus"):
+            named_gate("bogus")
+
     def test_random_gate_is_seed_deterministic(self):
         assert np.array_equal(named_gate("random", 42), named_gate("random", 42))
         assert not np.allclose(named_gate("random", 1), named_gate("random", 2))
@@ -282,6 +286,11 @@ class TestSelftest:
         assert "FAIL" not in out1
         code, out2, _ = run(capsys, "selftest", "--trials", "3", "--seed", "11")
         assert out1 == out2
+
+    def test_zero_trials_exit_code(self, capsys):
+        code, out, err = run(capsys, "selftest", "--trials", "0")
+        assert (code, out) == (2, "")
+        assert "trials must be >= 1" in err
 
     def test_single_trial(self, capsys):
         code, out, _ = run(capsys, "selftest", "--trials", "1", "--seed", "0")

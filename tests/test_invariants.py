@@ -178,6 +178,13 @@ class TestCosets:
                 matched = False
             assert same_double_coset(u, v, tol=nm.SPECTRUM_TOL) == matched == (gap < nm.SPECTRUM_TOL)
 
+    def test_strict_left_coset_refuses_the_negated_gamma(self):
+        # gamma(i u) = -gamma(u): the same physical operator, in SU(4) too.
+        rng = np.random.default_rng(34)
+        u, _ = su4_normalize(nm.haar_unitary(4, rng))
+        assert same_left_coset(u, 1j * u)
+        assert not same_left_coset(u, 1j * u, strict=True)
+
     def test_strict_mode_rejects_non_special(self):
         with pytest.raises(NotUnitary):
             same_left_coset(nm.CNOT01, nm.CNOT01, strict=True)

@@ -21,6 +21,14 @@ class TestConstants:
         # |10> -> |00>: flipping qubit 0 moves basis index 2 to 0
         assert m[0, 2] == 1 and m[2, 0] == 1
 
+    def test_kron_of_2x2_factors_is_np_kron_and_other_shapes_are_refused(self):
+        rng = np.random.default_rng(33)
+        a, b = nm.haar_unitary(2, rng), nm.haar_unitary(2, rng)
+        assert np.array_equal(nm.kron(a, b), np.kron(a, b))
+        for x, y in ((nm.I4, nm.I2), (nm.I2, nm.I4), (np.ones(2), nm.I2)):
+            with pytest.raises(ValueError, match="2x2"):
+                nm.kron(x, y)
+
     def test_cnot01_flips_target_when_control_set(self):
         # |10> -> |11>
         assert nm.CNOT01[3, 2] == 1 and nm.CNOT01[2, 3] == 1

@@ -324,6 +324,13 @@ class TestApplyRule:
         assert len(back.gates) == 2
         assert nm.phase_distance(simulate(back), simulate(before)) <= 1e-12
 
+    def test_mirror_gate_exchanges_the_wires_of_each_gate_type(self):
+        # The gates that move through a SWAP, the only ones mirrored.
+        for g in (CNOT(0, 1), Rotation(Axis.Y, 0, 0.3), Generic1Q(1, rotation_matrix2(Axis.X, 0.7))):
+            mirrored = nm.SWAP_MAT @ simulate(C([g])) @ nm.SWAP_MAT
+            assert np.allclose(simulate(C([_mirror_gate(g)])), mirrored, atol=1e-14)
+            assert _mirror_gate(_mirror_gate(g)) == g
+
     def test_no_match_raised(self):
         with pytest.raises(NoMatch):
             apply_rule(C([CNOT(0, 1), CNOT(1, 0)]), "CancelCNOT", 0)

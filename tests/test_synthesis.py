@@ -30,6 +30,7 @@ from q2synth.synthesis import (
     _CXZ_BASIS,
     _CXZ_TAGS,
     _CYZ_BASIS,
+    _ZZ_MAGIC,
     DEFAULT_TOL,
     EIGEN_ORDERS,
     CXZCore,
@@ -42,7 +43,6 @@ from q2synth.synthesis import (
     _core_form,
     _cxz_rows,
     _cyz_rows,
-    _delta_diagonal,
     _local_factors,
     _map_cxy_gate,
     _result_for,
@@ -80,6 +80,13 @@ def canonical(a, b, c):
     for t, p in ((a, _XX), (b, nm.SYY), (c, _ZZ)):
         out = out @ (math.cos(t) * nm.I4 + 1j * math.sin(t) * p)
     return out
+
+
+def delta(psi):
+    """Delta(psi) = C[0->1] (I x diag(e^{-i psi/2}, e^{i psi/2})) C[0->1],
+    the two-CNOT operator of the CXZ construction."""
+    half = np.diag([np.exp(-0.5j * psi), np.exp(0.5j * psi)])
+    return nm.CNOT01 @ np.kron(nm.I2, half) @ nm.CNOT01
 
 
 def with_haar_locals(m, rng):
@@ -177,7 +184,7 @@ def reference_candidate(u, lib, candidate, simulated=False):
         theta, phi = -theta, -phi
     w_core = core_circuit((theta, phi))
     u_mat, _ = su4_normalize(u_norm @ nm.CNOT01)
-    m_mat, _ = su4_normalize(u_mat * _delta_diagonal(params.psi))
+    m_mat, _ = su4_normalize(u_mat @ delta(params.psi))
 
     def sigma(d):
         return _cxz_rows(_conjugate_pair_angles(d)[2], neg, swap_rs)
@@ -248,11 +255,9 @@ class TestCoreParamsCXZ:
         for u in psi_inputs():
             u_prime, _ = su4_normalize(u @ nm.CNOT01)
             params = core_params_cxz(u_prime)
-            m, _ = su4_normalize((u_prime @ nm.CNOT01) * _delta_diagonal(params.psi))
-            # building the shifted operator directly from the definition
             u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
-            m2, _ = su4_normalize(u_mat * _delta_diagonal(params.psi))
-            assert abs(np.trace(gamma(m2)).imag) <= 1e-9
+            m, _ = su4_normalize(u_mat @ delta(params.psi))
+            assert abs(np.trace(gamma(m)).imag) <= 1e-9
 
     def test_both_psi_branches_leave_the_same_imaginary_trace(self):
         # tan fixes psi modulo pi, and core_params_cxz takes the atan2
@@ -263,20 +268,31 @@ class TestCoreParamsCXZ:
             u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
             psi = core_params_cxz(u_prime).psi
             im = [
-                abs(np.trace(gamma(su4_normalize(u_mat * _delta_diagonal(p))[0])).imag)
+                abs(np.trace(gamma(su4_normalize(u_mat @ delta(p))[0])).imag)
                 for p in (psi, psi + math.pi)
             ]
             assert abs(im[0] - im[1]) <= 1e-12
 
     def test_delta_diagonal_is_the_two_cnot_product(self):
-        # Delta(psi) = C[0->1] (I x diag(e^{-i psi/2}, e^{i psi/2})) C[0->1],
-        # as _cxz_shift once formed it, scales the columns of U.
+        # The two-CNOT Delta(psi) is diag(e^{-i psi s/2}) in the magic
+        # basis, s = _ZZ_MAGIC, so _cxz_state scales the columns of the
+        # magic form of U by it.
+        assert np.abs(nm.MAGIC_DAG @ _ZZ @ nm.MAGIC - np.diag(_ZZ_MAGIC)).max() <= 1e-15
         for u in psi_inputs():
-            u_mat, _ = su4_normalize(su4_normalize(u @ nm.CNOT01)[0] @ nm.CNOT01)
             psi = core_params_cxz(su4_normalize(u @ nm.CNOT01)[0]).psi
-            half = np.diag([np.exp(-0.5j * psi), np.exp(0.5j * psi)])
-            product = nm.CNOT01 @ np.kron(nm.I2, half) @ nm.CNOT01
-            assert np.abs(u_mat * _delta_diagonal(psi) - u_mat @ product).max() <= 1e-15
+            magic = nm.MAGIC_DAG @ delta(psi) @ nm.MAGIC
+            assert np.abs(magic - np.diag(np.exp(-0.5j * psi * _ZZ_MAGIC))).max() <= 1e-15
+
+    def test_psi_is_the_computational_basis_formula(self):
+        # tan(psi) = Im(t1+t2+t3+t4) / Re(t1+t4-t2-t3) for the diagonal t of
+        # gamma(U^T)^T, U = u_prime C[0->1], read in the computational basis.
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            u_prime = su4(rng)
+            u_mat, _ = su4_normalize(u_prime @ nm.CNOT01)
+            t = np.diag(nm.SYY @ u_mat.T @ nm.SYY @ u_mat)
+            psi = math.atan2(t.sum().imag, (t[0] + t[3] - t[1] - t[2]).real)
+            assert abs(core_params_cxz(u_prime).psi - psi) <= 1e-12
 
     @staticmethod
     def assert_pair_indices(spectrum, r, s, rows):
@@ -494,6 +510,39 @@ class TestSynthesize:
             assert result.circuit.cnot_count == 3
             assert nm.phase_distance(simulate(result.circuit), u) <= 1e-8
 
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_no_euler_frame_change(self, lib, monkeypatch):
+        # Every split is about (Z, Y), and cxz moves Rz(pi/2) into its outer
+        # angles, so synthesis reads none of the frames of euler_decompose.
+        monkeypatch.setattr("q2synth.circuit._FRAMES", {})
+        rng = np.random.default_rng(36)
+        for u in [nm.haar_unitary(4, rng) for _ in range(10)] + [nm.I4, nm.CNOT01, nm.SWAP_MAT]:
+            result = synthesize(u, lib)
+            assert plain_phase_distance(plain_product(result.circuit), u) <= 1e-8
+
+    def test_a_later_cxz_candidate_answers_where_the_first_is_refused(self):
+        # The retry loop carries real cases: next to three Weyl-chamber
+        # corners, eps = 1e-12 with Haar locals, the first cxz candidate
+        # misses tol 3e-13 on 62 of these 210 inputs, and a later one
+        # verifies on 49 of them.
+        rng = np.random.default_rng(35)
+        rescued = 0
+        for point in ((Q, Q, 0.0), (Q, Q, Q), (Q, 0.0, 0.0)):
+            for _ in range(70):
+                d = rng.standard_normal(3)
+                u = with_haar_locals(canonical(*(np.asarray(point) + 1e-12 * d / np.linalg.norm(d))), rng)
+                first = next(synthesis._outcomes(u, GateLibrary.CXZ, 3e-13, "synthesize"))
+                if not isinstance(first, Exception):
+                    continue
+                try:
+                    result = synthesize(u, GateLibrary.CXZ, tol=3e-13)
+                except VerificationFailed:
+                    continue
+                assert result.eigen_order != "rs"
+                assert plain_phase_distance(plain_product(result.circuit), u) <= 1e-12
+                rescued += 1
+        assert rescued >= 1
+
     def test_result_metadata(self):
         rng = np.random.default_rng(11)
         u = nm.haar_unitary(4, rng)
@@ -578,9 +627,10 @@ class TestSinglePass:
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_core_side_runs_no_simulate_polar_step_or_diagonalizer(self, lib, monkeypatch):
         # A Haar call verifies its first candidate.  The one simulate is the
-        # verifying one, and the input side alone takes the polar step (cxz
-        # also for psi) and runs the diagonalizer.  Each core's own simulate
-        # and magic form made 2 simulate calls and 2 of each of the others.
+        # verifying one, and the input side alone takes the polar step and
+        # runs the diagonalizer.  Each core's own simulate and magic form
+        # made 2 simulate calls and 2 of each of the others; cxz took a
+        # second polar step for psi.
         counts = {
             name: self.count_calls(monkeypatch, owner, name)
             for owner, name in (
@@ -599,7 +649,7 @@ class TestSinglePass:
             assert {name: len(calls) for name, calls in counts.items()} == {
                 "simulate": 1,
                 "_diagonalize_symmetric_unitary": 1,
-                "_polar_step": 2 if lib is GateLibrary.CXZ else 1,
+                "_polar_step": 1,
             }
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
@@ -625,7 +675,11 @@ class TestSinglePass:
         assert len(calls) == 24
 
     @staticmethod
-    def assert_same_synthesis(inputs, lib, simulated=False):
+    def assert_same_synthesis(inputs, lib, simulated=False, angles=True):
+        """synthesize against ``reference_synthesize``: the same tags and
+        gates, with angles and matrices equal to 1e-12; without ``angles``,
+        the same gates up to their angles, with the products of the two
+        circuits up to each CNOT and to their ends equal to 1e-12."""
         refused = 0
         for u in inputs:
             try:
@@ -638,6 +692,15 @@ class TestSinglePass:
             result = synthesize(u, lib)
             assert result.eigen_order == expected.eigen_order
             assert len(result.circuit.gates) == len(expected.circuit.gates)
+            if not angles:
+                assert [gate_shape(g) for g in result.circuit.gates] == [
+                    gate_shape(h) for h in expected.circuit.gates
+                ]
+                for k, g in enumerate(result.circuit.gates + (CNOT(0, 1),)):
+                    if isinstance(g, CNOT):
+                        got, want = (simulate(Circuit(c.circuit.gates[:k])) for c in (result, expected))
+                        assert np.abs(got - want).max() <= 1e-12
+                continue
             for g, h in zip(result.circuit.gates, expected.circuit.gates):
                 assert type(g) is type(h)
                 if isinstance(g, Rotation):
@@ -653,9 +716,13 @@ class TestSinglePass:
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_same_circuits_as_public_stage_composition(self, lib):
         rng = np.random.default_rng(16)
-        inputs = [nm.haar_unitary(4, rng) for _ in range(20)]
-        inputs += list(near_corner_and_edge_inputs())
-        self.assert_same_synthesis(inputs, lib)
+        self.assert_same_synthesis([nm.haar_unitary(4, rng) for _ in range(20)], lib)
+        # The cxz composition forms Delta(psi) in the computational basis,
+        # synthesize in the magic basis.  Near the gimbal of an Euler split
+        # (circuit._euler_angles) that rounding-level difference moves the
+        # outer angles by up to 7.6e-10 here, while the one-qubit factors
+        # they make up stay equal.
+        self.assert_same_synthesis(list(near_corner_and_edge_inputs()), lib, angles=lib is not GateLibrary.CXZ)
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_same_circuits_as_simulated_core_composition(self, lib):
@@ -729,9 +796,11 @@ def assert_form_of(core, form):
 #: Largest row gap |d_target - sign d_core| of a candidate core on the
 #: inputs of ``TestCoreForm``: rounding alone for the cyz core (2.2e-15
 #: measured), and for the cxz core also the pairing of near-tied conjugate
-#: pairs at eps = 1e-9 (5.7e-10 measured).
+#: pairs at eps = 1e-9.  There, next to the identity class, both sums that
+#: fix psi vanish to rounding, so psi is arbitrary, and each psi leaves a
+#: gap of about eps: 1.02e-9 measured, at most 1.13e-9 over a scan of psi.
 ROW_GAP_CYZ = 1e-14
-ROW_GAP_CXZ = 1e-9
+ROW_GAP_CXZ = 2e-9
 
 #: Every row order of a core form, cycled through by the tests of
 #: ``_core_form``.
