@@ -133,16 +133,8 @@ def cyz_core_circuit(params):
     As a matrix formula (rightmost factor applied first):
     C[1->0] (I x Ry(alpha)) C[0->1] (Rz(delta) x Ry(beta)) C[1->0].
     """
-    return Circuit(
-        (
-            CNOT(1, 0),
-            Rotation(Axis.Z, 0, params.delta),
-            Rotation(Axis.Y, 1, params.beta),
-            CNOT(0, 1),
-            Rotation(Axis.Y, 1, params.alpha),
-            CNOT(1, 0),
-        )
-    )
+    return Circuit((CNOT(1, 0), Rotation(Axis.Z, 0, params.delta), Rotation(Axis.Y, 1, params.beta),
+                    CNOT(0, 1), Rotation(Axis.Y, 1, params.alpha), CNOT(1, 0)))
 
 
 _PAIRINGS = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
@@ -176,8 +168,8 @@ def core_params_cxz(u_prime):
     tan(psi) = Im(t1+t2+t3+t4) / Re(t1+t4-t2-t3); multiplying U by the
     two-CNOT diagonal Delta(psi) makes the trace of gamma real, so the
     spectrum falls into conjugate pairs {e^{+-ir}, e^{+-is}} and
-    theta = (r+s)/2, phi = (r-s)/2.  psi is atan2 of the two (where both
-    vanish, any psi does and rounding picks it); psi + pi would do as well:
+    theta = (r+s)/2, phi = (r-s)/2.  psi is atan2 of the two (read as
+    ``_cxz_psi`` reads them where they vanish); psi + pi would do as well:
     Delta(psi + pi) = -i Delta(psi) (Z x Z), with Z x Z local.
     """
     params, _, _ = _cxz_state(nm.require_unitary(u_prime, "core_params_cxz", special=True))
@@ -298,9 +290,7 @@ _CORE_PHASE = cmath.exp(-1j * (math.pi / 4.0))
 #: with its last two rows swapped.  Their rows lead with a positive entry
 #: and det B = +1, so B in any order, row 0 negated after an odd one, is in
 #: the signs of ``numerics._row_signs``.
-_CYZ_BASIS = np.array(
-    [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]]
-) / math.sqrt(2.0)
+_CYZ_BASIS = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]) / math.sqrt(2.0)
 _CYZ_IMAGE = _CYZ_BASIS[[0, 1, 3, 2]]
 _CXZ_BASIS = np.eye(4)
 
@@ -380,24 +370,46 @@ def _cxz_state(u_norm):
     the indices of e^{+-ir} and e^{+-is} in the spectrum of gamma(M), and
     the magic form of M = u C[0->1] Delta(psi) in SU(4), which every variant
     is matched against; no variant changes any of them.  One polar step of
-    the magic form mt of u C[0->1] serves psi and M: the sums of
-    ``core_params_cxz`` are sum(g) and s . g for the diagonal g of mt^T mt
-    and s = ``_ZZ_MAGIC``, and M's magic form is mt diag(e^{-i psi s / 2})."""
-    mt = nm._polar_step(nm.MAGIC_DAG @ (u_norm @ nm.CNOT01 * _CORE_PHASE) @ nm.MAGIC)
-    g0, g1, g2, g3 = (mt * mt).sum(axis=0).tolist()
-    psi = math.atan2((g0 + g1 + g2 + g3).imag, (g0 + g1 - g2 - g3).real)
+    the magic form mt of u C[0->1] serves psi (``_cxz_psi``) and M: mt
+    diag(e^{-i psi s / 2}), s = ``_ZZ_MAGIC``.  ``_su4_normalize`` takes out
+    the rounding phase of det(u C[0->1] e^{-i pi/4}), which would decide
+    the ties of degenerate spectra (SWAP, the magic gate)."""
+    mt = nm._polar_step(nm.MAGIC_DAG @ _su4_normalize(u_norm @ nm.CNOT01 * _CORE_PHASE)[0] @ nm.MAGIC)
+    psi = _cxz_psi(mt)
     target = _form_of(mt * np.exp(-0.5j * psi * _ZZ_MAGIC))
     r, s, rows = _conjugate_pair_angles(target.d)
     return CXZCore(psi=psi, theta=(r + s) / 2.0, phi=(r - s) / 2.0), rows, target
 
 
+def _cxz_psi(mt):
+    """psi for the magic form mt of u C[0->1]: for p = sum(g), q = s . g and
+    g the diagonal of mt^T mt, tr gamma(M) = cos(psi) p - i sin(psi) q is
+    real at tan(psi) = Im p / Re q.  Next to the identity class both are of
+    second order in the distance; within ``ZERO_TOL`` of 0, rounding, they
+    are read as the imaginary traces of the spectra at psi = 0 and pi/2.
+    Where p and q vanish (CZ, SWAP, the magic gate), any psi does: 0."""
+    g0, g1, g2, g3 = (mt * mt).sum(axis=0).tolist()
+    p, q = g0 + g1 + g2 + g3, g0 + g1 - g2 - g3
+    if max(abs(p), abs(q)) <= nm.ZERO_TOL:
+        return 0.0
+    y, x = p.imag, q.real
+    if max(abs(y), abs(x)) <= nm.ZERO_TOL:
+        y = _imag_trace(_form_of(mt).d)
+        x = -_imag_trace(_form_of(mt * np.exp(-0.25j * math.pi * _ZZ_MAGIC)).d)
+    return math.atan2(y, x)
+
+
+def _imag_trace(d):
+    """Im(sum d) of a unit spectrum d to rounding relative to its size: for
+    each pair (z, w) of ``_conjugate_pair_angles``, Im(z + w) = 2 sin(h)
+    cos(arg z - h), h = arg(z w) / 2, where z + w cancels."""
+    i, j, k, l = _conjugate_pair_angles(d)[2]
+    halves = [(z, cmath.phase(z * w) / 2.0) for z, w in ((d[i], d[j]), (d[k], d[l]))]
+    return sum(2.0 * math.sin(h) * math.cos(cmath.phase(z) - h) for z, h in halves)
+
+
 #: Every CXZ variant (neg, swap_rs), in the order they are tried, with tag.
-_CXZ_TAGS = {
-    (False, False): "rs",
-    (False, True): "sr",
-    (True, False): "-rs",
-    (True, True): "-sr",
-}
+_CXZ_TAGS = {(False, False): "rs", (False, True): "sr", (True, False): "-rs", (True, True): "-sr"}
 
 
 def _candidates(u, lib):
@@ -437,14 +449,8 @@ def _result_for(u, circuit, tag, tol):
     residual = nm.phase_distance(simulate(circuit), u)
     if residual > tol:
         raise VerificationFailed("residual %.3g exceeds tol %.3g" % (residual, tol))
-    return SynthesisResult(
-        circuit=circuit,
-        residual=residual,
-        cnot_count=circuit.cnot_count,
-        one_param_count=circuit.one_param_count,
-        basic_count=circuit.basic_count,
-        eigen_order=tag,
-    )
+    return SynthesisResult(circuit, residual, circuit.cnot_count, circuit.one_param_count,
+                           circuit.basic_count, tag)
 
 
 def _outcomes(u, lib, tol, caller):
@@ -475,9 +481,7 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
         if isinstance(outcome, SynthesisResult):
             return outcome
         last_error = outcome
-    raise VerificationFailed(
-        "no candidate ordering produced a verified circuit: %s" % last_error
-    )
+    raise VerificationFailed("no candidate ordering produced a verified circuit: %s" % last_error)
 
 
 def _dedupe_key(g):
@@ -492,8 +496,7 @@ def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
     """Distinct verified circuits from the eigenvalue-ordering freedom."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    results = []
-    seen = set()
+    results, seen = [], set()
     for result in _outcomes(u, lib, tol, "enumerate_circuits"):
         if not isinstance(result, SynthesisResult):
             continue
