@@ -133,8 +133,16 @@ def cyz_core_circuit(params):
     As a matrix formula (rightmost factor applied first):
     C[1->0] (I x Ry(alpha)) C[0->1] (Rz(delta) x Ry(beta)) C[1->0].
     """
-    return Circuit((CNOT(1, 0), Rotation(Axis.Z, 0, params.delta), Rotation(Axis.Y, 1, params.beta),
-                    CNOT(0, 1), Rotation(Axis.Y, 1, params.alpha), CNOT(1, 0)))
+    return Circuit(
+        (
+            CNOT(1, 0),
+            Rotation(Axis.Z, 0, params.delta),
+            Rotation(Axis.Y, 1, params.beta),
+            CNOT(0, 1),
+            Rotation(Axis.Y, 1, params.alpha),
+            CNOT(1, 0),
+        )
+    )
 
 
 _PAIRINGS = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
@@ -290,7 +298,9 @@ _CORE_PHASE = cmath.exp(-1j * (math.pi / 4.0))
 #: with its last two rows swapped.  Their rows lead with a positive entry
 #: and det B = +1, so B in any order, row 0 negated after an odd one, is in
 #: the signs of ``numerics._row_signs``.
-_CYZ_BASIS = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]) / math.sqrt(2.0)
+_CYZ_BASIS = np.array(
+    [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]]
+) / math.sqrt(2.0)
 _CYZ_IMAGE = _CYZ_BASIS[[0, 1, 3, 2]]
 _CXZ_BASIS = np.eye(4)
 
@@ -384,10 +394,12 @@ def _cxz_state(u_norm):
 def _cxz_psi(mt):
     """psi for the magic form mt of u C[0->1]: for p = sum(g), q = s . g and
     g the diagonal of mt^T mt, tr gamma(M) = cos(psi) p - i sin(psi) q is
-    real at tan(psi) = Im p / Re q.  Next to the identity class both are of
-    second order in the distance; within ``ZERO_TOL`` of 0, rounding, they
-    are read as the imaginary traces of the spectra at psi = 0 and pi/2.
-    Where p and q vanish (CZ, SWAP, the magic gate), any psi does: 0."""
+    real at tan(psi) = Im p / Re q.  Within ``ZERO_TOL`` of 0 the two are
+    rounding.  Next to the identity class, where they are of second order
+    in the distance, they are then read as the imaginary traces of the
+    spectra at psi = 0 and pi/2; on the CNOT class they vanish, and rounding
+    still picks psi.  Where p and q vanish as well (the identity class, CZ,
+    SWAP, the magic gate), the trace is 0 for every psi: psi = 0."""
     g0, g1, g2, g3 = (mt * mt).sum(axis=0).tolist()
     p, q = g0 + g1 + g2 + g3, g0 + g1 - g2 - g3
     if max(abs(p), abs(q)) <= nm.ZERO_TOL:
@@ -400,16 +412,24 @@ def _cxz_psi(mt):
 
 
 def _imag_trace(d):
-    """Im(sum d) of a unit spectrum d to rounding relative to its size: for
-    each pair (z, w) of ``_conjugate_pair_angles``, Im(z + w) = 2 sin(h)
-    cos(arg z - h), h = arg(z w) / 2, where z + w cancels."""
+    """Im(sum d) of a unit spectrum d, without the cancellation of its
+    near-conjugate pairs: each pair (z, w) of ``_conjugate_pair_angles``
+    adds Im(z + w) = 2 sin(h) cos(arg z - h), h = arg(z w) / 2."""
     i, j, k, l = _conjugate_pair_angles(d)[2]
-    halves = [(z, cmath.phase(z * w) / 2.0) for z, w in ((d[i], d[j]), (d[k], d[l]))]
-    return sum(2.0 * math.sin(h) * math.cos(cmath.phase(z) - h) for z, h in halves)
+    total = 0.0
+    for z, w in ((d[i], d[j]), (d[k], d[l])):
+        h = cmath.phase(z * w) / 2.0
+        total += 2.0 * math.sin(h) * math.cos(cmath.phase(z) - h)
+    return total
 
 
 #: Every CXZ variant (neg, swap_rs), in the order they are tried, with tag.
-_CXZ_TAGS = {(False, False): "rs", (False, True): "sr", (True, False): "-rs", (True, True): "-sr"}
+_CXZ_TAGS = {
+    (False, False): "rs",
+    (False, True): "sr",
+    (True, False): "-rs",
+    (True, True): "-sr",
+}
 
 
 def _candidates(u, lib):
@@ -449,8 +469,14 @@ def _result_for(u, circuit, tag, tol):
     residual = nm.phase_distance(simulate(circuit), u)
     if residual > tol:
         raise VerificationFailed("residual %.3g exceeds tol %.3g" % (residual, tol))
-    return SynthesisResult(circuit, residual, circuit.cnot_count, circuit.one_param_count,
-                           circuit.basic_count, tag)
+    return SynthesisResult(
+        circuit=circuit,
+        residual=residual,
+        cnot_count=circuit.cnot_count,
+        one_param_count=circuit.one_param_count,
+        basic_count=circuit.basic_count,
+        eigen_order=tag,
+    )
 
 
 def _outcomes(u, lib, tol, caller):
@@ -481,7 +507,9 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
         if isinstance(outcome, SynthesisResult):
             return outcome
         last_error = outcome
-    raise VerificationFailed("no candidate ordering produced a verified circuit: %s" % last_error)
+    raise VerificationFailed(
+        "no candidate ordering produced a verified circuit: %s" % last_error
+    )
 
 
 def _dedupe_key(g):
@@ -496,7 +524,8 @@ def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
     """Distinct verified circuits from the eigenvalue-ordering freedom."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    results, seen = [], set()
+    results = []
+    seen = set()
     for result in _outcomes(u, lib, tol, "enumerate_circuits"):
         if not isinstance(result, SynthesisResult):
             continue

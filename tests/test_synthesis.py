@@ -805,8 +805,8 @@ def assert_form_of(core, form):
 
 #: Largest row gap |d_target - sign d_core| of a candidate core on the
 #: inputs of ``TestCoreForm``: rounding alone for the cyz core (2.2e-15
-#: measured), and for the cxz core also the pairing of near-tied conjugate
-#: pairs at eps = 1e-9 (5.4e-11 measured).
+#: measured), and for the cxz core also the conditioning of psi next to the
+#: identity class (3.8e-11 measured, at eps = 1e-6).
 ROW_GAP_CYZ = 1e-14
 ROW_GAP_CXZ = 1e-9
 
