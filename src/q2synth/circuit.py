@@ -285,57 +285,51 @@ def euler_decompose(u, outer, inner):
     """Angles (theta, phi, psi, phase) with
     u = exp(i phase) R_outer(theta) R_inner(phi) R_outer(psi).
 
-    Branches are deterministic: theta/psi come from atan2 of matrix entries
-    and a diagonal or anti-diagonal input sets psi = 0.
+    After one frame change to (Z, Y), the first column of u in SU(2) is a
+    unit quaternion, whose angles ``_zy_angles`` reads; the sign it leaves
+    free goes into the phase.  At the gimbal, an entry of u within
+    ``ZERO_TOL`` of 0, psi = 0.
     """
     u = nm.require_unitary(u, "euler_decompose", size=2)
     if outer is inner:
         raise ValueError("outer and inner axes must differ")
-    return _euler_angles(u, outer, inner)
-
-
-def _euler_angles(u, outer, inner, psi0=0.0):
-    """``euler_decompose`` without its input checks, for a complex128 2x2
-    unitary ``u`` and distinct axes: one frame change to (Z, Y), then
-    scalar complex arithmetic on the four entries.  Near the gimbal, phi
-    near 0 or pi, only theta + psi or theta - psi is well conditioned, so
-    theta and psi are not a stable function of ``u`` there, though the
-    rotations they make up are; at it (an entry of ``u`` within
-    ``ZERO_TOL`` of 0) psi is ``psi0`` and theta carries the rest."""
     if (outer, inner) != (Axis.Z, Axis.Y):
         g_dag, g = _FRAMES[(outer, inner)]
         u = g_dag @ u @ g
     (w00, w01), (w10, w11) = u.tolist()
     phase = cmath.phase(w00 * w11 - w01 * w10) / 2.0
     e = cmath.exp(-1j * phase)
-    v00, v10, v11 = w00 * e, w10 * e, w11 * e
+    v00, v10 = w00 * e, w10 * e
+    theta, phi, psi = _zy_angles((v00.real, -v10.imag, v10.real, -v00.imag))
 
-    # v = Rz(theta) Ry(phi) Rz(psi):
-    #   v00 = cos(phi/2) e^{-i(theta+psi)/2},  v10 = sin(phi/2) e^{i(theta-psi)/2}
-    a00, a10 = abs(v00), abs(v10)
-    if a10 <= nm.ZERO_TOL:
-        theta = wrap_angle(-2.0 * cmath.phase(v00) - psi0)
-        phi = 0.0 if a00 >= a10 else math.pi
-        psi = psi0
-    elif a00 <= nm.ZERO_TOL:
-        theta = wrap_angle(2.0 * cmath.phase(v10) + psi0)
-        phi = math.pi
-        psi = psi0
+    # v = +-Rz(theta) Ry(phi) Rz(psi): the larger of v00 and v10 reads the
+    # sign off its entry there; fold it into the returned phase.
+    if abs(v00) >= abs(v10):
+        m, rebuilt = v00, math.cos(phi / 2.0) * cmath.exp(-0.5j * (theta + psi))
     else:
-        phi = 2.0 * math.atan2(a10, a00)
-        theta = wrap_angle(cmath.phase(v11) + cmath.phase(v10))
-        psi = wrap_angle(cmath.phase(v11) - cmath.phase(v10))
-
-    # Wrapping theta/psi into (-pi, pi] can flip the SU(2) representative:
-    # v is +-Rz(theta) Ry(phi) Rz(psi).  The larger of v00 and v10 reads the
-    # sign off its entry above; fold it into the returned phase.
-    if a00 >= a10:
-        m, x = v00, math.cos(phi / 2.0) * cmath.exp(-0.5j * (theta + psi))
-    else:
-        m, x = v10, math.sin(phi / 2.0) * cmath.exp(0.5j * (theta - psi))
-    if (m.conjugate() * x).real < 0.0:
+        m, rebuilt = v10, math.sin(phi / 2.0) * cmath.exp(0.5j * (theta - psi))
+    if (m.conjugate() * rebuilt).real < 0.0:
         phase = wrap_angle(phase + math.pi)
     return theta, phi, psi, phase
+
+
+def _zy_angles(x, psi0=0.0):
+    """(theta, phi, psi) with ``_su2(*x)`` = +-Rz(theta) Ry(phi) Rz(psi) for
+    a unit quaternion x, theta wrapped to (-pi, pi].  The first column of
+    Rz(theta) Ry(phi) Rz(psi) is cos(phi/2) e^{-i(theta+psi)/2} = x0 - i x3
+    over sin(phi/2) e^{i(theta-psi)/2} = x2 - i x1.  Near the gimbal, phi
+    near 0 or pi, only theta + psi or theta - psi is well conditioned, so
+    theta and psi are not a stable function of x there, though the
+    rotations they make up are; at it (|(x1, x2)| or |(x0, x3)| within
+    ``ZERO_TOL``) psi is ``psi0`` and theta carries the rest."""
+    x0, x1, x2, x3 = x
+    c, s = math.hypot(x0, x3), math.hypot(x1, x2)
+    if s <= nm.ZERO_TOL:
+        return wrap_angle(2.0 * math.atan2(x3, x0) - psi0), 0.0, psi0
+    if c <= nm.ZERO_TOL:
+        return wrap_angle(2.0 * math.atan2(-x1, x2) + psi0), math.pi, psi0
+    plus, minus = math.atan2(x3, x0), math.atan2(-x1, x2)
+    return wrap_angle(plus + minus), 2.0 * math.atan2(s, c), wrap_angle(plus - minus)
 
 
 #: The map from o in SO(4) (16 entries, row-major) to its associate matrix
@@ -355,10 +349,10 @@ _ASSOC = np.round(
 
 
 def _so4_factors(o):
-    """(a, b) in SU(2) with E o E^dag = a x b up to sign, for a real 4x4
-    ``o`` in SO(4), in closed form.  The associate matrix of o is
-    outer(x, y) of the quaternions x of a and y of b: y is its row of
-    largest norm, normalized, and x its product with y, normalized.
+    """Unit quaternions (x, y) with E o E^dag = su2(x) x su2(y) up to sign
+    (``_su2``), for a real 4x4 ``o`` in SO(4), in closed form.  The
+    associate matrix of o is outer(x, y): y is its row of largest norm,
+    normalized, and x its product with y, normalized.
     NotLocal when the split misses o by more than ``LOCAL_TOL`` in
     Frobenius norm (twice its miss on the associate matrix), as it does for
     an o that is not in SO(4)."""
@@ -373,7 +367,7 @@ def _so4_factors(o):
     err = 2.0 * math.hypot(*(r[j] - xi * y[j] for r, xi in zip(rows, x) for j in range(4)))
     if err > nm.LOCAL_TOL:
         raise NotLocal("best tensor factorization misses by %.3g" % err)
-    return _su2(*x), _su2(*y)
+    return x, y
 
 
 def tensor_factor(g):
@@ -392,7 +386,8 @@ def tensor_factor(g):
     s = complex(np.sum(m * m))
     if s == 0:
         raise NotLocal("matrix does not factor into one-qubit operators")
-    a, b = _so4_factors((m * cmath.sqrt(s.conjugate() / abs(s))).real)
+    x, y = _so4_factors((m * cmath.sqrt(s.conjugate() / abs(s))).real)
+    a, b = _su2(*x), _su2(*y)
     err = nm.phase_distance(nm.kron(a, b), g)
     if err > nm.LOCAL_TOL:
         raise NotLocal("best tensor factorization misses by %.3g" % err)

@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import numerics as nm
-from .circuit import Circuit, circuit_to_text, parse_circuit, simulate, su4_normalize, to_qasm
+from .circuit import CNOT, Axis, Circuit, Generic1Q, Rotation, Swap, circuit_to_text, parse_circuit
+from .circuit import rotation_matrix2, simulate, su4_normalize, to_qasm
 from .errors import CircuitParseError, Q2SynthError, VerificationFailed
 from .invariants import cnot_cost, gamma, invariant_data, same_double_coset
 from .rewrite import RULES, effectively_separated, rule_residual
@@ -224,8 +225,6 @@ def _selftest_synthesis(rng, trials, lib):
 
 
 def _selftest_reduce(rng, trials):
-    from .circuit import CNOT, Axis, Generic1Q, Rotation, Swap, rotation_matrix2
-
     worst = 0.0
     axes = list(Axis)
     for _ in range(trials):

@@ -59,9 +59,10 @@ from .circuit import (
     Generic1Q,
     Rotation,
     _entries,
-    _euler_angles,
     _so4_factors,
+    _su2,
     _su4_normalize,
+    _zy_angles,
     simulate,
     wrap_angle,
 )
@@ -197,7 +198,7 @@ def match_local_factors(u, v):
     ``SPECTRUM_TOL`` apart.
     """
     u, v = (nm.require_unitary(m, "match_local_factors", special=True) for m in (u, v))
-    return _aligned_factors(_magic_form(u), _magic_form(v))
+    return tuple(_su2(*x) for x in _aligned_factors(_magic_form(u), _magic_form(v)))
 
 
 def _aligned_factors(fu, fv):
@@ -212,10 +213,10 @@ def _aligned_factors(fu, fv):
 
 
 def _local_factors(fu, fv):
-    """The factors (a, b, c, d) of ``match_local_factors`` from the magic
-    forms of u and of v whose rows answer each other: row k of each
-    diagonalizer has eigenvalue fu.d[k] up to one global sign.  They are
-    read in closed form from the SO(4) matrices qu^T qv (for a x b) and
+    """The quaternions (a, b, c, d) of the factors of ``match_local_factors``
+    from the magic forms of u and of v whose rows answer each other: row k
+    of each diagonalizer has eigenvalue fu.d[k] up to one global sign.  They
+    are read in closed form from the SO(4) matrices qu^T qv (for a x b) and
     ct = (qv vt)^dag (qu ut) (for c x d), whose two products the forms
     carry as qmt.  The sign is the better of +-1, +1 on a tie;
     CosetMismatch when the rows stay more than ``SPECTRUM_TOL`` apart.
@@ -247,23 +248,23 @@ def _map_cxy_gate(g):
     return Rotation(axis, g.qubit, sign * g.angle)
 
 
-def _local_gates(m2, qubit, lib):
-    """The gates of one factor from ``_local_factors``, which is in SU(2) by
-    construction: the factor itself in BASIC, else its Euler rotations about
-    the library's axes, zero angles included (``_assemble`` drops them).
-    Each split is about (Z, Y): Ry(phi) = Rz(pi/2) Rx(phi) Rz(-pi/2), and
-    CXZ takes psi = pi/2 at the gimbal, where its first Rz then drops."""
+def _local_gates(x, qubit, lib):
+    """The gates of one quaternion x from ``_local_factors``: its SU(2)
+    matrix in BASIC, else its Euler rotations about the library's axes, zero
+    angles included (``_assemble`` drops them).  Each split is about (Z, Y):
+    Ry(phi) = Rz(pi/2) Rx(phi) Rz(-pi/2), and CXZ takes psi = pi/2 at the
+    gimbal, where its first Rz then drops."""
     if lib is GateLibrary.BASIC:
-        return (Generic1Q._trusted(qubit, m2),)
+        return (Generic1Q._trusted(qubit, _su2(*x)),)
     inner, shift = (Axis.X, math.pi / 2.0) if lib is GateLibrary.CXZ else (Axis.Y, 0.0)
-    theta, phi, psi, _ = _euler_angles(m2, Axis.Z, Axis.Y, shift)
+    theta, phi, psi = _zy_angles(x, shift)
     first, last = Rotation(Axis.Z, qubit, psi - shift), Rotation(Axis.Z, qubit, theta + shift)
     return (first, Rotation(inner, qubit, phi), last)
 
 
 def _assemble(prefix, core, factors, lib):
-    """The circuit ``prefix``, c x d, ``core``, a x b for the factors (a, b,
-    c, d) of ``_local_factors``, in the gates of ``lib`` (for CXY, the CYZ
+    """The circuit ``prefix``, c x d, ``core``, a x b for the quaternions (a,
+    b, c, d) of ``_local_factors``, in the gates of ``lib`` (for CXY, the CYZ
     gates through ``_map_cxy_gate``).  Each rotation is wrapped to (-pi, pi]
     and dropped within ``ZERO_TOL`` of 0, each Generic1Q within ``ZERO_TOL``
     of the identity."""
@@ -395,17 +396,21 @@ def _cxz_psi(mt):
     """psi for the magic form mt of u C[0->1]: for p = sum(g), q = s . g and
     g the diagonal of mt^T mt, tr gamma(M) = cos(psi) p - i sin(psi) q is
     real at tan(psi) = Im p / Re q.  Within ``ZERO_TOL`` of 0 the two are
-    rounding.  Next to the identity class, where they are of second order
-    in the distance, they are then read as the imaginary traces of the
-    spectra at psi = 0 and pi/2; on the CNOT class they vanish, and rounding
-    still picks psi.  Where p and q vanish as well (the identity class, CZ,
-    SWAP, the magic gate), the trace is 0 for every psi: psi = 0."""
+    rounding.  On the CNOT class they vanish, and the trace is real, for
+    every psi: psi = 0 where |p| = |tr gamma(u C[0->1])| >= 1 (up to 4
+    there, with the locals; below 1e-5 next to the identity class), and
+    where p and q vanish too (the identity class, CZ, SWAP, the magic gate).
+    Elsewhere, as next to the identity class, where the two are of second
+    order in the distance, they are read as the imaginary traces of the
+    spectra at psi = 0 and pi/2."""
     g0, g1, g2, g3 = (mt * mt).sum(axis=0).tolist()
     p, q = g0 + g1 + g2 + g3, g0 + g1 - g2 - g3
     if max(abs(p), abs(q)) <= nm.ZERO_TOL:
         return 0.0
     y, x = p.imag, q.real
     if max(abs(y), abs(x)) <= nm.ZERO_TOL:
+        if abs(p) >= 1.0:
+            return 0.0
         y = _imag_trace(_form_of(mt).d)
         x = -_imag_trace(_form_of(mt * np.exp(-0.25j * math.pi * _ZZ_MAGIC)).d)
     return math.atan2(y, x)

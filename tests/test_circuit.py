@@ -15,6 +15,9 @@ from q2synth.circuit import (
     Generic1Q,
     Rotation,
     Swap,
+    _so4_factors,
+    _su2,
+    _zy_angles,
     circuit_to_text,
     euler_decompose,
     gate_matrix,
@@ -334,6 +337,24 @@ class TestTensorFactor:
             tensor_factor(nm.SWAP_MAT)
 
 
+    @pytest.mark.parametrize("theta", [1e-6, 1e-5, 3e-5])
+    def test_a_near_local_split_is_refused_by_its_phase_distance(self, theta, monkeypatch):
+        # exp(i theta Z x Z) is 2 theta from the nearest product in phase
+        # distance, but its associate matrix misses rank one only in second
+        # order, so _so4_factors returns and the last check refuses it.
+        returned = []
+
+        def split(o):
+            returned.append(_so4_factors(o))
+            return returned[-1]
+
+        monkeypatch.setattr("q2synth.circuit._so4_factors", split)
+        g = np.diag(np.exp(1j * theta * np.diag(nm.kron(nm.SIGMA_Z, nm.SIGMA_Z))))
+        with pytest.raises(NotLocal, match="misses by"):
+            tensor_factor(g)
+        assert len(returned) == 1
+
+
 class TestSerialization:
     def round_trip(self, c):
         text = circuit_to_text(c)
@@ -465,3 +486,53 @@ class TestSerializationProperties:
             assert circuit_to_text(back) == text
 
         check()
+
+
+#: A quaternion component: exactly +-0, within ZERO_TOL of 0, or any in
+#: [-1, 1].
+_COMPONENTS = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.floats(-nm.ZERO_TOL, nm.ZERO_TOL),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def unit_quaternions(draw):
+    """A unit quaternion, often with (x1, x2) or (x0, x3) within ZERO_TOL
+    of 0: the two gimbals of the Euler reader.  One drawn component is at
+    least 1/2 in size, so the norm is too."""
+    x = list(draw(st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS, _COMPONENTS)))
+    x[draw(st.integers(0, 3))] = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.0))
+    norm = math.hypot(*x)
+    return tuple(v / norm for v in x)
+
+
+class TestZYAnglesProperties:
+    def test_angles_rebuild_the_quaternion(self):
+        # Rz(theta) Ry(phi) Rz(psi) is su2(x) up to sign, to rounding but
+        # for the part the gimbal rule drops, |(x1, x2)| or |(x0, x3)|
+        # within ZERO_TOL; there phi is 0 or pi and psi is psi0.
+        gimbals = set()
+
+        @_PROPERTY
+        @given(unit_quaternions())
+        def check(x):
+            small = min(math.hypot(x[0], x[3]), math.hypot(x[1], x[2]))
+            for psi0 in (0.0, math.pi / 2.0):
+                theta, phi, psi = _zy_angles(x, psi0)
+                assert -math.pi < theta <= math.pi
+                if small <= nm.ZERO_TOL:
+                    assert psi == psi0 and phi in (0.0, math.pi)
+                    gimbals.add(phi)
+                rebuilt = (
+                    rotation_matrix2(Axis.Z, theta)
+                    @ rotation_matrix2(Axis.Y, phi)
+                    @ rotation_matrix2(Axis.Z, psi)
+                )
+                want = _su2(*x)
+                miss = min(np.abs(rebuilt - want).max(), np.abs(rebuilt + want).max())
+                assert miss <= 1e-14 + (small if small <= nm.ZERO_TOL else 0.0)
+
+        check()
+        assert gimbals == {0.0, math.pi}

@@ -18,6 +18,7 @@ from q2synth.circuit import (
     Generic1Q,
     Rotation,
     _entries,
+    _su2,
     _su4_normalize,
     simulate,
     su4_normalize,
@@ -151,15 +152,21 @@ def core_circuit(params):
     return Circuit((CNOT(0, 1), Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi), CNOT(0, 1)))
 
 
+def quaternion(m):
+    """The unit quaternion x of an SU(2) matrix m = ``circuit._su2(*x)``,
+    read from its first column (x0 - i x3, x2 - i x1)."""
+    return m[0, 0].real, -m[1, 0].imag, m[1, 0].real, -m[0, 0].imag
+
+
 def reference_factors(u, core, params, sigma, simulated, target=None):
-    """The one-qubit factors that match ``core`` to ``u``: the input checked
-    as match_local_factors checks it and taken to its magic form (or the
-    form ``target``, if given), the core in closed form (``_core_form`` of
-    ``params``, its rows in the order ``sigma(d)`` for the spectrum d of the
-    input's form); or, if ``simulated``, match_local_factors on u and the
-    SU(4) form of the simulated core."""
+    """The quaternions of the one-qubit factors that match ``core`` to
+    ``u``: the input checked as match_local_factors checks it and taken to
+    its magic form (or the form ``target``, if given), the core in closed
+    form (``_core_form`` of ``params``, its rows in the order ``sigma(d)``
+    for the spectrum d of the input's form); or, if ``simulated``,
+    match_local_factors on u and the SU(4) form of the simulated core."""
     if simulated:
-        return match_local_factors(u, su4_normalize(simulate(core))[0])
+        return tuple(map(quaternion, match_local_factors(u, su4_normalize(simulate(core))[0])))
     u = nm.require_unitary(u, "match_local_factors", special=True)
     target = _magic_form(u) if target is None else target
     return _local_factors(target, _core_form(params, sigma(target.d)))
@@ -190,7 +197,7 @@ def reference_candidate(u, lib, candidate, simulated=False):
     # scales the columns of the magic form of u C[0->1]
     # (test_delta_diagonal_is_the_two_cnot_product).  Near the gimbal of an
     # Euler split the emitted angles are not a stable function of their
-    # factor (circuit._euler_angles), so a form that differs by rounding
+    # factor (circuit._zy_angles), so a form that differs by rounding
     # could move them by far more than 1e-12.
     mt = nm._polar_step(nm.MAGIC_DAG @ su4_normalize(u_norm @ nm.CNOT01 * _CORE_PHASE)[0] @ nm.MAGIC)
     target = _form_of(mt * np.exp(-0.5j * params.psi * _ZZ_MAGIC))
@@ -292,6 +299,24 @@ class TestCoreParamsCXZ:
             magic = nm.MAGIC_DAG @ delta(psi) @ nm.MAGIC
             assert np.abs(magic - np.diag(np.exp(-0.5j * psi * _ZZ_MAGIC))).max() <= 1e-15
 
+    def test_psi_is_zero_on_the_cnot_class_without_a_spectral_read(self):
+        # On the CNOT class Im p and Re q of _cxz_psi vanish for every psi.
+        # Where |p| = |tr gamma(u C[0->1])| >= 1, which next to the identity
+        # class it is not, psi = 0 and no spectrum is read.
+        rng = np.random.default_rng(38)
+        cnot10 = nm.SWAP_MAT @ nm.CNOT01 @ nm.SWAP_MAT
+        cut = 0
+        for g in (nm.CNOT01, nm.CZ_MAT, cnot10):
+            for _ in range(40):
+                u = su4_normalize(with_haar_locals(g, rng))[0]
+                if abs(np.trace(gamma(su4_normalize(u @ nm.CNOT01)[0]))) < 1.0:
+                    continue
+                cut += 1
+                with mock.patch.object(synthesis, "_imag_trace", wraps=synthesis._imag_trace) as spectral:
+                    assert core_params_cxz(u).psi == 0.0
+                assert spectral.call_count == 0
+        assert cut >= 30
+
     def test_psi_is_the_computational_basis_formula(self):
         # tan(psi) = Im(t1+t2+t3+t4) / Re(t1+t4-t2-t3) for the diagonal t of
         # gamma(U^T)^T, U = u_prime C[0->1], read in the computational basis.
@@ -383,7 +408,7 @@ class TestMatchLocalFactors:
                 signs = rng.choice([-1.0, 1.0], size=4)[:, None]
                 moved = fv._replace(q=fv.q[perm] * signs, d=fv.d[perm], qmt=fv.qmt[perm] * signs)
                 for got, want in zip(_aligned_factors(fu, moved), expected):
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(_su2(*got), want)
 
     def test_identity_pair(self):
         fa, fb, fc, fd = match_local_factors(np.eye(4), np.eye(4))
@@ -440,7 +465,9 @@ class TestSynthesize:
     def test_assemble_drops_what_is_within_zero_tol(self, lib):
         # Identity factors, of either sign or a rounding-level phase away,
         # and rotations by multiples of 2 pi or by rounding-level angles.
-        near = np.diag([np.exp(0.4e-12j), np.exp(-0.4e-12j)])
+        # The factors are unit quaternions: +-1 for +-I, and near for
+        # diag(e^{0.4e-12 i}, e^{-0.4e-12 i}).
+        near = (math.cos(0.4e-12), 0.0, 0.0, -math.sin(0.4e-12))
         core = (
             CNOT(1, 0),
             Rotation(Axis.Z, 0, 2 * math.pi),
@@ -449,7 +476,8 @@ class TestSynthesize:
             Rotation(Axis.Y, 1, 0.5e-12),
             CNOT(1, 0),
         )
-        circuit = _assemble((), core, (nm.I2, -nm.I2, near, nm.I2), lib)
+        one = (1.0, 0.0, 0.0, 0.0)
+        circuit = _assemble((), core, (one, (-1.0, 0.0, 0.0, 0.0), near, one), lib)
         assert len(circuit) == 4 and circuit.cnot_count == 3
         rotations = [(g.axis, g.qubit, g.angle) for g in circuit.gates if isinstance(g, Rotation)]
         assert rotations == [(Axis.Y, 1, math.pi)]
@@ -528,6 +556,24 @@ class TestSynthesize:
         for u in [nm.haar_unitary(4, rng) for _ in range(10)] + [nm.I4, nm.CNOT01, nm.SWAP_MAT]:
             result = synthesize(u, lib)
             assert plain_phase_distance(plain_product(result.circuit), u) <= 1e-8
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_factors_reach_the_gates_as_quaternions(self, lib, monkeypatch):
+        # _so4_factors' quaternions go to the Euler reader as they are: only
+        # basic builds SU(2) matrices, one per Generic1Q factor.
+        built = []
+
+        def counted(*x):
+            built.append(x)
+            return _su2(*x)
+
+        monkeypatch.setattr("q2synth.circuit._su2", counted)
+        monkeypatch.setattr("q2synth.synthesis._su2", counted)
+        rng = np.random.default_rng(39)
+        for _ in range(5):
+            built.clear()
+            synthesize(nm.haar_unitary(4, rng), lib)
+            assert len(built) == (4 if lib is GateLibrary.BASIC else 0)
 
     def test_a_later_cxz_candidate_answers_where_the_first_is_refused(self):
         # The retry loop carries real cases: next to three Weyl-chamber

@@ -142,6 +142,19 @@ class TestNoDeadNames:
                             unused.append("%s:%d: %s" % (name, node.lineno, bound))
         assert unused == []
 
+    def test_every_import_is_at_module_level(self):
+        # An import in a function or class body hides a dependency of the
+        # module and runs again on every call.
+        nested = set()
+        for name, tree in module_trees().items():
+            for scope in ast.walk(tree):
+                if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                    continue
+                for node in ast.walk(scope):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        nested.add("%s:%d: %s" % (name, node.lineno, ast.unparse(node)))
+        assert sorted(nested) == []
+
     def test_every_private_module_name_is_read_in_src(self):
         trees = module_trees()
         read = set().union(*map(names_read, trees.values()))
