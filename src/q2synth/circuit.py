@@ -199,7 +199,7 @@ def _flush(runs, m):
     if runs == [None, None]:
         return m
     layer = _kron_layer(runs[0] or _ID2, runs[1] or _ID2)
-    return layer if m is nm.I4 else layer @ m
+    return layer if m is nm.I4 else layer.dot(m)
 
 
 #: The row order that applies a CNOT or a SWAP to the product so far:
@@ -295,7 +295,7 @@ def euler_decompose(u, outer, inner):
         raise ValueError("outer and inner axes must differ")
     if (outer, inner) != (Axis.Z, Axis.Y):
         g_dag, g = _FRAMES[(outer, inner)]
-        u = g_dag @ u @ g
+        u = g_dag.dot(u).dot(g)
     (w00, w01), (w10, w11) = u.tolist()
     phase = cmath.phase(w00 * w11 - w01 * w10) / 2.0
     e = cmath.exp(-1j * phase)
@@ -356,7 +356,7 @@ def _so4_factors(o):
     NotLocal when the split misses o by more than ``LOCAL_TOL`` in
     Frobenius norm (twice its miss on the associate matrix), as it does for
     an o that is not in SO(4)."""
-    assoc = (_ASSOC @ o.ravel()).tolist()
+    assoc = _ASSOC.dot(o.ravel()).tolist()
     rows = (assoc[0:4], assoc[4:8], assoc[8:12], assoc[12:16])
     row = max(rows, key=lambda r: math.hypot(*r))
     norm = math.hypot(*row)
@@ -382,7 +382,7 @@ def tensor_factor(g):
     so a non-unitarity the input check accepts is not taken for a miss.
     """
     g = nm._polar_step(nm.require_unitary(g, "tensor_factor"))
-    m = nm.MAGIC_DAG @ g @ nm.MAGIC
+    m = nm.MAGIC_DAG.dot(g).dot(nm.MAGIC)
     s = complex(np.sum(m * m))
     if s == 0:
         raise NotLocal("matrix does not factor into one-qubit operators")

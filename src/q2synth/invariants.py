@@ -41,19 +41,25 @@ class _MagicForm(NamedTuple):
     qmt: np.ndarray
 
 
+def _magic(m):
+    """The magic form mt = E^dag m E of a checked 4x4 unitary, one polar
+    step (``numerics._polar_step``) nearer unitary: an input up to
+    UNITARY_TOL from unitary still splits into one-qubit factors to
+    LOCAL_TOL."""
+    return nm._polar_step(nm.MAGIC_DAG.dot(m).dot(nm.MAGIC))
+
+
 def _magic_form(m):
-    """``_MagicForm`` of a checked 4x4 unitary, with mt one polar step
-    (``numerics._polar_step``) nearer unitary: an input up to UNITARY_TOL
-    from unitary still splits into one-qubit factors to LOCAL_TOL.  A
+    """``_MagicForm`` of a checked 4x4 unitary, from its ``_magic`` form.  A
     synthesis core, unitary by construction, takes its form from its angles
     (``synthesis._core_form``) instead."""
-    return _form_of(nm._polar_step(nm.MAGIC_DAG @ m @ nm.MAGIC))
+    return _form_of(_magic(m))
 
 
 def _form_of(mt):
     """``_MagicForm`` of an operator from its magic form ``mt``, unitary to rounding."""
-    q, d = nm._diagonalize_symmetric_unitary(mt @ mt.T)
-    return _MagicForm(q, d, q @ mt)
+    q, d = nm._diagonalize_symmetric_unitary(mt.dot(mt.T))
+    return _MagicForm(q, d, q.dot(mt))
 
 
 def _align_spectra(du, dv, strict=False):
@@ -141,9 +147,22 @@ def cnot_cost(u, tol=nm.DEFAULT_TOL):
     The first two references need no search: +-(1, 1, 1, 1) is degenerate,
     and (i, i, -i, -i), its own negative, takes the two eigenvalues of
     largest imaginary part at i, as |z - i| falls when Im z grows.
+
+    A screen answers 3 before any diagonalization: each of classes 0-2
+    bounds the imaginary part of the trace of gamma, sum d, so
+    |Im sum d| > 4 tol leaves only class 3.
+
+    * 0 or 1: |sum d -+ 4| <= 4 tol or |sum d| <= 4 tol, so |Im sum d| <= 4 tol.
+    * 2: sum (d - conj d[perm]) = 2i Im sum d, so |Im sum d| <= 2 tol.
+    * sum d = tr(mt mt^T), the sum of the squares of the entries of the
+      magic form mt, up to rounding, which ``ROUNDING_TOL`` bounds.
     """
     v, _ = _su4_normalize(nm.require_unitary(u, "cnot_cost", tol))
-    d = _magic_form(v).d
+    mt = _magic(v)
+    entries = mt.ravel()
+    if abs(entries.dot(entries).imag) > 4.0 * tol + nm.ROUNDING_TOL:
+        return 3
+    d = _form_of(mt).d
     z = d.tolist()
     if min(max(abs(x - 1.0) for x in z), max(abs(x + 1.0) for x in z)) <= tol:
         return 0

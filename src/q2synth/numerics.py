@@ -31,7 +31,8 @@ UNITARY_TOL = 1e-8
 #: computed 4x4 unitary.  A caller's tighter ``tol`` tightens the input
 #: check down to this value and no further, so an unreachable verification
 #: bound raises VerificationFailed and not NotUnitary; ``selftest`` bounds
-#: its exact identities by it.
+#: its exact identities by it, and ``cnot_cost`` the rounding between the
+#: trace of gamma and the sum of its computed spectrum.
 ROUNDING_TOL = 1e-10
 
 #: Verification.  Unit: phase distance min_phi ||e^{i phi} u - v||_F.  Every
@@ -109,7 +110,7 @@ MAGIC_DAG = MAGIC.conj().T.copy()
 def gamma4(u):
     """u @ (sigma_y x sigma_y) @ u.T @ (sigma_y x sigma_y) for a 4x4 u."""
     u = np.asarray(u, dtype=np.complex128)
-    return u @ SYY @ u.T @ SYY
+    return u.dot(SYY).dot(u.T).dot(SYY)
 
 
 def kron(a, b):
@@ -130,7 +131,7 @@ def is_unitary(m, tol=UNITARY_TOL):
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
         return False
     n = m.shape[0]
-    r = m.conj().T @ m - (_EYE[n] if n in _EYE else np.eye(n))
+    r = m.conj().T.dot(m) - (_EYE[n] if n in _EYE else np.eye(n))
     return math.sqrt(np.vdot(r, r).real) <= tol
 
 
@@ -172,7 +173,7 @@ def _polar_step(m):
     """One Newton-Schulz step m (3I - m^dag m) / 2 toward the unitary polar
     factor of a 2x2 or 4x4 m: a residual ||m^dag m - I||_F of r becomes
     about r^2."""
-    return m @ (3.0 * _EYE[len(m)] - m.conj().T @ m) / 2.0
+    return m.dot(3.0 * _EYE[len(m)] - m.conj().T.dot(m)) / 2.0
 
 
 def require_unitary(m, caller, tol=UNITARY_TOL, size=4, special=False, symmetric=False):
@@ -227,8 +228,8 @@ def charpoly4(m):
     coeffs[4] = 1.0
     acc = np.zeros_like(m)
     for k in range(1, 5):
-        acc = m @ acc + coeffs[5 - k] * I4
-        coeffs[4 - k] = -np.trace(m @ acc) / k
+        acc = m.dot(acc) + coeffs[5 - k] * I4
+        coeffs[4 - k] = -np.trace(m.dot(acc)) / k
     return CharPoly4(tuple(coeffs))
 
 
@@ -249,7 +250,7 @@ def diagonalize_symmetric_unitary(p):
     separates the distinct eigenvalues of p (see ``_MIX_ANGLES``).
     """
     p = require_unitary(p, "diagonalize_symmetric_unitary", symmetric=True)
-    return _diagonalize_symmetric_unitary(p)
+    return _diagonalize_symmetric_unitary((p + p.T) / 2.0)
 
 
 #: Mixing angles t tried in order by the diagonalizer.  Eigenvalues e^{ia}
@@ -277,12 +278,15 @@ def _diagonalize_symmetric_unitary(p):
     """``diagonalize_symmetric_unitary`` without its input checks, for a
     complex128 ``p`` that is symmetric unitary by construction: the
     eigenvectors of the first mixing angle that leave q p q^T diagonal to
-    ``OFF_DIAGONAL_TOL``, else those of the best one."""
+    ``OFF_DIAGONAL_TOL``, else those of the best one.  ``p`` must be
+    symmetric bit for bit, as mt.dot(mt.T) is (``invariants._form_of``):
+    ``eigh`` reads one triangle of each mix, and nothing here symmetrizes
+    it.  The public call symmetrizes its checked input once, at its entry."""
     best = None
     for t in _MIX_ANGLES:
         x = math.cos(t) * p.real + math.sin(t) * p.imag
-        _, v = np.linalg.eigh((x + x.T) / 2.0)
-        m = v.T @ p @ v
+        _, v = np.linalg.eigh(x)
+        m = v.T.dot(p).dot(v)
         off = _off_diagonal(m)
         if best is None or off < best[0]:
             best = (off, v, m)
@@ -344,4 +348,4 @@ def haar_unitary(n, rng):
     z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     dia = np.diag(r)
-    return q @ np.diag(dia / np.abs(dia))
+    return q.dot(np.diag(dia / np.abs(dia)))

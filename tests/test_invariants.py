@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from q2synth import numerics as nm
-from q2synth.circuit import su4_normalize
+from q2synth.circuit import Axis, rotation_matrix2, su4_normalize
 from q2synth.errors import CosetMismatch, NotUnitary
 from q2synth.invariants import (
     _align_spectra,
@@ -233,8 +233,6 @@ class TestCnotCost:
 
     def test_class_two(self):
         rng = np.random.default_rng(13)
-        from q2synth.circuit import Axis, rotation_matrix2
-
         for _ in range(20):
             theta, phi = rng.uniform(0.2, 1.3, size=2)
             core = (
@@ -289,11 +287,58 @@ class TestCnotCost:
         for u in inputs:
             u = u * np.exp(1j * rng.uniform(-math.pi, math.pi))
             spectrum = _magic_form(su4_normalize(u)[0]).d
-            for tol in (1e-8, 1e-6, 1e-4):
+            for tol in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
                 expected = aligned_cost(spectrum, tol)
                 assert cnot_cost(u, tol) == expected
                 seen.add(expected)
         assert seen == {0, 1, 2, 3}
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_trace_screen_answers_haar_inputs_without_a_spectrum(self, monkeypatch):
+        # |Im tr gamma| > 4 tol leaves only class 3, so a Haar input runs no
+        # eigh; an input of class 1 or 2, whose trace is real, runs one.
+        calls = self.count_eigh(monkeypatch)
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            assert cnot_cost(nm.haar_unitary(4, rng)) == 3
+        assert calls == []
+        core = nm.CNOT01 @ nm.kron(rotation_matrix2(Axis.X, 0.5), rotation_matrix2(Axis.Z, 0.9)) @ nm.CNOT01
+        for u, expected in ((nm.CNOT01, 1), (nm.CZ_MAT, 1), (core, 2)):
+            del calls[:]
+            assert cnot_cost(u) == expected
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    def test_trace_screen_holds_between_two_and_four_tol(self, tol, monkeypatch):
+        # Class 2 bounds |Im tr gamma| by 2 tol, classes 0 and 1 by 4 tol:
+        # can(a, b, eps) with |Im tr gamma| = 3 tol is left to the spectrum,
+        # which answers as the full alignment search does.
+        calls = self.count_eigh(monkeypatch)
+        rng = np.random.default_rng(27)
+        for a, b in ((0.5, 0.3), (0.7, 0.2), (Q, 0.4)):
+            def im_trace(eps):
+                return np.trace(gamma(su4_normalize(dressed_canonical(a, b, eps, rng))[0])).imag
+
+            slope = abs(im_trace(1e-3)) / 1e-3
+            for target in (2.2 * tol, 3.0 * tol, 3.8 * tol):
+                u = dressed_canonical(a, b, target / slope, rng)
+                im = abs(np.trace(gamma(su4_normalize(u)[0])).imag)
+                assert 2.0 * tol < im < 4.0 * tol
+                expected = aligned_cost(_magic_form(su4_normalize(u)[0]).d, tol)
+                del calls[:]
+                assert cnot_cost(u, tol) == expected
+                assert calls
 
     def test_accepts_any_global_phase(self):
         assert cnot_cost(np.exp(0.3j) * nm.CNOT01) == 1

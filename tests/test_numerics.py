@@ -174,6 +174,49 @@ class TestDiagonalizeSymmetricUnitary:
             assert np.array_equal(q2, q)
             assert np.array_equal(d2, d)
 
+    def test_input_symmetric_only_to_1e_9(self):
+        # The public call symmetrizes its input once, at its entry; the loop
+        # once symmetrized each mix instead, and matched q p q^T against
+        # the unsymmetrized p, whose antisymmetric part left every mixing
+        # angle about 1e-9 off diagonal.  Both give the same (q, d).
+        def before(p):
+            best = None
+            for t in nm._MIX_ANGLES:
+                x = math.cos(t) * p.real + math.sin(t) * p.imag
+                _, v = np.linalg.eigh((x + x.T) / 2.0)
+                m = v.T @ p @ v
+                off = nm._off_diagonal(m)
+                if best is None or off < best[0]:
+                    best = (off, v, m)
+                if off <= nm.OFF_DIAGONAL_TOL:
+                    break
+            _, v, m = best
+            return nm._canonical(v.T, m.diagonal())
+
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            p = random_symmetric_unitary(rng)
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            a = a - a.T
+            p = p + 0.5e-9 * a / np.linalg.norm(a)
+            assert np.linalg.norm(p - p.T) == pytest.approx(1e-9, rel=1e-6)
+            q, d = nm.diagonalize_symmetric_unitary(p)
+            q0, d0 = before(p)
+            assert np.abs(q - q0).max() <= 1e-12
+            assert np.abs(d - d0).max() <= 1e-12
+
+    def test_magic_forms_are_symmetric_bit_for_bit(self):
+        # The private diagonalizer hands each mix to eigh, which reads one
+        # triangle, without symmetrizing it: mt.dot(mt.T) is symmetric bit
+        # for bit (NumPy computes a product with its own transpose one
+        # triangle at a time).
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            mt = nm._polar_step(nm.MAGIC_DAG.dot(nm.haar_unitary(4, rng)).dot(nm.MAGIC))
+            for m in (mt, mt * np.exp(-0.5j * rng.uniform(-3.0, 3.0) * np.array([1.0, 1.0, -1.0, -1.0]))):
+                p = m.dot(m.T)
+                assert np.array_equal(p, p.T)
+
     def test_identity_input(self):
         q, d = nm.diagonalize_symmetric_unitary(np.eye(4, dtype=complex))
         assert np.allclose(d, 1.0)

@@ -301,21 +301,44 @@ class TestCoreParamsCXZ:
 
     def test_psi_is_zero_on_the_cnot_class_without_a_spectral_read(self):
         # On the CNOT class Im p and Re q of _cxz_psi vanish for every psi.
-        # Where |p| = |tr gamma(u C[0->1])| >= 1, which next to the identity
-        # class it is not, psi = 0 and no spectrum is read.
+        # Where |p| = |tr gamma(u C[0->1])| >= 1e-2, which next to the
+        # identity class it is not, psi = 0 and no spectrum is read.
         rng = np.random.default_rng(38)
         cnot10 = nm.SWAP_MAT @ nm.CNOT01 @ nm.SWAP_MAT
         cut = 0
         for g in (nm.CNOT01, nm.CZ_MAT, cnot10):
             for _ in range(40):
                 u = su4_normalize(with_haar_locals(g, rng))[0]
-                if abs(np.trace(gamma(su4_normalize(u @ nm.CNOT01)[0]))) < 1.0:
+                if abs(np.trace(gamma(su4_normalize(u @ nm.CNOT01)[0]))) < 1e-2:
                     continue
                 cut += 1
                 with mock.patch.object(synthesis, "_imag_trace", wraps=synthesis._imag_trace) as spectral:
                     assert core_params_cxz(u).psi == 0.0
                 assert spectral.call_count == 0
-        assert cut >= 30
+        assert cut >= 110
+
+    def test_psi_is_read_from_the_spectra_next_to_the_identity_class(self):
+        # Next to the identity class Im p and Re q are of second order in
+        # the distance, and where both are rounding psi needs the spectral
+        # read: |p| stays far below the cut there, at every distance.
+        rng = np.random.default_rng(39)
+        entered = {}
+        for dist in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+            entered[dist] = 0
+            for _ in range(60):
+                d = rng.standard_normal(3)
+                u = su4_normalize(with_haar_locals(canonical(*(dist * d / np.linalg.norm(d))), rng))[0]
+                with mock.patch.object(synthesis, "_cxz_psi", wraps=synthesis._cxz_psi) as read:
+                    with mock.patch.object(synthesis, "_imag_trace", wraps=synthesis._imag_trace) as spectral:
+                        core_params_cxz(u)
+                g0, g1, g2, g3 = (read.call_args.args[0] ** 2).sum(axis=0).tolist()
+                p, q = g0 + g1 + g2 + g3, g0 + g1 - g2 - g3
+                if max(abs(p), abs(q)) > nm.ZERO_TOL >= max(abs(p.imag), abs(q.real)):
+                    entered[dist] += 1
+                    assert abs(p) < 1e-4
+                    assert spectral.call_count == 2
+        assert min(entered[dist] for dist in (1e-9, 1e-8, 1e-7)) == 60
+        assert entered[1e-6] > 0
 
     def test_psi_is_the_computational_basis_formula(self):
         # tan(psi) = Im(t1+t2+t3+t4) / Re(t1+t4-t2-t3) for the diagonal t of

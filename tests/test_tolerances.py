@@ -174,6 +174,24 @@ class TestNoDeadNames:
         assert unread == []
 
 
+class TestSmallProducts:
+    def test_no_matmul_operator_in_a_function_body(self):
+        # The 4x4 and 2x2 products of the synthesis and cost paths run by
+        # ndarray.dot: on NumPy 2.4.6 (shared 2-core x86-64 VM) A @ B takes
+        # 2.5-3.3 us on 4x4 complex arrays and A.dot(B) 1.6-2.3 us, with the
+        # same bits.  Module-level constants, built once, may keep @.
+        found = []
+        trees = module_trees()
+        for name in ("numerics.py", "invariants.py", "circuit.py", "synthesis.py"):
+            for scope in ast.walk(trees[name]):
+                if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                for node in ast.walk(scope):
+                    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                        found.append("%s:%d: %s" % (name, node.lineno, ast.unparse(node)))
+        assert sorted(set(found)) == [], "use ndarray.dot: @ costs about 1 us more per 4x4 product"
+
+
 def off_unitary(m, r):
     """m (unitary) scaled so that ||m^dag m - I||_F = r; for det m = 1 the
     determinant then misses 1 by about r too."""
