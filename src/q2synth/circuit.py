@@ -3,9 +3,11 @@
 Gates live on wires 0 and 1, where qubit 0 is the top wire and the left
 Kronecker factor.  Circuits are immutable gate tuples applied in index order
 (index 0 first), so the simulator multiplies later gates on the left.
-Also here: Euler decompositions for arbitrary orthogonal axis pairs, tensor
-factorization of local operators, SU(4) normalization, and the text/QASM
-serializations used by the CLI.
+Also here: the one axis algebra (``_cross``: a quarter turn about a takes
+the axis n to a x n), from which every Euler frame and the rewrite rule
+AxisChange read their changes of axes; Euler decompositions for every
+ordered axis pair, tensor factorization of local operators, SU(4)
+normalization, and the text/QASM serializations used by the CLI.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ class Axis(enum.Enum):
     Z = "z"
 
 
-_PAULI = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
+#: The axes in cyclic order; axis k is component k + 1 of a quaternion.
+_AXES = tuple(Axis)
+
+
+def _cross(a, b):
+    """(c, sign) with a x b = sign * c for distinct axes a and b."""
+    i, j = _AXES.index(a), _AXES.index(b)
+    return _AXES[3 - i - j], (1.0 if (j - i) % 3 == 1 else -1.0)
 
 
 def wrap_angle(theta):
@@ -263,57 +272,55 @@ def _su2(x0, x1, x2, x3):
     )
 
 
-_QUARTER = math.pi / 2.0
-
-#: (g^dag, g) for every axis pair (outer, inner) but (Z, Y), whose frame
-#: change is the identity: g in SU(2) with g sigma_z g^dag = sigma_outer and
-#: g sigma_y g^dag = sigma_inner exactly, not only up to a sign, as a
-#: product of quarter turns (rightmost applied first).
-_FRAMES = {
-    pair: (g.conj().T.copy(), g)
-    for pair, g in (
-        ((Axis.Z, Axis.X), rotation_matrix2(Axis.Z, -_QUARTER)),
-        ((Axis.X, Axis.Y), rotation_matrix2(Axis.Y, _QUARTER)),
-        ((Axis.X, Axis.Z), rotation_matrix2(Axis.Z, _QUARTER) @ rotation_matrix2(Axis.X, _QUARTER)),
-        ((Axis.Y, Axis.X), rotation_matrix2(Axis.X, -_QUARTER) @ rotation_matrix2(Axis.Z, -_QUARTER)),
-        ((Axis.Y, Axis.Z), rotation_matrix2(Axis.X, _QUARTER) @ rotation_matrix2(Axis.Y, 2 * _QUARTER)),
-    )
+#: ``_frame``'s read of each axis pair (o, i), with i x o = sign * c.
+_FRAME_READS = {
+    (o, i): (_AXES.index(c) + 1, sign, _AXES.index(i) + 1, _AXES.index(o) + 1)
+    for o in Axis for i in Axis if o is not i for c, sign in [_cross(i, o)]
 }
+
+
+def _frame(x, read):
+    """The components of the unit quaternion x along (inner x outer, inner,
+    outer), ``read`` being ``_FRAME_READS[outer, inner]``.  A g in SU(2)
+    turning z and y to outer and inner turns these axes to (x, y, z), so
+    the angles of the result about (Z, Y) are those of x about (outer,
+    inner)."""
+    c, sign, i, o = read
+    return x[0], sign * x[c], x[i], x[o]
 
 
 def euler_decompose(u, outer, inner):
     """Angles (theta, phi, psi, phase) with
     u = exp(i phase) R_outer(theta) R_inner(phi) R_outer(psi).
 
-    After one frame change to (Z, Y), the first column of u in SU(2) is a
-    unit quaternion, whose angles ``_zy_angles`` reads; the sign it leaves
-    free goes into the phase.  At the gimbal, an entry of u within
-    ``ZERO_TOL`` of 0, psi = 0.
+    The first column of u over a square root of det u is a unit quaternion
+    (``_su2``), whose angles ``_zy_angles`` reads in the frame of (outer,
+    inner); the sign the root leaves free goes into the phase.  At the
+    gimbal, an entry of u within ``ZERO_TOL`` of 0, psi = 0.  ValueError
+    unless outer and inner are distinct members of Axis.
     """
-    u = nm.require_unitary(u, "euler_decompose", size=2)
+    for name, axis in (("outer", outer), ("inner", inner)):
+        if not isinstance(axis, Axis):
+            raise ValueError("%s axis must be an Axis, not %r" % (name, axis))
     if outer is inner:
         raise ValueError("outer and inner axes must differ")
-    if (outer, inner) != (Axis.Z, Axis.Y):
-        g_dag, g = _FRAMES[(outer, inner)]
-        u = g_dag.dot(u).dot(g)
+    u = nm.require_unitary(u, "euler_decompose", size=2)
     (w00, w01), (w10, w11) = u.tolist()
     phase = cmath.phase(w00 * w11 - w01 * w10) / 2.0
     e = cmath.exp(-1j * phase)
     v00, v10 = w00 * e, w10 * e
-    theta, phi, psi = _zy_angles((v00.real, -v10.imag, v10.real, -v00.imag))
-
-    # v = +-Rz(theta) Ry(phi) Rz(psi): the larger of v00 and v10 reads the
-    # sign off its entry there; fold it into the returned phase.
-    if abs(v00) >= abs(v10):
-        m, rebuilt = v00, math.cos(phi / 2.0) * cmath.exp(-0.5j * (theta + psi))
-    else:
-        m, rebuilt = v10, math.sin(phi / 2.0) * cmath.exp(0.5j * (theta - psi))
-    if (m.conjugate() * rebuilt).real < 0.0:
+    y = _frame((v00.real, -v10.imag, v10.real, -v00.imag), _FRAME_READS[outer, inner])
+    theta, phi, psi = _zy_angles(y)
+    # y is +- the quaternion of Rz(theta) Ry(phi) Rz(psi): fold the sign in.
+    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
+    plus, minus = (theta + psi) / 2.0, (theta - psi) / 2.0
+    rebuilt = (c * math.cos(plus), -s * math.sin(minus), s * math.cos(minus), c * math.sin(plus))
+    if sum(a * b for a, b in zip(y, rebuilt)) < 0.0:
         phase = wrap_angle(phase + math.pi)
     return theta, phi, psi, phase
 
 
-def _zy_angles(x, psi0=0.0):
+def _zy_angles(x):
     """(theta, phi, psi) with ``_su2(*x)`` = +-Rz(theta) Ry(phi) Rz(psi) for
     a unit quaternion x, theta wrapped to (-pi, pi].  The first column of
     Rz(theta) Ry(phi) Rz(psi) is cos(phi/2) e^{-i(theta+psi)/2} = x0 - i x3
@@ -321,13 +328,13 @@ def _zy_angles(x, psi0=0.0):
     near 0 or pi, only theta + psi or theta - psi is well conditioned, so
     theta and psi are not a stable function of x there, though the
     rotations they make up are; at it (|(x1, x2)| or |(x0, x3)| within
-    ``ZERO_TOL``) psi is ``psi0`` and theta carries the rest."""
+    ``ZERO_TOL``) psi is 0 and theta carries the rest."""
     x0, x1, x2, x3 = x
     c, s = math.hypot(x0, x3), math.hypot(x1, x2)
     if s <= nm.ZERO_TOL:
-        return wrap_angle(2.0 * math.atan2(x3, x0) - psi0), 0.0, psi0
+        return wrap_angle(2.0 * math.atan2(x3, x0)), 0.0, 0.0
     if c <= nm.ZERO_TOL:
-        return wrap_angle(2.0 * math.atan2(-x1, x2) + psi0), math.pi, psi0
+        return wrap_angle(2.0 * math.atan2(-x1, x2)), math.pi, 0.0
     plus, minus = math.atan2(x3, x0), math.atan2(-x1, x2)
     return wrap_angle(plus + minus), 2.0 * math.atan2(s, c), wrap_angle(plus - minus)
 

@@ -282,8 +282,8 @@ def cmd_selftest(args):
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def _add_input_args(p, require=True):
-    group = p.add_mutually_exclusive_group(required=require)
+def _add_input_args(p):
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gate", choices=NAMED_GATES, help="named input matrix")
     group.add_argument("--matrix", help="path to a matrix file ('-' for stdin)")
     p.add_argument("--seed", type=int, default=0, help="seed for --gate random")

@@ -176,7 +176,7 @@ def cnot_cost(u, tol=nm.DEFAULT_TOL):
 
 def cnot_lower_bound(n):
     """ceil((4^n - 3n - 1) / 4): CNOTs required by almost all n-qubit operators."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     m = 4**n - 3 * n - 1
     return (m + 3) // 4

@@ -65,6 +65,14 @@ SPECTRUM_TOL = 1e-6
 #: A mixing angle that leaves more gives way to the next one.
 #: ``eigh`` of a separated spectrum leaves about 1e-15.
 OFF_DIAGONAL_TOL = 1e-13
+
+#: The CNOT class, for the cxz angle psi.  Unit: |tr gamma(u C[0->1])|, the
+#: |p| of ``synthesis._cxz_psi``: where the sums that fix psi are rounding,
+#: psi = 0 at |p| at least this, else it is read from the spectra.  Measured:
+#: on about 40,000 seeded inputs 1e-9 to 1e-4 from the identity class, |p|
+#: stayed below 2.3e-5 there, over 400 times less; on 3,000 Haar-dressed
+#: CNOT and CZ inputs it ran from 1.3e-4 to 3.9, and 98% of them are cut.
+PSI_TRACE_TOL = 1e-2
 # --- end of tolerances -------------------------------------------------------
 
 I2 = np.eye(2, dtype=np.complex128)

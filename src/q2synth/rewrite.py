@@ -46,13 +46,13 @@ import numpy as np
 
 from . import numerics as nm
 from .circuit import (
-    _PAULI,
     CNOT,
     Axis,
     Circuit,
     Generic1Q,
     Rotation,
     Swap,
+    _cross,
     _entries,
     _mul2,
     rotation_matrix2,
@@ -93,7 +93,7 @@ def _phase_close(e, target):
     return nm.phase_distance(_matrix(e), m) <= nm.LOCAL_TOL
 
 
-_PAULI_TARGETS = {axis: _target(m) for axis, m in _PAULI.items()}
+_PAULI_TARGETS = {axis: _target(m) for axis, m in zip(Axis, (nm.SIGMA_X, nm.SIGMA_Y, nm.SIGMA_Z))}
 
 
 def _is_pauli(g, axis):
@@ -286,26 +286,11 @@ def _merge_rotations(w):
     return [Generic1Q._trusted(g1.qubit, prod)]
 
 
-#: Conjugating R_n by the quarter turn S_a sends the axis n around a:
-#: (a, n) -> (n', sign) with R_{n'}(sign * t) = S_a R_n(t) S_a^{-1}.
-_AXIS_TABLE = {
-    (Axis.X, Axis.Y): (Axis.Z, 1.0),
-    (Axis.X, Axis.Z): (Axis.Y, -1.0),
-    (Axis.Y, Axis.X): (Axis.Z, -1.0),
-    (Axis.Y, Axis.Z): (Axis.X, 1.0),
-    (Axis.Z, Axis.X): (Axis.Y, 1.0),
-    (Axis.Z, Axis.Y): (Axis.X, -1.0),
-}
-
-#: Reading the table right-to-left: (a, n') -> (n, sign) with
-#: S_a R_n(sign * v) = R_{n'}(v) S_a.
-_AXIS_TABLE_INV = {(a, np): (n, s) for (a, n), (np, s) in _AXIS_TABLE.items()}
-
-
-def _axis_change(table, rotation_first):
+def _axis_change(rotation_first):
     """Matcher moving a rotation through a quarter turn S_a on its wire,
     from the window's first slot if ``rotation_first``, else from its
-    second; ``table`` gives the new axis and sign."""
+    second: S_a R_n(t) = R_{n'}(sign t) S_a for a x n = sign n', and read
+    backward, R_{n'}(v) S_a = S_a R_n(sign v) for n' x a = sign n."""
 
     def fn(w):
         r, s = w if rotation_first else w[::-1]
@@ -314,7 +299,7 @@ def _axis_change(table, rotation_first):
         a = _s_gate_axis(s)
         if a is None or a is r.axis:
             return None
-        new_axis, sign = table[(a, r.axis)]
+        new_axis, sign = _cross(a, r.axis) if rotation_first else _cross(r.axis, a)
         moved = Rotation(new_axis, r.qubit, sign * r.angle)
         return [s, moved] if rotation_first else [moved, s]
 
@@ -465,7 +450,7 @@ def _build_rules():
         ),
         _rule(
             "AxisChange",
-            [_axis_change(_AXIS_TABLE, True), _axis_change(_AXIS_TABLE_INV, False)],
+            [_axis_change(True), _axis_change(False)],
             [
                 [Rotation(Axis.Y, 0, a1), Rotation(Axis.X, 0, math.pi / 2.0)],
                 [Rotation(Axis.Z, 1, a2), Rotation(Axis.X, 1, math.pi / 2.0)],

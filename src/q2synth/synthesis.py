@@ -53,12 +53,14 @@ import numpy as np
 
 from . import numerics as nm
 from .circuit import (
+    _FRAME_READS,
     CNOT,
     Axis,
     Circuit,
     Generic1Q,
     Rotation,
     _entries,
+    _frame,
     _so4_factors,
     _su2,
     _su4_normalize,
@@ -248,18 +250,19 @@ def _map_cxy_gate(g):
     return Rotation(axis, g.qubit, sign * g.angle)
 
 
+_ZX_READ = _FRAME_READS[Axis.Z, Axis.X]
+
+
 def _local_gates(x, qubit, lib):
     """The gates of one quaternion x from ``_local_factors``: its SU(2)
-    matrix in BASIC, else its Euler rotations about the library's axes, zero
-    angles included (``_assemble`` drops them).  Each split is about (Z, Y):
-    Ry(phi) = Rz(pi/2) Rx(phi) Rz(-pi/2), and CXZ takes psi = pi/2 at the
-    gimbal, where its first Rz then drops."""
+    matrix in BASIC, else Rz(psi) R_inner(phi) Rz(theta) as ``_zy_angles``
+    reads them in the frame (Z, inner), inner X in CXZ and Y otherwise, zero
+    angles included (``_assemble`` drops them; at the gimbal psi is 0)."""
     if lib is GateLibrary.BASIC:
         return (Generic1Q._trusted(qubit, _su2(*x)),)
-    inner, shift = (Axis.X, math.pi / 2.0) if lib is GateLibrary.CXZ else (Axis.Y, 0.0)
-    theta, phi, psi = _zy_angles(x, shift)
-    first, last = Rotation(Axis.Z, qubit, psi - shift), Rotation(Axis.Z, qubit, theta + shift)
-    return (first, Rotation(inner, qubit, phi), last)
+    inner, x = (Axis.X, _frame(x, _ZX_READ)) if lib is GateLibrary.CXZ else (Axis.Y, x)
+    theta, phi, psi = _zy_angles(x)
+    return (Rotation(Axis.Z, qubit, psi), Rotation(inner, qubit, phi), Rotation(Axis.Z, qubit, theta))
 
 
 def _assemble(prefix, core, factors, lib):
@@ -396,23 +399,18 @@ def _cxz_psi(mt):
     """psi for the magic form mt of u C[0->1]: for p = sum(g), q = s . g and
     g the diagonal of mt^T mt, tr gamma(M) = cos(psi) p - i sin(psi) q is
     real at tan(psi) = Im p / Re q.  Within ``ZERO_TOL`` of 0 the two are
-    rounding.  On the CNOT class they vanish, and the trace is real, for
-    every psi: psi = 0 where |p| = |tr gamma(u C[0->1])| >= 1e-2, and
-    where p and q vanish too (the identity class, CZ, SWAP, the magic gate).
-    Next to the identity class, the two are of second order in the
-    distance, and there they are read as the imaginary traces of the
-    spectra at psi = 0 and pi/2.  The cut 1e-2 is measured: on about
-    40,000 seeded inputs 1e-9 to 1e-4 from the identity class, |p| stayed
-    below 2.3e-5 wherever Im p and Re q were rounding, over 400 times
-    less; on 3,000 Haar-dressed CNOT(0->1), CZ and CNOT(1->0) inputs it ran
-    from 1.3e-4 to 3.9, and 98% of them are cut."""
+    rounding.  On the CNOT class, |p| at least ``PSI_TRACE_TOL``, they
+    vanish for every psi, and so do p and q on the identity class, CZ, SWAP
+    and the magic gate: psi = 0.  Next to the identity class they are of
+    second order in the distance, and are read as the imaginary traces of
+    the spectra at psi = 0 and pi/2."""
     g0, g1, g2, g3 = (mt * mt).sum(axis=0).tolist()
     p, q = g0 + g1 + g2 + g3, g0 + g1 - g2 - g3
     if max(abs(p), abs(q)) <= nm.ZERO_TOL:
         return 0.0
     y, x = p.imag, q.real
     if max(abs(y), abs(x)) <= nm.ZERO_TOL:
-        if abs(p) >= 1e-2:
+        if abs(p) >= nm.PSI_TRACE_TOL:
             return 0.0
         y = _imag_trace(_form_of(mt).d)
         x = -_imag_trace(_form_of(mt * np.exp(-0.25j * math.pi * _ZZ_MAGIC)).d)

@@ -15,6 +15,9 @@ from q2synth.circuit import (
     Generic1Q,
     Rotation,
     Swap,
+    _cross,
+    _frame,
+    _FRAME_READS,
     _so4_factors,
     _su2,
     _zy_angles,
@@ -309,6 +312,70 @@ class TestEulerDecompose:
         with pytest.raises(ValueError):
             euler_decompose(np.eye(2), Axis.Z, Axis.Z)
 
+    @pytest.mark.parametrize(
+        "outer,inner,name",
+        [("z", "y", "outer"), (None, None, "outer"), (Axis.Z, "y", "inner"), (Axis.Z, None, "inner")],
+    )
+    def test_rejects_an_axis_that_is_not_an_axis(self, outer, inner, name):
+        # A typed error that names the argument, as Rotation's, not a
+        # KeyError from a table or "axes must differ" for (None, None).
+        with pytest.raises(ValueError, match=r"^%s axis must be an Axis, not " % name):
+            euler_decompose(np.eye(2), outer, inner)
+
+
+PAULI = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
+
+#: The five quarter-turn products g (rightmost applied first) with
+#: g sigma_z g^dag = sigma_outer and g sigma_y g^dag = sigma_inner exactly,
+#: with which euler_decompose once changed frames by conjugation; (Z, Y)
+#: needs none.
+_QUARTER = math.pi / 2.0
+_QUARTER_TURN_FRAMES = {
+    (Axis.Z, Axis.Y): nm.I2,
+    (Axis.Z, Axis.X): rotation_matrix2(Axis.Z, -_QUARTER),
+    (Axis.X, Axis.Y): rotation_matrix2(Axis.Y, _QUARTER),
+    (Axis.X, Axis.Z): rotation_matrix2(Axis.Z, _QUARTER) @ rotation_matrix2(Axis.X, _QUARTER),
+    (Axis.Y, Axis.X): rotation_matrix2(Axis.X, -_QUARTER) @ rotation_matrix2(Axis.Z, -_QUARTER),
+    (Axis.Y, Axis.Z): rotation_matrix2(Axis.X, _QUARTER) @ rotation_matrix2(Axis.Y, 2 * _QUARTER),
+}
+
+
+class TestAxisAlgebra:
+    def test_cross_is_the_vector_cross_product(self):
+        unit = {axis: np.eye(3)[k] for k, axis in enumerate(Axis)}
+        for a, b in itertools.permutations(Axis, 2):
+            c, sign = _cross(a, b)
+            assert np.array_equal(np.cross(unit[a], unit[b]), sign * unit[c])
+            assert sign in (1.0, -1.0)
+
+    def test_cross_is_what_a_quarter_turn_does_to_an_axis(self):
+        # S_a sigma_n S_a^dag = sigma_{a x n} for the quarter turn S_a.
+        for a, n in itertools.permutations(Axis, 2):
+            s = rotation_matrix2(a, _QUARTER)
+            c, sign = _cross(a, n)
+            assert np.abs(s @ PAULI[n] @ s.conj().T - sign * PAULI[c]).max() <= 1e-15
+
+    def test_the_quarter_turn_products_are_the_frames(self):
+        for (outer, inner), g in _QUARTER_TURN_FRAMES.items():
+            assert np.abs(g @ nm.SIGMA_Z @ g.conj().T - PAULI[outer]).max() <= 1e-15
+            assert np.abs(g @ nm.SIGMA_Y @ g.conj().T - PAULI[inner]).max() <= 1e-15
+
+    @pytest.mark.parametrize("pair", list(_QUARTER_TURN_FRAMES), ids=lambda p: "%s%s" % (p[0].value, p[1].value))
+    def test_frame_matches_the_quarter_turn_conjugation(self, pair):
+        # The signed permutation of _frame is conjugation by g: su2 of the
+        # framed quaternion is g^dag su2(x) g.
+        g = _QUARTER_TURN_FRAMES[pair]
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            x = rng.standard_normal(4)
+            x /= np.linalg.norm(x)
+            y = _frame(tuple(x), _FRAME_READS[pair])
+            assert np.abs(_su2(*y) - g.conj().T @ _su2(*x) @ g).max() <= 1e-15
+        assert _frame((0.1, 0.2, 0.3, 0.4), _FRAME_READS[Axis.Z, Axis.Y]) == (0.1, 0.2, 0.3, 0.4)
+
+    def test_every_ordered_pair_has_a_frame(self):
+        assert set(_FRAME_READS) == set(itertools.permutations(Axis, 2))
+
 
 class TestTensorFactor:
     def test_reconstructs_products(self):
@@ -509,30 +576,32 @@ def unit_quaternions(draw):
 
 
 class TestZYAnglesProperties:
-    def test_angles_rebuild_the_quaternion(self):
-        # Rz(theta) Ry(phi) Rz(psi) is su2(x) up to sign, to rounding but
-        # for the part the gimbal rule drops, |(x1, x2)| or |(x0, x3)|
-        # within ZERO_TOL; there phi is 0 or pi and psi is psi0.
+    @pytest.mark.parametrize("outer,inner", list(_QUARTER_TURN_FRAMES), ids=lambda a: a.value)
+    def test_angles_rebuild_the_quaternion(self, outer, inner):
+        # For every ordered axis pair, the angles of x in its frame give
+        # R_outer(theta) R_inner(phi) R_outer(psi) = +-su2(x), to rounding
+        # but for the part the gimbal rule drops, |(x1, x2)| or |(x0, x3)|
+        # of the framed x within ZERO_TOL; there phi is 0 or pi and psi 0.
         gimbals = set()
 
         @_PROPERTY
         @given(unit_quaternions())
         def check(x):
-            small = min(math.hypot(x[0], x[3]), math.hypot(x[1], x[2]))
-            for psi0 in (0.0, math.pi / 2.0):
-                theta, phi, psi = _zy_angles(x, psi0)
-                assert -math.pi < theta <= math.pi
-                if small <= nm.ZERO_TOL:
-                    assert psi == psi0 and phi in (0.0, math.pi)
-                    gimbals.add(phi)
-                rebuilt = (
-                    rotation_matrix2(Axis.Z, theta)
-                    @ rotation_matrix2(Axis.Y, phi)
-                    @ rotation_matrix2(Axis.Z, psi)
-                )
-                want = _su2(*x)
-                miss = min(np.abs(rebuilt - want).max(), np.abs(rebuilt + want).max())
-                assert miss <= 1e-14 + (small if small <= nm.ZERO_TOL else 0.0)
+            y = _frame(x, _FRAME_READS[outer, inner])
+            small = min(math.hypot(y[0], y[3]), math.hypot(y[1], y[2]))
+            theta, phi, psi = _zy_angles(y)
+            assert -math.pi < theta <= math.pi
+            if small <= nm.ZERO_TOL:
+                assert psi == 0.0 and phi in (0.0, math.pi)
+                gimbals.add(phi)
+            rebuilt = (
+                rotation_matrix2(outer, theta)
+                @ rotation_matrix2(inner, phi)
+                @ rotation_matrix2(outer, psi)
+            )
+            want = _su2(*x)
+            miss = min(np.abs(rebuilt - want).max(), np.abs(rebuilt + want).max())
+            assert miss <= 1e-14 + (small if small <= nm.ZERO_TOL else 0.0)
 
         check()
         assert gimbals == {0.0, math.pi}

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import q2synth
 from q2synth import cli
 from q2synth import numerics as nm
-from q2synth.circuit import Generic1Q, parse_circuit, simulate
+from q2synth import rewrite
+from q2synth.circuit import Axis, Generic1Q, Rotation, parse_circuit, simulate
 from q2synth.cli import QFT2, main, named_gate, parse_matrix_text
 from q2synth.errors import CircuitParseError, NotUnitary, Q2SynthError
-from q2synth.rewrite import apply_rule
+from q2synth.rewrite import RewriteRule, apply_rule
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pyproject.toml")
 
@@ -296,6 +297,21 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--trials", "1", "--seed", "0")
         assert code == 0
         assert "gamma-properties" in out
+
+    def test_an_unsound_rule_fails_the_rewrite_row(self, capsys, monkeypatch):
+        # A rule that fires on its sample with a wrong rewrite: the
+        # rewrite-rules row reports FAIL and selftest exits 1.
+        unsound = RewriteRule(
+            "Unsound",
+            (((Rotation,), lambda w: [Rotation(Axis.X, w[0].qubit, w[0].angle + 0.1)]),),
+            ((Rotation(Axis.X, 0, 0.3),),),
+        )
+        monkeypatch.setattr(rewrite, "RULES", {**rewrite.RULES, "Unsound": unsound})
+        code, out, _ = run(capsys, "selftest", "--trials", "1", "--seed", "0")
+        assert code == cli.EXIT_FAIL == 1
+        (row,) = [line for line in out.splitlines() if line.startswith("rewrite-rules")]
+        assert row.endswith("FAIL")
+        assert [line for line in out.splitlines() if line.endswith("FAIL")] == [row]
 
     def test_reduce_row_runs_the_one_qubit_tests(self, monkeypatch):
         # The reduce-semantics row must merge Generic1Qs and move Paulis

@@ -360,6 +360,12 @@ class TestLowerBound:
         assert cnot_lower_bound(2) == 3
         assert cnot_lower_bound(3) == 14
 
+    @pytest.mark.parametrize("n", [True, False, 0, -1, 2.0, "2", None])
+    def test_rejects_what_is_not_a_positive_integer(self, n):
+        # bool is an int subclass: True would be read as n = 1.
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            cnot_lower_bound(n)
+
     def test_matches_exact_rational_ceiling(self):
         for n in range(1, 9):
             exact = Fraction(4**n - 3 * n - 1, 4)

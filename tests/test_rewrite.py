@@ -257,6 +257,26 @@ class TestRegistry:
                 )
                 assert err <= 1e-12, (rule.id, err)
 
+    def test_rule_residual_refuses_a_sample_its_rule_does_not_match(self, monkeypatch):
+        # The import-time guard: a rule that does not rewrite the whole of
+        # its own sample is a RuntimeError, not a residual of 0.
+        rule = RULES["CancelCNOT"]
+        stray = rewrite.RewriteRule(rule.id, rule.matchers, rule.samples + ((CNOT(0, 1), CNOT(1, 0)),))
+        monkeypatch.setattr(rewrite, "RULES", {**RULES, rule.id: stray})
+        with pytest.raises(RuntimeError, match="CancelCNOT failed to match its own sample"):
+            rewrite.rule_residual()
+
+    def test_rule_residual_reports_an_unsound_rule(self, monkeypatch):
+        rule = RULES["CommuteRzControl"]
+        (slots, fn), backward = rule.matchers
+        # The forward direction moves the CNOT left but doubles the angle.
+        def doubled(w):
+            return [w[1], Rotation(Axis.Z, w[0].qubit, 2.0 * w[0].angle)]
+
+        unsound = rewrite.RewriteRule(rule.id, ((slots, doubled), backward), rule.samples)
+        monkeypatch.setattr(rewrite, "RULES", {**RULES, rule.id: unsound})
+        assert rewrite.rule_residual() > 0.1
+
     def test_samples_cover_every_slot_type(self):
         # A matcher's slots are its only type declaration, so a slot too
         # narrow for its identity shows only on a sample of a type it drops:
@@ -314,6 +334,51 @@ class TestApplyRule:
         assert nm.phase_distance(simulate(out), simulate(before)) <= 1e-12
         back = apply_rule(out, "AxisChange", 0)
         assert nm.phase_distance(simulate(back), simulate(before)) <= 1e-12
+
+    @pytest.mark.parametrize("a,n", list(itertools.permutations(Axis, 2)), ids=lambda x: x.value)
+    @pytest.mark.parametrize("generic", [False, True], ids=["rotation", "generic"])
+    def test_axis_change_on_every_window(self, a, n, generic):
+        # Each ordered (a, n), in both directions, with S_a a Rotation or a
+        # Generic1Q: the moved rotation's axis and sign are those of
+        # S_a R_n S_a^-1, found here by comparing matrices.
+        def conjugated(t):
+            s = rotation_matrix2(a, math.pi / 2)
+            m = s @ rotation_matrix2(n, t) @ s.conj().T
+            return [
+                (b, k) for b in Axis for k in (1.0, -1.0) if np.abs(m - rotation_matrix2(b, k * t)).max() <= 1e-15
+            ]
+
+        for qubit in (0, 1):
+            s = Generic1Q(qubit, rotation_matrix2(a, math.pi / 2)) if generic else Rotation(a, qubit, math.pi / 2)
+            # Forward: R_n(t) then S_a becomes S_a then R_{n'}(sign t).
+            before = C([Rotation(n, qubit, 0.4), s])
+            out = apply_rule(before, "AxisChange", 0)
+            assert out.gates[0] == s
+            moved = out.gates[1]
+            assert [(moved.axis, moved.angle / 0.4)] == conjugated(0.4) and moved.qubit == qubit
+            assert nm.phase_distance(simulate(out), simulate(before)) <= 1e-15
+            # Backward: S_a then R_{n}(v) becomes R_{n''}(sign v) then S_a,
+            # with S_a R_{n''}(sign v) S_a^-1 = R_n(v).
+            before = C([s, Rotation(n, qubit, -0.7)])
+            out = apply_rule(before, "AxisChange", 0)
+            moved = out.gates[0]
+            assert out.gates[1] == s and moved.qubit == qubit
+            s_dag = rotation_matrix2(a, -math.pi / 2)
+            back = s_dag @ rotation_matrix2(n, -0.7) @ s_dag.conj().T
+            assert np.abs(back - rotation_matrix2(moved.axis, moved.angle)).max() <= 1e-15
+            assert nm.phase_distance(simulate(out), simulate(before)) <= 1e-15
+
+    def test_axis_change_leaves_other_windows(self):
+        s = Rotation(Axis.X, 0, math.pi / 2)
+        for window in (
+            [Rotation(Axis.X, 0, 0.4), s],
+            [Rotation(Axis.Y, 1, 0.4), s],
+            [s, Rotation(Axis.Y, 1, 0.4)],
+            [Rotation(Axis.Y, 0, 0.4), Rotation(Axis.X, 0, 0.3)],
+            [Rotation(Axis.Y, 0, 0.4), Rotation(Axis.X, 0, -math.pi / 2)],
+        ):
+            with pytest.raises(NoMatch):
+                apply_rule(C(window), "AxisChange", 0)
 
     def test_move_sigma_x_round_trip(self):
         before = C([Generic1Q(0, nm.SIGMA_X), CNOT(0, 1)])
@@ -811,6 +876,13 @@ class TestEffectivelySeparated:
                         expected[window] = tuple(symbol[shape(g)] for g in hit[1])
         assert (len(windows), len(expected)) == (96, 16)
         assert _MOVES == expected
+
+    def test_two_rewrites_of_one_window_are_refused(self, monkeypatch):
+        # A separation rule listed twice gives every one of its windows two
+        # rewrites; the move table would keep only one, so it refuses.
+        monkeypatch.setattr(rewrite, "_SEPARATION_RULES", ("CommuteRxTarget", "CommuteRxTarget"))
+        with pytest.raises(RuntimeError, match="two separation rewrites of the window"):
+            rewrite._separation_moves()
 
     def test_search_builds_no_mirrored_gates(self, monkeypatch):
         calls = []

@@ -20,6 +20,7 @@ from q2synth.circuit import (
     _entries,
     _su2,
     _su4_normalize,
+    _zy_angles,
     simulate,
     su4_normalize,
 )
@@ -46,6 +47,7 @@ from q2synth.synthesis import (
     _cxz_rows,
     _cyz_rows,
     _local_factors,
+    _local_gates,
     _map_cxy_gate,
     _result_for,
     core_params_cxz,
@@ -570,15 +572,34 @@ class TestSynthesize:
             assert result.circuit.cnot_count == 3
             assert nm.phase_distance(simulate(result.circuit), u) <= 1e-8
 
-    @pytest.mark.parametrize("lib", list(GateLibrary))
-    def test_no_euler_frame_change(self, lib, monkeypatch):
-        # Every split is about (Z, Y), and cxz moves Rz(pi/2) into its outer
-        # angles, so synthesis reads none of the frames of euler_decompose.
-        monkeypatch.setattr("q2synth.circuit._FRAMES", {})
+    @pytest.mark.parametrize("lib", [GateLibrary.CYZ, GateLibrary.CXY, GateLibrary.CXZ])
+    def test_local_gates_rebuild_their_factor(self, lib):
+        # Rz(psi) R_inner(phi) Rz(theta) in circuit order is +-su2(x), inner
+        # X in cxz and Y otherwise, also at the gimbals, where psi is 0.
+        inner = Axis.X if lib is GateLibrary.CXZ else Axis.Y
         rng = np.random.default_rng(36)
-        for u in [nm.haar_unitary(4, rng) for _ in range(10)] + [nm.I4, nm.CNOT01, nm.SWAP_MAT]:
-            result = synthesize(u, lib)
-            assert plain_phase_distance(plain_product(result.circuit), u) <= 1e-8
+        quaternions = [tuple(v / np.linalg.norm(v)) for v in rng.standard_normal((40, 4))]
+        quaternions += [(0.6, 0.0, 0.0, 0.8), (0.0, 0.8, -0.6, 0.0), (1.0, 0.0, 0.0, 0.0)]
+        for x in quaternions:
+            first, middle, last = _local_gates(x, 1, lib)
+            assert [(g.axis, g.qubit) for g in (first, middle, last)] == [(Axis.Z, 1), (inner, 1), (Axis.Z, 1)]
+            m = plain_product(Circuit((first, middle, last)))
+            assert plain_phase_distance(m, nm.kron(nm.I2, _su2(*x))) <= 1e-14
+            if min(math.hypot(x[0], x[3]), math.hypot(x[1], x[2])) == 0.0:
+                assert first.angle == 0.0 and middle.angle in (0.0, math.pi)
+
+    def test_cxz_angles_are_the_zy_angles_turned_a_quarter(self):
+        # Ry(phi) = Rz(pi/2) Rx(phi) Rz(-pi/2): away from the gimbal, the
+        # (Z, X) angles of a factor are its (Z, Y) angles with theta + pi/2
+        # and psi - pi/2, as cxz once emitted them.
+        rng = np.random.default_rng(37)
+        for v in rng.standard_normal((100, 4)):
+            x = tuple(v / np.linalg.norm(v))
+            theta, phi, psi = _zy_angles(x)
+            first, middle, last = _local_gates(x, 0, GateLibrary.CXZ)
+            assert middle.angle == pytest.approx(phi, abs=1e-14)
+            for got, want in ((last.angle, theta + math.pi / 2.0), (first.angle, psi - math.pi / 2.0)):
+                assert abs(cmath.exp(1j * got) - cmath.exp(1j * want)) <= 1e-14
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_factors_reach_the_gates_as_quaternions(self, lib, monkeypatch):

@@ -43,7 +43,9 @@ class TestToleranceBlock:
             for node in ast.walk(ast.parse(path.read_text())):
                 if not (isinstance(node, ast.Constant) and isinstance(node.value, float)):
                     continue
-                if not 0.0 < abs(node.value) < 1e-4:
+                # Up to 0.1: a measured cut such as PSI_TRACE_TOL is a
+                # tolerance too, however large.
+                if not 0.0 < abs(node.value) < 0.1:
                     continue
                 if path.name == "numerics.py" and first < node.lineno < last:
                     continue
@@ -88,6 +90,7 @@ class TestToleranceBlock:
             "ZERO_TOL": 1e-12,
             "SPECTRUM_TOL": 1e-6,
             "OFF_DIAGONAL_TOL": 1e-13,
+            "PSI_TRACE_TOL": 1e-2,
         }
         assert q2synth.synthesis.DEFAULT_TOL is nm.DEFAULT_TOL
 
@@ -109,6 +112,42 @@ def names_read(tree):
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
     return read
+
+
+def dead_defaults(trees):
+    """Every defaulted parameter of a private function in ``trees`` ({file
+    name: AST}) that no call in them sets, by position, by keyword or
+    through * or **, as "file:line: function(parameter=...)"."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(getattr(node.func, "attr", getattr(node.func, "id", None)), []).append(node)
+    dead = []
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not fn.name.startswith("_") or fn.name.startswith("__"):
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            # A method called on an instance or class passes self or cls.
+            bound = 1 if positional[:1] in (["self"], ["cls"]) else 0
+            defaulted = positional[len(positional) - len(fn.args.defaults) :]
+            defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            for param in defaulted:
+                index = positional.index(param) - bound if param in positional else None
+
+                def sets(call):
+                    if any(k.arg in (param, None) for k in call.keywords):
+                        return True
+                    if index is None:
+                        return False
+                    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+                if not any(sets(call) for call in calls.get(fn.name, [])):
+                    dead.append("%s:%d: %s(%s=...)" % (name, fn.lineno, fn.name, param))
+    return dead
 
 
 class TestNoDeadNames:
@@ -172,6 +211,25 @@ class TestNoDeadNames:
                     if private.startswith("_") and not private.startswith("__") and private not in read:
                         unread.append("%s:%d: %s" % (name, node.lineno, private))
         assert unread == []
+
+    def test_every_default_of_a_private_function_is_set_in_src(self):
+        # A default that no caller in src/ overrides is a constant in
+        # disguise; tests do not count as callers.
+        assert dead_defaults(module_trees()) == []
+
+    def test_the_default_check_finds_a_knob_nobody_turns(self):
+        source = (
+            "def _f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+            "class K:\n    def _m(self, x=0, y=0):\n        pass\n"
+            "_f(0, 1)\n_f(0, e=5)\nK()._m(1)\n_f(*[0, 1, 2])\n"
+        )
+        found = dead_defaults({"m.py": ast.parse(source)})
+        assert found == ["m.py:1: _f(d=...)", "m.py:4: _m(y=...)"]
+        assert dead_defaults({"m.py": ast.parse(source.replace("_f(*[0, 1, 2])\n", ""))}) == [
+            "m.py:1: _f(c=...)",
+            "m.py:1: _f(d=...)",
+            "m.py:4: _m(y=...)",
+        ]
 
 
 class TestSmallProducts:
