@@ -58,7 +58,7 @@ def _rotation_entries(axis, angle):
         return c, -s, s, c
     if axis is Axis.Z:
         return complex(c, -s), 0.0, 0.0, complex(c, s)
-    raise KeyError(axis)
+    raise ValueError("rotation axis must be an Axis, not %r" % (axis,))
 
 
 def rotation_matrix2(axis, angle):

@@ -130,13 +130,17 @@ def _unitarity_residual(e):
     return math.sqrt(n0 * n0 + n1 * n1 + 2.0 * (off.real * off.real + off.imag * off.imag))
 
 
+#: The mirror of the CNOT with control c, at index c (CNOTs are immutable).
+_MIRRORED_CNOT = (CNOT(1, 0), CNOT(0, 1))
+
+
 def _mirror_gate(g):
     """A CNOT, Rotation or Generic1Q with its wires exchanged."""
-    if isinstance(g, Rotation):
-        return Rotation(g.axis, 1 - g.qubit, g.angle)
-    if isinstance(g, Generic1Q):
+    if type(g) is Generic1Q:
         return Generic1Q._trusted(1 - g.qubit, g.matrix)
-    return CNOT(g.target, g.control)
+    if type(g) is Rotation:
+        return Rotation(g.axis, 1 - g.qubit, g.angle)
+    return _MIRRORED_CNOT[g.control]
 
 
 @dataclass(frozen=True)
@@ -562,34 +566,34 @@ def reduce(c):
     for g in gates:
         if type(g) not in _GATE_TYPES:
             raise TypeError("not a gate: %r" % (g,))
-    # hits[p] caches the lowest-tier hit at position p, and tiers[p] is 1 +
-    # its tier (0 for none), so the first position of the lowest tier with
-    # any hit is a C-speed find.  No position holds a hit of a tier below
-    # that one, so this is the step that trying every tier in turn would
-    # choose.  Every forward window has two gates: a rewrite at pos changes
-    # only the windows that start in [pos - 1, pos + len(replacement));
-    # later entries shift with the gates and are kept, since a match
-    # depends only on its window.
+    # For each window of gates p, p + 1 (len(gates) - 1 of them), hits[p] is
+    # its lowest-tier hit (rule_id, replacement) or None, and tiers[p] 1 +
+    # that tier or 0, so the first position of the lowest tier with a hit is
+    # a C-speed find: the step that trying every tier in turn would choose.
+    # Every forward window has two gates: a rewrite at pos changes only the
+    # windows that start in [pos - 1, pos + len(replacement)); later entries
+    # shift with the gates and are kept, since a match depends only on its
+    # window.
     hits = []
     tiers = bytearray()
 
-    def lowest_hit(p):
-        """(tier, rule_id, replacement) of the first dispatched rule that
-        fires on the window at p, else None."""
-        if p + 1 < len(gates):
+    def refresh(lo, old_end, new_end):
+        """Match the windows at [lo, new_end), up to the last one, writing
+        each hit and tier code together, in place of the entries at [lo, old_end)."""
+        fresh = []
+        codes = bytearray()
+        for p in range(lo, min(new_end, len(gates) - 1)):
             a, b = gates[p], gates[p + 1]
+            hit, code = None, 0
             for tier, rule_id, fn in _DISPATCH[type(a), type(b)]:
                 rep = fn((a, b))
                 if rep is not None:
-                    return tier, rule_id, rep
-        return None
-
-    def refresh(lo, old_end, new_end):
-        """Match the windows at [lo, new_end), in place of the cached
-        entries at [lo, old_end)."""
-        fresh = [lowest_hit(p) for p in range(lo, new_end)]
+                    hit, code = (rule_id, rep), tier + 1
+                    break
+            fresh.append(hit)
+            codes.append(code)
         hits[lo:old_end] = fresh
-        tiers[lo:old_end] = bytes(0 if h is None else h[0] + 1 for h in fresh)
+        tiers[lo:old_end] = codes
 
     initial = len(gates)
     steps = []
@@ -601,7 +605,7 @@ def reduce(c):
                 break
         else:
             break
-        _, rule_id, replacement = hits[pos]
+        rule_id, replacement = hits[pos]
         gates[pos : pos + 2] = replacement
         steps.append((rule_id, pos))
         refresh(max(pos - 1, 0), pos + 2, pos + len(replacement))
@@ -670,8 +674,8 @@ def effectively_separated(c, depth_limit=8):
     The search runs on the circuit's angle-free shape, up to relabeling the
     two wires (see the module docstring).
     """
-    if depth_limit < 1:
-        raise ValueError("depth_limit must be >= 1")
+    if isinstance(depth_limit, bool) or not isinstance(depth_limit, int) or depth_limit < 1:
+        raise ValueError("depth_limit must be a positive integer")
     try:
         start = tuple(_SYMBOL[_shape(g)] for g in c.gates)
     except KeyError:

@@ -544,6 +544,23 @@ class TestIncrementalReduce:
             fired.update(rule_id for rule_id, _ in trace.steps)
         assert {"CommuteSxTarget", "CommuteSzControl"} <= fired
 
+    #: Circuits that reduce to no gates: the random inputs above step at
+    #: position 0, on the last window and push SWAPs onto the last gate,
+    #: but none of them ends empty.
+    EMPTIED = {
+        "cnot-pair": [CNOT(0, 1), CNOT(0, 1)],
+        "swap-pair": [Swap(), Swap()],
+        "inverse-rotations": [Rotation(Axis.Z, 0, 0.3), Rotation(Axis.Z, 0, -0.3)],
+        "inverse-generic": [Generic1Q(1, rotation_matrix2(Axis.Y, t)) for t in (0.4, -0.4)],
+        "nested": [CNOT(0, 1), Swap(), Swap(), CNOT(0, 1)],
+        "through-swap": [Swap(), CNOT(0, 1), Swap(), CNOT(1, 0)],
+    }
+
+    @pytest.mark.parametrize("gates", EMPTIED.values(), ids=EMPTIED.keys())
+    def test_circuits_reduced_to_nothing_match_reference(self, gates):
+        trace = self.assert_same_as_reference(C(gates))
+        assert trace.final_gate_count == 0
+
     def test_match_attempts_are_linear(self, monkeypatch):
         calls = []
 
@@ -906,9 +923,11 @@ class TestEffectivelySeparated:
         with pytest.raises(UnsupportedGate):
             effectively_separated(C([Generic1Q(0, nm.SIGMA_X)]), 4)
 
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            effectively_separated(C([CNOT(0, 1)]), 0)
+    @pytest.mark.parametrize("depth", [0, -1, True, False, 2.5, float("nan"), "3", None, 3.0])
+    def test_rejects_bad_depth(self, depth):
+        # The rule of cnot_lower_bound: an int of at least 1, and no bool.
+        with pytest.raises(ValueError, match="depth_limit must be a positive integer"):
+            effectively_separated(C([CNOT(0, 1)]), depth)
 
 
 class TestQFT2Reference:

@@ -250,6 +250,18 @@ class TestSmallProducts:
         assert sorted(set(found)) == [], "use ndarray.dot: @ costs about 1 us more per 4x4 product"
 
 
+class TestReproducibleTests:
+    def test_no_test_calls_the_builtin_hash(self):
+        # str and bytes hashes are salted per process, so a seed or a choice
+        # read from hash() changes on every run and a failure cannot be rerun.
+        found = []
+        for path in sorted(Path(__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "hash":
+                    found.append("%s:%d: %s" % (path.name, node.lineno, ast.unparse(node)))
+        assert found == []
+
+
 def off_unitary(m, r):
     """m (unitary) scaled so that ||m^dag m - I||_F = r; for det m = 1 the
     determinant then misses 1 by about r too."""
