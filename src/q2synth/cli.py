@@ -21,7 +21,7 @@ from .circuit import CNOT, Axis, Circuit, Generic1Q, Rotation, Swap, circuit_to_
 from .circuit import rotation_matrix2, simulate, su4_normalize, to_qasm
 from .errors import CircuitParseError, Q2SynthError, VerificationFailed
 from .invariants import cnot_cost, gamma, invariant_data, same_double_coset
-from .rewrite import RULES, effectively_separated, rule_residual
+from .rewrite import RULES, effectively_separated, replay, rule_residual
 from .rewrite import reduce as reduce_circuit
 from .synthesis import GateLibrary, enumerate_circuits, synthesize
 
@@ -225,7 +225,9 @@ def _selftest_synthesis(rng, trials, lib):
 
 
 def _selftest_reduce(rng, trials):
-    worst = 0.0
+    """The worst phase distance of a reduced circuit from its input, and
+    whether every one is within ROUNDING_TOL and replays from its trace."""
+    worst, replayed = 0.0, True
     axes = list(Axis)
     for _ in range(trials):
         gates = []
@@ -253,9 +255,10 @@ def _selftest_reduce(rng, trials):
                     m = rotation_matrix2(axes[int(rng.integers(0, 3))], quarter)
                 gates.append(Generic1Q(wire, np.exp(1j * rng.uniform(-np.pi, np.pi)) * m))
         circuit = Circuit(tuple(gates))
-        reduced, _ = reduce_circuit(circuit)
+        reduced, trace = reduce_circuit(circuit)
         worst = max(worst, nm.phase_distance(simulate(reduced), simulate(circuit)))
-    return worst, worst <= nm.ROUNDING_TOL
+        replayed = replayed and replay(circuit, trace).gates == reduced.gates
+    return worst, worst <= nm.ROUNDING_TOL and replayed
 
 
 def cmd_selftest(args):

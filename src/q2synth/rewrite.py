@@ -17,10 +17,17 @@ every sample of every rule ``reduce`` uses.
 
 Each matcher declares its window once, as a tuple of slot types, one per
 gate; ``RewriteRule.match`` checks them, so a matcher function sees only
-windows of its types.  Every forward window of a ``reduce`` rule has two
-slots, so ``reduce`` looks up the rules that can fire on a window by the
-types of its gates (``_DISPATCH``, built at import from those slots) and
-caches only the lowest-tier hit at each position.
+windows of its types.  ``reduce`` runs on gate symbols: a symbol is a small
+int that stands for all that a forward reduce matcher reads of a gate (a
+CNOT's control, the SWAP, a rotation's axis and wire, a one-qubit gate's
+wire and whether it is sigma_x or sigma_z up to phase).  Every forward
+window of a reduce rule has two gates, and the forward matchers, run at
+import on one gate of each symbol, give two tables (``_WINDOWS``): the rule
+that fires first on each pair of symbols, and the symbols of its
+replacement, for every rule but ``MergeRotations``, whose product depends on
+the angles.  So ``reduce`` classifies a gate once, when it enters the
+circuit, reads each window's rule from the table, and calls a matcher only
+to build the replacement a step applies.
 
 The rules' one-qubit questions (is a gate a Pauli or a quarter turn, is a
 merged product the identity, or off unitary) are answered on the gate's four
@@ -41,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem
 
 import numpy as np
 
@@ -537,21 +545,87 @@ _REDUCE_PRIORITY = (
     ("CommuteRxTarget", "CommuteRzControl", "CommuteSxTarget", "CommuteSzControl"),
 )
 
-_GATE_TYPES = (Rotation, CNOT, Generic1Q, Swap)
+#: A gate of each reduce symbol, indexed by the symbol.  A symbol stands for
+#: what a forward reduce matcher reads of a gate, and nothing more: a CNOT's
+#: control (0, 1), the SWAP (2), a rotation's axis and wire (3-8), and a
+#: Generic1Q's wire and whether it is sigma_x, sigma_z or neither up to
+#: global phase (9-14).  No reduce rule reads a rotation's angle to decide
+#: whether it fires first: a rotation that is a Pauli about X on a CNOT's
+#: target, or about Z on its control, also fires the axis commutation before
+#: the Pauli one in the same tier.
+_GATE_SYMBOLS = (
+    (CNOT(0, 1), CNOT(1, 0), Swap())
+    + tuple(Rotation(axis, q, 1.0) for axis in Axis for q in (0, 1))
+    + tuple(
+        Generic1Q(q, m) for q in (0, 1) for m in (rotation_matrix2(Axis.Y, 1.0), nm.SIGMA_X, nm.SIGMA_Z)
+    )
+)
 
-#: (type(a), type(b)) -> the (tier, rule_id, forward matcher fn) entries
-#: whose two slots admit a window (a, b), in priority order.
-_DISPATCH = {
-    (ta, tb): tuple(
-        (tier, rule_id, fn)
+_X, _Y = Axis.X, Axis.Y
+_SIGMA_X, _SIGMA_Z = _PAULI_TARGETS[Axis.X], _PAULI_TARGETS[Axis.Z]
+
+
+def _symbol(g):
+    """The reduce symbol of the gate g; TypeError for anything else.
+
+    A Generic1Q's Pauli answers are ``_is_pauli``'s.  Each Pauli test is
+    refused first by the one entry that the Pauli has as 0: its squared
+    magnitude is a term of ``_phase_close``'s magnitude gap, so above
+    ``_SCREEN`` the gap is too.
+    """
+    t = type(g)
+    if t is Generic1Q:
+        m = g.matrix
+        if abs(m.item(0)) ** 2 <= _SCREEN and _phase_close(m.ravel().tolist(), _SIGMA_X):
+            return 10 + 3 * g.qubit
+        if abs(m.item(1)) ** 2 <= _SCREEN and _phase_close(m.ravel().tolist(), _SIGMA_Z):
+            return 11 + 3 * g.qubit
+        return 9 + 3 * g.qubit
+    if t is CNOT:
+        return g.control
+    if t is Rotation:
+        a = g.axis
+        return (3 if a is _X else 5 if a is _Y else 7) + g.qubit
+    if t is Swap:
+        return 2
+    raise TypeError("not a gate: %r" % (g,))
+
+
+def _reduce_windows():
+    """_WINDOWS[a][b]: for the window of a gate of symbol a, then one of
+    symbol b, the first forward matcher in ``_REDUCE_PRIORITY`` order that
+    fires, as (1 + tier, rule_id, matcher fn, the replacement's symbols),
+    or None when none fires; found by running the matchers on the gates of
+    ``_GATE_SYMBOLS``.  A merge's replacement symbols are None: it drops
+    the gates or keeps one, which may be a Pauli, as the angles decide, so
+    ``reduce`` classifies the gate it builds."""
+    if any(_symbol(g) != s for s, g in enumerate(_GATE_SYMBOLS)):
+        raise RuntimeError("reduce symbols are not what their gates give")
+    forward = [
+        (tier + 1, rule_id, RULES[rule_id].matchers[0])
         for tier, rule_ids in enumerate(_REDUCE_PRIORITY)
         for rule_id in rule_ids
-        for (sa, sb), fn in RULES[rule_id].matchers[:1]
-        if issubclass(ta, sa) and issubclass(tb, sb)
-    )
-    for ta in _GATE_TYPES
-    for tb in _GATE_TYPES
-}
+    ]
+    table = []
+    for a in _GATE_SYMBOLS:
+        row = []
+        for b in _GATE_SYMBOLS:
+            entry = None
+            for code, rule_id, ((sa, sb), fn) in forward:
+                if isinstance(a, sa) and isinstance(b, sb):
+                    rep = fn((a, b))
+                    if rep is not None:
+                        out = None if rule_id == "MergeRotations" else tuple(_symbol(g) for g in rep)
+                        entry = (code, rule_id, fn, out)
+                        break
+            row.append(entry)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+_WINDOWS = _reduce_windows()
+#: _CODES[a][b] is _WINDOWS[a][b]'s 1 + tier, or 0 where no rule fires.
+_CODES = tuple(bytes(e[0] if e else 0 for e in row) for row in _WINDOWS)
 
 
 def reduce(c):
@@ -561,43 +635,23 @@ def reduce(c):
     rule-within-tier) order, so commutations only move CNOTs leftward and
     SWAPs only move rightward; the reduction terminates and never grows the
     circuit.
+
+    The loop runs on the gates' symbols (see the module docstring): each
+    gate is classified once, when it enters the circuit, and each window's
+    rule is read from ``_WINDOWS``.  A step calls that rule's matcher once,
+    to build the replacement it applies.
     """
     gates = list(c.gates)
-    for g in gates:
-        if type(g) not in _GATE_TYPES:
-            raise TypeError("not a gate: %r" % (g,))
-    # For each window of gates p, p + 1 (len(gates) - 1 of them), hits[p] is
-    # its lowest-tier hit (rule_id, replacement) or None, and tiers[p] 1 +
-    # that tier or 0, so the first position of the lowest tier with a hit is
-    # a C-speed find: the step that trying every tier in turn would choose.
-    # Every forward window has two gates: a rewrite at pos changes only the
-    # windows that start in [pos - 1, pos + len(replacement)); later entries
-    # shift with the gates and are kept, since a match depends only on its
-    # window.
-    hits = []
-    tiers = bytearray()
-
-    def refresh(lo, old_end, new_end):
-        """Match the windows at [lo, new_end), up to the last one, writing
-        each hit and tier code together, in place of the entries at [lo, old_end)."""
-        fresh = []
-        codes = bytearray()
-        for p in range(lo, min(new_end, len(gates) - 1)):
-            a, b = gates[p], gates[p + 1]
-            hit, code = None, 0
-            for tier, rule_id, fn in _DISPATCH[type(a), type(b)]:
-                rep = fn((a, b))
-                if rep is not None:
-                    hit, code = (rule_id, rep), tier + 1
-                    break
-            fresh.append(hit)
-            codes.append(code)
-        hits[lo:old_end] = fresh
-        tiers[lo:old_end] = codes
-
+    syms = [_symbol(g) for g in gates]
+    windows, codes = _WINDOWS, _CODES
+    # tiers[p] is 1 + the tier of the rule that fires first on the window of
+    # gates p, p + 1, or 0, so the first position of the lowest tier with a
+    # hit is a C-speed find: the step that trying every tier in turn would
+    # choose.  A rewrite at pos changes only the windows that start in
+    # [pos - 1, pos + len(replacement)); later codes shift with the gates.
+    tiers = bytearray(map(getitem, map(codes.__getitem__, syms), syms[1:]))
     initial = len(gates)
     steps = []
-    refresh(0, 0, initial)
     while True:
         for code in range(1, len(_REDUCE_PRIORITY) + 1):
             pos = tiers.find(code)
@@ -605,10 +659,14 @@ def reduce(c):
                 break
         else:
             break
-        rule_id, replacement = hits[pos]
+        _, rule_id, fn, out = windows[syms[pos]][syms[pos + 1]]
+        replacement = fn((gates[pos], gates[pos + 1]))
         gates[pos : pos + 2] = replacement
+        syms[pos : pos + 2] = [_symbol(g) for g in replacement] if out is None else out
         steps.append((rule_id, pos))
-        refresh(max(pos - 1, 0), pos + 2, pos + len(replacement))
+        lo = pos - 1 if pos else 0
+        touched = syms[lo : pos + len(replacement) + 1]
+        tiers[lo : pos + 2] = bytes(map(getitem, map(codes.__getitem__, touched), touched[1:]))
     trace = ReductionTrace(steps=tuple(steps), initial_gate_count=initial, final_gate_count=len(gates))
     return Circuit(tuple(gates)), trace
 

@@ -313,6 +313,21 @@ class TestSelftest:
         assert row.endswith("FAIL")
         assert [line for line in out.splitlines() if line.endswith("FAIL")] == [row]
 
+    def test_a_trace_that_does_not_replay_fails_the_reduce_row(self, capsys, monkeypatch):
+        # replay with the last step dropped: every step lowers reduce's
+        # measure, so a trace with steps no longer gives the reduced gates.
+        replay = cli.replay
+
+        def dropping(c, trace):
+            return replay(c, rewrite.ReductionTrace(trace.steps[:-1], trace.initial_gate_count, 0))
+
+        monkeypatch.setattr(cli, "replay", dropping)
+        code, out, _ = run(capsys, "selftest", "--trials", "3", "--seed", "0")
+        assert code == cli.EXIT_FAIL == 1
+        (row,) = [line for line in out.splitlines() if line.startswith("reduce-semantics")]
+        assert row.endswith("FAIL")
+        assert [line for line in out.splitlines() if line.endswith("FAIL")] == [row]
+
     def test_reduce_row_runs_the_one_qubit_tests(self, monkeypatch):
         # The reduce-semantics row must merge Generic1Qs and move Paulis
         # through CNOTs, not only handle rotations.

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -22,7 +23,8 @@ from q2synth.circuit import (
 )
 from q2synth.errors import NoMatch, UnsupportedGate
 from q2synth.rewrite import (
-    _DISPATCH,
+    _CODES,
+    _GATE_SYMBOLS,
     _MOVES,
     _REDUCE_PRIORITY,
     _SHAPES,
@@ -31,6 +33,7 @@ from q2synth.rewrite import (
     _is_pauli,
     _mirror_gate,
     _s_gate_axis,
+    _symbol,
     _unitarity_residual,
     apply_rule,
     effectively_separated,
@@ -485,27 +488,64 @@ class TestReduce:
         with pytest.raises(TypeError, match="not a gate"):
             reduce(C(["junk"]))
 
-    def test_dispatch_lists_every_rule_that_can_fire(self):
-        # A window's rules are looked up by the exact types of its two
-        # gates; a rule left out of a type pair must never fire on it.
+    def test_window_table_is_what_the_matchers_give(self):
+        # reduce reads a window's rule, and its replacement's symbols, from
+        # tables built on one gate per symbol.  On every ordered pair of a
+        # pool of gates, the table must give the first forward matcher that
+        # fires, and the symbols of what that matcher builds.
+        rng = np.random.default_rng(15)
         gates = [g for rule in RULES.values() for window in rule.samples for g in window]
-        gates += long_circuit(np.random.default_rng(15), 60).gates
-        assert {type(g) for g in gates} == set(GATE_TYPES)
+        gates += long_circuit(rng, 60).gates
+        angles = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.pi - 1e-13)
+        gates += [Rotation(axis, q, t) for axis in Axis for q in (0, 1) for t in angles]
+        for axis, pauli in _PAULIS.items():
+            for q in (0, 1):
+                gates.append(Generic1Q(q, cmath.exp(1j * rng.uniform(-math.pi, math.pi)) * pauli))
+                for scale in (0.5, 10.0):
+                    # P R_y(t) is 2 sqrt(2) sin(t / 4) from P up to phase.
+                    t = 4.0 * math.asin(scale * nm.LOCAL_TOL / (2.0 * math.sqrt(2.0)))
+                    phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                    g = Generic1Q(q, phase * pauli @ rotation_matrix2(Axis.Y, t))
+                    assert _is_pauli(g, axis) == (scale < 1.0)
+                    gates.append(g)
+        gates += [Generic1Q(int(rng.integers(2)), nm.haar_unitary(2, rng)) for _ in range(6)]
+        # A symbol keeps all that a reduce matcher reads of its gate.
+        for g in gates:
+            rep = _GATE_SYMBOLS[_symbol(g)]
+            assert type(rep) is type(g)
+            if isinstance(g, CNOT):
+                assert rep == g
+            elif isinstance(g, Rotation):
+                assert (rep.axis, rep.qubit) == (g.axis, g.qubit)
+            elif isinstance(g, Generic1Q):
+                assert rep.qubit == g.qubit
+                assert [_is_pauli(rep, a) for a in (Axis.X, Axis.Z)] == [_is_pauli(g, a) for a in (Axis.X, Axis.Z)]
+        assert {_symbol(g) for g in gates} == set(range(len(_GATE_SYMBOLS)))
         order = [(tier, rule_id) for tier, rule_ids in enumerate(_REDUCE_PRIORITY) for rule_id in rule_ids]
         assert all(len(RULES[rule_id].matchers[0][0]) == 2 for _, rule_id in order)
         fired = set()
         for a in gates:
             for b in gates:
-                entries = _DISPATCH[type(a), type(b)]
-                listed = [(tier, rule_id) for tier, rule_id, _ in entries]
-                assert listed == sorted(listed, key=order.index)
-                for _, rule_id, fn in entries:
-                    assert fn is RULES[rule_id].matchers[0][1]
+                first = None
                 for tier, rule_id in order:
-                    if fires(RULES[rule_id].matchers[0], (a, b)) is None:
-                        continue
-                    assert (tier, rule_id) in listed, (rule_id, a, b)
-                    fired.add(rule_id)
+                    replacement = fires(RULES[rule_id].matchers[0], (a, b))
+                    if replacement is not None:
+                        first = tier, rule_id, replacement
+                        break
+                entry = rewrite._WINDOWS[_symbol(a)][_symbol(b)]
+                assert _CODES[_symbol(a)][_symbol(b)] == (0 if entry is None else entry[0])
+                if first is None:
+                    assert entry is None, (a, b)
+                    continue
+                tier, rule_id, replacement = first
+                code, listed, fn, out = entry
+                assert (code, listed) == (tier + 1, rule_id), (a, b)
+                assert fn is RULES[rule_id].matchers[0][1]
+                if rule_id == "MergeRotations":
+                    assert out is None
+                else:
+                    assert out == tuple(_symbol(g) for g in replacement), (rule_id, a, b)
+                fired.add(rule_id)
         assert fired == {rule_id for _, rule_id in order}
 
     def test_idempotent(self):
@@ -562,7 +602,11 @@ class TestIncrementalReduce:
         assert trace.final_gate_count == 0
 
     def test_match_attempts_are_linear(self, monkeypatch):
-        calls = []
+        # Windows are matched by table lookup: a matcher runs once per step,
+        # to build the replacement it applies, and a gate is classified once
+        # when it enters the circuit, so only a merge's product is classified
+        # after the start.
+        calls, classified = [], []
 
         def counting(fn):
             def matcher(w):
@@ -571,15 +615,25 @@ class TestIncrementalReduce:
 
             return matcher
 
-        counted = {
-            types: tuple((tier, rule_id, counting(fn)) for tier, rule_id, fn in entries)
-            for types, entries in _DISPATCH.items()
-        }
-        monkeypatch.setattr(rewrite, "_DISPATCH", counted)
+        counted = tuple(
+            tuple(None if e is None else (e[0], e[1], counting(e[2]), e[3]) for e in row) for row in rewrite._WINDOWS
+        )
+        monkeypatch.setattr(rewrite, "_WINDOWS", counted)
+        symbol = rewrite._symbol
+
+        def counting_symbol(g):
+            classified.append(None)
+            return symbol(g)
+
+        monkeypatch.setattr(rewrite, "_symbol", counting_symbol)
         c = long_circuit(np.random.default_rng(13), 400)
-        _, trace = reduce(c)
-        assert calls
-        assert len(calls) <= 20 * (len(c.gates) + len(trace.steps))
+        out, trace = reduce(c)
+        merges = sum(rule_id == "MergeRotations" for rule_id, _ in trace.steps)
+        assert merges and len(trace.steps) > merges
+        assert len(calls) == len(trace.steps)
+        assert len(classified) <= len(c.gates) + merges
+        monkeypatch.undo()
+        assert (out, trace) == reduce(c)
 
     def test_one_qubit_tests_do_no_numpy_work_on_far_gates(self, monkeypatch):
         # Merges check unitarity in closed form, and a phase distance runs
@@ -636,6 +690,68 @@ class TestIncrementalReduce:
                                 lowers = _measure(after) < _measure(before)
                                 assert lowers == (k == 0), (rule_id, k, window, len(left), len(right))
         assert forward_fired == {rule_id for tier in _REDUCE_PRIORITY for rule_id in tier}
+
+
+def plain_product(gates):
+    """The matrix of a circuit by np.kron and matmul alone: R_n(t) =
+    cos(t/2) I - i sin(t/2) sigma_n, qubit 0 the left factor."""
+    two = {CNOT(0, 1): nm.CNOT01, CNOT(1, 0): nm.CNOT10, Swap(): nm.SWAP_MAT}
+    out = np.eye(4, dtype=np.complex128)
+    for g in gates:
+        if isinstance(g, (CNOT, Swap)):
+            m = two[g]
+        else:
+            if isinstance(g, Rotation):
+                one = math.cos(g.angle / 2) * np.eye(2) - 1j * math.sin(g.angle / 2) * _PAULIS[g.axis]
+            else:
+                one = g.matrix
+            m = np.kron(one, np.eye(2)) if g.qubit == 0 else np.kron(np.eye(2), one)
+        out = m @ out
+    return out
+
+
+def plain_phase_distance(u, v):
+    t = np.vdot(v, u)
+    return float(np.linalg.norm(u * np.exp(-1j * np.angle(t)) - v))
+
+
+_TURNS = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+
+
+@st.composite
+def reduce_gates(draw):
+    """A CNOT, SWAP, rotation (quarter and half turns with positive
+    probability) or Generic1Q: Haar from a drawn seed, a Pauli or a quarter
+    turn, at a drawn global phase."""
+    wire = draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(("cnot", "swap", "rotation", "generic")))
+    if kind == "cnot":
+        return CNOT(wire, 1 - wire)
+    if kind == "swap":
+        return Swap()
+    axis = draw(st.sampled_from(list(Axis)))
+    if kind == "rotation":
+        return Rotation(axis, wire, draw(st.one_of(st.sampled_from(_TURNS), st.floats(-4.0, 4.0))))
+    which = draw(st.sampled_from(("haar", "pauli", "quarter")))
+    if which == "haar":
+        m = nm.haar_unitary(2, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    elif which == "pauli":
+        m = _PAULIS[axis]
+    else:
+        m = rotation_matrix2(axis, draw(st.sampled_from((math.pi / 2, -math.pi / 2))))
+    return Generic1Q(wire, cmath.exp(1j * draw(st.floats(-math.pi, math.pi))) * m)
+
+
+class TestReduceProperties:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(reduce_gates(), max_size=12))
+    def test_reduce_shrinks_keeps_the_matrix_and_replays(self, gates):
+        c = C(gates)
+        out, trace = reduce(c)
+        assert len(out.gates) <= len(c.gates)
+        assert plain_phase_distance(plain_product(out.gates), plain_product(c.gates)) <= 1e-8
+        assert replay(c, trace).gates == out.gates
+        assert (out.gates, trace.steps) == reference_reduce(c)
 
 
 class TestPauliTest:
