@@ -32,6 +32,9 @@ class Axis(enum.Enum):
 #: The axes in cyclic order; axis k is component k + 1 of a quaternion.
 _AXES = tuple(Axis)
 
+#: The axes as module names, which read faster than the Enum's ``Axis.X``.
+_X, _Y, _Z = _AXES
+
 
 def _cross(a, b):
     """(c, sign) with a x b = sign * c for distinct axes a and b."""
@@ -52,12 +55,14 @@ def wrap_angle(theta):
 def _rotation_entries(axis, angle):
     """The entries (m00, m01, m10, m11) of R_n(theta), as Python scalars."""
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-    if axis is Axis.X:
-        return c, complex(0.0, -s), complex(0.0, -s), c
-    if axis is Axis.Y:
+    if axis is _Z:
+        z = complex(c, -s)
+        return z, 0.0, 0.0, z.conjugate()
+    if axis is _X:
+        z = complex(0.0, -s)
+        return c, z, z, c
+    if axis is _Y:
         return c, -s, s, c
-    if axis is Axis.Z:
-        return complex(c, -s), 0.0, 0.0, complex(c, s)
     raise ValueError("rotation axis must be an Axis, not %r" % (axis,))
 
 
@@ -81,6 +86,18 @@ class Rotation:
         if not math.isfinite(self.angle):
             raise ValueError("rotation angle must be finite")
 
+    @classmethod
+    def _trusted(cls, axis, qubit, angle):
+        """A Rotation built without ``__post_init__``, from an Axis, a qubit
+        0 or 1 and a finite angle that are already checked: another
+        Rotation's, or computed in closed form from checked input."""
+        g = object.__new__(cls)
+        fields = g.__dict__
+        fields["axis"] = axis
+        fields["qubit"] = qubit
+        fields["angle"] = angle
+        return g
+
 
 @dataclass(frozen=True)
 class CNOT:
@@ -90,6 +107,10 @@ class CNOT:
     def __post_init__(self):
         if {self.control, self.target} != {0, 1}:
             raise ValueError("control and target must be distinct wires 0/1")
+
+
+#: The two CNOTs, the one with control c at index c.
+_CNOTS = (CNOT(0, 1), CNOT(1, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +137,9 @@ class Generic1Q:
         qubit must be 0 or 1.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "qubit", qubit)
-        object.__setattr__(g, "matrix", matrix)
+        fields = g.__dict__
+        fields["qubit"] = qubit
+        fields["matrix"] = matrix
         return g
 
     def __eq__(self, other):
@@ -173,9 +195,10 @@ class Circuit:
 def _entries(g):
     """The entries (m00, m01, m10, m11) of a Rotation or Generic1Q, as
     Python scalars; TypeError for any other object."""
-    if isinstance(g, Rotation):
+    kind = type(g)
+    if kind is Rotation:
         return _rotation_entries(g.axis, g.angle)
-    if isinstance(g, Generic1Q):
+    if kind is Generic1Q:
         return g.matrix.ravel().tolist()
     raise TypeError("not a gate: %r" % (g,))
 
@@ -211,13 +234,10 @@ def _flush(runs, m):
     return layer if m is nm.I4 else layer.dot(m)
 
 
-#: The row order that applies a CNOT or a SWAP to the product so far:
-#: gate @ m is m with its rows permuted.
-_ROWS = {
-    CNOT(0, 1): np.array([0, 1, 3, 2]),
-    CNOT(1, 0): np.array([0, 3, 2, 1]),
-    Swap(): np.array([0, 2, 1, 3]),
-}
+#: The row order that applies a CNOT with control c (at index c), or a
+#: SWAP, to the product so far: gate @ m is m with its rows permuted.
+_CNOT_ROWS = (np.array([0, 1, 3, 2]), np.array([0, 3, 2, 1]))
+_SWAP_ROWS = np.array([0, 2, 1, 3])
 
 
 def simulate(c):
@@ -231,8 +251,10 @@ def simulate(c):
     m = nm.I4
     runs = [None, None]
     for g in c.gates:
-        if isinstance(g, (CNOT, Swap)):
-            m = _flush(runs, m).take(_ROWS[g], axis=0)
+        kind = type(g)
+        if kind is CNOT or kind is Swap:
+            rows = _CNOT_ROWS[g.control] if kind is CNOT else _SWAP_ROWS
+            m = _flush(runs, m).take(rows, axis=0)
             runs = [None, None]
             continue
         e = _entries(g)

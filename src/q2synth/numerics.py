@@ -151,7 +151,12 @@ def det2(m):
 def det4(m):
     """Determinant of a 4x4 array, in closed form: Laplace expansion along
     rows 0 and 1, in scalar arithmetic on ``m.tolist()``."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m.tolist()
+    return _det4_rows(m.tolist())
+
+
+def _det4_rows(rows):
+    """``det4`` of the matrix with the given four rows of four scalars."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
     return (
         (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
         - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
@@ -316,8 +321,9 @@ def _row_signs(q):
     row 0 with that sign too unless the other sign is needed for det = +1.
     Negating a row negates ``det4`` exactly, so the signed rows do not
     depend on the signs the rows came in."""
-    signs = [1.0 if _leading(row) > 0.0 else -1.0 for row in q.tolist()]
-    if det4(q) * signs[0] * signs[1] * signs[2] * signs[3] < 0.0:
+    rows = q.tolist()
+    signs = [1.0 if _leading(row) > 0.0 else -1.0 for row in rows]
+    if _det4_rows(rows) * signs[0] * signs[1] * signs[2] * signs[3] < 0.0:
         signs[0] = -signs[0]
     return np.array(signs)[:, None]
 

@@ -54,6 +54,7 @@ import numpy as np
 
 from . import numerics as nm
 from .circuit import (
+    _CNOTS,
     CNOT,
     Axis,
     Circuit,
@@ -138,17 +139,14 @@ def _unitarity_residual(e):
     return math.sqrt(n0 * n0 + n1 * n1 + 2.0 * (off.real * off.real + off.imag * off.imag))
 
 
-#: The mirror of the CNOT with control c, at index c (CNOTs are immutable).
-_MIRRORED_CNOT = (CNOT(1, 0), CNOT(0, 1))
-
-
 def _mirror_gate(g):
-    """A CNOT, Rotation or Generic1Q with its wires exchanged."""
+    """A CNOT, Rotation or Generic1Q with its wires exchanged; the mirror of
+    a CNOT is the shared CNOT whose control is its target."""
     if type(g) is Generic1Q:
         return Generic1Q._trusted(1 - g.qubit, g.matrix)
     if type(g) is Rotation:
-        return Rotation(g.axis, 1 - g.qubit, g.angle)
-    return _MIRRORED_CNOT[g.control]
+        return Rotation._trusted(g.axis, 1 - g.qubit, g.angle)
+    return _CNOTS[g.target]
 
 
 @dataclass(frozen=True)
@@ -285,7 +283,7 @@ def _merge_rotations(w):
         angle = wrap_angle(g1.angle + g2.angle)
         if abs(angle) <= nm.ZERO_TOL:
             return []
-        return [Rotation(g1.axis, g1.qubit, angle)]
+        return [Rotation._trusted(g1.axis, g1.qubit, angle)]
     p = _mul2(_entries(g2), _entries(g1))
     if nm._is_identity_up_to_phase(p):
         return []

@@ -39,6 +39,11 @@ the spectra (``invariants._align_spectra``).
 One function, ``_assemble``, lays out every library's circuit (a prefix,
 the one-qubit factors c x d, the CNOT core, the factors a x b) and is the
 one place that drops gates, those within ``ZERO_TOL`` of the identity.
+Each emitted gate is built once, after the input check, from values
+already checked: a rotation's angle is mapped (CXY), wrapped and screened
+for zero first, and the rotation is then built trusted
+(``Rotation._trusted``, no ``__post_init__``); the CNOTs are two module
+constants.  Only the public ``cyz_core_circuit`` validates its rotations.
 """
 
 from __future__ import annotations
@@ -53,9 +58,12 @@ import numpy as np
 
 from . import numerics as nm
 from .circuit import (
+    _CNOTS,
     _FRAME_READS,
+    _X,
+    _Y,
+    _Z,
     CNOT,
-    Axis,
     Circuit,
     Generic1Q,
     Rotation,
@@ -108,6 +116,9 @@ class SynthesisResult:
 #: deterministic order; (0, 1, 2) is the canonical first choice.
 EIGEN_ORDERS = tuple(itertools.permutations(range(4), 3))
 
+#: The core's CNOTs: C[0->1] and C[1->0].
+_C01, _C10 = _CNOTS
+
 
 def core_params_cyz(u, order=(0, 1, 2)):
     """Rotation angles (alpha, beta, delta) of the CYZ core for u.
@@ -138,12 +149,12 @@ def cyz_core_circuit(params):
     """
     return Circuit(
         (
-            CNOT(1, 0),
-            Rotation(Axis.Z, 0, params.delta),
-            Rotation(Axis.Y, 1, params.beta),
-            CNOT(0, 1),
-            Rotation(Axis.Y, 1, params.alpha),
-            CNOT(1, 0),
+            _C10,
+            Rotation(_Z, 0, params.delta),
+            Rotation(_Y, 1, params.beta),
+            _C01,
+            Rotation(_Y, 1, params.alpha),
+            _C10,
         )
     )
 
@@ -237,55 +248,61 @@ def _local_factors(fu, fv):
 
 _CXY_CONJ = nm.kron(nm.HADAMARD, nm.HADAMARD)
 
-#: Conjugation by H x H maps R_z(t) to R_x(t) and R_y(t) to R_y(-t).
-_CXY_AXES = {Axis.Z: (Axis.X, 1.0), Axis.Y: (Axis.Y, -1.0)}
+
+def _cxy_rotation(axis, angle):
+    """The axis and angle in CXY of a CYZ rotation: conjugation by H x H
+    maps R_z(t) to R_x(t) and R_y(t) to R_y(-t).  KeyError, which no
+    candidate loop catches, for any other axis."""
+    if axis is _Z:
+        return _X, angle
+    if axis is _Y:
+        return _Y, -angle
+    raise KeyError(axis)
 
 
-def _map_cxy_gate(g):
-    """The CXY gate for a CNOT or a CYZ rotation; KeyError or AttributeError,
-    which no candidate loop catches, for any other gate."""
-    if isinstance(g, CNOT):
-        return CNOT(g.target, g.control)
-    axis, sign = _CXY_AXES[g.axis]
-    return Rotation(axis, g.qubit, sign * g.angle)
-
-
-_ZX_READ = _FRAME_READS[Axis.Z, Axis.X]
+_ZX_READ = _FRAME_READS[_Z, _X]
 
 
 def _local_gates(x, qubit, lib):
     """The gates of one quaternion x from ``_local_factors``: its SU(2)
     matrix in BASIC, else Rz(psi) R_inner(phi) Rz(theta) as ``_zy_angles``
     reads them in the frame (Z, inner), inner X in CXZ and Y otherwise, zero
-    angles included (``_assemble`` drops them; at the gimbal psi is 0)."""
+    angles included (``_assemble`` drops them; at the gimbal psi is 0).
+    The angles are finite, theta and psi wrapped and phi in [0, pi], so
+    the gates are built trusted."""
     if lib is GateLibrary.BASIC:
         return (Generic1Q._trusted(qubit, _su2(*x)),)
-    inner, x = (Axis.X, _frame(x, _ZX_READ)) if lib is GateLibrary.CXZ else (Axis.Y, x)
+    inner, x = (_X, _frame(x, _ZX_READ)) if lib is GateLibrary.CXZ else (_Y, x)
     theta, phi, psi = _zy_angles(x)
-    return (Rotation(Axis.Z, qubit, psi), Rotation(inner, qubit, phi), Rotation(Axis.Z, qubit, theta))
+    trusted = Rotation._trusted
+    return trusted(_Z, qubit, psi), trusted(inner, qubit, phi), trusted(_Z, qubit, theta)
 
 
 def _assemble(prefix, core, factors, lib):
     """The circuit ``prefix``, c x d, ``core``, a x b for the quaternions (a,
     b, c, d) of ``_local_factors``, in the gates of ``lib`` (for CXY, the CYZ
-    gates through ``_map_cxy_gate``).  Each rotation is wrapped to (-pi, pi]
-    and dropped within ``ZERO_TOL`` of 0, each Generic1Q within ``ZERO_TOL``
-    of the identity."""
+    gates mapped by ``_cxy_rotation``, each CNOT flipped).  Each rotation's
+    angle is mapped, wrapped to (-pi, pi] and dropped within ``ZERO_TOL`` of
+    0, and only then is the rotation built, trusted, if it differs from the
+    given one; each Generic1Q is dropped within ``ZERO_TOL`` of the
+    identity.  Every CNOT emitted is one of ``circuit._CNOTS``."""
     cxy = lib is GateLibrary.CXY
     a, b, c, d = factors
     right = _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
     left = _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
     gates = []
     for g in itertools.chain(prefix, right, core, left):
-        if cxy:
-            g = _map_cxy_gate(g)
-        if isinstance(g, Rotation):
-            angle = wrap_angle(g.angle)
-            if abs(angle) <= nm.ZERO_TOL:
+        kind = type(g)
+        if kind is Rotation:
+            axis, angle = _cxy_rotation(g.axis, g.angle) if cxy else (g.axis, g.angle)
+            wrapped = wrap_angle(angle)
+            if abs(wrapped) <= nm.ZERO_TOL:
                 continue
-            if angle != g.angle:
-                g = Rotation(g.axis, g.qubit, angle)
-        elif isinstance(g, Generic1Q) and nm._is_identity_up_to_phase(_entries(g)):
+            if wrapped != g.angle or axis is not g.axis:
+                g = Rotation._trusted(axis, g.qubit, wrapped)
+        elif kind is CNOT:
+            g = _CNOTS[g.target if cxy else g.control]
+        elif nm._is_identity_up_to_phase(_entries(g)):
             continue
         gates.append(g)
     return Circuit(tuple(gates))
@@ -309,6 +326,23 @@ _CYZ_IMAGE = _CYZ_BASIS[[0, 1, 3, 2]]
 _CXZ_BASIS = np.eye(4)
 
 
+def _signed_rows(basis, image):
+    """For every row order sigma, as a tuple: B[sigma] and C[sigma] for
+    B = ``basis`` and C = ``image``, row 0 of each negated when sigma is
+    odd, read-only.  B[sigma] is then in the signs of ``numerics._row_signs``."""
+    sigmas = list(itertools.permutations(range(4)))
+    signs = np.ones((len(sigmas), 4, 1))
+    signs[[sum(j > k for j, k in itertools.combinations(p, 2)) % 2 == 1 for p in sigmas], 0] = -1.0
+    qs, rows = basis[sigmas] * signs, image[sigmas] * signs
+    qs.flags.writeable = rows.flags.writeable = False
+    return dict(zip(sigmas, zip(qs, rows)))
+
+
+#: ``_signed_rows`` of the CYZ and the CXZ core, read by ``_core_form``.
+_CYZ_SIGNED_ROWS = _signed_rows(_CYZ_BASIS, _CYZ_IMAGE)
+_CXZ_SIGNED_ROWS = _signed_rows(_CXZ_BASIS, _CXZ_BASIS)
+
+
 def _core_form(params, sigma):
     """The ``_MagicForm`` of a candidate core in SU(4), read from its angles:
     no simulation, polar step or diagonalizer.  ``params`` is a ``CYZCore``
@@ -329,22 +363,21 @@ def _core_form(params, sigma):
       e^{-i(theta - phi)/2}, e^{i(theta + phi)/2}.
 
     The rows are taken in the order sigma, q = B[sigma] and
-    q mt = diag(lam[sigma]) C[sigma], with row 0 of each negated when sigma
-    is odd, so that det q = +1."""
-    if isinstance(params, CYZCore):
+    q mt = diag(lam[sigma]) C[sigma], with row 0 of B[sigma] and C[sigma]
+    negated when sigma is odd, so that det q = +1; both signed row sets
+    are read from ``_CYZ_SIGNED_ROWS`` or ``_CXZ_SIGNED_ROWS``."""
+    if type(params) is CYZCore:
         a, b, c = (cmath.exp(0.5j * t) for t in (params.alpha, params.beta, params.delta))
         ea, eb, ec = a.conjugate(), b.conjugate(), c.conjugate()
         lam = tuple(_CORE_PHASE * x for x in (a * b * ec, ea * eb * ec, a * eb * c, ea * b * c))
-        basis, image = _CYZ_BASIS, _CYZ_IMAGE
+        table = _CYZ_SIGNED_ROWS
     else:
         theta, phi = params
         s, t = cmath.exp(0.5j * (theta + phi)), cmath.exp(0.5j * (theta - phi))
-        lam, basis, image = (s.conjugate(), t, t.conjugate(), s), _CXZ_BASIS, _CXZ_BASIS
+        lam, table = (s.conjugate(), t, t.conjugate(), s), _CXZ_SIGNED_ROWS
     lam = [lam[k] for k in sigma]
-    q, qmt = basis[sigma], np.array(lam)[:, None] * image[sigma]
-    if sum(j > k for j, k in itertools.combinations(sigma, 2)) % 2:
-        q[0], qmt[0] = -q[0], -qmt[0]
-    return _MagicForm(q, np.array([x * x for x in lam]), qmt)
+    q, image = table[tuple(sigma)]
+    return _MagicForm(q, np.array([x * x for x in lam]), np.array(lam)[:, None] * image)
 
 
 def _cyz_rows(order):
@@ -462,12 +495,12 @@ def _candidates(u, lib):
             yield target, (), core, _core_form(params, _cyz_rows(order)), "%d%d%d" % order
         return
     params, rows, target = _cxz_state(u_norm)
-    prefix = (Rotation(Axis.Z, 1, -params.psi), CNOT(0, 1))
+    prefix = (Rotation._trusted(_Z, 1, -params.psi), _C01)
     for (neg, swap_rs), tag in _CXZ_TAGS.items():
         theta, phi = params.theta, -params.phi if swap_rs else params.phi
         if neg:
             theta, phi = -theta, -phi
-        core = (CNOT(0, 1), Rotation(Axis.X, 0, theta), Rotation(Axis.Z, 1, phi), CNOT(0, 1))
+        core = (_C01, Rotation._trusted(_X, 0, theta), Rotation._trusted(_Z, 1, phi), _C01)
         yield target, prefix, core, _core_form((theta, phi), _cxz_rows(rows, neg, swap_rs)), tag
 
 
@@ -475,12 +508,15 @@ def _result_for(u, circuit, tag, tol):
     residual = nm.phase_distance(simulate(circuit), u)
     if residual > tol:
         raise VerificationFailed("residual %.3g exceeds tol %.3g" % (residual, tol))
+    # One pass over the gates for the counts; an emitted circuit has no
+    # SWAP, so every gate counts 1 at the basic level.
+    kinds = list(map(type, circuit.gates))
     return SynthesisResult(
         circuit=circuit,
         residual=residual,
-        cnot_count=circuit.cnot_count,
-        one_param_count=circuit.one_param_count,
-        basic_count=circuit.basic_count,
+        cnot_count=kinds.count(CNOT),
+        one_param_count=kinds.count(Rotation),
+        basic_count=len(kinds),
         eigen_order=tag,
     )
 

@@ -2,6 +2,8 @@ import cmath
 import collections
 import itertools
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import q2synth
 from q2synth import invariants, synthesis
 from q2synth import numerics as nm
 from q2synth.circuit import (
+    _CNOTS,
     CNOT,
     Axis,
     Circuit,
@@ -44,11 +48,11 @@ from q2synth.synthesis import (
     _candidates,
     _conjugate_pair_angles,
     _core_form,
+    _cxy_rotation,
     _cxz_rows,
     _cyz_rows,
     _local_factors,
     _local_gates,
-    _map_cxy_gate,
     _result_for,
     core_params_cxz,
     core_params_cyz,
@@ -57,6 +61,10 @@ from q2synth.synthesis import (
     match_local_factors,
     synthesize,
 )
+
+# The benchmark's workloads, for the request pools of weyl-degenerate.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 ROTATION_AXES = {
     GateLibrary.CYZ: {Axis.Y, Axis.Z},
@@ -511,7 +519,7 @@ class TestSynthesize:
         # Not a VerificationFailed, which the candidate loop would take for
         # a failed candidate.
         with pytest.raises(KeyError):
-            _map_cxy_gate(Rotation(Axis.X, 0, 0.3))
+            _cxy_rotation(Axis.X, 0.3)
 
     @pytest.mark.parametrize(
         "name,matrix",
@@ -720,6 +728,19 @@ class TestSinglePass:
             synthesize(u, lib)
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_validated_rotations_per_haar_call(self, lib, monkeypatch):
+        # Only the public core builder, cyz_core_circuit, still validates
+        # its three rotations; every other emitted rotation is built
+        # trusted, once.  16 per call when each was validated, some twice.
+        calls = self.count_calls(monkeypatch, Rotation, "__post_init__")
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            u = nm.haar_unitary(4, rng)
+            calls.clear()
+            synthesize(u, lib)
+            assert len(calls) <= 3
+
     @pytest.mark.parametrize("order", [(0.0, 1.0, 2.0, 0.5, 2.5), (2.5, 0.5, 2.0, 1.0, 0.0)])
     def test_mixing_angle_order_changes_no_output(self, order, monkeypatch):
         # The 3-CNOT core's determinant is exactly -1.  When its SU(4) form
@@ -830,6 +851,46 @@ class TestSinglePass:
         # and matched by match_local_factors, on the Haar inputs.
         rng = np.random.default_rng(16)
         self.assert_same_synthesis([nm.haar_unitary(4, rng) for _ in range(20)], lib, simulated=True)
+
+
+def emission_corpus():
+    """300 seeded Haar inputs, ``chamber_corpus()``,
+    ``near_corner_and_edge_inputs()``, ``psi_inputs()`` and the request
+    pools of the weyl-degenerate benchmark at seeds 1-3: 2,137 inputs."""
+    rng = np.random.default_rng(39)
+    inputs = [nm.haar_unitary(4, rng) for _ in range(300)]
+    inputs += list(chamber_corpus()) + list(near_corner_and_edge_inputs()) + psi_inputs()
+    for seed in (1, 2, 3):
+        inputs += [request[0].args[0] for request in workloads.WeylDegenerate(q2synth, seed).pool]
+    return inputs
+
+
+class TestTrustedGates:
+    """Synthesis builds its gates without their ``__post_init__`` checks,
+    from values it has already checked; each emitted gate must still be one
+    that the checked constructor accepts and the library allows."""
+
+    def test_every_emitted_gate_is_a_valid_gate_of_its_library(self):
+        inputs = emission_corpus()
+        assert len(inputs) == 2137
+        for u in inputs:
+            for lib in GateLibrary:
+                result = synthesize(u, lib)
+                circuit = result.circuit
+                for g in circuit.gates:
+                    if type(g) is Rotation:
+                        assert g == Rotation(g.axis, g.qubit, g.angle)
+                        assert -math.pi < g.angle <= math.pi
+                        assert abs(g.angle) > nm.ZERO_TOL
+                        # basic's rotations are those of its cyz core.
+                        assert g.axis in ROTATION_AXES.get(lib, ROTATION_AXES[GateLibrary.CYZ])
+                    elif type(g) is CNOT:
+                        assert g is _CNOTS[0] or g is _CNOTS[1]
+                    else:
+                        assert type(g) is Generic1Q and lib is GateLibrary.BASIC
+                        assert g == Generic1Q(g.qubit, g.matrix)
+                counts = (result.cnot_count, result.one_param_count, result.basic_count)
+                assert counts == (circuit.cnot_count, circuit.one_param_count, circuit.basic_count)
 
 
 def magic_symmetric_form(m):
