@@ -380,23 +380,33 @@ _ASSOC = np.round(
 def _so4_factors(o):
     """Unit quaternions (x, y) with E o E^dag = su2(x) x su2(y) up to sign
     (``_su2``), for a real 4x4 ``o`` in SO(4), in closed form.  The
-    associate matrix of o is outer(x, y): y is its row of largest norm,
-    normalized, and x its product with y, normalized.
-    NotLocal when the split misses o by more than ``LOCAL_TOL`` in
-    Frobenius norm (twice its miss on the associate matrix), as it does for
-    an o that is not in SO(4)."""
-    assoc = _ASSOC.dot(o.ravel()).tolist()
-    rows = (assoc[0:4], assoc[4:8], assoc[8:12], assoc[12:16])
-    row = max(rows, key=lambda r: math.hypot(*r))
-    norm = math.hypot(*row)
-    y = [v / norm for v in row]
-    x = [r[0] * y[0] + r[1] * y[1] + r[2] * y[2] + r[3] * y[3] for r in rows]
-    norm = math.hypot(*x)
-    x = [v / norm for v in x]
-    err = 2.0 * math.hypot(*(r[j] - xi * y[j] for r, xi in zip(rows, x) for j in range(4)))
+    associate matrix of o is outer(x, y): y is its row of largest norm
+    (the first of equal ones), normalized, and x its product with y,
+    normalized.  NotLocal when the split misses o by more than
+    ``LOCAL_TOL`` in Frobenius norm (twice its miss on the associate
+    matrix), as it does for an o that is not in SO(4)."""
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = _ASSOC.dot(o.ravel()).tolist()
+    row, norm = (a0, a1, a2, a3), math.hypot(a0, a1, a2, a3)
+    for r in ((b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3)):
+        n = math.hypot(*r)
+        if n > norm:
+            row, norm = r, n
+    y0, y1, y2, y3 = row[0] / norm, row[1] / norm, row[2] / norm, row[3] / norm
+    x0 = a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3
+    x1 = b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3
+    x2 = c0 * y0 + c1 * y1 + c2 * y2 + c3 * y3
+    x3 = d0 * y0 + d1 * y1 + d2 * y2 + d3 * y3
+    norm = math.hypot(x0, x1, x2, x3)
+    x0, x1, x2, x3 = x0 / norm, x1 / norm, x2 / norm, x3 / norm
+    err = 2.0 * math.hypot(
+        a0 - x0 * y0, a1 - x0 * y1, a2 - x0 * y2, a3 - x0 * y3,
+        b0 - x1 * y0, b1 - x1 * y1, b2 - x1 * y2, b3 - x1 * y3,
+        c0 - x2 * y0, c1 - x2 * y1, c2 - x2 * y2, c3 - x2 * y3,
+        d0 - x3 * y0, d1 - x3 * y1, d2 - x3 * y2, d3 - x3 * y3,
+    )
     if err > nm.LOCAL_TOL:
         raise NotLocal("best tensor factorization misses by %.3g" % err)
-    return x, y
+    return [x0, x1, x2, x3], [y0, y1, y2, y3]
 
 
 def tensor_factor(g):

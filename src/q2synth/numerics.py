@@ -131,6 +131,7 @@ def kron(a, b):
 
 
 _EYE = {2: I2, 4: I4}
+_THREE_HALVES_EYE = {2: 1.5 * I2, 4: 1.5 * I4}
 
 
 def is_unitary(m, tol=UNITARY_TOL):
@@ -185,8 +186,9 @@ def _is_identity_up_to_phase(e):
 def _polar_step(m):
     """One Newton-Schulz step m (3I - m^dag m) / 2 toward the unitary polar
     factor of a 2x2 or 4x4 m: a residual ||m^dag m - I||_F of r becomes
-    about r^2."""
-    return m.dot(3.0 * _EYE[len(m)] - m.conj().T.dot(m)) / 2.0
+    about r^2.  Taken as m (1.5 I - 0.5 m^dag m), the same bit for bit:
+    scaling by a power of two is exact."""
+    return m.dot(_THREE_HALVES_EYE[len(m)] - 0.5 * m.conj().T.dot(m))
 
 
 def require_unitary(m, caller, tol=UNITARY_TOL, size=4, special=False, symmetric=False):
@@ -301,10 +303,10 @@ def _diagonalize_symmetric_unitary(p):
         _, v = np.linalg.eigh(x)
         m = v.T.dot(p).dot(v)
         off = _off_diagonal(m)
+        if off <= OFF_DIAGONAL_TOL:
+            return _canonical(v.T, m.diagonal())
         if best is None or off < best[0]:
             best = (off, v, m)
-        if off <= OFF_DIAGONAL_TOL:
-            break
     _, v, m = best
     return _canonical(v.T, m.diagonal())
 
@@ -331,12 +333,23 @@ def _row_signs(q):
 def _canonical(q, d):
     """The canonical form of an orthogonal diagonalization (rows of ``q``,
     eigenvalues ``d``): ascending principal argument of d, ties in input
-    order, and the rows in the signs of ``_row_signs``.  A new array; ``q``
-    is not modified."""
-    angles = [cmath.phase(z) for z in d.tolist()]
-    order = sorted(range(4), key=angles.__getitem__)
-    q = q[order]
-    return q * _row_signs(q), d[order]
+    order, and the rows in the signs of ``_row_signs``, read in one pass
+    over ``q.tolist()``; negating a row negates ``_det4_rows`` exactly, so
+    row 0 is tested on the signed rows.  New arrays; q is not modified."""
+    rows, z = q.tolist(), d.tolist()
+    angles = [cmath.phase(z[0]), cmath.phase(z[1]), cmath.phase(z[2]), cmath.phase(z[3])]
+    signed, values = [], []
+    for k in sorted(range(4), key=angles.__getitem__):
+        row = rows[k]
+        for x in row:
+            if abs(x) >= 0.25:
+                break
+        signed.append(row if x > 0.0 else [-row[0], -row[1], -row[2], -row[3]])
+        values.append(z[k])
+    if _det4_rows(signed) < 0.0:
+        row = signed[0]
+        signed[0] = [-row[0], -row[1], -row[2], -row[3]]
+    return np.array(signed), np.array(values)
 
 
 def phase_distance(u, v):

@@ -43,7 +43,7 @@ Each emitted gate is built once, after the input check, from values
 already checked: a rotation's angle is mapped (CXY), wrapped and screened
 for zero first, and the rotation is then built trusted
 (``Rotation._trusted``, no ``__post_init__``); the CNOTs are two module
-constants.  Only the public ``cyz_core_circuit`` validates its rotations.
+constants.  Only the public ``cyz_core_circuit`` checks its angles.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ def core_params_cyz(u, order=(0, 1, 2)):
 def _cyz_params(spectrum, order):
     """``core_params_cyz`` from the canonically ordered spectrum of gamma(u)."""
     angles = np.angle(spectrum).tolist()
-    x, y, z = (angles[i] - math.pi / 2.0 for i in order)
+    i, j, k = order
+    x, y, z = angles[i] - math.pi / 2.0, angles[j] - math.pi / 2.0, angles[k] - math.pi / 2.0
     return CYZCore(alpha=(x + y) / 2.0, beta=(x + z) / 2.0, delta=(y + z) / 2.0)
 
 
@@ -146,17 +147,19 @@ def cyz_core_circuit(params):
 
     As a matrix formula (rightmost factor applied first):
     C[1->0] (I x Ry(alpha)) C[0->1] (Rz(delta) x Ry(beta)) C[1->0].
+    ValueError unless every angle is finite.
     """
-    return Circuit(
-        (
-            _C10,
-            Rotation(_Z, 0, params.delta),
-            Rotation(_Y, 1, params.beta),
-            _C01,
-            Rotation(_Y, 1, params.alpha),
-            _C10,
-        )
-    )
+    if not all(map(math.isfinite, (params.delta, params.beta, params.alpha))):
+        raise ValueError("rotation angle must be finite")
+    return Circuit(_cyz_core_gates(params))
+
+
+def _cyz_core_gates(params):
+    """The gates of ``cyz_core_circuit``, its rotations built trusted: the
+    angles of ``_cyz_params`` are finite by construction."""
+    trusted = Rotation._trusted
+    return (_C10, trusted(_Z, 0, params.delta), trusted(_Y, 1, params.beta), _C01,
+            trusted(_Y, 1, params.alpha), _C10)
 
 
 _PAIRINGS = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
@@ -236,8 +239,9 @@ def _local_factors(fu, fv):
     With sign -1, v is replaced by i v: gamma(i v) = -gamma(v) has the same
     diagonalizer, and the factor i goes into ct, whose real part is then
     Im(ct)."""
-    plus = np.abs(fu.d - fv.d).max()
-    minus = np.abs(fu.d + fv.d).max()
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = fu.d.tolist(), fv.d.tolist()
+    plus = max(abs(u0 - v0), abs(u1 - v1), abs(u2 - v2), abs(u3 - v3))
+    minus = max(abs(u0 + v0), abs(u1 + v1), abs(u2 + v2), abs(u3 + v3))
     if min(plus, minus) > nm.SPECTRUM_TOL:
         raise CosetMismatch("gamma spectra do not match row by row")
     ct = fv.qmt.conj().T.dot(fu.qmt)
@@ -282,10 +286,10 @@ def _assemble(prefix, core, factors, lib):
     """The circuit ``prefix``, c x d, ``core``, a x b for the quaternions (a,
     b, c, d) of ``_local_factors``, in the gates of ``lib`` (for CXY, the CYZ
     gates mapped by ``_cxy_rotation``, each CNOT flipped).  Each rotation's
-    angle is mapped, wrapped to (-pi, pi] and dropped within ``ZERO_TOL`` of
-    0, and only then is the rotation built, trusted, if it differs from the
-    given one; each Generic1Q is dropped within ``ZERO_TOL`` of the
-    identity.  Every CNOT emitted is one of ``circuit._CNOTS``."""
+    angle is mapped, wrapped to (-pi, pi] (by ``wrap_angle`` only if
+    outside it) and dropped within ``ZERO_TOL`` of 0, and only then is the
+    rotation built, trusted, if it differs from the given one; each
+    Generic1Q is dropped within ``ZERO_TOL`` of the identity.  Every CNOT emitted is one of ``circuit._CNOTS``."""
     cxy = lib is GateLibrary.CXY
     a, b, c, d = factors
     right = _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
@@ -295,7 +299,7 @@ def _assemble(prefix, core, factors, lib):
         kind = type(g)
         if kind is Rotation:
             axis, angle = _cxy_rotation(g.axis, g.angle) if cxy else (g.axis, g.angle)
-            wrapped = wrap_angle(angle)
+            wrapped = angle if -math.pi < angle <= math.pi else wrap_angle(angle)
             if abs(wrapped) <= nm.ZERO_TOL:
                 continue
             if wrapped != g.angle or axis is not g.axis:
@@ -367,17 +371,20 @@ def _core_form(params, sigma):
     negated when sigma is odd, so that det q = +1; both signed row sets
     are read from ``_CYZ_SIGNED_ROWS`` or ``_CXZ_SIGNED_ROWS``."""
     if type(params) is CYZCore:
-        a, b, c = (cmath.exp(0.5j * t) for t in (params.alpha, params.beta, params.delta))
+        p, exp = _CORE_PHASE, cmath.exp
+        a, b, c = exp(0.5j * params.alpha), exp(0.5j * params.beta), exp(0.5j * params.delta)
         ea, eb, ec = a.conjugate(), b.conjugate(), c.conjugate()
-        lam = tuple(_CORE_PHASE * x for x in (a * b * ec, ea * eb * ec, a * eb * c, ea * b * c))
+        lam = (p * (a * b * ec), p * (ea * eb * ec), p * (a * eb * c), p * (ea * b * c))
         table = _CYZ_SIGNED_ROWS
     else:
         theta, phi = params
         s, t = cmath.exp(0.5j * (theta + phi)), cmath.exp(0.5j * (theta - phi))
         lam, table = (s.conjugate(), t, t.conjugate(), s), _CXZ_SIGNED_ROWS
-    lam = [lam[k] for k in sigma]
-    q, image = table[tuple(sigma)]
-    return _MagicForm(q, np.array([x * x for x in lam]), np.array(lam)[:, None] * image)
+    i, j, k, l = sigma
+    x0, x1, x2, x3 = lam[i], lam[j], lam[k], lam[l]
+    q, image = table[i, j, k, l]
+    qmt = np.array(((x0,), (x1,), (x2,), (x3,))) * image
+    return _MagicForm(q, np.array((x0 * x0, x1 * x1, x2 * x2, x3 * x3)), qmt)
 
 
 def _cyz_rows(order):
@@ -491,7 +498,7 @@ def _candidates(u, lib):
         target = _magic_form(u_norm)
         for order in EIGEN_ORDERS:
             params = _cyz_params(target.d, order)
-            core = cyz_core_circuit(params).gates
+            core = _cyz_core_gates(params)
             yield target, (), core, _core_form(params, _cyz_rows(order)), "%d%d%d" % order
         return
     params, rows, target = _cxz_state(u_norm)

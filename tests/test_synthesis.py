@@ -15,6 +15,7 @@ import q2synth
 from q2synth import invariants, synthesis
 from q2synth import numerics as nm
 from q2synth.circuit import (
+    _ASSOC,
     _CNOTS,
     CNOT,
     Axis,
@@ -22,6 +23,7 @@ from q2synth.circuit import (
     Generic1Q,
     Rotation,
     _entries,
+    _so4_factors,
     _su2,
     _su4_normalize,
     _zy_angles,
@@ -29,8 +31,8 @@ from q2synth.circuit import (
     su4_normalize,
 )
 from q2synth.cli import named_gate
-from q2synth.errors import CosetMismatch, NotUnitary, VerificationFailed
-from q2synth.invariants import _form_of, _magic_form, gamma, same_double_coset
+from q2synth.errors import CosetMismatch, NotLocal, NotUnitary, VerificationFailed
+from q2synth.invariants import _form_of, _magic_form, cnot_cost, gamma, same_double_coset
 from q2synth.synthesis import (
     _CORE_PHASE,
     _CXY_CONJ,
@@ -51,6 +53,7 @@ from q2synth.synthesis import (
     _cxy_rotation,
     _cxz_rows,
     _cyz_rows,
+    _dedupe_key,
     _local_factors,
     _local_gates,
     _result_for,
@@ -264,6 +267,15 @@ class TestCoreParamsCYZ:
         kinds = [type(g).__name__ for g in c.gates]
         assert kinds == ["CNOT", "Rotation", "Rotation", "CNOT", "Rotation", "CNOT"]
         assert c.cnot_count == 3
+        assert c == Circuit(tuple(Rotation(g.axis, g.qubit, g.angle) if type(g) is Rotation else g for g in c))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_core_circuit_refuses_a_non_finite_angle(self, bad):
+        # The public builder checks its angles; synthesis builds the same
+        # gates trusted from angles that are finite by construction.
+        for params in (CYZCore(bad, 0.4, 0.5), CYZCore(0.3, bad, 0.5), CYZCore(0.3, 0.4, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                cyz_core_circuit(params)
 
 
 def psi_inputs():
@@ -730,16 +742,48 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_validated_rotations_per_haar_call(self, lib, monkeypatch):
-        # Only the public core builder, cyz_core_circuit, still validates
-        # its three rotations; every other emitted rotation is built
-        # trusted, once.  16 per call when each was validated, some twice.
+        # Every emitted rotation is built trusted, once, the cyz core's
+        # too.  16 per call when each was validated, some twice; 3 when the
+        # candidates took their core from the public cyz_core_circuit.
         calls = self.count_calls(monkeypatch, Rotation, "__post_init__")
         rng = np.random.default_rng(38)
         for _ in range(20):
             u = nm.haar_unitary(4, rng)
             calls.clear()
             synthesize(u, lib)
-            assert len(calls) <= 3
+            assert len(calls) == 0
+
+    #: The most calls into q2synth's own functions (generator resumptions
+    #: included) that one synthesize call of each library may make on the
+    #: Haar inputs of ``test_python_calls_per_haar_call``: the most this
+    #: code makes there (113, 140, 128 and 77) plus 5.  Before the scalar
+    #: passes of the canonical form, the SO(4) split and the angle wrap,
+    #: and the trusted cyz core, the most was 204, 231, 208 and 156.
+    CALL_BUDGET = {GateLibrary.CYZ: 118, GateLibrary.CXY: 145, GateLibrary.CXZ: 133, GateLibrary.BASIC: 82}
+
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    def test_python_calls_per_haar_call(self, lib):
+        # Only frames of code under the package's own directory count, so
+        # the budget does not move with NumPy's Python layer.
+        root = str(Path(q2synth.__file__).resolve().parent)
+        rng = np.random.default_rng(44)
+        inputs = [nm.haar_unitary(4, rng) for _ in range(20)]
+        counts = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                counts[-1] += 1
+
+        previous = sys.getprofile()
+        try:
+            for u in inputs:
+                counts.append(0)
+                sys.setprofile(count)
+                synthesize(u, lib)
+                sys.setprofile(previous)
+        finally:
+            sys.setprofile(previous)
+        assert 0 < max(counts) <= self.CALL_BUDGET[lib]
 
     @pytest.mark.parametrize("order", [(0.0, 1.0, 2.0, 0.5, 2.5), (2.5, 0.5, 2.0, 1.0, 0.0)])
     def test_mixing_angle_order_changes_no_output(self, order, monkeypatch):
@@ -851,6 +895,170 @@ class TestSinglePass:
         # and matched by match_local_factors, on the Haar inputs.
         rng = np.random.default_rng(16)
         self.assert_same_synthesis([nm.haar_unitary(4, rng) for _ in range(20)], lib, simulated=True)
+
+
+def reference_polar_step(m):
+    """``numerics._polar_step`` as first written: m (3I - m^dag m) / 2."""
+    return m.dot(3.0 * np.eye(len(m), dtype=np.complex128) - m.conj().T.dot(m)) / 2.0
+
+
+def reference_row_signs(q):
+    """``numerics._row_signs`` as first written: each row's leading entry
+    found by a generator, and det = +1 tested on the unsigned rows times
+    the product of the signs."""
+    rows = q.tolist()
+    signs = [1.0 if next(x for x in row if abs(x) >= 0.25) > 0.0 else -1.0 for row in rows]
+    if nm._det4_rows(rows) * signs[0] * signs[1] * signs[2] * signs[3] < 0.0:
+        signs[0] = -signs[0]
+    return np.array(signs)[:, None]
+
+
+def reference_canonical(q, d):
+    """``numerics._canonical`` as first written: a fancy-indexed copy of q
+    in the order of a keyed sort, times ``reference_row_signs``."""
+    angles = [cmath.phase(z) for z in d.tolist()]
+    order = sorted(range(4), key=angles.__getitem__)
+    q = q[order]
+    return q * reference_row_signs(q), d[order]
+
+
+def reference_diagonalize(p):
+    """``numerics._diagonalize_symmetric_unitary`` as first written: it
+    keeps the best mixing angle so far, breaks at the first that passes and
+    canonicalizes by ``reference_canonical``."""
+    best = None
+    for t in nm._MIX_ANGLES:
+        x = math.cos(t) * p.real + math.sin(t) * p.imag
+        _, v = np.linalg.eigh(x)
+        m = v.T.dot(p).dot(v)
+        off = nm._off_diagonal(m)
+        if best is None or off < best[0]:
+            best = (off, v, m)
+        if off <= nm.OFF_DIAGONAL_TOL:
+            break
+    _, v, m = best
+    return reference_canonical(v.T, m.diagonal())
+
+
+def reference_so4_factors(o):
+    """``circuit._so4_factors`` as first written: the row of largest norm by
+    ``max`` with a key, and the residual from a generator of 16 terms."""
+    assoc = _ASSOC.dot(o.ravel()).tolist()
+    rows = (assoc[0:4], assoc[4:8], assoc[8:12], assoc[12:16])
+    row = max(rows, key=lambda r: math.hypot(*r))
+    norm = math.hypot(*row)
+    y = [v / norm for v in row]
+    x = [r[0] * y[0] + r[1] * y[1] + r[2] * y[2] + r[3] * y[3] for r in rows]
+    norm = math.hypot(*x)
+    x = [v / norm for v in x]
+    err = 2.0 * math.hypot(*(r[j] - xi * y[j] for r, xi in zip(rows, x) for j in range(4)))
+    if err > nm.LOCAL_TOL:
+        raise NotLocal("best tensor factorization misses by %.3g" % err)
+    return x, y
+
+
+def assert_same_bits(a, b):
+    """Equal arrays, bit for bit: dtype, shape and every byte (so -0.0 and
+    0.0 differ, and so do two NaNs of other payloads)."""
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def tied_corner_inputs():
+    """The identity, CNOT, (pi/4, pi/4, 0) and SWAP corners of the Weyl
+    chamber, whose gamma spectra tie, each offset by eps in {0, 1e-16,
+    1e-12} in a seeded direction, bare and between 3 seeded Haar locals;
+    and the magic basis change E itself."""
+    rng = np.random.default_rng(45)
+    inputs = [nm.MAGIC.copy()]
+    for point in ((0.0, 0.0, 0.0), (Q, 0.0, 0.0), (Q, Q, 0.0), (Q, Q, Q)):
+        for eps in (0.0, 1e-16, 1e-12):
+            d = rng.standard_normal(3)
+            m = canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d)))
+            inputs += [m] + [with_haar_locals(m, rng) for _ in range(3)]
+    return inputs
+
+
+def captured_arguments(owner, name, inputs):
+    """The arguments of every call of ``owner.name`` while each library
+    synthesizes each input and ``cnot_cost`` classifies it."""
+    with mock.patch.object(owner, name, wraps=getattr(owner, name)) as spy:
+        for u in inputs:
+            for lib in GateLibrary:
+                try:
+                    synthesize(u, lib)
+                except VerificationFailed:
+                    pass
+            cnot_cost(u)
+    return [call.args for call in spy.call_args_list]
+
+
+class TestScalarPassesMatchReference:
+    """The diagonalizer's canonical form, the SO(4) split and the polar step
+    run as scalar passes over ``tolist()`` (and with 1.5 I and 0.5 for the
+    polar step); each gives what its first NumPy-and-generator form gave,
+    bit for bit, on Haar inputs and on the tied spectra of the chamber's
+    corners."""
+
+    def test_diagonalizer_and_canonical_form(self):
+        rng = np.random.default_rng(46)
+        inputs = [nm.haar_unitary(4, rng) for _ in range(30)] + tied_corner_inputs()
+        forms = captured_arguments(nm, "_diagonalize_symmetric_unitary", inputs)
+        tied = 0
+        for (p,) in forms:
+            q, d = nm._diagonalize_symmetric_unitary(p)
+            q0, d0 = reference_diagonalize(p)
+            assert_same_bits(q, q0)
+            assert_same_bits(d, d0)
+            tied += len(set(np.angle(d).tolist())) < 4
+            for _ in range(3):
+                perm = rng.permutation(4)
+                signed = q[perm] * rng.choice([-1.0, 1.0], size=4)[:, None]
+                for new, old in zip(nm._canonical(signed, d[perm]), reference_canonical(signed, d[perm])):
+                    assert_same_bits(new, old)
+                assert_same_bits(nm._row_signs(signed), reference_row_signs(signed))
+        # Exact ties of the principal arguments, which the stable order decides.
+        assert tied >= 12
+
+    def test_polar_step(self):
+        rng = np.random.default_rng(47)
+        for n in (2, 4):
+            for _ in range(50):
+                u = nm.haar_unitary(n, rng)
+                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for m in (u, u + 1e-9 * a, nm.MAGIC_DAG.dot(u).dot(nm.MAGIC) if n == 4 else u.T):
+                    assert_same_bits(nm._polar_step(m), reference_polar_step(m))
+
+    def test_so4_split(self):
+        rng = np.random.default_rng(48)
+        inputs = [nm.haar_unitary(4, rng) for _ in range(30)] + tied_corner_inputs()
+        matrices = [o for (o,) in captured_arguments(synthesis, "_so4_factors", inputs)]
+        # x = (1/2, 1/2, 1/2, 1/2): every row of the associate matrix
+        # x y^T has norm 1/2, exactly for y on an axis, and the first wins.
+        half = [0.5, 0.5, 0.5, 0.5]
+        ties = 0
+        for y in [list(e) for e in np.eye(4)] + [list(quaternion(su2(rng))) for _ in range(8)]:
+            o = (nm.MAGIC_DAG @ nm.kron(_su2(*half), _su2(*y)) @ nm.MAGIC).real
+            assoc = _ASSOC.dot(o.ravel()).tolist()
+            ties += len({math.hypot(*assoc[k:k + 4]) for k in range(0, 16, 4)}) == 1
+            matrices.append(o)
+        assert ties >= 4
+        for o in matrices:
+            assert repr(_so4_factors(o)) == repr(reference_so4_factors(o))
+
+    def test_so4_split_refuses_what_it_refused(self):
+        rng = np.random.default_rng(49)
+        o, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        o[0] *= np.sign(np.linalg.det(o))
+        reflection = np.diag([-1.0, 1.0, 1.0, 1.0])
+        refused = [reflection, reflection @ o, 2.0 * np.eye(4), o + 1e-6 * rng.standard_normal((4, 4))]
+        refused += [rng.standard_normal((4, 4)) for _ in range(5)]
+        for m in refused:
+            with pytest.raises(NotLocal) as new:
+                _so4_factors(m)
+            with pytest.raises(NotLocal) as old:
+                reference_so4_factors(m)
+            assert str(new.value) == str(old.value)
 
 
 def emission_corpus():
@@ -1208,6 +1416,18 @@ def chamber_inputs(draw):
     return with_haar_locals(canonical(*(np.array([a, b, c]) + eps * d / np.linalg.norm(d))), rng)
 
 
+@st.composite
+def near_unitary_inputs(draw):
+    """A ``chamber_inputs`` u moved off the unitary group to m = u (I + h),
+    h Hermitian in a drawn direction, scaled so that ||m^dag m - I||_F,
+    the unit of the input check, is 0.9 UNITARY_TOL to first order."""
+    u = draw(chamber_inputs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = a + a.conj().T
+    return u @ (nm.I4 + 0.45 * nm.UNITARY_TOL * h / np.linalg.norm(h))
+
+
 class TestSynthesisProperties:
     def test_chamber_inputs_verify_and_every_tried_core_form_is_exact(self):
         # Every answer of every library verifies against the plain product,
@@ -1233,3 +1453,50 @@ class TestSynthesisProperties:
 
         check()
         assert set(answered) == set(GateLibrary)
+
+    def test_inputs_near_the_unitary_tolerance_verify_or_are_refused(self):
+        # The input check passes these, and the local layer's SO(4) split
+        # checks its miss at LOCAL_TOL, a tenth of the check's bound: the
+        # polar step of the magic form must take the non-unitarity out
+        # first.  Every answer verifies against the input itself, and a
+        # refusal is only VerificationFailed.
+        answered = []
+
+        @_PROPERTY
+        @given(near_unitary_inputs())
+        def check(m):
+            assert nm.is_unitary(m) and not nm.is_unitary(m, 0.89 * nm.UNITARY_TOL)
+            for lib in GateLibrary:
+                try:
+                    result = synthesize(m, lib)
+                except VerificationFailed:
+                    continue
+                assert plain_phase_distance(plain_product(result.circuit), m) <= 1e-8
+                answered.append(lib)
+
+        check()
+        assert set(answered) == set(GateLibrary)
+
+    def test_enumerated_circuits_verify_and_are_distinct(self):
+        # Every circuit enumerate_circuits returns verifies against the
+        # plain product, and no two have the same gates on its comparison
+        # grid (``_dedupe_key``).
+        sizes = []
+
+        @settings(_PROPERTY, max_examples=60)
+        @given(chamber_inputs())
+        def check(u):
+            for lib in GateLibrary:
+                try:
+                    results = enumerate_circuits(u, lib)
+                except VerificationFailed:
+                    continue
+                keys = {tuple(_dedupe_key(g) for g in r.circuit.gates) for r in results}
+                assert len(keys) == len(results)
+                for r in results:
+                    assert r.residual <= DEFAULT_TOL
+                    assert plain_phase_distance(plain_product(r.circuit), u) <= 1e-8
+                sizes.append(len(results))
+
+        check()
+        assert max(sizes) > 1
