@@ -2,12 +2,12 @@
 
 Gates live on wires 0 and 1, where qubit 0 is the top wire and the left
 Kronecker factor.  Circuits are immutable gate tuples applied in index order
-(index 0 first), so the simulator multiplies later gates on the left.
-Also here: the one axis algebra (``_cross``: a quarter turn about a takes
-the axis n to a x n), from which every Euler frame and the rewrite rule
-AxisChange read their changes of axes; Euler decompositions for every
-ordered axis pair, tensor factorization of local operators, SU(4)
-normalization, and the text/QASM serializations used by the CLI.
+(index 0 first), so the simulator, one scalar pass over the gates, multiplies
+later gates on the left.  Also here: the one axis algebra (``_cross``: a
+quarter turn about a takes the axis n to a x n), from which every Euler
+frame and the rewrite rule AxisChange read their changes of axes; Euler
+decompositions for every ordered axis pair, tensor factorization of local
+operators, SU(4) normalization, and the text/QASM serializations of the CLI.
 """
 
 from __future__ import annotations
@@ -210,57 +210,62 @@ def _mul2(x, y):
     return x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3
 
 
+#: The identity's entries: a run in ``simulate`` is this object until a gate updates it.
 _ID2 = (1.0, 0.0, 0.0, 1.0)
-
-
-def _kron_layer(a, b):
-    """a x b as a 4x4 array, for 2x2 entries a (qubit 0) and b (qubit 1):
-    entry (2i + k, 2j + l) is a[i, j] * b[k, l], as in ``numerics.kron``."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.array(
-        [[a0 * b0, a0 * b1, a1 * b0, a1 * b1], [a0 * b2, a0 * b3, a1 * b2, a1 * b3],
-         [a2 * b0, a2 * b1, a3 * b0, a3 * b1], [a2 * b2, a2 * b3, a3 * b2, a3 * b3]],
-        dtype=np.complex128,
-    )
-
-
-def _flush(runs, m):
-    """(a x b) @ m for the pending runs a and b of the two wires, the
-    identity standing in for a wire without one; ``m`` if neither has."""
-    if runs == [None, None]:
-        return m
-    layer = _kron_layer(runs[0] or _ID2, runs[1] or _ID2)
-    return layer if m is nm.I4 else layer.dot(m)
-
-
-#: The row order that applies a CNOT with control c (at index c), or a
-#: SWAP, to the product so far: gate @ m is m with its rows permuted.
-_CNOT_ROWS = (np.array([0, 1, 3, 2]), np.array([0, 3, 2, 1]))
-_SWAP_ROWS = np.array([0, 2, 1, 3])
 
 
 def simulate(c):
     """Ordered matrix product of a circuit; later gates multiply on the left.
 
-    Each run of one-qubit gates on a wire is multiplied into one 2x2 in
-    scalar arithmetic.  At each two-qubit gate, and at the end, the runs of
-    both wires are applied as one Kronecker layer, and a CNOT or SWAP as a
-    row permutation.  Always a new array.
+    One scalar pass over the gates, with no call per gate: each wire's run
+    of one-qubit gates is a 2x2 that Rz scales by rows, Ry and Rx mix and a
+    Generic1Q multiplies.  Each CNOT or SWAP, and the end if a run is open,
+    closes both runs as one Kronecker layer, its rows appended to one flat
+    list in the gate's order; NumPy multiplies the layers, later ones on
+    the left.  Always a new array.
     """
-    m = nm.I4
-    runs = [None, None]
+    flat, runs = [], [_ID2, _ID2]
     for g in c.gates:
         kind = type(g)
-        if kind is CNOT or kind is Swap:
-            rows = _CNOT_ROWS[g.control] if kind is CNOT else _SWAP_ROWS
-            m = _flush(runs, m).take(rows, axis=0)
-            runs = [None, None]
-            continue
-        e = _entries(g)
-        runs[g.qubit] = e if runs[g.qubit] is None else _mul2(e, runs[g.qubit])
-    m = _flush(runs, m)
-    return m.copy() if m is nm.I4 else m
+        if kind is Rotation:
+            y0, y1, y2, y3 = runs[g.qubit]
+            co, s, axis = math.cos(0.5 * g.angle), math.sin(0.5 * g.angle), g.axis
+            if axis is _Z:
+                z, w = complex(co, -s), complex(co, s)
+                runs[g.qubit] = z * y0, z * y1, w * y2, w * y3
+            elif axis is _X:
+                z = complex(0.0, -s)
+                runs[g.qubit] = co * y0 + z * y2, co * y1 + z * y3, z * y0 + co * y2, z * y1 + co * y3
+            elif axis is _Y:
+                runs[g.qubit] = co * y0 - s * y2, co * y1 - s * y3, s * y0 + co * y2, s * y1 + co * y3
+            else:
+                raise ValueError("rotation axis must be an Axis, not %r" % (axis,))
+        elif kind is CNOT or kind is Swap:
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = runs
+            r0, r1 = (a0 * b0, a0 * b1, a1 * b0, a1 * b1), (a0 * b2, a0 * b3, a1 * b2, a1 * b3)
+            r2, r3 = (a2 * b0, a2 * b1, a3 * b0, a3 * b1), (a2 * b2, a2 * b3, a3 * b2, a3 * b3)
+            if kind is Swap:
+                flat += r0 + r2 + r1 + r3
+            elif g.control:
+                flat += r0 + r3 + r2 + r1
+            else:
+                flat += r0 + r1 + r3 + r2
+            runs = [_ID2, _ID2]
+        elif kind is Generic1Q:
+            (x0, x1), (x2, x3) = g.matrix.tolist()
+            y0, y1, y2, y3 = runs[g.qubit]
+            runs[g.qubit] = x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3
+        else:
+            raise TypeError("not a gate: %r" % (g,))
+    if runs[0] is not _ID2 or runs[1] is not _ID2:
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = runs
+        flat += (a0 * b0, a0 * b1, a1 * b0, a1 * b1, a0 * b2, a0 * b3, a1 * b2, a1 * b3,
+                 a2 * b0, a2 * b1, a3 * b0, a3 * b1, a2 * b2, a2 * b3, a3 * b2, a3 * b3)
+    layers = np.array(flat, dtype=np.complex128).reshape(-1, 4, 4)
+    out = layers[0] if flat else nm.I4.copy()
+    for layer in layers[1:]:
+        out = layer.dot(out)
+    return out
 
 
 def su4_normalize(u):
@@ -358,7 +363,9 @@ def _zy_angles(x):
     if c <= nm.ZERO_TOL:
         return wrap_angle(2.0 * math.atan2(-x1, x2)), math.pi, 0.0
     plus, minus = math.atan2(x3, x0), math.atan2(-x1, x2)
-    return wrap_angle(plus + minus), 2.0 * math.atan2(s, c), wrap_angle(plus - minus)
+    theta, psi = plus + minus, plus - minus
+    return (theta if -math.pi < theta <= math.pi else wrap_angle(theta), 2.0 * math.atan2(s, c),
+            psi if -math.pi < psi <= math.pi else wrap_angle(psi))
 
 
 #: The map from o in SO(4) (16 entries, row-major) to its associate matrix

@@ -40,10 +40,10 @@ One function, ``_assemble``, lays out every library's circuit (a prefix,
 the one-qubit factors c x d, the CNOT core, the factors a x b) and is the
 one place that drops gates, those within ``ZERO_TOL`` of the identity.
 Each emitted gate is built once, after the input check, from values
-already checked: a rotation's angle is mapped (CXY), wrapped and screened
-for zero first, and the rotation is then built trusted
-(``Rotation._trusted``, no ``__post_init__``); the CNOTs are two module
-constants.  Only the public ``cyz_core_circuit`` checks its angles.
+already checked: CXY's local gates come in its own axes, and a rotation's
+angle is mapped (the CXY core), wrapped and screened for zero before it is
+built trusted (``Rotation._trusted``, no ``__post_init__``); the CNOTs are
+two module constants.  Only the public ``cyz_core_circuit`` checks angles.
 """
 
 from __future__ import annotations
@@ -271,44 +271,47 @@ def _local_gates(x, qubit, lib):
     """The gates of one quaternion x from ``_local_factors``: its SU(2)
     matrix in BASIC, else Rz(psi) R_inner(phi) Rz(theta) as ``_zy_angles``
     reads them in the frame (Z, inner), inner X in CXZ and Y otherwise, zero
-    angles included (``_assemble`` drops them; at the gimbal psi is 0).
-    The angles are finite, theta and psi wrapped and phi in [0, pi], so
-    the gates are built trusted."""
+    angles included (``_assemble`` drops them; at the gimbal psi is 0), in CXY
+    mapped as by ``_cxy_rotation``: Rx(psi) Ry(-phi) Rx(theta).  The angles
+    are finite, theta and psi wrapped and phi in [0, pi]: built trusted."""
     if lib is GateLibrary.BASIC:
         return (Generic1Q._trusted(qubit, _su2(*x)),)
     inner, x = (_X, _frame(x, _ZX_READ)) if lib is GateLibrary.CXZ else (_Y, x)
     theta, phi, psi = _zy_angles(x)
+    outer, phi = (_X, -phi) if lib is GateLibrary.CXY else (_Z, phi)
     trusted = Rotation._trusted
-    return trusted(_Z, qubit, psi), trusted(inner, qubit, phi), trusted(_Z, qubit, theta)
+    return trusted(outer, qubit, psi), trusted(inner, qubit, phi), trusted(outer, qubit, theta)
 
 
 def _assemble(prefix, core, factors, lib):
     """The circuit ``prefix``, c x d, ``core``, a x b for the quaternions (a,
-    b, c, d) of ``_local_factors``, in the gates of ``lib`` (for CXY, the CYZ
-    gates mapped by ``_cxy_rotation``, each CNOT flipped).  Each rotation's
-    angle is mapped, wrapped to (-pi, pi] (by ``wrap_angle`` only if
-    outside it) and dropped within ``ZERO_TOL`` of 0, and only then is the
-    rotation built, trusted, if it differs from the given one; each
-    Generic1Q is dropped within ``ZERO_TOL`` of the identity.  Every CNOT emitted is one of ``circuit._CNOTS``."""
-    cxy = lib is GateLibrary.CXY
+    b, c, d) of ``_local_factors``, in the gates of ``lib``: the local gates
+    of ``_local_gates`` are in them already, and a CXY core's CYZ gates are
+    mapped by ``_cxy_rotation``, each CNOT flipped.  Each rotation's angle is
+    wrapped to (-pi, pi] (by ``wrap_angle`` only if outside it) and dropped
+    within ``ZERO_TOL`` of 0, and only then is the rotation built, trusted,
+    if it differs from the given one; each Generic1Q is dropped within
+    ``ZERO_TOL`` of the identity.  Every CNOT emitted is one of ``_CNOTS``."""
     a, b, c, d = factors
     right = _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
     left = _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
     gates = []
-    for g in itertools.chain(prefix, right, core, left):
-        kind = type(g)
-        if kind is Rotation:
-            axis, angle = _cxy_rotation(g.axis, g.angle) if cxy else (g.axis, g.angle)
-            wrapped = angle if -math.pi < angle <= math.pi else wrap_angle(angle)
-            if abs(wrapped) <= nm.ZERO_TOL:
+    for part in (prefix, right, core, left):
+        cxy = part is core and lib is GateLibrary.CXY
+        for g in part:
+            kind = type(g)
+            if kind is Rotation:
+                axis, angle = _cxy_rotation(g.axis, g.angle) if cxy else (g.axis, g.angle)
+                wrapped = angle if -math.pi < angle <= math.pi else wrap_angle(angle)
+                if abs(wrapped) <= nm.ZERO_TOL:
+                    continue
+                if wrapped != g.angle or axis is not g.axis:
+                    g = Rotation._trusted(axis, g.qubit, wrapped)
+            elif kind is CNOT:
+                g = _CNOTS[g.target if cxy else g.control]
+            elif nm._is_identity_up_to_phase(_entries(g)):
                 continue
-            if wrapped != g.angle or axis is not g.axis:
-                g = Rotation._trusted(axis, g.qubit, wrapped)
-        elif kind is CNOT:
-            g = _CNOTS[g.target if cxy else g.control]
-        elif nm._is_identity_up_to_phase(_entries(g)):
-            continue
-        gates.append(g)
+            gates.append(g)
     return Circuit(tuple(gates))
 
 

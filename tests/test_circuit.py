@@ -16,8 +16,10 @@ from q2synth.circuit import (
     Rotation,
     Swap,
     _cross,
+    _entries,
     _frame,
     _FRAME_READS,
+    _mul2,
     _so4_factors,
     _su2,
     _zy_angles,
@@ -34,6 +36,8 @@ from q2synth.circuit import (
     wrap_angle,
 )
 from q2synth.errors import CircuitParseError, NotLocal, NotUnitary
+from q2synth.synthesis import GateLibrary, synthesize
+from test_synthesis import emission_corpus
 
 
 def su2(rng):
@@ -226,6 +230,24 @@ def random_fused_circuit(rng):
     return Circuit(tuple(gates))
 
 
+def special_shape_circuits():
+    """The empty circuit, runs on one wire only, permutations only, and
+    circuits that end in a layer or in back-to-back two-qubit gates."""
+    rng = np.random.default_rng(32)
+    a, b = Generic1Q(0, nm.haar_unitary(2, rng)), Generic1Q(1, nm.haar_unitary(2, rng))
+    rz, rx, ry = Rotation(Axis.Z, 1, 0.7), Rotation(Axis.X, 1, -1.9), Rotation(Axis.Y, 0, 2.4)
+    circuits = [
+        (),
+        (rz, rx, b),  # one wire only
+        (ry, a),  # the other wire only
+        (CNOT(0, 1), CNOT(1, 0), Swap()),  # permutations only
+        (CNOT(1, 0), ry, rz, a, rx, b),  # ends in a layer
+        (ry, rz, CNOT(0, 1), Swap()),  # ends in back-to-back two-qubit gates
+        (rz, CNOT(0, 1), rx, Swap(), ry, CNOT(1, 0), a),
+    ]
+    return [Circuit(gates) for gates in circuits]
+
+
 class TestFusedSimulate:
     """simulate multiplies each one-qubit run into one 2x2, applies both
     wires' runs as one Kronecker layer and a CNOT or SWAP as a row
@@ -245,25 +267,84 @@ class TestFusedSimulate:
             assert np.abs(simulate(c) - self.ordered_product(c)).max() <= 1e-13
 
     def test_special_shapes(self):
-        rng = np.random.default_rng(32)
-        a, b = Generic1Q(0, nm.haar_unitary(2, rng)), Generic1Q(1, nm.haar_unitary(2, rng))
-        rz, rx, ry = Rotation(Axis.Z, 1, 0.7), Rotation(Axis.X, 1, -1.9), Rotation(Axis.Y, 0, 2.4)
-        circuits = [
-            (),
-            (rz, rx, b),  # one wire only
-            (ry, a),  # the other wire only
-            (CNOT(0, 1), CNOT(1, 0), Swap()),  # permutations only
-            (CNOT(1, 0), ry, rz, a, rx, b),  # ends in a layer
-            (ry, rz, CNOT(0, 1), Swap()),  # ends in back-to-back two-qubit gates
-            (rz, CNOT(0, 1), rx, Swap(), ry, CNOT(1, 0), a),
-        ]
-        for gates in circuits:
-            c = Circuit(gates)
+        for c in special_shape_circuits():
             assert np.abs(simulate(c) - self.ordered_product(c)).max() <= 1e-13
 
     def test_rejects_a_non_gate(self):
         with pytest.raises(TypeError):
             simulate(Circuit((object(),)))
+
+
+#: The simulate that multiplied each layer in as it closed, kept as the
+#: reference of the single pass: a run starts at the first gate of a wire,
+#: each gate's entries come from ``_entries`` and are multiplied in by
+#: ``_mul2``, each layer is built as a 4x4 array and multiplied into the
+#: product at once, and a CNOT or SWAP permutes the product's rows.
+_REFERENCE_ID2 = (1.0, 0.0, 0.0, 1.0)
+_REFERENCE_CNOT_ROWS = (np.array([0, 1, 3, 2]), np.array([0, 3, 2, 1]))
+_REFERENCE_SWAP_ROWS = np.array([0, 2, 1, 3])
+
+
+def _reference_kron_layer(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.array(
+        [[a0 * b0, a0 * b1, a1 * b0, a1 * b1], [a0 * b2, a0 * b3, a1 * b2, a1 * b3],
+         [a2 * b0, a2 * b1, a3 * b0, a3 * b1], [a2 * b2, a2 * b3, a3 * b2, a3 * b3]],
+        dtype=np.complex128,
+    )
+
+
+def _reference_flush(runs, m):
+    if runs == [None, None]:
+        return m
+    layer = _reference_kron_layer(runs[0] or _REFERENCE_ID2, runs[1] or _REFERENCE_ID2)
+    return layer if m is nm.I4 else layer.dot(m)
+
+
+def reference_simulate(c):
+    m = nm.I4
+    runs = [None, None]
+    for g in c.gates:
+        kind = type(g)
+        if kind is CNOT or kind is Swap:
+            rows = _REFERENCE_CNOT_ROWS[g.control] if kind is CNOT else _REFERENCE_SWAP_ROWS
+            m = _reference_flush(runs, m).take(rows, axis=0)
+            runs = [None, None]
+            continue
+        e = _entries(g)
+        runs[g.qubit] = e if runs[g.qubit] is None else _mul2(e, runs[g.qubit])
+    m = _reference_flush(runs, m)
+    return m.copy() if m is nm.I4 else m
+
+
+class TestSimulateMatchesReference:
+    """The single pass gives the reference's matrix: equal entry for entry
+    (``np.array_equal``, under which -0.0 equals 0.0: a run now starts at
+    the identity, and Rz adds no zero terms, so an exact zero may differ in
+    sign), and on emitted circuits equal bit for bit."""
+
+    def test_random_circuits(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            c = random_fused_circuit(rng)
+            assert np.array_equal(simulate(c), reference_simulate(c))
+
+    def test_special_shapes(self):
+        for c in special_shape_circuits():
+            assert np.array_equal(simulate(c), reference_simulate(c))
+
+    def test_emitted_circuits(self):
+        for u in emission_corpus():
+            for lib in GateLibrary:
+                c = synthesize(u, lib).circuit
+                assert simulate(c).tobytes() == reference_simulate(c).tobytes()
+
+    def test_an_untrusted_axis_still_raises(self):
+        bad = Rotation._trusted("x", 0, 0.3)
+        for gates in [(bad,), (Rotation(Axis.Z, 0, 0.2), CNOT(0, 1), bad, Rotation(Axis.Y, 1, 0.4))]:
+            with pytest.raises(ValueError, match="rotation axis must be an Axis"):
+                simulate(Circuit(gates))
 
 
 class TestEulerDecompose:

@@ -595,18 +595,34 @@ class TestSynthesize:
     @pytest.mark.parametrize("lib", [GateLibrary.CYZ, GateLibrary.CXY, GateLibrary.CXZ])
     def test_local_gates_rebuild_their_factor(self, lib):
         # Rz(psi) R_inner(phi) Rz(theta) in circuit order is +-su2(x), inner
-        # X in cxz and Y otherwise, also at the gimbals, where psi is 0.
-        inner = Axis.X if lib is GateLibrary.CXZ else Axis.Y
+        # X in cxz and Y in cyz, also at the gimbals, where psi is 0.  cxy
+        # emits them already mapped by conjugation with H: Rx(psi) Ry(-phi)
+        # Rx(theta) is +-H su2(x) H.
+        outer, inner = (Axis.Z, Axis.X) if lib is GateLibrary.CXZ else (Axis.Z, Axis.Y)
+        frame = nm.I2
+        if lib is GateLibrary.CXY:
+            outer, frame = Axis.X, nm.HADAMARD
         rng = np.random.default_rng(36)
         quaternions = [tuple(v / np.linalg.norm(v)) for v in rng.standard_normal((40, 4))]
         quaternions += [(0.6, 0.0, 0.0, 0.8), (0.0, 0.8, -0.6, 0.0), (1.0, 0.0, 0.0, 0.0)]
         for x in quaternions:
             first, middle, last = _local_gates(x, 1, lib)
-            assert [(g.axis, g.qubit) for g in (first, middle, last)] == [(Axis.Z, 1), (inner, 1), (Axis.Z, 1)]
+            assert [(g.axis, g.qubit) for g in (first, middle, last)] == [(outer, 1), (inner, 1), (outer, 1)]
             m = plain_product(Circuit((first, middle, last)))
-            assert plain_phase_distance(m, nm.kron(nm.I2, _su2(*x))) <= 1e-14
+            assert plain_phase_distance(m, nm.kron(nm.I2, frame @ _su2(*x) @ frame)) <= 1e-14
             if min(math.hypot(x[0], x[3]), math.hypot(x[1], x[2])) == 0.0:
-                assert first.angle == 0.0 and middle.angle in (0.0, math.pi)
+                assert first.angle == 0.0 and abs(middle.angle) in (0.0, math.pi)
+
+    def test_cxy_local_gates_are_the_mapped_cyz_gates(self):
+        # Exactly the cyz gates of the same factor mapped by _cxy_rotation,
+        # as _assemble maps the cxy core.
+        rng = np.random.default_rng(50)
+        quaternions = [tuple(v / np.linalg.norm(v)) for v in rng.standard_normal((40, 4))]
+        quaternions += [(0.6, 0.0, 0.0, 0.8), (0.0, 0.8, -0.6, 0.0), (1.0, 0.0, 0.0, 0.0)]
+        for x in quaternions:
+            got = [(g.axis, g.qubit, g.angle) for g in _local_gates(x, 0, GateLibrary.CXY)]
+            mapped = [_cxy_rotation(g.axis, g.angle) for g in _local_gates(x, 0, GateLibrary.CYZ)]
+            assert got == [(axis, 0, angle) for axis, angle in mapped]
 
     def test_cxz_angles_are_the_zy_angles_turned_a_quarter(self):
         # Ry(phi) = Rz(pi/2) Rx(phi) Rz(-pi/2): away from the gimbal, the
@@ -756,10 +772,12 @@ class TestSinglePass:
     #: The most calls into q2synth's own functions (generator resumptions
     #: included) that one synthesize call of each library may make on the
     #: Haar inputs of ``test_python_calls_per_haar_call``: the most this
-    #: code makes there (113, 140, 128 and 77) plus 5.  Before the scalar
-    #: passes of the canonical form, the SO(4) split and the angle wrap,
-    #: and the trusted cyz core, the most was 204, 231, 208 and 156.
-    CALL_BUDGET = {GateLibrary.CYZ: 118, GateLibrary.CXY: 145, GateLibrary.CXZ: 133, GateLibrary.BASIC: 82}
+    #: code makes there (61, 65, 77 and 59) plus 5.  Before simulate read
+    #: its gates in one pass, with no call per gate, and cxy emitted its
+    #: local gates in its own axes, the most was 113, 140, 128 and 77;
+    #: before the scalar passes of the canonical form, the SO(4) split and
+    #: the angle wrap, and the trusted cyz core, 204, 231, 208 and 156.
+    CALL_BUDGET = {GateLibrary.CYZ: 66, GateLibrary.CXY: 70, GateLibrary.CXZ: 82, GateLibrary.BASIC: 64}
 
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_python_calls_per_haar_call(self, lib):
@@ -1500,3 +1518,29 @@ class TestSynthesisProperties:
 
         check()
         assert max(sizes) > 1
+
+
+def cost_bases():
+    """20 seeded Haar inputs and every chamber point of ``chamber_corpus()``
+    at eps = 0, undressed."""
+    rng = np.random.default_rng(51)
+    return [nm.haar_unitary(4, rng) for _ in range(20)] + [canonical(*p) for p in CHAMBER_POINTS]
+
+
+class TestCostProperties:
+    def test_cost_is_unchanged_by_local_dressing_and_global_phase(self):
+        # cnot_cost of e^{i phi} (a x b) u (c x d), Haar a, b, c, d from a
+        # drawn seed, is that of u for every base u: the cost is a function
+        # of the double coset, whatever the phase of the SU(4) representative.
+        bases = cost_bases()
+        costs = [cnot_cost(u) for u in bases]
+        assert set(costs) == {0, 1, 2, 3}
+
+        @settings(_PROPERTY, max_examples=100)
+        @given(st.integers(0, 2**32 - 1), st.floats(-math.pi, math.pi))
+        def check(seed, phi):
+            rng = np.random.default_rng(seed)
+            for u, cost in zip(bases, costs):
+                assert cnot_cost(cmath.exp(1j * phi) * with_haar_locals(u, rng)) == cost
+
+        check()
