@@ -53,7 +53,8 @@ def wrap_angle(theta):
 
 
 def _rotation_entries(axis, angle):
-    """The entries (m00, m01, m10, m11) of R_n(theta), as Python scalars."""
+    """The entries (m00, m01, m10, m11) of R_n(theta), as Python scalars;
+    ``simulate`` inlines them."""
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
     if axis is _Z:
         z = complex(c, -s)
@@ -213,6 +214,9 @@ def _mul2(x, y):
 #: The identity's entries: a run in ``simulate`` is this object until a gate updates it.
 _ID2 = (1.0, 0.0, 0.0, 1.0)
 
+#: Read by ``simulate`` after the last gate: it closes the open runs as a layer.
+_END = object()
+
 
 def simulate(c):
     """Ordered matrix product of a circuit; later gates multiply on the left.
@@ -225,7 +229,7 @@ def simulate(c):
     the left.  Always a new array.
     """
     flat, runs = [], [_ID2, _ID2]
-    for g in c.gates:
+    for g in c.gates + (_END,):
         kind = type(g)
         if kind is Rotation:
             y0, y1, y2, y3 = runs[g.qubit]
@@ -240,12 +244,16 @@ def simulate(c):
                 runs[g.qubit] = co * y0 - s * y2, co * y1 - s * y3, s * y0 + co * y2, s * y1 + co * y3
             else:
                 raise ValueError("rotation axis must be an Axis, not %r" % (axis,))
-        elif kind is CNOT or kind is Swap:
+        elif kind is CNOT or kind is Swap or g is _END:
+            if g is _END and runs[0] is _ID2 and runs[1] is _ID2:
+                break
             (a0, a1, a2, a3), (b0, b1, b2, b3) = runs
             r0, r1 = (a0 * b0, a0 * b1, a1 * b0, a1 * b1), (a0 * b2, a0 * b3, a1 * b2, a1 * b3)
             r2, r3 = (a2 * b0, a2 * b1, a3 * b0, a3 * b1), (a2 * b2, a2 * b3, a3 * b2, a3 * b3)
             if kind is Swap:
                 flat += r0 + r2 + r1 + r3
+            elif kind is not CNOT:
+                flat += r0 + r1 + r2 + r3
             elif g.control:
                 flat += r0 + r3 + r2 + r1
             else:
@@ -257,10 +265,6 @@ def simulate(c):
             runs[g.qubit] = x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3
         else:
             raise TypeError("not a gate: %r" % (g,))
-    if runs[0] is not _ID2 or runs[1] is not _ID2:
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = runs
-        flat += (a0 * b0, a0 * b1, a1 * b0, a1 * b1, a0 * b2, a0 * b3, a1 * b2, a1 * b3,
-                 a2 * b0, a2 * b1, a3 * b0, a3 * b1, a2 * b2, a2 * b3, a3 * b2, a3 * b3)
     layers = np.array(flat, dtype=np.complex128).reshape(-1, 4, 4)
     out = layers[0] if flat else nm.I4.copy()
     for layer in layers[1:]:

@@ -40,10 +40,10 @@ One function, ``_assemble``, lays out every library's circuit (a prefix,
 the one-qubit factors c x d, the CNOT core, the factors a x b) and is the
 one place that drops gates, those within ``ZERO_TOL`` of the identity.
 Each emitted gate is built once, after the input check, from values
-already checked: CXY's local gates come in its own axes, and a rotation's
-angle is mapped (the CXY core), wrapped and screened for zero before it is
-built trusted (``Rotation._trusted``, no ``__post_init__``); the CNOTs are
-two module constants.  Only the public ``cyz_core_circuit`` checks angles.
+already checked: CXY's core and local gates come in its own axes, and a
+rotation's angle is wrapped and screened for zero before it is built
+trusted (``Rotation._trusted``, no ``__post_init__``); the CNOTs are two
+module constants.  Only the public ``cyz_core_circuit`` checks its angles.
 """
 
 from __future__ import annotations
@@ -162,6 +162,13 @@ def _cyz_core_gates(params):
             trusted(_Y, 1, params.alpha), _C10)
 
 
+def _cxy_core_gates(params):
+    """``_cyz_core_gates`` in CXY: C[0->1] Rx(delta) Ry(-beta) C[1->0] Ry(-alpha) C[0->1]."""
+    trusted = Rotation._trusted
+    return (_C01, trusted(_X, 0, params.delta), trusted(_Y, 1, -params.beta), _C10,
+            trusted(_Y, 1, -params.alpha), _C01)
+
+
 _PAIRINGS = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
 
 
@@ -250,18 +257,9 @@ def _local_factors(fu, fv):
     return a, b, c, d
 
 
+#: CXY is CYZ conjugated by H x H: R_z(t) becomes R_x(t), R_y(t) R_y(-t) and
+#: C[i->j] C[j->i], as ``_cxy_core_gates`` and ``_local_gates`` build them.
 _CXY_CONJ = nm.kron(nm.HADAMARD, nm.HADAMARD)
-
-
-def _cxy_rotation(axis, angle):
-    """The axis and angle in CXY of a CYZ rotation: conjugation by H x H
-    maps R_z(t) to R_x(t) and R_y(t) to R_y(-t).  KeyError, which no
-    candidate loop catches, for any other axis."""
-    if axis is _Z:
-        return _X, angle
-    if axis is _Y:
-        return _Y, -angle
-    raise KeyError(axis)
 
 
 _ZX_READ = _FRAME_READS[_Z, _X]
@@ -272,7 +270,7 @@ def _local_gates(x, qubit, lib):
     matrix in BASIC, else Rz(psi) R_inner(phi) Rz(theta) as ``_zy_angles``
     reads them in the frame (Z, inner), inner X in CXZ and Y otherwise, zero
     angles included (``_assemble`` drops them; at the gimbal psi is 0), in CXY
-    mapped as by ``_cxy_rotation``: Rx(psi) Ry(-phi) Rx(theta).  The angles
+    conjugated by H (``_CXY_CONJ``): Rx(psi) Ry(-phi) Rx(theta).  The angles
     are finite, theta and psi wrapped and phi in [0, pi]: built trusted."""
     if lib is GateLibrary.BASIC:
         return (Generic1Q._trusted(qubit, _su2(*x)),)
@@ -285,33 +283,31 @@ def _local_gates(x, qubit, lib):
 
 def _assemble(prefix, core, factors, lib):
     """The circuit ``prefix``, c x d, ``core``, a x b for the quaternions (a,
-    b, c, d) of ``_local_factors``, in the gates of ``lib``: the local gates
-    of ``_local_gates`` are in them already, and a CXY core's CYZ gates are
-    mapped by ``_cxy_rotation``, each CNOT flipped.  Each rotation's angle is
-    wrapped to (-pi, pi] (by ``wrap_angle`` only if outside it) and dropped
-    within ``ZERO_TOL`` of 0, and only then is the rotation built, trusted,
-    if it differs from the given one; each Generic1Q is dropped within
-    ``ZERO_TOL`` of the identity.  Every CNOT emitted is one of ``_CNOTS``."""
+    b, c, d) of ``_local_factors``, whose gates ``_local_gates`` gives in
+    those of ``lib``, as ``_candidates`` gives the prefix and core.  Each
+    rotation's angle is wrapped to (-pi, pi] (by ``wrap_angle`` only if
+    outside it) and dropped within ``ZERO_TOL`` of 0, and only then is the
+    rotation built, trusted, if it differs from the given one; each
+    Generic1Q is dropped within ``ZERO_TOL`` of the identity.  Every CNOT
+    emitted is one of ``_CNOTS``."""
     a, b, c, d = factors
     right = _local_gates(c, 0, lib) + _local_gates(d, 1, lib)
     left = _local_gates(a, 0, lib) + _local_gates(b, 1, lib)
     gates = []
-    for part in (prefix, right, core, left):
-        cxy = part is core and lib is GateLibrary.CXY
-        for g in part:
-            kind = type(g)
-            if kind is Rotation:
-                axis, angle = _cxy_rotation(g.axis, g.angle) if cxy else (g.axis, g.angle)
-                wrapped = angle if -math.pi < angle <= math.pi else wrap_angle(angle)
-                if abs(wrapped) <= nm.ZERO_TOL:
-                    continue
-                if wrapped != g.angle or axis is not g.axis:
-                    g = Rotation._trusted(axis, g.qubit, wrapped)
-            elif kind is CNOT:
-                g = _CNOTS[g.target if cxy else g.control]
-            elif nm._is_identity_up_to_phase(_entries(g)):
+    for g in itertools.chain(prefix, right, core, left):
+        kind = type(g)
+        if kind is Rotation:
+            angle = g.angle
+            wrapped = angle if -math.pi < angle <= math.pi else wrap_angle(angle)
+            if abs(wrapped) <= nm.ZERO_TOL:
                 continue
-            gates.append(g)
+            if wrapped != angle:
+                g = Rotation._trusted(g.axis, g.qubit, wrapped)
+        elif kind is CNOT:
+            g = _CNOTS[g.control]
+        elif nm._is_identity_up_to_phase(_entries(g)):
+            continue
+        gates.append(g)
     return Circuit(tuple(gates))
 
 
@@ -484,16 +480,16 @@ _CXZ_TAGS = {
 def _candidates(u, lib):
     """Every candidate of ``lib`` for a validated unitary ``u``, in the order
     they are tried, each as (target, prefix, core, core form, tag): the
-    target's magic form, the gates before c x d, the core's gates, its
-    ``_core_form`` with rows answering the target's, and its tag.
+    target's magic form, the gates before c x d, the core's gates (in
+    ``lib``), its ``_core_form`` with rows answering the target's, its tag.
 
     The target is prepared once, before the first candidate: u in SU(4)
     and its magic form (for CXY those of the H x H conjugate), or for CXZ
     the state of ``_cxz_state``, whose prefix Rz(-psi) on wire 1, C[0->1]
-    every variant shares.  Each candidate then builds only its core, when
-    it is asked for, so a call that verifies its first builds no other.
-    A CXZ variant (neg, swap_rs) negates phi after ``swap_rs``, exchanging
-    r and s, and both angles after ``neg``."""
+    every variant shares; CXY's core form is in that conjugate's frame.
+    Each candidate then builds only its core, when it is asked for, so a
+    call that verifies its first builds no other.  A CXZ variant (neg,
+    swap_rs) negates phi after ``swap_rs``, exchanging r and s, and both after ``neg``."""
     if lib is GateLibrary.CXY:
         u = _CXY_CONJ.dot(u).dot(_CXY_CONJ)
     u_norm, _ = _su4_normalize(u)
@@ -501,7 +497,7 @@ def _candidates(u, lib):
         target = _magic_form(u_norm)
         for order in EIGEN_ORDERS:
             params = _cyz_params(target.d, order)
-            core = _cyz_core_gates(params)
+            core = (_cxy_core_gates if lib is GateLibrary.CXY else _cyz_core_gates)(params)
             yield target, (), core, _core_form(params, _cyz_rows(order)), "%d%d%d" % order
         return
     params, rows, target = _cxz_state(u_norm)

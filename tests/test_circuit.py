@@ -36,8 +36,7 @@ from q2synth.circuit import (
     wrap_angle,
 )
 from q2synth.errors import CircuitParseError, NotLocal, NotUnitary
-from q2synth.synthesis import GateLibrary, synthesize
-from test_synthesis import emission_corpus
+from test_synthesis import emitted_results
 
 
 def su2(rng):
@@ -335,10 +334,9 @@ class TestSimulateMatchesReference:
             assert np.array_equal(simulate(c), reference_simulate(c))
 
     def test_emitted_circuits(self):
-        for u in emission_corpus():
-            for lib in GateLibrary:
-                c = synthesize(u, lib).circuit
-                assert simulate(c).tobytes() == reference_simulate(c).tobytes()
+        for _, result in emitted_results():
+            c = result.circuit
+            assert simulate(c).tobytes() == reference_simulate(c).tobytes()
 
     def test_an_untrusted_axis_still_raises(self):
         bad = Rotation._trusted("x", 0, 0.3)
