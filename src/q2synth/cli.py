@@ -243,8 +243,8 @@ def _selftest_reduce(rng, trials):
                 gates.append(Rotation(axes[int(rng.integers(0, 3))], wire, angle))
             else:
                 # A Haar gate, an exact sigma_x or sigma_z, or a quarter
-                # turn, at a random global phase: the Pauli commutations and
-                # the one-qubit merges all have work.
+                # turn, at a random global phase: the commutations of a
+                # Generic1Q and the one-qubit merges all have work.
                 j = int(rng.integers(0, 3))
                 if j == 0:
                     m = nm.haar_unitary(2, rng)

@@ -15,32 +15,40 @@ distance from the right end), so the reduction terminates, CNOTs move left
 and SWAPs accumulate at the end of the circuit.  The tests check this on
 every sample of every rule ``reduce`` uses.
 
+A one-qubit gate commutes with C[c->t] exactly when it commutes with Z on
+the control or with X on the target, and one rule per line says so
+(``CommuteRzControl``, ``CommuteRxTarget``): a rotation fits by its axis,
+and a Generic1Q by the structure of its entries, diagonal on the control
+and a I + b X on the target.
+
 Each matcher declares its window once, as a tuple of slot types, one per
 gate; ``RewriteRule.match`` checks them, so a matcher function sees only
-windows of its types.  ``reduce`` runs on gate symbols: a symbol is a small
-int that stands for all that a forward reduce matcher reads of a gate (a
-CNOT's control, the SWAP, a rotation's axis and wire, a one-qubit gate's
-wire and whether it is sigma_x or sigma_z up to phase).  Every forward
-window of a reduce rule has two gates, and the forward matchers, run at
-import on one gate of each symbol, give two tables (``_WINDOWS``): the rule
-that fires first on each pair of symbols, and the symbols of its
-replacement, for every rule but ``MergeRotations``, whose product depends on
-the angles.  So ``reduce`` classifies a gate once, when it enters the
-circuit, reads each window's rule from the table, and calls a matcher only
-to build the replacement a step applies.
+windows of its types.  ``reduce`` and the separation search run on gate
+symbols: a symbol is a small int that stands for all that a forward reduce
+matcher or a separation matcher reads of a gate (a CNOT's control, the
+SWAP, a rotation's axis and wire, a one-qubit gate's wire and which of the
+two commutations it fits).  The matchers, run at import on one gate of each
+symbol, give the tables both run on.  Every forward window of a reduce rule
+has two gates, and ``_WINDOWS`` gives the rule that fires first on each
+pair of symbols and the symbols of its replacement, for every rule but
+``MergeRotations``, whose product depends on the angles.  So ``reduce``
+classifies a gate once, when it enters the circuit, reads each window's
+rule from the table, and calls a matcher only to build the replacement a
+step applies.
 
-The rules' one-qubit questions (is a gate a Pauli or a quarter turn, is a
-merged product the identity, or off unitary) are answered on the gate's four
-entries as Python scalars.  A Pauli or quarter-turn test first compares the
-entry magnitudes, an exact lower bound on the phase distance, and runs the
-NumPy phase distance only for a gate that this screen cannot refuse.
+The rules' one-qubit questions (does a gate commute with X or Z, is it a
+Pauli or a quarter turn, is a merged product the identity, or off unitary)
+are answered on the gate's four entries as Python scalars.  The commutation
+tests are exact and phase-free.  A Pauli or quarter-turn test first compares
+the entry magnitudes, an exact lower bound on the phase distance, and runs
+the NumPy phase distance only for a gate that this screen cannot refuse.
 
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
 rewrites can make two CNOTs adjacent, by breadth-first search with the wire
 mirror folded out.  No separation rule reads an angle, and each rewrite
 carries every angle along with its gate, so dropping the angles maps the
-search graph onto the graph of the circuit's shape move for move, at the
-same distance from an adjacent CNOT pair.  The search runs on the shape.
+search graph onto the graph of the circuit's symbols move for move, at the
+same distance from an adjacent CNOT pair.  The search runs on the symbols.
 """
 
 from __future__ import annotations
@@ -149,6 +157,48 @@ def _mirror_gate(g):
     return _CNOTS[g.target]
 
 
+_X, _Y = Axis.X, Axis.Y
+#: The symbol of the first Generic1Q; see ``_symbol``.
+_GENERIC = 9
+#: A one-qubit gate m is sqrt((|m00 - m11|^2 + |m01 - m10|^2) / 2) from the
+#: nearest a I + b X in the Frobenius norm, and sqrt(|m01|^2 + |m10|^2) from
+#: the nearest diagonal matrix.  A commutation test holds where its distance
+#: is at most LOCAL_TOL; then the gate's products with the CNOT in the two
+#: orders differ by at most 2 LOCAL_TOL.
+_TOL2 = nm.LOCAL_TOL**2
+_TWO_TOL2 = 2.0 * _TOL2
+
+
+def _symbol(g):
+    """The symbol of the gate g; TypeError for anything else.
+
+    A CNOT's is its control (0, 1), the SWAP's 2, and a rotation's 3-8 by
+    axis and wire.  A Generic1Q's is _GENERIC + 4 qubit + x + 2 z, where x
+    says it commutes with X, as a I + b X, and z that it commutes with Z,
+    as a diagonal gate: both to LOCAL_TOL on its entries, up to phase.
+    """
+    t = type(g)
+    if t is Generic1Q:
+        m = g.matrix
+        b, c = m.item(1), m.item(2)
+        # |b - c|^2 <= 2 (|b|^2 + |c|^2), so above _SCREEN both tests fail,
+        # by a margin that rounding cannot cross.
+        gap = abs(b - c) ** 2
+        if gap > _SCREEN:
+            return _GENERIC + 4 * g.qubit
+        x = abs(m.item(0) - m.item(3)) ** 2 + gap <= _TWO_TOL2
+        z = abs(b) ** 2 + abs(c) ** 2 <= _TOL2
+        return _GENERIC + 4 * g.qubit + x + 2 * z
+    if t is CNOT:
+        return g.control
+    if t is Rotation:
+        a = g.axis
+        return (3 if a is _X else 5 if a is _Y else 7) + g.qubit
+    if t is Swap:
+        return 2
+    raise TypeError("not a gate: %r" % (g,))
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     """A window rewrite: ``matchers`` maps a gate window to its replacement.
@@ -212,19 +262,19 @@ def _cnot_pair_from_swap(w):
     return [CNOT(a.target, a.control), a]
 
 
-def _commute(axis, line, pauli):
+def _commute(axis, line):
     """Matchers (forward, backward) exchanging a CNOT with a one-qubit gate
-    on its ``line`` ('control' or 'target') that commutes with it: a
-    rotation about ``axis``, or if ``pauli`` any gate equal to the Pauli
-    about ``axis``; forward moves the CNOT left."""
-    kind = _ONE_QUBIT if pauli else Rotation
+    on its ``line`` ('control' or 'target') that commutes with the Pauli
+    about ``axis`` there: a rotation about ``axis``, or a Generic1Q whose
+    symbol says so; forward moves the CNOT left."""
+    bit = 1 if axis is _X else 2
 
     def fits(g, c):
         if g.qubit != getattr(c, line):
             return False
-        if pauli:
-            return _is_pauli(g, axis)
-        return g.axis is axis
+        if type(g) is Rotation:
+            return g.axis is axis
+        return (_symbol(g) - _GENERIC) & bit
 
     def fw(w):
         g, c = w
@@ -238,7 +288,7 @@ def _commute(axis, line, pauli):
             return [g, c]
         return None
 
-    return ((kind, CNOT), fw), ((CNOT, kind), bw)
+    return ((_ONE_QUBIT, CNOT), fw), ((CNOT, _ONE_QUBIT), bw)
 
 
 def _move_pauli(axis, line):
@@ -378,38 +428,22 @@ def _build_rules():
         ),
         _rule(
             "CommuteRxTarget",
-            _commute(Axis.X, "target", pauli=False),
+            _commute(Axis.X, "target"),
             [
                 [Rotation(Axis.X, 1, a1), CNOT(0, 1)],
+                [Generic1Q(0, np.exp(0.4j) * nm.SIGMA_X), CNOT(1, 0)],
                 [CNOT(1, 0), Rotation(Axis.X, 0, a2)],
+                [CNOT(0, 1), Generic1Q(1, np.exp(-1.1j) * rotation_matrix2(Axis.X, a1))],
             ],
         ),
         _rule(
             "CommuteRzControl",
-            _commute(Axis.Z, "control", pauli=False),
+            _commute(Axis.Z, "control"),
             [
                 [Rotation(Axis.Z, 0, a1), CNOT(0, 1)],
+                [Generic1Q(1, np.exp(0.4j) * rotation_matrix2(Axis.Z, a2)), CNOT(1, 0)],
                 [CNOT(1, 0), Rotation(Axis.Z, 1, a2)],
-            ],
-        ),
-        _rule(
-            "CommuteSxTarget",
-            _commute(Axis.X, "target", pauli=True),
-            [
-                [_sx(1), CNOT(0, 1)],
-                [Rotation(Axis.X, 0, -math.pi), CNOT(1, 0)],
-                [CNOT(1, 0), Rotation(Axis.X, 0, math.pi)],
-                [CNOT(0, 1), _sx(1)],
-            ],
-        ),
-        _rule(
-            "CommuteSzControl",
-            _commute(Axis.Z, "control", pauli=True),
-            [
-                [_sz(0), CNOT(0, 1)],
-                [Rotation(Axis.Z, 1, -math.pi), CNOT(1, 0)],
-                [CNOT(1, 0), Rotation(Axis.Z, 1, math.pi)],
-                [CNOT(0, 1), _sz(0)],
+                [CNOT(0, 1), Generic1Q(0, np.exp(-1.1j) * nm.SIGMA_Z)],
             ],
         ),
         _rule(
@@ -540,85 +574,55 @@ _REDUCE_PRIORITY = (
     ("CancelCNOT", "CancelSWAP"),
     ("MergeRotations",),
     ("CNOTPairToSWAP", "MoveCNOTviaSWAP", "Move1QviaSWAP"),
-    ("CommuteRxTarget", "CommuteRzControl", "CommuteSxTarget", "CommuteSzControl"),
+    ("CommuteRxTarget", "CommuteRzControl"),
 )
 
-#: A gate of each reduce symbol, indexed by the symbol.  A symbol stands for
-#: what a forward reduce matcher reads of a gate, and nothing more: a CNOT's
-#: control (0, 1), the SWAP (2), a rotation's axis and wire (3-8), and a
-#: Generic1Q's wire and whether it is sigma_x, sigma_z or neither up to
-#: global phase (9-14).  No reduce rule reads a rotation's angle to decide
-#: whether it fires first: a rotation that is a Pauli about X on a CNOT's
-#: target, or about Z on its control, also fires the axis commutation before
-#: the Pauli one in the same tier.
+#: A gate of each symbol, indexed by the symbol (see ``_symbol``).  No
+#: reduce or separation rule reads more of a gate to decide whether it
+#: fires, and a rotation fits a commutation by its axis alone.
 _GATE_SYMBOLS = (
     (CNOT(0, 1), CNOT(1, 0), Swap())
     + tuple(Rotation(axis, q, 1.0) for axis in Axis for q in (0, 1))
     + tuple(
-        Generic1Q(q, m) for q in (0, 1) for m in (rotation_matrix2(Axis.Y, 1.0), nm.SIGMA_X, nm.SIGMA_Z)
+        Generic1Q(q, m)
+        for q in (0, 1)
+        # It fits neither commutation, X's, Z's, both.
+        for m in [rotation_matrix2(axis, 1.0) for axis in (Axis.Y, Axis.X, Axis.Z)] + [nm.I2]
     )
 )
 
-_X, _Y = Axis.X, Axis.Y
-_SIGMA_X, _SIGMA_Z = _PAULI_TARGETS[Axis.X], _PAULI_TARGETS[Axis.Z]
 
-
-def _symbol(g):
-    """The reduce symbol of the gate g; TypeError for anything else.
-
-    A Generic1Q's Pauli answers are ``_is_pauli``'s.  Each Pauli test is
-    refused first by the one entry that the Pauli has as 0: its squared
-    magnitude is a term of ``_phase_close``'s magnitude gap, so above
-    ``_SCREEN`` the gap is too.
-    """
-    t = type(g)
-    if t is Generic1Q:
-        m = g.matrix
-        if abs(m.item(0)) ** 2 <= _SCREEN and _phase_close(m.ravel().tolist(), _SIGMA_X):
-            return 10 + 3 * g.qubit
-        if abs(m.item(1)) ** 2 <= _SCREEN and _phase_close(m.ravel().tolist(), _SIGMA_Z):
-            return 11 + 3 * g.qubit
-        return 9 + 3 * g.qubit
-    if t is CNOT:
-        return g.control
-    if t is Rotation:
-        a = g.axis
-        return (3 if a is _X else 5 if a is _Y else 7) + g.qubit
-    if t is Swap:
-        return 2
-    raise TypeError("not a gate: %r" % (g,))
+def _rewrites(matcher, symbols):
+    """(window, replacement) for each window of gates of ``_GATE_SYMBOLS``,
+    one of each symbol in ``symbols`` per slot, that the (slots, fn)
+    matcher admits and rewrites; the window as its symbols."""
+    slots, fn = matcher
+    admitted = [[s for s in symbols if isinstance(_GATE_SYMBOLS[s], slot)] for slot in slots]
+    for window in itertools.product(*admitted):
+        rep = fn(tuple(_GATE_SYMBOLS[s] for s in window))
+        if rep is not None:
+            yield window, rep
 
 
 def _reduce_windows():
     """_WINDOWS[a][b]: for the window of a gate of symbol a, then one of
     symbol b, the first forward matcher in ``_REDUCE_PRIORITY`` order that
     fires, as (1 + tier, rule_id, matcher fn, the replacement's symbols),
-    or None when none fires; found by running the matchers on the gates of
-    ``_GATE_SYMBOLS``.  A merge's replacement symbols are None: it drops
-    the gates or keeps one, which may be a Pauli, as the angles decide, so
-    ``reduce`` classifies the gate it builds."""
+    or None when none fires.  A merge's replacement symbols are None: it
+    drops the gates or keeps one, as the angles decide, so ``reduce``
+    classifies the gate it builds."""
     if any(_symbol(g) != s for s, g in enumerate(_GATE_SYMBOLS)):
         raise RuntimeError("reduce symbols are not what their gates give")
-    forward = [
-        (tier + 1, rule_id, RULES[rule_id].matchers[0])
-        for tier, rule_ids in enumerate(_REDUCE_PRIORITY)
-        for rule_id in rule_ids
-    ]
-    table = []
-    for a in _GATE_SYMBOLS:
-        row = []
-        for b in _GATE_SYMBOLS:
-            entry = None
-            for code, rule_id, ((sa, sb), fn) in forward:
-                if isinstance(a, sa) and isinstance(b, sb):
-                    rep = fn((a, b))
-                    if rep is not None:
-                        out = None if rule_id == "MergeRotations" else tuple(_symbol(g) for g in rep)
-                        entry = (code, rule_id, fn, out)
-                        break
-            row.append(entry)
-        table.append(tuple(row))
-    return tuple(table)
+    n = len(_GATE_SYMBOLS)
+    table = [[None] * n for _ in range(n)]
+    for tier, rule_ids in enumerate(_REDUCE_PRIORITY):
+        for rule_id in rule_ids:
+            matcher = RULES[rule_id].matchers[0]
+            for (a, b), rep in _rewrites(matcher, range(n)):
+                if table[a][b] is None:
+                    out = None if rule_id == "MergeRotations" else tuple(map(_symbol, rep))
+                    table[a][b] = (tier + 1, rule_id, matcher[1], out)
+    return tuple(map(tuple, table))
 
 
 _WINDOWS = _reduce_windows()
@@ -683,34 +687,22 @@ def replay(c, trace):
 
 _SEPARATION_RULES = ("CommuteRxTarget", "CommuteRzControl", "FlipCNOTPair")
 
-#: A gate of each shape the search admits, indexed by the shape's symbol.
-_SHAPES = (CNOT(0, 1), CNOT(1, 0)) + tuple(Rotation(a, q, 1.0) for a in (Axis.X, Axis.Z) for q in (0, 1))
-
-
-def _shape(g):
-    """What a separation rule reads of the gate g: axis and wire, or wires."""
-    if isinstance(g, Rotation):
-        return g.axis, g.qubit
-    return (g.control, g.target) if isinstance(g, CNOT) else None
-
-
-_SYMBOL = {_shape(g): s for s, g in enumerate(_SHAPES)}
-_MIRROR = tuple(_SYMBOL[_shape(_mirror_gate(g))] for g in _SHAPES)
-_IS_CNOT = tuple(isinstance(g, CNOT) for g in _SHAPES)
+#: The symbols the search admits: the CNOTs, and R_x and R_z on each wire.
+_ADMITTED = frozenset(
+    s for s, g in enumerate(_GATE_SYMBOLS) if type(g) is CNOT or type(g) is Rotation and g.axis is not _Y
+)
+_MIRROR = {s: _symbol(_mirror_gate(_GATE_SYMBOLS[s])) for s in _ADMITTED}
 
 
 def _separation_moves():
     """{window: rewrite} on symbols, from the separation rules' matchers."""
     moves = {}
     for rule_id in _SEPARATION_RULES:
-        for slots, fn in RULES[rule_id].matchers:
-            admitted = [[s for s, g in enumerate(_SHAPES) if isinstance(g, slot)] for slot in slots]
-            for window in itertools.product(*admitted):
-                rep = fn(tuple(_SHAPES[s] for s in window))
-                if rep is not None:
-                    if window in moves:
-                        raise RuntimeError("two separation rewrites of the window %r" % (window,))
-                    moves[window] = tuple(_SYMBOL[_shape(g)] for g in rep)
+        for matcher in RULES[rule_id].matchers:
+            for window, rep in _rewrites(matcher, _ADMITTED):
+                if window in moves:
+                    raise RuntimeError("two separation rewrites of the window %r" % (window,))
+                moves[window] = tuple(map(_symbol, rep))
     return moves
 
 
@@ -719,7 +711,8 @@ _WINDOW_LENGTHS = sorted({len(w) for w in _MOVES})
 
 
 def _cnot_pair(state):
-    return any(_IS_CNOT[a] and _IS_CNOT[b] for a, b in zip(state, state[1:]))
+    # The CNOTs' symbols are their controls, 0 and 1.
+    return any(a < 2 and b < 2 for a, b in zip(state, state[1:]))
 
 
 def effectively_separated(c, depth_limit=8):
@@ -727,15 +720,14 @@ def effectively_separated(c, depth_limit=8):
     two CNOTs adjacent, else False; a True answer is a certificate only up
     to depth_limit.  Only CNOT, R_x and R_z gates are allowed (the setting
     where the rule set is meaningful); anything else raises UnsupportedGate.
-    The search runs on the circuit's angle-free shape, up to relabeling the
-    two wires (see the module docstring).
+    The search runs on the circuit's symbols, up to relabeling the two
+    wires (see the module docstring).
     """
     if isinstance(depth_limit, bool) or not isinstance(depth_limit, int) or depth_limit < 1:
         raise ValueError("depth_limit must be a positive integer")
-    try:
-        start = tuple(_SYMBOL[_shape(g)] for g in c.gates)
-    except KeyError:
-        raise UnsupportedGate("effective separation is defined over CNOT/R_x/R_z gates only") from None
+    start = tuple(_symbol(g) if type(g) in (CNOT, Rotation) else None for g in c.gates)
+    if not _ADMITTED.issuperset(start):
+        raise UnsupportedGate("effective separation is defined over CNOT/R_x/R_z gates only")
     if _cnot_pair(start):
         return False
     seen = {start, tuple(_MIRROR[s] for s in start)}

@@ -329,7 +329,7 @@ class TestSelftest:
         assert [line for line in out.splitlines() if line.endswith("FAIL")] == [row]
 
     def test_reduce_row_runs_the_one_qubit_tests(self, monkeypatch):
-        # The reduce-semantics row must merge Generic1Qs and move Paulis
+        # The reduce-semantics row must merge Generic1Qs and move them
         # through CNOTs, not only handle rotations.
         seen = []
         reduce_circuit = cli.reduce_circuit
@@ -348,8 +348,7 @@ class TestSelftest:
             for rule_id, pos in trace.steps:
                 fired.add((rule_id, any(isinstance(g, Generic1Q) for g in c.gates[pos : pos + 2])))
                 c = apply_rule(c, rule_id, pos)
-        assert {"CommuteSxTarget", "CommuteSzControl"} <= {rule_id for rule_id, _ in fired}
-        assert ("MergeRotations", True) in fired
+        assert {("CommuteRxTarget", True), ("CommuteRzControl", True), ("MergeRotations", True)} <= fired
 
 
 def _child_env():

@@ -1,6 +1,8 @@
 import cmath
+import importlib.util
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from q2synth.rewrite import (
     _GATE_SYMBOLS,
     _MOVES,
     _REDUCE_PRIORITY,
-    _SHAPES,
     RULES,
     ReductionTrace,
     _is_pauli,
@@ -47,8 +48,6 @@ EXPECTED_RULE_IDS = {
     "CNOTPairToSWAP",
     "CommuteRxTarget",
     "CommuteRzControl",
-    "CommuteSxTarget",
-    "CommuteSzControl",
     "MoveSigmaX",
     "MoveSigmaZ",
     "MoveCNOTviaSWAP",
@@ -85,7 +84,7 @@ def random_circuit(rng, max_len=30, generic=True):
 def long_circuit(rng, n):
     """CNOT/SWAP/Haar 1Q/rotation mix of the reduce-long benchmark; half of
     the rotations are quarter or half turns, so the Pauli matchers have work,
-    and a few exact Paulis make the Pauli commutations fire."""
+    and a few exact Paulis make the commutations of a Generic1Q fire."""
     gates = []
     for _ in range(n):
         r = rng.random()
@@ -123,10 +122,30 @@ def fires(matcher, window):
     return fn(tuple(window))
 
 
-def _magnitude_gap(e, v):
-    """sum_ij (|e_ij| - |v_ij|)^2, a lower bound on the squared phase
-    distance between the matrices with entries e and v."""
-    return sum((abs(complex(x)) - abs(complex(y))) ** 2 for x, y in zip(e, v))
+def fired_windows(c, steps):
+    """(rule id, whether its window holds a Generic1Q) of every two-gate
+    step of ``steps``, replayed from c."""
+    fired = set()
+    for rule_id, pos in steps:
+        fired.add((rule_id, any(isinstance(g, Generic1Q) for g in c.gates[pos : pos + 2])))
+        c = apply_rule(c, rule_id, pos)
+    return fired
+
+
+#: The line of a CNOT on which a one-qubit gate commutes with it by the
+#: Pauli about each axis: X on the target, Z on the control.
+COMMUTING = {Axis.X: "target", Axis.Z: "control"}
+
+
+def pushed_off(rng, m, axis, distance):
+    """m R_n(delta) for a random unit n orthogonal to ``axis``.  For a
+    unitary m = a I + b sigma_axis, the product's Frobenius distance from
+    all such matrices is sqrt(2) sin(delta / 2), here ``distance``."""
+    u, v = (_PAULIS[a] for a in Axis if a is not axis)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    n = math.cos(theta) * u + math.sin(theta) * v
+    delta = 2.0 * math.asin(distance / math.sqrt(2.0))
+    return m @ (math.cos(delta / 2.0) * nm.I2 - 1j * math.sin(delta / 2.0) * n)
 
 
 def separation_circuit(rng, n):
@@ -272,13 +291,23 @@ class TestRegistry:
     def test_rule_residual_reports_an_unsound_rule(self, monkeypatch):
         rule = RULES["CommuteRzControl"]
         (slots, fn), backward = rule.matchers
-        # The forward direction moves the CNOT left but doubles the angle.
+        # The forward direction moves the CNOT left but applies the gate twice.
         def doubled(w):
-            return [w[1], Rotation(Axis.Z, w[0].qubit, 2.0 * w[0].angle)]
+            return [w[1], w[0], w[0]]
 
         unsound = rewrite.RewriteRule(rule.id, ((slots, doubled), backward), rule.samples)
         monkeypatch.setattr(rewrite, "RULES", {**RULES, rule.id: unsound})
         assert rewrite.rule_residual() > 0.1
+
+    def test_import_refuses_rules_above_zero_tol(self, monkeypatch):
+        # The guard after rule_residual() at import, on a fresh copy of the
+        # module: below a ZERO_TOL of -1 every residual is too large.
+        spec = importlib.util.spec_from_file_location("q2synth._rewrite_copy", rewrite.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        monkeypatch.setattr(nm, "ZERO_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="rewrite rules are numerically unsound"):
+            spec.loader.exec_module(module)
 
     def test_samples_cover_every_slot_type(self):
         # A matcher's slots are its only type declaration, so a slot too
@@ -441,6 +470,17 @@ class TestReduce:
         out, _ = reduce(C([CNOT(0, 1), CNOT(0, 1)]))
         assert out.gates == ()
 
+    @pytest.mark.parametrize(
+        "rule_id,axis,wire", [("CommuteRxTarget", Axis.X, 1), ("CommuteRzControl", Axis.Z, 0)], ids=["x", "z"]
+    )
+    def test_a_generic_gate_moves_through_the_cnot_as_its_rotation_does(self, rule_id, axis, wire):
+        # e^{i phi} R_x(0.3) on the target, or e^{i phi} R_z(0.3) on the
+        # control, as a Generic1Q: not a Pauli, and it commutes all the same.
+        g = Generic1Q(wire, cmath.exp(0.9j) * rotation_matrix2(axis, 0.3))
+        out, trace = reduce(C([g, CNOT(0, 1)]))
+        assert trace.steps == ((rule_id, 0),)
+        assert out.gates == (CNOT(0, 1), g)
+
     def test_fixed_point_is_unchanged(self):
         c = C([CNOT(0, 1), Rotation(Axis.X, 0, 0.4), CNOT(0, 1)])
         first, _ = reduce(c)
@@ -498,18 +538,14 @@ class TestReduce:
         gates += long_circuit(rng, 60).gates
         angles = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.pi - 1e-13)
         gates += [Rotation(axis, q, t) for axis in Axis for q in (0, 1) for t in angles]
-        for axis, pauli in _PAULIS.items():
+        for axis in COMMUTING:
             for q in (0, 1):
-                gates.append(Generic1Q(q, cmath.exp(1j * rng.uniform(-math.pi, math.pi)) * pauli))
-                for scale in (0.5, 10.0):
-                    # P R_y(t) is 2 sqrt(2) sin(t / 4) from P up to phase.
-                    t = 4.0 * math.asin(scale * nm.LOCAL_TOL / (2.0 * math.sqrt(2.0)))
-                    phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-                    g = Generic1Q(q, phase * pauli @ rotation_matrix2(Axis.Y, t))
-                    assert _is_pauli(g, axis) == (scale < 1.0)
-                    gates.append(g)
+                for t in (0.0, 0.4, math.pi):
+                    member = cmath.exp(1j * rng.uniform(-math.pi, math.pi)) * rotation_matrix2(axis, t)
+                    gates += [Generic1Q(q, pushed_off(rng, member, axis, s * nm.LOCAL_TOL)) for s in (0, 0.5, 10)]
         gates += [Generic1Q(int(rng.integers(2)), nm.haar_unitary(2, rng)) for _ in range(6)]
-        # A symbol keeps all that a reduce matcher reads of its gate.
+        # A symbol keeps all that a reduce matcher reads of its gate: the
+        # pairs below check that of the commutation tests.
         for g in gates:
             rep = _GATE_SYMBOLS[_symbol(g)]
             assert type(rep) is type(g)
@@ -519,7 +555,6 @@ class TestReduce:
                 assert (rep.axis, rep.qubit) == (g.axis, g.qubit)
             elif isinstance(g, Generic1Q):
                 assert rep.qubit == g.qubit
-                assert [_is_pauli(rep, a) for a in (Axis.X, Axis.Z)] == [_is_pauli(g, a) for a in (Axis.X, Axis.Z)]
         assert {_symbol(g) for g in gates} == set(range(len(_GATE_SYMBOLS)))
         order = [(tier, rule_id) for tier, rule_ids in enumerate(_REDUCE_PRIORITY) for rule_id in rule_ids]
         assert all(len(RULES[rule_id].matchers[0][0]) == 2 for _, rule_id in order)
@@ -580,9 +615,9 @@ class TestIncrementalReduce:
         rng = np.random.default_rng(12)
         fired = set()
         for n in (200, 250, 300, 400):
-            trace = self.assert_same_as_reference(long_circuit(rng, n))
-            fired.update(rule_id for rule_id, _ in trace.steps)
-        assert {"CommuteSxTarget", "CommuteSzControl"} <= fired
+            c = long_circuit(rng, n)
+            fired |= fired_windows(c, self.assert_same_as_reference(c).steps)
+        assert {("CommuteRxTarget", True), ("CommuteRzControl", True)} <= fired
 
     #: Circuits that reduce to no gates: the random inputs above step at
     #: position 0, on the last window and push SWAPs onto the last gate,
@@ -604,8 +639,9 @@ class TestIncrementalReduce:
     def test_match_attempts_are_linear(self, monkeypatch):
         # Windows are matched by table lookup: a matcher runs once per step,
         # to build the replacement it applies, and a gate is classified once
-        # when it enters the circuit, so only a merge's product is classified
-        # after the start.
+        # when it enters the circuit.  After the start, only a merge's
+        # product is classified, and a Generic1Q that a commutation matcher
+        # checks before it moves the gate.
         calls, classified = [], []
 
         def counting(fn):
@@ -628,44 +664,43 @@ class TestIncrementalReduce:
         monkeypatch.setattr(rewrite, "_symbol", counting_symbol)
         c = long_circuit(np.random.default_rng(13), 400)
         out, trace = reduce(c)
+        monkeypatch.undo()
         merges = sum(rule_id == "MergeRotations" for rule_id, _ in trace.steps)
         assert merges and len(trace.steps) > merges
         assert len(calls) == len(trace.steps)
-        assert len(classified) <= len(c.gates) + merges
-        monkeypatch.undo()
+        later, now = 0, c
+        for rule_id, pos in trace.steps:
+            after = apply_rule(now, rule_id, pos)
+            if rule_id == "MergeRotations":
+                later += len(after.gates) - len(now.gates) + 2
+            elif rule_id.startswith("Commute"):
+                later += any(isinstance(g, Generic1Q) for g in now.gates[pos : pos + 2])
+            now = after
+        assert 0 < later and len(classified) == len(c.gates) + later
         assert (out, trace) == reduce(c)
 
     def test_one_qubit_tests_do_no_numpy_work_on_far_gates(self, monkeypatch):
-        # Merges check unitarity in closed form, and a phase distance runs
-        # only for a gate whose entry magnitudes pass the screen, which
-        # refuses the Haar gates that make up most of the circuit.
+        # Merges check unitarity in closed form, and the commutation tests
+        # read a Generic1Q's entries, so reduce makes no NumPy distance or
+        # unitarity call, on far gates or on exact Paulis.
         c = long_circuit(np.random.default_rng(13), 400)
-        unitary_calls, distance_calls = [], []
-        passed = []
-        is_unitary, phase_distance, phase_close = nm.is_unitary, nm.phase_distance, rewrite._phase_close
+        calls = []
 
-        def counting_is_unitary(*args, **kwargs):
-            unitary_calls.append(None)
-            return is_unitary(*args, **kwargs)
+        def counting(name):
+            fn = getattr(nm, name)
 
-        def counting_phase_distance(u, v):
-            distance_calls.append(None)
-            assert _magnitude_gap(np.ravel(u), np.ravel(v)) <= (2.0 * nm.LOCAL_TOL) ** 2
-            return phase_distance(u, v)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
-        def counting_phase_close(e, target):
-            if _magnitude_gap(e, target[0].ravel()) <= (2.0 * nm.LOCAL_TOL) ** 2:
-                passed.append(None)
-            return phase_close(e, target)
+            return wrapper
 
-        monkeypatch.setattr(nm, "is_unitary", counting_is_unitary)
-        monkeypatch.setattr(nm, "phase_distance", counting_phase_distance)
-        monkeypatch.setattr(rewrite, "_phase_close", counting_phase_close)
+        for name in ("is_unitary", "phase_distance"):
+            monkeypatch.setattr(nm, name, counting(name))
         _, trace = reduce(c)
-        assert {"MergeRotations", "CommuteSxTarget", "CommuteSzControl"} <= {r for r, _ in trace.steps}
-        assert unitary_calls == []
-        assert distance_calls
-        assert len(distance_calls) <= len(passed)
+        assert calls == []
+        fired = fired_windows(c, trace.steps)
+        assert {("MergeRotations", True), ("CommuteRxTarget", True), ("CommuteRzControl", True)} <= fired
 
     def test_first_matcher_alone_lowers_the_measure(self):
         # reduce applies only matchers[0] and keeps its cached hits while
@@ -721,8 +756,8 @@ _TURNS = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
 @st.composite
 def reduce_gates(draw):
     """A CNOT, SWAP, rotation (quarter and half turns with positive
-    probability) or Generic1Q: Haar from a drawn seed, a Pauli or a quarter
-    turn, at a drawn global phase."""
+    probability) or Generic1Q: Haar from a drawn seed, a Pauli, a quarter
+    turn or a rotation at a generic angle, at a drawn global phase."""
     wire = draw(st.integers(0, 1))
     kind = draw(st.sampled_from(("cnot", "swap", "rotation", "generic")))
     if kind == "cnot":
@@ -732,13 +767,15 @@ def reduce_gates(draw):
     axis = draw(st.sampled_from(list(Axis)))
     if kind == "rotation":
         return Rotation(axis, wire, draw(st.one_of(st.sampled_from(_TURNS), st.floats(-4.0, 4.0))))
-    which = draw(st.sampled_from(("haar", "pauli", "quarter")))
+    which = draw(st.sampled_from(("haar", "pauli", "quarter", "rotation")))
     if which == "haar":
         m = nm.haar_unitary(2, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     elif which == "pauli":
         m = _PAULIS[axis]
-    else:
+    elif which == "quarter":
         m = rotation_matrix2(axis, draw(st.sampled_from((math.pi / 2, -math.pi / 2))))
+    else:
+        m = rotation_matrix2(axis, draw(st.floats(-4.0, 4.0)))
     return Generic1Q(wire, cmath.exp(1j * draw(st.floats(-math.pi, math.pi))) * m)
 
 
@@ -871,6 +908,40 @@ class TestScalarOneQubitTests:
         assert verdicts == {True, False}
 
 
+class TestCommutationTests:
+    """A Generic1Q fits CommuteRxTarget where it is a I + b X, and
+    CommuteRzControl where it is diagonal: each to LOCAL_TOL in the
+    Frobenius norm, on its entries, at any global phase."""
+
+    RULE_OF = {Axis.X: "CommuteRxTarget", Axis.Z: "CommuteRzControl"}
+
+    @pytest.mark.parametrize("axis", list(COMMUTING), ids=lambda a: a.value)
+    def test_members_pass_and_what_passes_commutes(self, axis):
+        rng = np.random.default_rng(31)
+        other = Axis.Z if axis is Axis.X else Axis.X
+        cases = []
+        for k in range(60):
+            phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            t = (float(rng.uniform(-math.pi, math.pi)), math.pi, math.pi / 2, 0.0)[k % 4]
+            member = phase * rotation_matrix2(axis, t)
+            # Off the family along a direction that does not commute.
+            for scale in (0.0, 0.5, 0.99, 10.0):
+                cases.append((pushed_off(rng, member, axis, scale * nm.LOCAL_TOL), scale < 1.0))
+            # The other family, at least sqrt(2) sin(0.05) from this one.
+            cases.append((phase * rotation_matrix2(other, rng.uniform(0.1, math.pi)), False))
+            cases.append((nm.haar_unitary(2, rng), False))
+        forward, backward = RULES[self.RULE_OF[axis]].matchers
+        for cnot in (CNOT(0, 1), CNOT(1, 0)):
+            wire = getattr(cnot, COMMUTING[axis])
+            for m, fits in cases:
+                g = Generic1Q(wire, m)
+                assert (fires(forward, (g, cnot)) is not None) == fits
+                assert (fires(backward, (cnot, g)) is not None) == fits
+                if fits:
+                    moved = plain_phase_distance(plain_product([g, cnot]), plain_product([cnot, g]))
+                    assert moved <= 2.0 * nm.LOCAL_TOL
+
+
 class TestEffectivelySeparated:
     def test_opposite_orientation_single_rx_is_not_separated(self):
         c = C([CNOT(0, 1), Rotation(Axis.X, 0, 0.8), CNOT(1, 0)])
@@ -984,29 +1055,29 @@ class TestEffectivelySeparated:
         assert calls == []
 
     def test_the_move_table_is_what_the_matchers_give(self):
-        # Every window of shapes that a separation matcher's slots admit,
-        # with fresh angles, matched by its rule as a gate window.
+        # Every window of admitted gates that a separation matcher's slots
+        # admit, with fresh angles, matched by its rule as a gate window.
         def shape(g):
             if isinstance(g, Rotation):
                 return type(g), g.axis, g.qubit
             return type(g), g.control, g.target
 
-        symbol = {shape(g): s for s, g in enumerate(_SHAPES)}
-        assert len(symbol) == 6
+        admitted = [CNOT(0, 1), CNOT(1, 0)] + [Rotation(a, q, 1.0) for a in (Axis.X, Axis.Z) for q in (0, 1)]
+        symbol = {shape(g): _symbol(g) for g in admitted}
+        assert len(set(symbol.values())) == 6 and set(symbol.values()) == rewrite._ADMITTED
         rng = np.random.default_rng(22)
         windows, expected = set(), {}
         for rule_id in SEPARATION_RULES:
             rule = RULES[rule_id]
             for slots, _ in rule.matchers:
-                admitted = [[s for s, g in enumerate(_SHAPES) if isinstance(g, slot)] for slot in slots]
-                for window in itertools.product(*admitted):
-                    windows.add(window)
-                    gates = [_SHAPES[s] for s in window]
-                    gates = redrawn(rng, C(gates)).gates
+                for window in itertools.product(*[[g for g in admitted if isinstance(g, slot)] for slot in slots]):
+                    key = tuple(symbol[shape(g)] for g in window)
+                    windows.add(key)
+                    gates = redrawn(rng, C(window)).gates
                     hit = rule.match(gates, 0)
                     if hit is not None:
-                        assert hit[0] == len(window) and window not in expected
-                        expected[window] = tuple(symbol[shape(g)] for g in hit[1])
+                        assert hit[0] == len(window) and key not in expected
+                        expected[key] = tuple(symbol[shape(g)] for g in hit[1])
         assert (len(windows), len(expected)) == (96, 16)
         assert _MOVES == expected
 
