@@ -8,6 +8,7 @@ throughout the package live here, and so does every numerical tolerance.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -198,20 +199,48 @@ def require_unitary(m, caller, tol=UNITARY_TOL, size=4, special=False, symmetric
     it is a ``size`` x ``size`` unitary (with det 1 if ``special``, equal to
     its transpose if ``symmetric``) to min(UNITARY_TOL, max(tol,
     ROUNDING_TOL)).  Otherwise NotUnitary (NotSymmetricUnitary if
-    ``symmetric``), naming ``caller`` and the tolerance that applied.  A NaN
-    or negative ``tol`` raises ValueError, naming ``caller``."""
+    ``symmetric``), naming ``caller`` and the first check that failed:
+    numeric entries, shape, finite entries, unitarity, determinant or
+    symmetry, with the tolerance that applied.  A NaN or negative ``tol``
+    raises ValueError, naming ``caller``."""
     if not tol >= 0.0:
         raise ValueError("%s expects tol >= 0, got %r" % (caller, tol))
-    m = np.asarray(m, dtype=np.complex128)
     tol = min(UNITARY_TOL, max(tol, ROUNDING_TOL))
+    try:
+        m = np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        failed = "numeric-entries check failed: %s" % exc
+        raise _input_error(caller, size, special, symmetric, failed) from None
     ok = m.shape == (size, size) and (is_special_unitary if special else is_unitary)(m, tol)
     if ok and symmetric:
         ok = np.linalg.norm(m - m.T) <= tol
     if not ok:
-        kind = "symmetric unitary" if symmetric else "special-unitary" if special else "unitary"
-        error = NotSymmetricUnitary if symmetric else NotUnitary
-        raise error("%s expects a %dx%d %s matrix within tol=%g" % (caller, size, size, kind, tol))
+        raise _input_error(caller, size, special, symmetric, _failed_check(m, tol, size, special))
     return m
+
+
+def _input_error(caller, size, special, symmetric, failed):
+    """The error of ``require_unitary``, naming the check that ``failed``."""
+    kind = "symmetric unitary" if symmetric else "special-unitary" if special else "unitary"
+    error = NotSymmetricUnitary if symmetric else NotUnitary
+    return error("%s expects a %dx%d %s matrix; %s" % (caller, size, size, kind, failed))
+
+
+def _failed_check(m, tol, size, special):
+    """The first check of ``require_unitary`` that the complex128 ``m``
+    fails, and by how much; the symmetry check if it passes the others."""
+    if m.shape != (size, size):
+        return "shape check failed: got shape %r" % (m.shape,)
+    bad = m.size - np.isfinite(m).sum()
+    if bad:
+        return "finite-entries check failed: %d of %d entries are NaN or infinite" % (bad, m.size)
+    r = m.conj().T.dot(m) - _EYE[size]
+    checks = [("unitarity", "||m^dag m - I||_F", math.sqrt(np.vdot(r, r).real))]
+    if special:
+        checks.append(("determinant", "|det m - 1|", abs((det2 if size == 2 else det4)(m) - 1.0)))
+    checks.append(("symmetry", "||m - m^T||_F", np.linalg.norm(m - m.T)))
+    name, quantity, value = next(check for check in checks if not check[2] <= tol)
+    return "%s check failed: %s = %.3g, not within tol=%g" % (name, quantity, value, tol)
 
 
 @dataclass(frozen=True)
@@ -275,9 +304,10 @@ def diagonalize_symmetric_unitary(p):
 #: t = (a + b) / 2 mod pi.  t = 0 (Re(p) alone) is blind to conjugate
 #: pairs, which every gamma with a real trace has, so it comes last; the
 #: other angles are irrational multiples of pi, and a spectrum defeats them
-#: all only if pair midpoints (a + b) / 2 sit on every one of them.  The
-#: same idea, with random angles, is in Qiskit's
-#: ``TwoQubitWeylDecomposition``
+#: all only if pair midpoints (a + b) / 2 sit on every one of them, as
+#: those of e^{i(-1, 1, 2, 3)} do; then ``_separating_angle`` reads the
+#: spectrum for one angle away from every midpoint.  The same idea, with
+#: random angles, is in Qiskit's ``TwoQubitWeylDecomposition``
 #: (qiskit/synthesis/two_qubit/two_qubit_decompose.py); fixed angles keep
 #: every output deterministic, and ``_canonical`` makes it independent of
 #: which angle succeeds.
@@ -291,16 +321,35 @@ def _off_diagonal(m):
     return np.abs(m.take(_OFF_DIAGONAL)).max()
 
 
+def _separating_angle(p):
+    """The mixing angle farthest, mod pi, from every tie of the eigenvalues
+    of ``p``: the centre of the widest gap between the ties.
+
+    The ties (a + b) / 2 mod pi of the six pairs leave a gap of at least
+    pi / 6, and its centre t is at least pi / 12 from each.  There the
+    eigenvalues e^{ia} and e^{ib} of p become cos(t - a) and cos(t - b),
+    at least sin(pi / 12) |e^{ia} - e^{ib}| apart.
+    """
+    angles = [cmath.phase(z) for z in np.linalg.eigvals(p).tolist()]
+    ties = sorted((a + b) / 2.0 % math.pi for a, b in itertools.combinations(angles, 2))
+    width, start = max((b - a, a) for a, b in zip(ties, ties[1:] + [ties[0] + math.pi]))
+    return start + width / 2.0
+
+
 def _diagonalize_symmetric_unitary(p):
     """``diagonalize_symmetric_unitary`` without its input checks, for a
     complex128 ``p`` that is symmetric unitary by construction: the
-    eigenvectors of the first mixing angle that leave q p q^T diagonal to
-    ``OFF_DIAGONAL_TOL``, else those of the best one.  ``p`` must be
-    symmetric bit for bit, as mt.dot(mt.T) is (``invariants._form_of``):
-    ``eigh`` reads one triangle of each mix, and nothing here symmetrizes
-    it.  The public call symmetrizes its checked input once, at its entry."""
+    eigenvectors of the first of ``_MIX_ANGLES`` that leaves q p q^T
+    diagonal to ``OFF_DIAGONAL_TOL``, then of ``_separating_angle``, else
+    those of the best of them.  ``p`` must be symmetric bit for bit, as
+    mt.dot(mt.T) is (``invariants._form_of``): ``eigh`` reads one triangle
+    of each mix, and nothing here symmetrizes it.  The public call
+    symmetrizes its checked input once, at its entry."""
     best = None
-    for t in _MIX_ANGLES:
+    for t in _MIX_ANGLES + (None,):
+        if t is None:
+            # No fixed angle separates every pair of distinct eigenvalues.
+            t = _separating_angle(p)
         x = math.cos(t) * p.real + math.sin(t) * p.imag
         _, v = np.linalg.eigh(x)
         m = v.T.dot(p).dot(v)

@@ -230,6 +230,23 @@ class TestDiagonalizeSymmetricUnitary:
         with pytest.raises(NotSymmetricUnitary):
             nm.diagonalize_symmetric_unitary(np.ones((4, 4)))
 
+    def test_a_spectrum_that_ties_a_pair_at_every_fixed_angle(self):
+        # Each fixed mixing angle is a pair midpoint (a + b) / 2 mod pi of
+        # the angles -1, 1, 2, 3, so each mix has a double eigenvalue.  The
+        # best of them left q p q^T up to 0.48 off diagonal.
+        angles = np.array([-1.0, 1.0, 2.0, 3.0])
+        ties = {round((a + b) / 2.0 % math.pi, 12) for i, a in enumerate(angles) for b in angles[i + 1 :]}
+        assert {round(t % math.pi, 12) for t in nm._MIX_ANGLES} <= ties
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            o, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            p = o @ np.diag(np.exp(1j * angles)) @ o.T
+            q, d = nm.diagonalize_symmetric_unitary(p)
+            assert nm._off_diagonal(q @ p @ q.T) <= nm.OFF_DIAGONAL_TOL
+            assert np.allclose(q @ p @ q.T, np.diag(d), atol=1e-12)
+            assert np.allclose(np.angle(d), angles, atol=1e-12)
+            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestPhaseDistance:
     def test_zero_for_global_phase(self):

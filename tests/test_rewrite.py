@@ -316,6 +316,15 @@ class TestRegistry:
         with pytest.raises(RuntimeError, match="rewrite rules are numerically unsound"):
             spec.loader.exec_module(module)
 
+    def test_window_table_refuses_a_gate_of_another_symbol(self, monkeypatch):
+        # The table's rows are indexed by symbol, so each gate standing for
+        # a symbol must have it: here an R_x on wire 1 stands for wire 0's.
+        gates = list(_GATE_SYMBOLS)
+        gates[_symbol(Rotation(Axis.X, 0, 1.0))] = Rotation(Axis.X, 1, 1.0)
+        monkeypatch.setattr(rewrite, "_GATE_SYMBOLS", tuple(gates))
+        with pytest.raises(RuntimeError, match="reduce symbols are not what their gates give"):
+            rewrite._reduce_windows()
+
     def test_samples_cover_every_slot_type(self):
         # A matcher's slots are its only type declaration, so a slot too
         # narrow for its identity shows only on a sample of a type it drops:
@@ -642,6 +651,66 @@ class TestIncrementalReduce:
     def test_circuits_reduced_to_nothing_match_reference(self, gates):
         trace = self.assert_same_as_reference(C(gates))
         assert trace.final_gate_count == 0
+
+    #: Circuits whose SWAP walks hand back to the tier search at each of its
+    #: stops, with every walk as (first, last position of the SWAP).
+    HANDOFFS = {
+        # Stops before a SWAP, which then cancels it.
+        "into-a-swap": (
+            [Swap(), CNOT(0, 1), Rotation(Axis.Z, 1, 0.3), Swap(), Rotation(Axis.Y, 0, 0.2)],
+            [(0, 2)],
+        ),
+        # The mirrored R_y(0.5) merges with the R_y(0.4) on its left, though
+        # the SWAP could move on through the CNOT; then it walks again.
+        "mirrored-gate-merges": (
+            [Rotation(Axis.Y, 1, 0.4), Swap(), Rotation(Axis.Y, 0, 0.5), CNOT(0, 1), Rotation(Axis.X, 1, 0.3)],
+            [(1, 2), (1, 3)],
+        ),
+        # The second mirrored CNOT forms a CNOT pair with the first, an
+        # earlier window of the SWAP's tier.
+        "mirrored-cnot-forms-a-pair": ([Swap(), CNOT(0, 1), CNOT(1, 0), Rotation(Axis.X, 0, 0.3)], [(0, 2)]),
+        # The mirrored R_z before the mirrored CNOT is a commutation, of a
+        # higher tier: the walk goes on to the last gate.
+        "commutation-left-waits": (
+            [Swap(), Rotation(Axis.Z, 0, 0.3), CNOT(0, 1), Rotation(Axis.Y, 1, 0.2)],
+            [(0, 3)],
+        ),
+        "onto-the-last-gate": ([Rotation(Axis.Y, 0, 0.1), Swap(), CNOT(0, 1)], [(1, 2)]),
+        # A walk from position 0 has no window on its left; the commutation
+        # in the last window must survive it.
+        "from-position-0": (
+            [
+                Swap(),
+                Rotation(Axis.Y, 0, 0.3),
+                Swap(),
+                Rotation(Axis.X, 0, 0.2),
+                CNOT(1, 0),
+                Rotation(Axis.Y, 1, 0.5),
+                Rotation(Axis.Z, 0, 0.1),
+                CNOT(0, 1),
+            ],
+            [(0, 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize("gates, expected", HANDOFFS.values(), ids=HANDOFFS.keys())
+    def test_swap_walk_hands_back_to_the_search(self, monkeypatch, gates, expected):
+        walks, walk = [], rewrite._walk
+
+        def recording(gates, syms, tiers, steps, pos):
+            stop = walk(gates, syms, tiers, steps, pos)
+            walks.append((pos, stop))
+            return stop
+
+        monkeypatch.setattr(rewrite, "_walk", recording)
+        self.assert_same_as_reference(C(gates))
+        assert walks == expected
+
+    def test_no_forward_window_ends_in_the_swap_but_its_cancellation(self):
+        # So a move leaves code 0 on the window of the mirrored gate and the
+        # SWAP, and the walk reads only the window on its left.
+        swap = _symbol(Swap())
+        assert [row[swap] for row in _CODES] == [1 if s == swap else 0 for s in range(len(_CODES))]
 
     def test_match_attempts_are_linear(self, monkeypatch):
         # Windows are matched by table lookup: a matcher runs once per step,

@@ -1360,6 +1360,22 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_circuits(np.eye(4), GateLibrary.CYZ, limit=0)
 
+    def test_a_repeated_circuit_is_returned_once(self, monkeypatch):
+        # No input of emission_corpus(), nor the identity, gives two
+        # candidates the same gates, in any library; so each verified
+        # candidate of the identity comes twice here.
+        outcomes = synthesis._outcomes
+
+        def twice(*args):
+            for outcome in outcomes(*args):
+                yield outcome
+                yield outcome
+
+        expected = enumerate_circuits(np.eye(4), GateLibrary.CYZ, limit=24)
+        monkeypatch.setattr(synthesis, "_outcomes", twice)
+        assert enumerate_circuits(np.eye(4), GateLibrary.CYZ, limit=24) == expected
+        assert len(expected) == 24
+
 
 def gate_shape(g):
     """(gate type, axis, wire) of a gate, a CNOT's wire (control, target)."""

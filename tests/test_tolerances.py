@@ -380,6 +380,46 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"^%s expects tol >= 0" % name):
             call(m, tol)
 
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("synthesize", synthesize),
+            ("cnot_cost", cnot_cost),
+            ("invariant_data", invariant_data),
+            ("tensor_factor", tensor_factor),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["abc", [[1.0, 2.0], [3.0]], [["x"] * 4] * 4])
+    def test_entries_that_are_not_numbers_are_not_unitary(self, name, call, bad):
+        # They raised a bare ValueError from complex().
+        with pytest.raises(NotUnitary, match=r"^%s expects a 4x4 unitary matrix; numeric-entries check failed: " % name):
+            call(bad)
+
+    def test_a_wrong_shape_is_named(self):
+        with pytest.raises(NotUnitary, match=r"; shape check failed: got shape \(3, 3\)$"):
+            synthesize(np.eye(3))
+
+    def test_non_finite_entries_are_named(self):
+        m = np.eye(4, dtype=np.complex128)
+        m[1, 2] = complex(math.nan, 0.0)
+        m[3, 0] = math.inf
+        with pytest.raises(NotUnitary, match=r"; finite-entries check failed: 2 of 16 entries are NaN or infinite$"):
+            synthesize(m)
+
+    def test_unitarity_is_named_with_its_residual(self):
+        with pytest.raises(NotUnitary, match=r"; unitarity check failed: \|\|m\^dag m - I\|\|_F = 2, not within tol=1e-08$"):
+            synthesize(np.sqrt(2.0) * np.eye(4))
+
+    def test_the_determinant_is_named(self):
+        # CNOT is unitary with det -1.
+        with pytest.raises(NotUnitary, match=r"; determinant check failed: \|det m - 1\| = 2, not within tol=1e-08$"):
+            core_params_cyz(nm.CNOT01)
+
+    def test_symmetry_is_named(self):
+        p = nm.CNOT10 @ nm.CNOT01
+        with pytest.raises(NotSymmetricUnitary, match=r"; symmetry check failed: \|\|m - m\^T\|\|_F = 2\.45, not within tol=1e-08$"):
+            nm.diagonalize_symmetric_unitary(p)
+
 
 class TestOneCheckPerCall:
     """Each public call checks each input matrix once, itself; a public
