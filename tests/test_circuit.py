@@ -19,7 +19,6 @@ from q2synth.circuit import (
     _entries,
     _frame,
     _FRAME_READS,
-    _mul2,
     _so4_factors,
     _su2,
     _zy_angles,
@@ -36,7 +35,6 @@ from q2synth.circuit import (
     wrap_angle,
 )
 from q2synth.errors import CircuitParseError, NotLocal, NotUnitary
-from test_synthesis import emitted_results
 
 
 def su2(rng):
@@ -82,11 +80,19 @@ class TestGates:
         with pytest.raises(NotUnitary):
             Generic1Q(0, np.ones((2, 2)))
 
+    @pytest.mark.parametrize("qubit", [-1, 2, 0.5])
+    def test_generic1q_rejects_a_qubit_other_than_0_or_1(self, qubit):
+        with pytest.raises(ValueError, match="^qubit must be 0 or 1$"):
+            Generic1Q(qubit, nm.I2)
+
     def test_generic1q_value_equality(self):
         a = Generic1Q(0, nm.SIGMA_X)
         b = Generic1Q(0, nm.SIGMA_X)
         assert a == b
         assert a != Generic1Q(1, nm.SIGMA_X)
+        # Another kind of gate is left to its own comparison.
+        assert a.__eq__(Rotation(Axis.X, 0, math.pi)) is NotImplemented
+        assert a != Rotation(Axis.X, 0, math.pi)
 
     def test_gate_matrix_wire_convention(self):
         rng = np.random.default_rng(0)
@@ -272,71 +278,8 @@ class TestFusedSimulate:
     def test_rejects_a_non_gate(self):
         with pytest.raises(TypeError):
             simulate(Circuit((object(),)))
-
-
-#: The simulate that multiplied each layer in as it closed, kept as the
-#: reference of the single pass: a run starts at the first gate of a wire,
-#: each gate's entries come from ``_entries`` and are multiplied in by
-#: ``_mul2``, each layer is built as a 4x4 array and multiplied into the
-#: product at once, and a CNOT or SWAP permutes the product's rows.
-_REFERENCE_ID2 = (1.0, 0.0, 0.0, 1.0)
-_REFERENCE_CNOT_ROWS = (np.array([0, 1, 3, 2]), np.array([0, 3, 2, 1]))
-_REFERENCE_SWAP_ROWS = np.array([0, 2, 1, 3])
-
-
-def _reference_kron_layer(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.array(
-        [[a0 * b0, a0 * b1, a1 * b0, a1 * b1], [a0 * b2, a0 * b3, a1 * b2, a1 * b3],
-         [a2 * b0, a2 * b1, a3 * b0, a3 * b1], [a2 * b2, a2 * b3, a3 * b2, a3 * b3]],
-        dtype=np.complex128,
-    )
-
-
-def _reference_flush(runs, m):
-    if runs == [None, None]:
-        return m
-    layer = _reference_kron_layer(runs[0] or _REFERENCE_ID2, runs[1] or _REFERENCE_ID2)
-    return layer if m is nm.I4 else layer.dot(m)
-
-
-def reference_simulate(c):
-    m = nm.I4
-    runs = [None, None]
-    for g in c.gates:
-        kind = type(g)
-        if kind is CNOT or kind is Swap:
-            rows = _REFERENCE_CNOT_ROWS[g.control] if kind is CNOT else _REFERENCE_SWAP_ROWS
-            m = _reference_flush(runs, m).take(rows, axis=0)
-            runs = [None, None]
-            continue
-        e = _entries(g)
-        runs[g.qubit] = e if runs[g.qubit] is None else _mul2(e, runs[g.qubit])
-    m = _reference_flush(runs, m)
-    return m.copy() if m is nm.I4 else m
-
-
-class TestSimulateMatchesReference:
-    """The single pass gives the reference's matrix: equal entry for entry
-    (``np.array_equal``, under which -0.0 equals 0.0: a run now starts at
-    the identity, and Rz adds no zero terms, so an exact zero may differ in
-    sign), and on emitted circuits equal bit for bit."""
-
-    def test_random_circuits(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            c = random_fused_circuit(rng)
-            assert np.array_equal(simulate(c), reference_simulate(c))
-
-    def test_special_shapes(self):
-        for c in special_shape_circuits():
-            assert np.array_equal(simulate(c), reference_simulate(c))
-
-    def test_emitted_circuits(self):
-        for _, result in emitted_results():
-            c = result.circuit
-            assert simulate(c).tobytes() == reference_simulate(c).tobytes()
+        with pytest.raises(TypeError, match="^not a gate: "):
+            _entries(object())
 
     def test_an_untrusted_axis_still_raises(self):
         bad = Rotation._trusted("x", 0, 0.3)
@@ -592,6 +535,8 @@ class TestSerialization:
         assert gate_to_text(CNOT(0, 1)) == "CNOT 0 1"
         assert gate_to_text(Swap()) == "SWAP"
         assert gate_to_text(Generic1Q(0, nm.I2)).startswith("U3 0 ")
+        with pytest.raises(TypeError, match="^not a gate: "):
+            gate_to_text(object())
 
 
 #: Derandomized, with no example database, so the suite draws the same

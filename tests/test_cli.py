@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -312,6 +313,29 @@ class TestSelftest:
         (row,) = [line for line in out.splitlines() if line.startswith("rewrite-rules")]
         assert row.endswith("FAIL")
         assert [line for line in out.splitlines() if line.endswith("FAIL")] == [row]
+
+    @staticmethod
+    def failed_rows(capsys, *argv):
+        """The rows of a selftest run that exits 1, that end in FAIL."""
+        code, out, _ = run(capsys, "selftest", *argv)
+        assert code == cli.EXIT_FAIL == 1
+        return [line.split()[0] for line in out.splitlines() if line.endswith("FAIL")]
+
+    def test_a_double_coset_miss_fails_the_gamma_row(self, capsys, monkeypatch):
+        # A same_double_coset that answers False on every pair counts as a
+        # miss of 1.0 on the gamma-properties row.
+        monkeypatch.setattr(cli, "same_double_coset", lambda u, v: False)
+        assert self.failed_rows(capsys, "--trials", "1", "--seed", "0") == ["gamma-properties"]
+
+    def test_a_circuit_without_three_cnots_fails_its_synthesis_row(self, capsys, monkeypatch):
+        synthesize = cli.synthesize
+
+        def two_cnots_in_cxy(u, lib):
+            result = synthesize(u, lib)
+            return dataclasses.replace(result, cnot_count=2) if lib is q2synth.GateLibrary.CXY else result
+
+        monkeypatch.setattr(cli, "synthesize", two_cnots_in_cxy)
+        assert self.failed_rows(capsys, "--trials", "1", "--seed", "0") == ["synthesis-cxy"]
 
     def test_a_trace_that_does_not_replay_fails_the_reduce_row(self, capsys, monkeypatch):
         # replay with the last step dropped: every step lowers reduce's

@@ -248,6 +248,22 @@ class TestDiagonalizeSymmetricUnitary:
             assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestPolarStep:
+    def test_a_residual_falls_to_its_square(self):
+        # m (3I - m^dag m) / 2 is one Newton-Schulz step towards the unitary
+        # polar factor: m^dag m = I + e becomes I - 3e^2/4 + e^3/4.
+        rng = np.random.default_rng(47)
+        for n in (2, 4):
+            for eps in (1e-9, 1e-5):
+                for _ in range(50):
+                    u = nm.haar_unitary(n, rng)
+                    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    m = u + eps * a
+                    r = np.linalg.norm(m.conj().T @ m - np.eye(n), 2)
+                    step = nm._polar_step(m)
+                    assert np.linalg.norm(step.conj().T @ step - np.eye(n), 2) <= 0.76 * r * r + 2e-15
+
+
 class TestPhaseDistance:
     def test_zero_for_global_phase(self):
         rng = np.random.default_rng(4)

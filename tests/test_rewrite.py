@@ -1,10 +1,8 @@
 import cmath
 import importlib.util
 import itertools
-import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,11 +41,6 @@ from q2synth.rewrite import (
     reduce,
     replay,
 )
-
-# The regenerating script of the golden file, which reads the benchmark's
-# reduce-long inputs.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-import golden_reduce  # noqa: E402
 
 EXPECTED_RULE_IDS = {
     "CancelCNOT",
@@ -855,25 +848,6 @@ def reduce_gates(draw):
     return Generic1Q(wire, cmath.exp(1j * draw(st.floats(-math.pi, math.pi))) * m)
 
 
-class TestGoldenReduce:
-    """``reduce``'s outputs and traces, and ``effectively_separated``'s
-    answers, on the benchmark's reduce-long inputs of seeds 321-325, as
-    ``tests/golden/reduce.json`` records them (``tools/golden_reduce.py``
-    regenerates it).  The outputs are asserted on any Python and NumPy; a
-    failure names the versions the file was made on."""
-
-    def test_outputs_match_the_golden_file(self):
-        golden = json.loads(golden_reduce.GOLDEN.read_text())
-        made_on = "golden file made on Python %s, NumPy %s" % (golden["python"], golden["numpy"])
-        reduced, separated = golden_reduce.entries()
-        assert reduced.keys() == golden["reduce"].keys(), made_on
-        changed = [name for name, digest in golden["reduce"].items() if reduced[name] != digest]
-        assert not changed, "%d reduce outputs changed, first %s; %s" % (len(changed), changed[0], made_on)
-        for seed, answers in golden["effectively_separated"].items():
-            moved = [i for i, (a, b) in enumerate(zip(answers, separated[seed])) if a != b]
-            assert separated[seed] == answers, "seed %s, separation circuits %s; %s" % (seed, moved, made_on)
-
-
 class TestReduceProperties:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.lists(reduce_gates(), max_size=12))
@@ -884,6 +858,8 @@ class TestReduceProperties:
         assert plain_phase_distance(plain_product(out.gates), plain_product(c.gates)) <= 1e-8
         assert replay(c, trace).gates == out.gates
         assert (out.gates, trace.steps) == reference_reduce(c)
+        # A second call finds nothing left to rewrite.
+        assert reduce(out)[1].steps == ()
 
 
 class TestPauliTest:

@@ -935,78 +935,12 @@ class TestSinglePass:
         self.assert_same_synthesis([nm.haar_unitary(4, rng) for _ in range(20)], lib, simulated=True)
 
 
-def reference_polar_step(m):
-    """``numerics._polar_step`` as first written: m (3I - m^dag m) / 2."""
-    return m.dot(3.0 * np.eye(len(m), dtype=np.complex128) - m.conj().T.dot(m)) / 2.0
-
-
-def reference_row_signs(q):
-    """``numerics._row_signs`` as first written: each row's leading entry
-    found by a generator, and det = +1 tested on the unsigned rows times
-    the product of the signs."""
-    rows = q.tolist()
-    signs = [1.0 if next(x for x in row if abs(x) >= 0.25) > 0.0 else -1.0 for row in rows]
-    if nm._det4_rows(rows) * signs[0] * signs[1] * signs[2] * signs[3] < 0.0:
-        signs[0] = -signs[0]
-    return np.array(signs)[:, None]
-
-
-def reference_canonical(q, d):
-    """``numerics._canonical`` as first written: a fancy-indexed copy of q
-    in the order of a keyed sort, times ``reference_row_signs``."""
-    angles = [cmath.phase(z) for z in d.tolist()]
-    order = sorted(range(4), key=angles.__getitem__)
-    q = q[order]
-    return q * reference_row_signs(q), d[order]
-
-
-def reference_diagonalize(p):
-    """``numerics._diagonalize_symmetric_unitary`` as first written: it
-    keeps the best mixing angle so far, breaks at the first that passes and
-    canonicalizes by ``reference_canonical``."""
-    best = None
-    for t in nm._MIX_ANGLES:
-        x = math.cos(t) * p.real + math.sin(t) * p.imag
-        _, v = np.linalg.eigh(x)
-        m = v.T.dot(p).dot(v)
-        off = nm._off_diagonal(m)
-        if best is None or off < best[0]:
-            best = (off, v, m)
-        if off <= nm.OFF_DIAGONAL_TOL:
-            break
-    _, v, m = best
-    return reference_canonical(v.T, m.diagonal())
-
-
-def reference_so4_factors(o):
-    """``circuit._so4_factors`` as first written: the row of largest norm by
-    ``max`` with a key, and the residual from a generator of 16 terms."""
-    assoc = _ASSOC.dot(o.ravel()).tolist()
-    rows = (assoc[0:4], assoc[4:8], assoc[8:12], assoc[12:16])
-    row = max(rows, key=lambda r: math.hypot(*r))
-    norm = math.hypot(*row)
-    y = [v / norm for v in row]
-    x = [r[0] * y[0] + r[1] * y[1] + r[2] * y[2] + r[3] * y[3] for r in rows]
-    norm = math.hypot(*x)
-    x = [v / norm for v in x]
-    err = 2.0 * math.hypot(*(r[j] - xi * y[j] for r, xi in zip(rows, x) for j in range(4)))
-    if err > nm.LOCAL_TOL:
-        raise NotLocal("best tensor factorization misses by %.3g" % err)
-    return x, y
-
-
-def assert_same_bits(a, b):
-    """Equal arrays, bit for bit: dtype, shape and every byte (so -0.0 and
-    0.0 differ, and so do two NaNs of other payloads)."""
-    assert (a.dtype, a.shape) == (b.dtype, b.shape)
-    assert a.tobytes() == b.tobytes()
-
-
 def tied_corner_inputs():
     """The identity, CNOT, (pi/4, pi/4, 0) and SWAP corners of the Weyl
     chamber, whose gamma spectra tie, each offset by eps in {0, 1e-16,
     1e-12} in a seeded direction, bare and between 3 seeded Haar locals;
-    and the magic basis change E itself."""
+    and the magic basis change E itself.  ``tests/golden/synthesis.json``
+    pins their outputs."""
     rng = np.random.default_rng(45)
     inputs = [nm.MAGIC.copy()]
     for point in ((0.0, 0.0, 0.0), (Q, 0.0, 0.0), (Q, Q, 0.0), (Q, Q, Q)):
@@ -1017,74 +951,28 @@ def tied_corner_inputs():
     return inputs
 
 
-def captured_arguments(owner, name, inputs):
-    """The arguments of every call of ``owner.name`` while each library
-    synthesizes each input and ``cnot_cost`` classifies it."""
-    with mock.patch.object(owner, name, wraps=getattr(owner, name)) as spy:
-        for u in inputs:
-            for lib in GateLibrary:
-                try:
-                    synthesize(u, lib)
-                except VerificationFailed:
-                    pass
-            cnot_cost(u)
-    return [call.args for call in spy.call_args_list]
+class TestSO4Split:
+    """``_so4_factors`` splits E o E^dag into su2(x) x su2(y) in closed
+    form, and refuses an o it misses by more than LOCAL_TOL."""
 
-
-class TestScalarPassesMatchReference:
-    """The diagonalizer's canonical form, the SO(4) split and the polar step
-    run as scalar passes over ``tolist()`` (and with 1.5 I and 0.5 for the
-    polar step); each gives what its first NumPy-and-generator form gave,
-    bit for bit, on Haar inputs and on the tied spectra of the chamber's
-    corners."""
-
-    def test_diagonalizer_and_canonical_form(self):
-        rng = np.random.default_rng(46)
-        inputs = [nm.haar_unitary(4, rng) for _ in range(30)] + tied_corner_inputs()
-        forms = captured_arguments(nm, "_diagonalize_symmetric_unitary", inputs)
-        tied = 0
-        for (p,) in forms:
-            q, d = nm._diagonalize_symmetric_unitary(p)
-            q0, d0 = reference_diagonalize(p)
-            assert_same_bits(q, q0)
-            assert_same_bits(d, d0)
-            tied += len(set(np.angle(d).tolist())) < 4
-            for _ in range(3):
-                perm = rng.permutation(4)
-                signed = q[perm] * rng.choice([-1.0, 1.0], size=4)[:, None]
-                for new, old in zip(nm._canonical(signed, d[perm]), reference_canonical(signed, d[perm])):
-                    assert_same_bits(new, old)
-                assert_same_bits(nm._row_signs(signed), reference_row_signs(signed))
-        # Exact ties of the principal arguments, which the stable order decides.
-        assert tied >= 12
-
-    def test_polar_step(self):
-        rng = np.random.default_rng(47)
-        for n in (2, 4):
-            for _ in range(50):
-                u = nm.haar_unitary(n, rng)
-                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                for m in (u, u + 1e-9 * a, nm.MAGIC_DAG.dot(u).dot(nm.MAGIC) if n == 4 else u.T):
-                    assert_same_bits(nm._polar_step(m), reference_polar_step(m))
-
-    def test_so4_split(self):
+    def test_factors_rebuild_the_input(self):
+        # Haar locals, and x = (1/2, 1/2, 1/2, 1/2): every row of the
+        # associate matrix x y^T has norm 1/2, exactly for y on an axis.
         rng = np.random.default_rng(48)
-        inputs = [nm.haar_unitary(4, rng) for _ in range(30)] + tied_corner_inputs()
-        matrices = [o for (o,) in captured_arguments(synthesis, "_so4_factors", inputs)]
-        # x = (1/2, 1/2, 1/2, 1/2): every row of the associate matrix
-        # x y^T has norm 1/2, exactly for y on an axis, and the first wins.
         half = [0.5, 0.5, 0.5, 0.5]
+        pairs = [(quaternion(su2(rng)), quaternion(su2(rng))) for _ in range(30)]
+        pairs += [(half, list(e)) for e in np.eye(4)] + [(half, quaternion(su2(rng))) for _ in range(8)]
         ties = 0
-        for y in [list(e) for e in np.eye(4)] + [list(quaternion(su2(rng))) for _ in range(8)]:
-            o = (nm.MAGIC_DAG @ nm.kron(_su2(*half), _su2(*y)) @ nm.MAGIC).real
+        for x, y in pairs:
+            o = (nm.MAGIC_DAG @ nm.kron(_su2(*x), _su2(*y)) @ nm.MAGIC).real
+            x2, y2 = _so4_factors(o)
+            rebuilt = nm.MAGIC_DAG @ nm.kron(_su2(*x2), _su2(*y2)) @ nm.MAGIC
+            assert np.abs(rebuilt - o).max() <= 2e-15
             assoc = _ASSOC.dot(o.ravel()).tolist()
             ties += len({math.hypot(*assoc[k:k + 4]) for k in range(0, 16, 4)}) == 1
-            matrices.append(o)
         assert ties >= 4
-        for o in matrices:
-            assert repr(_so4_factors(o)) == repr(reference_so4_factors(o))
 
-    def test_so4_split_refuses_what_it_refused(self):
+    def test_refuses_what_is_not_local(self):
         rng = np.random.default_rng(49)
         o, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         o[0] *= np.sign(np.linalg.det(o))
@@ -1092,11 +980,8 @@ class TestScalarPassesMatchReference:
         refused = [reflection, reflection @ o, 2.0 * np.eye(4), o + 1e-6 * rng.standard_normal((4, 4))]
         refused += [rng.standard_normal((4, 4)) for _ in range(5)]
         for m in refused:
-            with pytest.raises(NotLocal) as new:
+            with pytest.raises(NotLocal, match="^best tensor factorization misses by "):
                 _so4_factors(m)
-            with pytest.raises(NotLocal) as old:
-                reference_so4_factors(m)
-            assert str(new.value) == str(old.value)
 
 
 def emission_corpus():
