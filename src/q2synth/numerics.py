@@ -46,8 +46,7 @@ DEFAULT_TOL = 1e-8
 #: of synthesis), how far a gate's entries may be from a I + b X or from
 #: diagonal for the rewrite rules to commute it with a CNOT's X or Z, how
 #: near a gate must be to a Pauli or a quarter turn for the rules that need
-#: one, and the grid on which ``enumerate_circuits`` compares gates.  A
-#: tenth of DEFAULT_TOL: circuits of such parts verify.
+#: one.  A tenth of DEFAULT_TOL: circuits of such parts verify.
 LOCAL_TOL = 1e-9
 
 #: Zero.  Unit: radians, or the entries of a 2x2 matrix.  A rotation angle

@@ -40,12 +40,13 @@ in an inner loop that reads only the windows each move changed, and hands
 back to the tier search when the SWAP reaches the last gate or another
 SWAP, or when its move makes a window of a tier up to its own on its left.
 
-The rules' one-qubit questions (does a gate commute with X or Z, is it a
-Pauli or a quarter turn, is a merged product the identity, or off unitary)
-are answered on the gate's four entries as Python scalars.  The commutation
-tests are exact and phase-free.  A Pauli or quarter-turn test first compares
-the entry magnitudes, an exact lower bound on the phase distance, and runs
-the NumPy phase distance only for a gate that this screen cannot refuse.
+The rules' one-qubit questions that ``reduce`` asks (does a gate commute
+with X or Z, is a merged product the identity, or off unitary) are answered
+on the gate's four entries as Python scalars; the commutation tests are
+exact and phase-free.  Whether a gate is a Pauli or a quarter turn is its
+phase distance to that matrix, at LOCAL_TOL.  Only ``MoveSigmaX``,
+``MoveSigmaZ`` and ``AxisChange`` ask, and neither ``reduce`` nor the
+separation search applies them.
 
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
 rewrites can make two CNOTs adjacent, by breadth-first search with the wire
@@ -90,54 +91,24 @@ def _matrix(e):
     return np.array([e[:2], e[2:]], dtype=np.complex128)
 
 
-def _target(m):
-    """A target of the one-qubit tests: its matrix and its entry magnitudes."""
-    return m, tuple(abs(x) for x in m.ravel().tolist())
-
-
-#: For every phase phi, |e^{i phi} u_ij - v_ij| >= ||u_ij| - |v_ij||, so the
-#: sum of the squared magnitude gaps is a lower bound on the squared phase
-#: distance.  A gate is refused only above (2 LOCAL_TOL)^2, a margin that
-#: rounding in the bound cannot cross, so the screen never refuses a gate
-#: that the phase distance accepts.
-_SCREEN = (2.0 * nm.LOCAL_TOL) ** 2
-
-
-def _phase_close(e, target):
-    """Whether the matrix with entries e is within LOCAL_TOL of the target's
-    matrix up to global phase: the magnitude screen, then the distance."""
-    m, (v0, v1, v2, v3) = target
-    e0, e1, e2, e3 = e
-    gap = (abs(e0) - v0) ** 2 + (abs(e1) - v1) ** 2 + (abs(e2) - v2) ** 2 + (abs(e3) - v3) ** 2
-    if gap > _SCREEN:
-        return False
-    return nm.phase_distance(_matrix(e), m) <= nm.LOCAL_TOL
-
-
-_PAULI_TARGETS = {axis: _target(m) for axis, m in zip(Axis, (nm.SIGMA_X, nm.SIGMA_Y, nm.SIGMA_Z))}
+_PAULI_TARGETS = dict(zip(Axis, (nm.SIGMA_X, nm.SIGMA_Y, nm.SIGMA_Z)))
 
 
 def _is_pauli(g, axis):
     """Whether the one-qubit gate g is the Pauli matrix about ``axis``, up
-    to global phase.
-
-    A rotation about another axis b never is: tr(sigma_axis R_b(t)) = 0, so
-    its phase distance to sigma_axis is exactly 2.
-    """
-    if isinstance(g, Rotation) and g.axis is not axis:
-        return False
-    return _phase_close(_entries(g), _PAULI_TARGETS[axis])
+    to global phase."""
+    return nm.phase_distance(_matrix(_entries(g)), _PAULI_TARGETS[axis]) <= nm.LOCAL_TOL
 
 
-_S_TARGETS = {axis: _target(rotation_matrix2(axis, math.pi / 2.0)) for axis in Axis}
+_S_TARGETS = {axis: rotation_matrix2(axis, math.pi / 2.0) for axis in Axis}
 
 
 def _s_gate_axis(g):
     """Axis a such that the one-qubit gate g is a quarter-turn rotation
     about a, else None."""
-    e = _entries(g)
+    m = _matrix(_entries(g))
     for axis, target in _S_TARGETS.items():
-        if _phase_close(e, target):
+        if nm.phase_distance(m, target) <= nm.LOCAL_TOL:
             return axis
     return None
 
@@ -171,6 +142,10 @@ _GENERIC = 9
 #: orders differ by at most 2 LOCAL_TOL.
 _TOL2 = nm.LOCAL_TOL**2
 _TWO_TOL2 = 2.0 * _TOL2
+#: |m01 - m10|^2 <= 2 (|m01|^2 + |m10|^2), so a Generic1Q whose
+#: |m01 - m10|^2 exceeds (2 LOCAL_TOL)^2 fails both commutation tests, by a
+#: margin that rounding cannot cross.
+_SCREEN = (2.0 * nm.LOCAL_TOL) ** 2
 
 
 def _symbol(g):
@@ -185,8 +160,6 @@ def _symbol(g):
     if t is Generic1Q:
         m = g.matrix
         b, c = m.item(1), m.item(2)
-        # |b - c|^2 <= 2 (|b|^2 + |c|^2), so above _SCREEN both tests fail,
-        # by a margin that rounding cannot cross.
         gap = abs(b - c) ** 2
         if gap > _SCREEN:
             return _GENERIC + 4 * g.qubit
@@ -225,17 +198,11 @@ class RewriteRule:
     def match(self, gates, pos):
         """(consumed_length, replacement) for the first matcher that fires."""
         for slots, fn in self.matchers:
-            length = len(slots)
-            if pos + length > len(gates):
-                continue
-            # Slot by slot, so a window of other types costs no tuple.
-            for p, slot in enumerate(slots, pos):
-                if not isinstance(gates[p], slot):
-                    break
-            else:
-                rep = fn(tuple(gates[pos : pos + length]))
+            window = tuple(gates[pos : pos + len(slots)])
+            if len(window) == len(slots) and all(map(isinstance, window, slots)):
+                rep = fn(window)
                 if rep is not None:
-                    return length, tuple(rep)
+                    return len(window), tuple(rep)
         return None
 
 

@@ -560,30 +560,17 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
     )
 
 
-def _dedupe_key(g):
-    if isinstance(g, Rotation):
-        return (g.axis.value, g.qubit, round(g.angle / nm.LOCAL_TOL))
-    if isinstance(g, Generic1Q):
-        return ("u", g.qubit, tuple(np.round(g.matrix / nm.LOCAL_TOL).ravel()))
-    return ("cnot", g.control, g.target)
-
-
 def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
-    """Distinct verified circuits from the eigenvalue-ordering freedom."""
+    """The verified circuits of the first ``limit`` candidates that verify,
+    one per candidate, in the order they are tried."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     results = []
-    seen = set()
     for result in _outcomes(u, lib, tol, "enumerate_circuits"):
-        if not isinstance(result, SynthesisResult):
-            continue
-        key = tuple(_dedupe_key(g) for g in result.circuit.gates)
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(result)
-        if len(results) >= limit:
-            break
+        if isinstance(result, SynthesisResult):
+            results.append(result)
+            if len(results) >= limit:
+                break
     if not results:
         raise VerificationFailed("no verified circuit found")
     return results

@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,10 @@ from q2synth.circuit import (
     wrap_angle,
 )
 from q2synth.errors import CircuitParseError, NotLocal, NotUnitary
+
+# The benchmark's plain-NumPy reference, which never imports q2synth.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402
 
 
 def su2(rng):
@@ -197,23 +203,6 @@ class TestSimulateAndCounts:
         assert abs(np.linalg.det(v) - 1.0) <= 1e-12
 
 
-_SIGMA = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
-
-
-def reference_gate_matrix(g):
-    """The 4x4 operator of one gate from np.kron and the numerics constants,
-    independent of ``simulate``."""
-    if isinstance(g, CNOT):
-        return nm.CNOT01 if g.control == 0 else nm.CNOT10
-    if isinstance(g, Swap):
-        return nm.SWAP_MAT
-    if isinstance(g, Rotation):
-        m2 = math.cos(g.angle / 2) * nm.I2 - 1j * math.sin(g.angle / 2) * _SIGMA[g.axis]
-    else:
-        m2 = g.matrix
-    return np.kron(m2, nm.I2) if g.qubit == 0 else np.kron(nm.I2, m2)
-
-
 def random_one_qubit_gate(rng, qubit):
     if rng.random() < 0.25:
         return Generic1Q(qubit, nm.haar_unitary(2, rng))
@@ -258,22 +247,15 @@ class TestFusedSimulate:
     wires' runs as one Kronecker layer and a CNOT or SWAP as a row
     permutation; the result is the ordered product of the gates."""
 
-    @staticmethod
-    def ordered_product(c):
-        out = np.eye(4, dtype=complex)
-        for g in c.gates:
-            out = reference_gate_matrix(g) @ out
-        return out
-
     def test_random_circuits(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             c = random_fused_circuit(rng)
-            assert np.abs(simulate(c) - self.ordered_product(c)).max() <= 1e-13
+            assert np.abs(simulate(c) - reference.product(c.gates)).max() <= 1e-13
 
     def test_special_shapes(self):
         for c in special_shape_circuits():
-            assert np.abs(simulate(c) - self.ordered_product(c)).max() <= 1e-13
+            assert np.abs(simulate(c) - reference.product(c.gates)).max() <= 1e-13
 
     def test_rejects_a_non_gate(self):
         with pytest.raises(TypeError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from q2synth import numerics as nm
-from q2synth.errors import NotSymmetricUnitary, NotUnitary
+from q2synth.errors import NotSymmetricUnitary
 
 
 def random_symmetric_unitary(rng, angles=None):

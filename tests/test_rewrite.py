@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from q2synth.rewrite import (
     _MOVES,
     _REDUCE_PRIORITY,
     RULES,
-    ReductionTrace,
     _is_pauli,
     _mirror_gate,
     _s_gate_axis,
@@ -41,6 +41,10 @@ from q2synth.rewrite import (
     reduce,
     replay,
 )
+
+# The benchmark's plain-NumPy reference, which never imports q2synth.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402
 
 EXPECTED_RULE_IDS = {
     "CancelCNOT",
@@ -796,29 +800,6 @@ class TestIncrementalReduce:
         assert forward_fired == {rule_id for tier in _REDUCE_PRIORITY for rule_id in tier}
 
 
-def plain_product(gates):
-    """The matrix of a circuit by np.kron and matmul alone: R_n(t) =
-    cos(t/2) I - i sin(t/2) sigma_n, qubit 0 the left factor."""
-    two = {CNOT(0, 1): nm.CNOT01, CNOT(1, 0): nm.CNOT10, Swap(): nm.SWAP_MAT}
-    out = np.eye(4, dtype=np.complex128)
-    for g in gates:
-        if isinstance(g, (CNOT, Swap)):
-            m = two[g]
-        else:
-            if isinstance(g, Rotation):
-                one = math.cos(g.angle / 2) * np.eye(2) - 1j * math.sin(g.angle / 2) * _PAULIS[g.axis]
-            else:
-                one = g.matrix
-            m = np.kron(one, np.eye(2)) if g.qubit == 0 else np.kron(np.eye(2), one)
-        out = m @ out
-    return out
-
-
-def plain_phase_distance(u, v):
-    t = np.vdot(v, u)
-    return float(np.linalg.norm(u * np.exp(-1j * np.angle(t)) - v))
-
-
 _TURNS = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
 
 
@@ -855,7 +836,7 @@ class TestReduceProperties:
         c = C(gates)
         out, trace = reduce(c)
         assert len(out.gates) <= len(c.gates)
-        assert plain_phase_distance(plain_product(out.gates), plain_product(c.gates)) <= 1e-8
+        assert reference.phase_distance(reference.product(out.gates), reference.product(c.gates)) <= 1e-8
         assert replay(c, trace).gates == out.gates
         assert (out.gates, trace.steps) == reference_reduce(c)
         # A second call finds nothing left to rewrite.
@@ -866,8 +847,8 @@ class TestPauliTest:
     @pytest.mark.parametrize("pauli_axis", list(Axis))
     @pytest.mark.parametrize("axis", list(Axis))
     def test_verdict_equals_phase_distance_verdict(self, axis, pauli_axis):
-        # _is_pauli returns False for a rotation about another axis without
-        # any matrix work; the verdict must be the one the distance gives.
+        # A rotation about another axis is at phase distance 2 from the
+        # Pauli; every verdict must be the one the distance gives.
         pauli = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}[pauli_axis]
         rng = np.random.default_rng(17)
         angles = [math.pi, -math.pi, math.pi + 1e-10, math.pi - 1e-10, -math.pi + 1e-10, 0.0]
@@ -919,9 +900,10 @@ def near_special_gates(draw):
 
 
 class TestScalarOneQubitTests:
-    """The one-qubit tests of the rewrite rules run on four scalars behind a
-    magnitude screen; their verdicts must be the ones the phase distance
-    gives, right at LOCAL_TOL."""
+    """The one-qubit tests of the rewrite rules: the Pauli and quarter-turn
+    verdicts must be the ones the phase distance gives, right at LOCAL_TOL,
+    and the merge's unitarity residual, on four scalars, the one
+    ``is_unitary`` gives."""
 
     def test_pauli_verdict_equals_phase_distance_verdict(self):
         verdicts = set()
@@ -1009,7 +991,7 @@ class TestCommutationTests:
                 assert (fires(forward, (g, cnot)) is not None) == fits
                 assert (fires(backward, (cnot, g)) is not None) == fits
                 if fits:
-                    moved = plain_phase_distance(plain_product([g, cnot]), plain_product([cnot, g]))
+                    moved = reference.phase_distance(reference.product([g, cnot]), reference.product([cnot, g]))
                     assert moved <= 2.0 * nm.LOCAL_TOL
 
 

@@ -28,6 +28,7 @@ from q2synth.circuit import (
     _su2,
     _su4_normalize,
     _zy_angles,
+    circuit_to_text,
     simulate,
     su4_normalize,
 )
@@ -43,9 +44,9 @@ from q2synth.synthesis import (
     _ZZ_MAGIC,
     DEFAULT_TOL,
     EIGEN_ORDERS,
-    CXZCore,
     CYZCore,
     GateLibrary,
+    SynthesisResult,
     _aligned_factors,
     _assemble,
     _candidates,
@@ -55,7 +56,6 @@ from q2synth.synthesis import (
     _cxz_rows,
     _cyz_core_gates,
     _cyz_rows,
-    _dedupe_key,
     _local_factors,
     _local_gates,
     _result_for,
@@ -67,8 +67,10 @@ from q2synth.synthesis import (
     synthesize,
 )
 
-# The benchmark's workloads, for the request pools of weyl-degenerate.
+# The benchmark's plain-NumPy reference, which never imports q2synth, and
+# its workloads, for the request pools of weyl-degenerate.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402
 import workloads  # noqa: E402
 
 ROTATION_AXES = {
@@ -621,8 +623,8 @@ class TestSynthesize:
         for x in quaternions:
             first, middle, last = _local_gates(x, 1, lib)
             assert [(g.axis, g.qubit) for g in (first, middle, last)] == [(outer, 1), (inner, 1), (outer, 1)]
-            m = plain_product(Circuit((first, middle, last)))
-            assert plain_phase_distance(m, nm.kron(nm.I2, frame @ _su2(*x) @ frame)) <= 1e-14
+            m = reference.product((first, middle, last))
+            assert reference.phase_distance(m, nm.kron(nm.I2, frame @ _su2(*x) @ frame)) <= 1e-14
             if min(math.hypot(x[0], x[3]), math.hypot(x[1], x[2])) == 0.0:
                 # cxy's middle angle is -phi, phi in [0, pi].
                 assert (-middle.angle if lib is GateLibrary.CXY else middle.angle) in (0.0, math.pi)
@@ -641,8 +643,8 @@ class TestSynthesize:
                   for x in quaternions for q in (0, 1)]
         for cxy, cyz in pairs:
             assert cxy == cxy_gates(cyz)
-            conjugated = _CXY_CONJ @ plain_product(Circuit(cyz)) @ _CXY_CONJ
-            assert plain_phase_distance(plain_product(Circuit(cxy)), conjugated) <= 1e-14
+            conjugated = _CXY_CONJ @ reference.product(cyz) @ _CXY_CONJ
+            assert reference.phase_distance(reference.product(cxy), conjugated) <= 1e-14
 
     def test_cxz_angles_are_the_zy_angles_turned_a_quarter(self):
         # Ry(phi) = Rz(pi/2) Rx(phi) Rz(-pi/2): away from the gimbal, the
@@ -694,7 +696,7 @@ class TestSynthesize:
                 except VerificationFailed:
                     continue
                 assert result.eigen_order != "rs"
-                assert plain_phase_distance(plain_product(result.circuit), u) <= 1e-12
+                assert reference.phase_distance(reference.product(result.circuit.gates), u) <= 1e-12
                 rescued += 1
         assert rescued >= 1
 
@@ -1245,21 +1247,14 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_circuits(np.eye(4), GateLibrary.CYZ, limit=0)
 
-    def test_a_repeated_circuit_is_returned_once(self, monkeypatch):
-        # No input of emission_corpus(), nor the identity, gives two
-        # candidates the same gates, in any library; so each verified
-        # candidate of the identity comes twice here.
-        outcomes = synthesis._outcomes
-
-        def twice(*args):
-            for outcome in outcomes(*args):
-                yield outcome
-                yield outcome
-
-        expected = enumerate_circuits(np.eye(4), GateLibrary.CYZ, limit=24)
-        monkeypatch.setattr(synthesis, "_outcomes", twice)
-        assert enumerate_circuits(np.eye(4), GateLibrary.CYZ, limit=24) == expected
-        assert len(expected) == 24
+    @pytest.mark.parametrize("lib", list(GateLibrary))
+    @pytest.mark.parametrize("name", ["identity", "swap", "cnot", "cz"])
+    def test_one_result_per_verified_candidate_in_order(self, name, lib):
+        u = named_gate(name)
+        outcomes = synthesis._outcomes(u, lib, DEFAULT_TOL, "enumerate_circuits")
+        verified = [r for r in outcomes if isinstance(r, SynthesisResult)]
+        assert enumerate_circuits(u, lib, limit=24) == verified
+        assert enumerate_circuits(u, lib, limit=1)[0] == synthesize(u, lib)
 
 
 def gate_shape(g):
@@ -1310,37 +1305,12 @@ class TestOneUniversalCircuit:
         results = enumerate_circuits(u, GateLibrary.CXZ)
         assert [r.eigen_order for r in results] == ["rs", "sr", "-rs", "-sr"]
         for r in results:
-            assert plain_phase_distance(plain_product(r.circuit), u) <= 1e-8
+            assert reference.phase_distance(reference.product(r.circuit.gates), u) <= 1e-8
 
 
 #: Examples per property test; derandomized, with no example database, so
 #: the suite draws the same inputs on every run.
 _PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
-
-_PAULI_MATRICES = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
-
-
-def plain_product(circuit):
-    """The matrix of a CNOT/one-qubit circuit by np.kron and matmul alone:
-    R_n(t) = cos(t/2) I - i sin(t/2) sigma_n, qubit 0 the left factor."""
-    out = np.eye(4, dtype=np.complex128)
-    for g in circuit.gates:
-        if isinstance(g, CNOT):
-            m = nm.CNOT01 if g.control == 0 else nm.CNOT10
-        else:
-            if isinstance(g, Rotation):
-                one = math.cos(g.angle / 2) * np.eye(2) - 1j * math.sin(g.angle / 2) * _PAULI_MATRICES[g.axis]
-            else:
-                one = g.matrix
-            m = np.kron(one, np.eye(2)) if g.qubit == 0 else np.kron(np.eye(2), one)
-        out = m @ out
-    return out
-
-
-def plain_phase_distance(u, v):
-    t = np.vdot(v, u)
-    return float(np.linalg.norm(u * np.exp(-1j * np.angle(t)) - v))
-
 
 #: A chamber coordinate: a corner value with positive probability.
 _COORDINATE = st.one_of(st.sampled_from((0.0, Q)), st.floats(0.0, Q))
@@ -1396,7 +1366,7 @@ class TestSynthesisProperties:
                 for call in spy.call_args_list:
                     assert_core_form_matches_simulation(*call.args)
                 if result is not None:
-                    assert plain_phase_distance(plain_product(result.circuit), u) <= 1e-8
+                    assert reference.phase_distance(reference.product(result.circuit.gates), u) <= 1e-8
                     answered.append(lib)
 
         check()
@@ -1419,7 +1389,7 @@ class TestSynthesisProperties:
                     result = synthesize(m, lib)
                 except VerificationFailed:
                     continue
-                assert plain_phase_distance(plain_product(result.circuit), m) <= 1e-8
+                assert reference.phase_distance(reference.product(result.circuit.gates), m) <= 1e-8
                 answered.append(lib)
 
         check()
@@ -1427,8 +1397,7 @@ class TestSynthesisProperties:
 
     def test_enumerated_circuits_verify_and_are_distinct(self):
         # Every circuit enumerate_circuits returns verifies against the
-        # plain product, and no two have the same gates on its comparison
-        # grid (``_dedupe_key``).
+        # plain product, and no two candidates give the same circuit.
         sizes = []
 
         @settings(_PROPERTY, max_examples=60)
@@ -1439,11 +1408,10 @@ class TestSynthesisProperties:
                     results = enumerate_circuits(u, lib)
                 except VerificationFailed:
                     continue
-                keys = {tuple(_dedupe_key(g) for g in r.circuit.gates) for r in results}
-                assert len(keys) == len(results)
+                assert len({circuit_to_text(r.circuit) for r in results}) == len(results)
                 for r in results:
                     assert r.residual <= DEFAULT_TOL
-                    assert plain_phase_distance(plain_product(r.circuit), u) <= 1e-8
+                    assert reference.phase_distance(reference.product(r.circuit.gates), u) <= 1e-8
                 sizes.append(len(results))
 
         check()

@@ -100,6 +100,16 @@ def module_trees():
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def script_trees():
+    """{path from the repository root: AST} of every test module and tool."""
+    root = Path(__file__).resolve().parent.parent
+    return {
+        str(path.relative_to(root)): ast.parse(path.read_text())
+        for folder in ("tests", "tools")
+        for path in sorted((root / folder).glob("*.py"))
+    }
+
+
 def names_read(tree):
     """Every name a module reads: its loaded names, the attribute names it
     reads and the names it imports from another module."""
@@ -151,13 +161,13 @@ def dead_defaults(trees):
 
 
 class TestNoDeadNames:
-    """What a deletion leaves behind in src/: an import nothing uses, or a
-    private module-level name nothing else in src/ reads.  Tests do not
-    count as readers."""
+    """What a deletion leaves behind: an import nothing uses, in src/, the
+    tests or the tools, or a private module-level name nothing else in src/
+    reads.  Tests do not count as readers."""
 
     def test_every_import_is_used(self):
         unused = []
-        for name, tree in module_trees().items():
+        for name, tree in {**module_trees(), **script_trees()}.items():
             used = {
                 node.id
                 for node in ast.walk(tree)
