@@ -73,6 +73,11 @@ def rotation_matrix2(axis, angle):
     return np.array([[m00, m01], [m10, m11]], dtype=np.complex128)
 
 
+def _is_wire(q):
+    """Whether ``q`` is wire 0 or 1: a Python or NumPy integer, not a bool."""
+    return isinstance(q, (int, np.integer)) and not isinstance(q, bool) and q in (0, 1)
+
+
 @dataclass(frozen=True)
 class Rotation:
     axis: Axis
@@ -82,7 +87,7 @@ class Rotation:
     def __post_init__(self):
         if not isinstance(self.axis, Axis):
             raise ValueError("rotation axis must be an Axis, not %r" % (self.axis,))
-        if self.qubit not in (0, 1):
+        if not _is_wire(self.qubit):
             raise ValueError("qubit must be 0 or 1")
         if not math.isfinite(self.angle):
             raise ValueError("rotation angle must be finite")
@@ -106,7 +111,7 @@ class CNOT:
     target: int
 
     def __post_init__(self):
-        if {self.control, self.target} != {0, 1}:
+        if not (_is_wire(self.control) and _is_wire(self.target)) or self.control == self.target:
             raise ValueError("control and target must be distinct wires 0/1")
 
 
@@ -120,7 +125,7 @@ class Generic1Q:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.qubit not in (0, 1):
+        if not _is_wire(self.qubit):
             raise ValueError("qubit must be 0 or 1")
         m = nm.require_unitary(self.matrix, "Generic1Q", size=2)
         det = nm.det2(m)
@@ -174,23 +179,26 @@ class Circuit:
 
     @property
     def cnot_count(self):
-        return sum(1 for g in self.gates if isinstance(g, CNOT))
+        return _gate_counts(self.gates)[0]
 
     @property
     def one_param_count(self):
-        return sum(1 for g in self.gates if isinstance(g, Rotation))
+        return _gate_counts(self.gates)[1]
 
     @property
     def basic_count(self):
-        """Gates counted at the CNOT + arbitrary-one-qubit level.
+        """Gates counted at the CNOT + arbitrary-one-qubit level (see
+        ``_gate_counts``)."""
+        return _gate_counts(self.gates)[2]
 
-        Rotations and Generic1Q both count 1; a SWAP counts as its standard
-        three-CNOT realization.
-        """
-        total = 0
-        for g in self.gates:
-            total += 3 if isinstance(g, Swap) else 1
-        return total
+
+def _gate_counts(gates):
+    """(CNOTs, rotations, gates at the CNOT + arbitrary-one-qubit level) of
+    a gate tuple, each gate by its exact type, as ``simulate`` reads it.
+    At the basic level a SWAP counts as its standard three-CNOT
+    realization and every other gate as 1."""
+    kinds = list(map(type, gates))
+    return kinds.count(CNOT), kinds.count(Rotation), len(kinds) + 2 * kinds.count(Swap)
 
 
 def _entries(g):
@@ -471,13 +479,18 @@ def circuit_to_text(c):
 _ARGUMENTS = {"RX": 2, "RY": 2, "RZ": 2, "CNOT": 2, "U3": 9, "SWAP": 0}
 
 
+def _content_lines(text):
+    """(line number, words) of each line of ``text`` that has words once its
+    ``#`` comment is cut off: the line rule of the circuit and matrix files."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            yield lineno, words
+
+
 def parse_circuit(text):
     gates = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        op, *args = line.split()
+    for lineno, (op, *args) in _content_lines(text):
         op = op.upper()
         try:
             if op not in _ARGUMENTS:

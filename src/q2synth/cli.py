@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .circuit import CNOT, Axis, Circuit, Generic1Q, Rotation, Swap, circuit_to_text, parse_circuit
-from .circuit import rotation_matrix2, simulate, su4_normalize, to_qasm
+from .circuit import _content_lines, rotation_matrix2, simulate, su4_normalize, to_qasm
 from .errors import CircuitParseError, Q2SynthError, VerificationFailed
 from .invariants import cnot_cost, gamma, invariant_data, same_double_coset
 from .rewrite import RULES, effectively_separated, replay, rule_residual
@@ -64,11 +64,7 @@ def named_gate(name, seed=0):
 def parse_matrix_text(text):
     """Parse the 4-line matrix format: 8 floats per line, re/im pairs."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         if len(parts) != 8:
             raise CircuitParseError(
                 "line %d: expected 8 numbers (re im pairs), got %d" % (lineno, len(parts))

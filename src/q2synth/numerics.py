@@ -361,45 +361,36 @@ def _diagonalize_symmetric_unitary(p):
     return _canonical(v.T, m.diagonal())
 
 
-def _leading(row):
-    """The first entry of a unit 4-vector with magnitude >= 1/4; one exists
-    because some entry has magnitude >= 1/2."""
-    return next(x for x in row if abs(x) >= 0.25)
-
-
-def _row_signs(q):
-    """The signs, a column of +-1, that put the rows of an orthogonal ``q``
-    in canonical sign: rows 1-3 with their ``_leading`` entry positive, and
-    row 0 with that sign too unless the other sign is needed for det = +1.
-    Negating a row negates ``det4`` exactly, so the signed rows do not
-    depend on the signs the rows came in."""
-    rows = q.tolist()
-    signs = [1.0 if _leading(row) > 0.0 else -1.0 for row in rows]
+def _row_signs(rows):
+    """The signs, a list of +-1.0, that put ``rows``, the rows of an
+    orthogonal matrix as lists in the order given, in canonical sign: each
+    row with its first entry of magnitude >= 1/4 positive (one exists, as
+    some entry has magnitude >= 1/2), but row 0 with the other sign where
+    det = +1 needs it.  Negating a row negates ``_det4_rows`` exactly, so
+    the signed rows do not depend on the signs the rows came in."""
+    signs = []
+    for row in rows:
+        for x in row:
+            if abs(x) >= 0.25:
+                break
+        signs.append(1.0 if x > 0.0 else -1.0)
     if _det4_rows(rows) * signs[0] * signs[1] * signs[2] * signs[3] < 0.0:
         signs[0] = -signs[0]
-    return np.array(signs)[:, None]
+    return signs
 
 
 def _canonical(q, d):
     """The canonical form of an orthogonal diagonalization (rows of ``q``,
     eigenvalues ``d``): ascending principal argument of d, ties in input
-    order, and the rows in the signs of ``_row_signs``, read in one pass
-    over ``q.tolist()``; negating a row negates ``_det4_rows`` exactly, so
-    row 0 is tested on the signed rows.  New arrays; q is not modified."""
+    order, and the rows in the signs of ``_row_signs``.  New arrays; q is
+    not modified."""
     rows, z = q.tolist(), d.tolist()
-    angles = [cmath.phase(z[0]), cmath.phase(z[1]), cmath.phase(z[2]), cmath.phase(z[3])]
-    signed, values = [], []
-    for k in sorted(range(4), key=angles.__getitem__):
-        row = rows[k]
-        for x in row:
-            if abs(x) >= 0.25:
-                break
-        signed.append(row if x > 0.0 else [-row[0], -row[1], -row[2], -row[3]])
-        values.append(z[k])
-    if _det4_rows(signed) < 0.0:
-        row = signed[0]
-        signed[0] = [-row[0], -row[1], -row[2], -row[3]]
-    return np.array(signed), np.array(values)
+    order = sorted(range(4), key=list(map(cmath.phase, z)).__getitem__)
+    rows = list(map(rows.__getitem__, order))
+    signed = []
+    for row, sign in zip(rows, _row_signs(rows)):
+        signed.append(row if sign > 0.0 else [-row[0], -row[1], -row[2], -row[3]])
+    return np.array(signed), np.array(list(map(z.__getitem__, order)))
 
 
 def phase_distance(u, v):

@@ -43,10 +43,10 @@ SWAP, or when its move makes a window of a tier up to its own on its left.
 The rules' one-qubit questions that ``reduce`` asks (does a gate commute
 with X or Z, is a merged product the identity, or off unitary) are answered
 on the gate's four entries as Python scalars; the commutation tests are
-exact and phase-free.  Whether a gate is a Pauli or a quarter turn is its
-phase distance to that matrix, at LOCAL_TOL.  Only ``MoveSigmaX``,
-``MoveSigmaZ`` and ``AxisChange`` ask, and neither ``reduce`` nor the
-separation search applies them.
+exact and phase-free.  Whether a gate is a Pauli or a quarter turn is
+one test, ``_turn_axis``: its phase distance to that matrix, at
+LOCAL_TOL.  Only ``MoveSigmaX``, ``MoveSigmaZ`` and ``AxisChange`` ask,
+and neither ``reduce`` nor the separation search applies them.
 
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
 rewrites can make two CNOTs adjacent, by breadth-first search with the wire
@@ -91,23 +91,20 @@ def _matrix(e):
     return np.array([e[:2], e[2:]], dtype=np.complex128)
 
 
-_PAULI_TARGETS = dict(zip(Axis, (nm.SIGMA_X, nm.SIGMA_Y, nm.SIGMA_Z)))
+#: {turn: {axis: matrix}} of the fixed turns the rules ask about: the half
+#: turn, R_a(pi) up to phase, as the Pauli matrix, and the quarter turn.
+_FIXED_TURNS = {
+    math.pi: dict(zip(Axis, (nm.SIGMA_X, nm.SIGMA_Y, nm.SIGMA_Z))),
+    math.pi / 2.0: {axis: rotation_matrix2(axis, math.pi / 2.0) for axis in Axis},
+}
 
 
-def _is_pauli(g, axis):
-    """Whether the one-qubit gate g is the Pauli matrix about ``axis``, up
-    to global phase."""
-    return nm.phase_distance(_matrix(_entries(g)), _PAULI_TARGETS[axis]) <= nm.LOCAL_TOL
-
-
-_S_TARGETS = {axis: rotation_matrix2(axis, math.pi / 2.0) for axis in Axis}
-
-
-def _s_gate_axis(g):
-    """Axis a such that the one-qubit gate g is a quarter-turn rotation
-    about a, else None."""
+def _turn_axis(g, turn):
+    """The axis a such that the one-qubit gate g is the fixed ``turn``
+    about a (``_FIXED_TURNS``) up to global phase, at LOCAL_TOL, else None;
+    no gate is near the same turn about two axes."""
     m = _matrix(_entries(g))
-    for axis, target in _S_TARGETS.items():
+    for axis, target in _FIXED_TURNS[turn].items():
         if nm.phase_distance(m, target) <= nm.LOCAL_TOL:
             return axis
     return None
@@ -268,13 +265,13 @@ def _move_pauli(axis, line):
 
     def fw(w):
         g, c = w
-        if g.qubit == getattr(c, line) and _is_pauli(g, axis):
+        if g.qubit == getattr(c, line) and _turn_axis(g, math.pi) is axis:
             return [c, Rotation(axis, g.qubit, math.pi), Rotation(axis, 1 - g.qubit, math.pi)]
         return None
 
     def bw(w):
         c, g1, g2 = w
-        if _is_pauli(g1, axis) and _is_pauli(g2, axis) and g1.qubit != g2.qubit:
+        if _turn_axis(g1, math.pi) is axis and _turn_axis(g2, math.pi) is axis and g1.qubit != g2.qubit:
             return [Rotation(axis, getattr(c, line), math.pi), c]
         return None
 
@@ -327,7 +324,7 @@ def _axis_change(rotation_first):
         r, s = w if rotation_first else w[::-1]
         if r.qubit != s.qubit:
             return None
-        a = _s_gate_axis(s)
+        a = _turn_axis(s, math.pi / 2.0)
         if a is None or a is r.axis:
             return None
         new_axis, sign = _cross(a, r.axis) if rotation_first else _cross(r.axis, a)

@@ -69,6 +69,7 @@ from .circuit import (
     Rotation,
     _entries,
     _frame,
+    _gate_counts,
     _so4_factors,
     _su2,
     _su4_normalize,
@@ -230,9 +231,9 @@ def _aligned_factors(fu, fv):
     ``numerics._row_signs``, as ``_core_form`` gives a core's: the factors
     do not depend on the order or the signs in which fv gave its rows."""
     _, perm = _align_spectra(fu.d, fv.d)
-    q, qmt = fv.q[perm], fv.qmt[perm]
-    signs = nm._row_signs(q)
-    return _local_factors(fu, fv._replace(q=q * signs, d=fv.d[perm], qmt=qmt * signs))
+    q = fv.q[perm]
+    signs = np.array(nm._row_signs(q.tolist()))[:, None]
+    return _local_factors(fu, _MagicForm(q * signs, fv.d[perm], fv.qmt[perm] * signs))
 
 
 def _local_factors(fu, fv):
@@ -319,9 +320,7 @@ _CORE_PHASE = cmath.exp(-1j * (math.pi / 4.0))
 
 
 #: The constant bases B (rows) of ``_core_form``, and C of the CYZ core, B
-#: with its last two rows swapped.  Their rows lead with a positive entry
-#: and det B = +1, so B in any order, row 0 negated after an odd one, is in
-#: the signs of ``numerics._row_signs``.
+#: with its last two rows swapped.
 _CYZ_BASIS = np.array(
     [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]]
 ) / math.sqrt(2.0)
@@ -331,14 +330,16 @@ _CXZ_BASIS = np.eye(4)
 
 def _signed_rows(basis, image):
     """For every row order sigma, as a tuple: B[sigma] and C[sigma] for
-    B = ``basis`` and C = ``image``, row 0 of each negated when sigma is
-    odd, read-only.  B[sigma] is then in the signs of ``numerics._row_signs``."""
-    sigmas = list(itertools.permutations(range(4)))
-    signs = np.ones((len(sigmas), 4, 1))
-    signs[[sum(j > k for j, k in itertools.combinations(p, 2)) % 2 == 1 for p in sigmas], 0] = -1.0
-    qs, rows = basis[sigmas] * signs, image[sigmas] * signs
-    qs.flags.writeable = rows.flags.writeable = False
-    return dict(zip(sigmas, zip(qs, rows)))
+    B = ``basis`` and C = ``image``, read-only, each row in the sign
+    ``numerics._row_signs`` gives the rows of B[sigma]."""
+    table = {}
+    for sigma in itertools.permutations(range(4)):
+        q, rows = basis[list(sigma)], image[list(sigma)]
+        signs = np.array(nm._row_signs(q.tolist()))[:, None]
+        q, rows = q * signs, rows * signs
+        q.flags.writeable = rows.flags.writeable = False
+        table[sigma] = q, rows
+    return table
 
 
 #: ``_signed_rows`` of the CYZ and the CXZ core, read by ``_core_form``.
@@ -366,9 +367,9 @@ def _core_form(params, sigma):
       e^{-i(theta - phi)/2}, e^{i(theta + phi)/2}.
 
     The rows are taken in the order sigma, q = B[sigma] and
-    q mt = diag(lam[sigma]) C[sigma], with row 0 of B[sigma] and C[sigma]
-    negated when sigma is odd, so that det q = +1; both signed row sets
-    are read from ``_CYZ_SIGNED_ROWS`` or ``_CXZ_SIGNED_ROWS``."""
+    q mt = diag(lam[sigma]) C[sigma], each row in the sign of
+    ``numerics._row_signs``, so that det q = +1; both signed row sets are
+    read from ``_CYZ_SIGNED_ROWS`` or ``_CXZ_SIGNED_ROWS``."""
     if type(params) is CYZCore:
         p, exp = _CORE_PHASE, cmath.exp
         a, b, c = exp(0.5j * params.alpha), exp(0.5j * params.beta), exp(0.5j * params.delta)
@@ -514,17 +515,8 @@ def _result_for(u, circuit, tag, tol):
     residual = nm.phase_distance(simulate(circuit), u)
     if residual > tol:
         raise VerificationFailed("residual %.3g exceeds tol %.3g" % (residual, tol))
-    # One pass over the gates for the counts; an emitted circuit has no
-    # SWAP, so every gate counts 1 at the basic level.
-    kinds = list(map(type, circuit.gates))
-    return SynthesisResult(
-        circuit=circuit,
-        residual=residual,
-        cnot_count=kinds.count(CNOT),
-        one_param_count=kinds.count(Rotation),
-        basic_count=len(kinds),
-        eigen_order=tag,
-    )
+    cnots, rotations, basic = _gate_counts(circuit.gates)
+    return SynthesisResult(circuit, residual, cnots, rotations, basic, tag)
 
 
 def _outcomes(u, lib, tol, caller):
@@ -563,8 +555,8 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
 def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
     """The verified circuits of the first ``limit`` candidates that verify,
     one per candidate, in the order they are tried."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+        raise ValueError("limit must be >= 1, a positive integer, got %r" % (limit,))
     results = []
     for result in _outcomes(u, lib, tol, "enumerate_circuits"):
         if isinstance(result, SynthesisResult):

@@ -32,6 +32,8 @@ from q2synth.invariants import cnot_cost, cnot_lower_bound, gamma
 from q2synth.rewrite import RULES, apply_rule, effectively_separated, reduce
 from q2synth.synthesis import GateLibrary, match_local_factors, synthesize
 
+from draws import su2
+
 SEED = 1729
 N_SYNTH = 1000
 N_PROPS = 500
@@ -46,11 +48,6 @@ def _report(num, ok, text):
 def haar_samples():
     rng = np.random.default_rng(SEED)
     return [nm.haar_unitary(4, rng) for _ in range(N_SYNTH)]
-
-
-def su2(rng):
-    u = nm.haar_unitary(2, rng)
-    return u / np.sqrt(np.linalg.det(u))
 
 
 def test_criterion_1_rotation_library_synthesis(haar_samples):

@@ -1,8 +1,6 @@
 import cmath
 import itertools
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,15 +35,11 @@ from q2synth.circuit import (
     wrap_angle,
 )
 from q2synth.errors import CircuitParseError, NotLocal, NotUnitary
+from q2synth.rewrite import reduce
 
 # The benchmark's plain-NumPy reference, which never imports q2synth.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import reference  # noqa: E402
-
-
-def su2(rng):
-    u = nm.haar_unitary(2, rng)
-    return u / np.sqrt(np.linalg.det(u))
+import reference
+from draws import su2
 
 
 class TestGates:
@@ -90,6 +84,25 @@ class TestGates:
     def test_generic1q_rejects_a_qubit_other_than_0_or_1(self, qubit):
         with pytest.raises(ValueError, match="^qubit must be 0 or 1$"):
             Generic1Q(qubit, nm.I2)
+
+    @pytest.mark.parametrize("wire, other", [(1.0, 0), (0.0, 1), (np.float64(1.0), 0), (True, 0), ("1", 0)])
+    def test_a_wire_that_is_not_an_integer_is_refused(self, wire, other):
+        # 1.0 == 1 passed the range checks, and reduce and simulate then
+        # raised a bare TypeError where they index by the wire.
+        with pytest.raises(ValueError, match="^qubit must be 0 or 1$"):
+            Rotation(Axis.Z, wire, 0.3)
+        with pytest.raises(ValueError, match="^qubit must be 0 or 1$"):
+            Generic1Q(wire, nm.I2)
+        for control, target in ((wire, other), (other, wire)):
+            with pytest.raises(ValueError, match="^control and target must be distinct wires 0/1$"):
+                CNOT(control, target)
+
+    @pytest.mark.parametrize("wire", [0, 1, np.int64(0), np.int64(1), np.int32(1)])
+    def test_python_and_numpy_integer_wires_are_accepted(self, wire):
+        gates = (Rotation(Axis.Z, wire, 0.3), Generic1Q(wire, nm.SIGMA_X), CNOT(wire, 1 - wire), Swap())
+        expected = reference.product(gates)
+        assert reference.phase_distance(simulate(Circuit(gates)), expected) <= 1e-12
+        assert reference.phase_distance(reference.product(reduce(Circuit(gates))[0].gates), expected) <= 1e-12
 
     def test_generic1q_value_equality(self):
         a = Generic1Q(0, nm.SIGMA_X)

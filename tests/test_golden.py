@@ -7,16 +7,12 @@ five, and the versions the file was made on."""
 
 import functools
 import json
-import sys
-from pathlib import Path
 
+import golden
 import pytest
 
 from q2synth.rewrite import reduce
 from test_synthesis import emitted_results
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-import golden  # noqa: E402
 
 
 @functools.lru_cache(maxsize=None)

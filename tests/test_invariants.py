@@ -19,10 +19,9 @@ from q2synth.invariants import (
 )
 from q2synth.synthesis import match_local_factors
 
-
-def su2(rng):
-    u = nm.haar_unitary(2, rng)
-    return u / np.sqrt(np.linalg.det(u))
+# The benchmark's plain-NumPy reference, which never imports q2synth.
+import reference
+from draws import su2
 
 
 def random_local(rng):
@@ -34,17 +33,12 @@ def gamma1(a):
 
 
 Q = math.pi / 4
-_XX = nm.kron(nm.SIGMA_X, nm.SIGMA_X)
-_ZZ = nm.kron(nm.SIGMA_Z, nm.SIGMA_Z)
 
 
 def dressed_canonical(a, b, c, rng):
     """can(a, b, c) = exp(i(a XX + b YY + c ZZ)) between seeded local
     factors."""
-    out = nm.I4
-    for t, p in ((a, _XX), (b, nm.SYY), (c, _ZZ)):
-        out = out @ (math.cos(t) * nm.I4 + 1j * math.sin(t) * p)
-    return random_local(rng) @ out @ random_local(rng)
+    return random_local(rng) @ reference.canonical(a, b, c) @ random_local(rng)
 
 
 class TestGamma:

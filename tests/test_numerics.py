@@ -6,13 +6,7 @@ import pytest
 from q2synth import numerics as nm
 from q2synth.errors import NotSymmetricUnitary
 
-
-def random_symmetric_unitary(rng, angles=None):
-    """Build q^T diag(e^{i a}) q from a random real orthogonal q."""
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    if angles is None:
-        angles = rng.uniform(-np.pi, np.pi, size=4)
-    return q.T @ np.diag(np.exp(1j * np.asarray(angles))) @ q
+from draws import symmetric_unitary
 
 
 class TestConstants:
@@ -85,7 +79,7 @@ class TestDiagonalizeSymmetricUnitary:
     def test_contract_on_random_inputs(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            p = random_symmetric_unitary(rng)
+            p = symmetric_unitary(rng)
             q, d = nm.diagonalize_symmetric_unitary(p)
             # rows of q are eigenvectors: q p q^T diagonal with entries d
             assert np.allclose(q @ p @ q.T, np.diag(d), atol=1e-9)
@@ -97,7 +91,7 @@ class TestDiagonalizeSymmetricUnitary:
     def test_angles_sorted_ascending(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            p = random_symmetric_unitary(rng)
+            p = symmetric_unitary(rng)
             _, d = nm.diagonalize_symmetric_unitary(p)
             ang = np.angle(d)
             assert np.all(np.diff(ang) >= -1e-12)
@@ -112,7 +106,7 @@ class TestDiagonalizeSymmetricUnitary:
             [-1.9, -0.7, 0.7, 1.9],
             [-0.7, -0.7, 0.7, 0.7],
         ):
-            p = random_symmetric_unitary(rng, angles)
+            p = symmetric_unitary(rng, angles)
             q, d = nm.diagonalize_symmetric_unitary(p)
             assert np.allclose(q @ p @ p.conj().T @ q.T, np.eye(4), atol=1e-9)
             assert np.allclose(q @ p @ q.T, np.diag(d), atol=1e-8)
@@ -129,7 +123,7 @@ class TestDiagonalizeSymmetricUnitary:
                 angles = np.concatenate(
                     [centre + eps * rng.uniform(-1.0, 1.0, size), rng.uniform(-3.0, 3.0, 4 - size)]
                 )
-                p = random_symmetric_unitary(rng, angles)
+                p = symmetric_unitary(rng, angles)
                 q, d = nm.diagonalize_symmetric_unitary(p)
                 assert np.isrealobj(q)
                 assert np.abs(q @ q.T - np.eye(4)).max() <= 1e-12
@@ -147,7 +141,7 @@ class TestDiagonalizeSymmetricUnitary:
             for _ in range(20):
                 a = rng.uniform(0.2, 2.9)
                 angles = [a, -a + g, *rng.uniform(-3.0, 3.0, 2)]
-                p = random_symmetric_unitary(rng, angles)
+                p = symmetric_unitary(rng, angles)
                 q, d = nm.diagonalize_symmetric_unitary(p)
                 assert np.abs(q @ q.T - np.eye(4)).max() <= 1e-12
                 assert np.abs(q @ p @ q.T - np.diag(d)).max() <= 1e-12
@@ -158,9 +152,9 @@ class TestDiagonalizeSymmetricUnitary:
         # takes the sign that makes det(q) = +1, and re-canonicalizing any
         # other signs and order of the same eigenbasis gives the same result.
         rng = np.random.default_rng(41)
-        inputs = [random_symmetric_unitary(rng) for _ in range(50)]
+        inputs = [symmetric_unitary(rng) for _ in range(50)]
         inputs += [
-            random_symmetric_unitary(rng, [a, -a, b, -b]) for a, b in rng.uniform(0.1, 3.0, (20, 2))
+            symmetric_unitary(rng, [a, -a, b, -b]) for a, b in rng.uniform(0.1, 3.0, (20, 2))
         ]
         for p in inputs:
             q, d = nm.diagonalize_symmetric_unitary(p)
@@ -195,7 +189,7 @@ class TestDiagonalizeSymmetricUnitary:
 
         rng = np.random.default_rng(42)
         for _ in range(50):
-            p = random_symmetric_unitary(rng)
+            p = symmetric_unitary(rng)
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             a = a - a.T
             p = p + 0.5e-9 * a / np.linalg.norm(a)

@@ -3,7 +3,6 @@ import importlib.util
 import itertools
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +30,9 @@ from q2synth.rewrite import (
     _MOVES,
     _REDUCE_PRIORITY,
     RULES,
-    _is_pauli,
     _mirror_gate,
-    _s_gate_axis,
     _symbol,
+    _turn_axis,
     _unitarity_residual,
     apply_rule,
     effectively_separated,
@@ -43,8 +41,7 @@ from q2synth.rewrite import (
 )
 
 # The benchmark's plain-NumPy reference, which never imports q2synth.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import reference  # noqa: E402
+import reference
 
 EXPECTED_RULE_IDS = {
     "CancelCNOT",
@@ -168,54 +165,6 @@ def separation_circuit(rng, n):
 #: The rules of the separation search, and the depths its tests ask at.
 SEPARATION_RULES = ("CommuteRxTarget", "CommuteRzControl", "FlipCNOTPair")
 DEPTHS = (1, 2, 3, 5, 8, 12)
-
-
-def _reference_key(g):
-    if isinstance(g, Rotation):
-        return ("r", g.axis.value, g.qubit, round(g.angle, 10))
-    return ("c", g.control, g.target)
-
-
-def _reference_canonical_key(gates):
-    direct = tuple(_reference_key(g) for g in gates)
-    mirrored = tuple(("r", k[1], 1 - k[2], k[3]) if k[0] == "r" else ("c", k[2], k[1]) for k in direct)
-    return min(direct, mirrored)
-
-
-def _has_adjacent_cnots(gates):
-    return any(isinstance(a, CNOT) and isinstance(b, CNOT) for a, b in zip(gates, gates[1:]))
-
-
-def reference_separated(c, depth_limit=8):
-    """The search over gate objects that ``effectively_separated`` ran before
-    it searched the angle-free shape: every state keyed gate by gate, angles
-    on a 1e-10 grid, and every separation rule matched at every position."""
-    start = tuple(c.gates)
-    if _has_adjacent_cnots(start):
-        return False
-    seen = {_reference_canonical_key(start)}
-    frontier = [start]
-    for _ in range(depth_limit):
-        nxt = []
-        for gates in frontier:
-            for pos in range(len(gates)):
-                for rule_id in SEPARATION_RULES:
-                    hit = RULES[rule_id].match(gates, pos)
-                    if hit is None:
-                        continue
-                    length, replacement = hit
-                    candidate = gates[:pos] + replacement + gates[pos + length :]
-                    key = _reference_canonical_key(candidate)
-                    if key in seen:
-                        continue
-                    if _has_adjacent_cnots(candidate):
-                        return False
-                    seen.add(key)
-                    nxt.append(candidate)
-        if not nxt:
-            break
-        frontier = nxt
-    return True
 
 
 def redrawn(rng, c):
@@ -857,7 +806,7 @@ class TestPauliTest:
             for qubit in (0, 1):
                 g = Rotation(axis, qubit, angle)
                 expect = nm.phase_distance(rotation_matrix2(axis, angle), pauli) <= 1e-9
-                assert _is_pauli(g, pauli_axis) == expect, (axis, pauli_axis, angle)
+                assert (_turn_axis(g, math.pi) is pauli_axis) == expect, (axis, pauli_axis, angle)
 
 
 _PAULIS = {Axis.X: nm.SIGMA_X, Axis.Y: nm.SIGMA_Y, Axis.Z: nm.SIGMA_Z}
@@ -912,7 +861,7 @@ class TestScalarOneQubitTests:
         @given(near_special_gates(), st.sampled_from(list(Axis)))
         def check(g, axis):
             expect = nm.phase_distance(_gate_matrix2(g), _PAULIS[axis]) <= nm.LOCAL_TOL
-            assert _is_pauli(g, axis) == expect
+            assert (_turn_axis(g, math.pi) is axis) == expect
             verdicts.add(expect)
 
         check()
@@ -926,7 +875,7 @@ class TestScalarOneQubitTests:
         def check(g):
             m = _gate_matrix2(g)
             expect = next((a for a, s in _QUARTER_TURNS.items() if nm.phase_distance(m, s) <= nm.LOCAL_TOL), None)
-            assert _s_gate_axis(g) is expect
+            assert _turn_axis(g, math.pi / 2.0) is expect
             answers.add(expect)
 
         check()
@@ -1035,7 +984,7 @@ class TestEffectivelySeparated:
             ]
         )
         answers = [effectively_separated(c, d) for d in (2, 3)]
-        assert answers == [reference_separated(c, d) for d in (2, 3)] == [True, False]
+        assert answers == [reference.separated(c.gates, d) for d in (2, 3)] == [True, False]
 
     def test_adjacent_cnots_fail_immediately(self):
         assert effectively_separated(C([CNOT(0, 1), CNOT(1, 0)]), 1) is False
@@ -1070,7 +1019,7 @@ class TestEffectivelySeparated:
                 c = separation_circuit(rng, n)
                 for depth in DEPTHS:
                     answer = effectively_separated(c, depth)
-                    assert answer is reference_separated(c, depth)
+                    assert answer is reference.separated(c.gates, depth)
                     answers.add(answer)
         assert answers == {True, False}
 
@@ -1091,7 +1040,7 @@ class TestEffectivelySeparated:
             other = C(_mirror_gate(g) for g in other.gates)
         answer = effectively_separated(c, depth)
         assert effectively_separated(other, depth) is answer
-        assert reference_separated(other, depth) is answer
+        assert reference.separated(other.gates, depth) is answer
 
     def test_search_makes_no_match_call(self, monkeypatch):
         calls = []

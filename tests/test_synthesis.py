@@ -69,36 +69,15 @@ from q2synth.synthesis import (
 
 # The benchmark's plain-NumPy reference, which never imports q2synth, and
 # its workloads, for the request pools of weyl-degenerate.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import reference  # noqa: E402
-import workloads  # noqa: E402
+import reference
+import workloads
+from draws import su2, su4
 
 ROTATION_AXES = {
     GateLibrary.CYZ: {Axis.Y, Axis.Z},
     GateLibrary.CXY: {Axis.X, Axis.Y},
     GateLibrary.CXZ: {Axis.X, Axis.Z},
 }
-
-
-def su2(rng):
-    u = nm.haar_unitary(2, rng)
-    return u / np.sqrt(np.linalg.det(u))
-
-
-def su4(rng):
-    return su4_normalize(nm.haar_unitary(4, rng))[0]
-
-
-_XX = nm.kron(nm.SIGMA_X, nm.SIGMA_X)
-_ZZ = nm.kron(nm.SIGMA_Z, nm.SIGMA_Z)
-
-
-def canonical(a, b, c):
-    """can(a, b, c) = exp(i(a XX + b YY + c ZZ)); the three terms commute."""
-    out = nm.I4
-    for t, p in ((a, _XX), (b, nm.SYY), (c, _ZZ)):
-        out = out @ (math.cos(t) * nm.I4 + 1j * math.sin(t) * p)
-    return out
 
 
 def delta(psi):
@@ -122,7 +101,7 @@ def near_corner_and_edge_inputs():
     for point in ((math.pi / 4, 0.0, 0.0), (0.37, 0.0, 0.0)):
         for _ in range(60):
             d = rng.standard_normal(3)
-            yield with_haar_locals(canonical(*(np.asarray(point) + 1e-6 * d / np.linalg.norm(d))), rng)
+            yield with_haar_locals(reference.canonical(*(np.asarray(point) + 1e-6 * d / np.linalg.norm(d))), rng)
 
 
 Q = math.pi / 4
@@ -158,7 +137,7 @@ def chamber_corpus(draws=4):
         for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-4):
             for _ in range(draws):
                 d = rng.standard_normal(3)
-                yield with_haar_locals(canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d))), rng)
+                yield with_haar_locals(reference.canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d))), rng)
 
 
 def core_circuit(params):
@@ -304,7 +283,7 @@ def psi_inputs():
     vanish or nearly do: CNOT, SWAP and can(eps, eps, eps)."""
     rng = np.random.default_rng(2)
     inputs = [su4(rng) for _ in range(30)]
-    for m in (nm.CNOT01, nm.SWAP_MAT, canonical(1e-6, 1e-6, 1e-6)):
+    for m in (nm.CNOT01, nm.SWAP_MAT, reference.canonical(1e-6, 1e-6, 1e-6)):
         inputs += [m] + [with_haar_locals(m, rng) for _ in range(10)]
     return inputs
 
@@ -336,7 +315,7 @@ class TestCoreParamsCXZ:
         # The two-CNOT Delta(psi) is diag(e^{-i psi s/2}) in the magic
         # basis, s = _ZZ_MAGIC, so _cxz_state scales the columns of the
         # magic form of U by it.
-        assert np.abs(nm.MAGIC_DAG @ _ZZ @ nm.MAGIC - np.diag(_ZZ_MAGIC)).max() <= 1e-15
+        assert np.abs(nm.MAGIC_DAG @ reference.ZZ @ nm.MAGIC - np.diag(_ZZ_MAGIC)).max() <= 1e-15
         for u in psi_inputs():
             psi = core_params_cxz(su4_normalize(u @ nm.CNOT01)[0]).psi
             magic = nm.MAGIC_DAG @ delta(psi) @ nm.MAGIC
@@ -370,7 +349,7 @@ class TestCoreParamsCXZ:
             entered[dist] = 0
             for _ in range(60):
                 d = rng.standard_normal(3)
-                u = su4_normalize(with_haar_locals(canonical(*(dist * d / np.linalg.norm(d))), rng))[0]
+                u = su4_normalize(with_haar_locals(reference.canonical(*(dist * d / np.linalg.norm(d))), rng))[0]
                 with mock.patch.object(synthesis, "_cxz_psi", wraps=synthesis._cxz_psi) as read:
                     with mock.patch.object(synthesis, "_imag_trace", wraps=synthesis._imag_trace) as spectral:
                         core_params_cxz(u)
@@ -687,7 +666,7 @@ class TestSynthesize:
         for point in ((Q, Q, 0.0), (Q, Q, Q), (Q, 0.0, 0.0)):
             for _ in range(70):
                 d = rng.standard_normal(3)
-                u = with_haar_locals(canonical(*(np.asarray(point) + 1e-12 * d / np.linalg.norm(d))), rng)
+                u = with_haar_locals(reference.canonical(*(np.asarray(point) + 1e-12 * d / np.linalg.norm(d))), rng)
                 first = next(synthesis._outcomes(u, GateLibrary.CXZ, 3e-13, "synthesize"))
                 if not isinstance(first, Exception):
                     continue
@@ -707,7 +686,7 @@ class TestSynthesize:
         rng = np.random.default_rng(37)
         for _ in range(20):
             d = rng.standard_normal(3)
-            u = with_haar_locals(canonical(*(1e-8 * d / np.linalg.norm(d))), rng)
+            u = with_haar_locals(reference.canonical(*(1e-8 * d / np.linalg.norm(d))), rng)
             assert synthesize(u, GateLibrary.CXZ, tol=1e-13).residual <= 1e-13
 
     def test_cxz_named_gates_stay_as_short(self):
@@ -793,8 +772,9 @@ class TestSinglePass:
 
     #: The most calls into q2synth's own functions (generator resumptions
     #: included) that one synthesize call of each library may make on the
-    #: Haar inputs of ``test_python_calls_per_haar_call``: the most this
-    #: code makes there (61, 62, 77 and 59) plus 5.  Before simulate read
+    #: Haar inputs of ``test_python_calls_per_haar_call``: set at the most
+    #: the code made there (61, 62, 77 and 59) plus 5; the one sign rule
+    #: and the one gate count made it 63, 64, 79 and 61.  Before simulate read
     #: its gates in one pass, with no call per gate, and cxy built its core
     #: and local gates in its own axes, the most was 113, 140, 128 and 77;
     #: before the scalar passes of the canonical form, the SO(4) split and
@@ -948,7 +928,7 @@ def tied_corner_inputs():
     for point in ((0.0, 0.0, 0.0), (Q, 0.0, 0.0), (Q, Q, 0.0), (Q, Q, Q)):
         for eps in (0.0, 1e-16, 1e-12):
             d = rng.standard_normal(3)
-            m = canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d)))
+            m = reference.canonical(*(np.asarray(point) + eps * d / np.linalg.norm(d)))
             inputs += [m] + [with_haar_locals(m, rng) for _ in range(3)]
     return inputs
 
@@ -1088,7 +1068,7 @@ def assert_form_of(core, form, frame=nm.I4):
     assert np.abs(form.q.T @ form.qmt - mt).max() <= 1e-14
     assert np.abs(form.q @ form.q.T - np.eye(4)).max() <= 1e-15
     assert np.linalg.det(form.q) > 0.0
-    assert np.array_equal(nm._row_signs(form.q), np.ones((4, 1)))
+    assert nm._row_signs(form.q.tolist()) == [1.0, 1.0, 1.0, 1.0]
     m = form.q @ (mt @ mt.T) @ form.q.T
     assert nm._off_diagonal(m) <= nm.OFF_DIAGONAL_TOL
     assert np.abs(m.diagonal() - form.d).max() <= 1e-14
@@ -1208,6 +1188,13 @@ class TestCorePhase:
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize("limit", [0, -1, True, False, 2.5, float("nan"), "2", None, 2.0])
+    def test_rejects_a_limit_that_is_not_a_positive_integer(self, limit):
+        # limit=2.5 gave 3 circuits, limit=True gave 1, and limit="2"
+        # raised a bare TypeError; the rule of effectively_separated's depth.
+        with pytest.raises(ValueError, match="^limit must be >= 1, a positive integer, got "):
+            enumerate_circuits(nm.CNOT01, GateLibrary.CYZ, limit=limit)
+
     def test_yields_distinct_verified_circuits(self):
         rng = np.random.default_rng(12)
         u = nm.haar_unitary(4, rng)
@@ -1224,7 +1211,7 @@ class TestEnumerate:
         # At the SWAP corner every eigen-ordering gives the same core
         # rotations; the alternatives differ in their Generic1Q gates.
         rng = np.random.default_rng(2)
-        u = with_haar_locals(canonical(math.pi / 4, math.pi / 4, math.pi / 4), rng)
+        u = with_haar_locals(reference.canonical(math.pi / 4, math.pi / 4, math.pi / 4), rng)
         results = enumerate_circuits(u, GateLibrary.BASIC, limit=24)
         cores = {
             tuple(
@@ -1272,7 +1259,7 @@ def near_cnot_input(draw):
         eps = 10.0 ** rng.uniform(-12.0, -6.0)
         d = rng.standard_normal(3)
         a, b = nm.haar_unitary(2, rng), nm.haar_unitary(2, rng)
-    return np.kron(a, b) @ nm.CNOT01 @ canonical(*(eps * d / np.linalg.norm(d)))
+    return np.kron(a, b) @ nm.CNOT01 @ reference.canonical(*(eps * d / np.linalg.norm(d)))
 
 
 class TestOneUniversalCircuit:
@@ -1331,7 +1318,7 @@ def chamber_inputs(draw):
     eps = draw(st.one_of(st.just(0.0), st.floats(-12.0, -4.0).map(lambda x: 10.0**x)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = rng.standard_normal(3)
-    return with_haar_locals(canonical(*(np.array([a, b, c]) + eps * d / np.linalg.norm(d))), rng)
+    return with_haar_locals(reference.canonical(*(np.array([a, b, c]) + eps * d / np.linalg.norm(d))), rng)
 
 
 @st.composite
@@ -1422,7 +1409,7 @@ def cost_bases():
     """20 seeded Haar inputs and every chamber point of ``chamber_corpus()``
     at eps = 0, undressed."""
     rng = np.random.default_rng(51)
-    return [nm.haar_unitary(4, rng) for _ in range(20)] + [canonical(*p) for p in CHAMBER_POINTS]
+    return [nm.haar_unitary(4, rng) for _ in range(20)] + [reference.canonical(*p) for p in CHAMBER_POINTS]
 
 
 class TestCostProperties:

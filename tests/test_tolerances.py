@@ -24,6 +24,8 @@ from q2synth.synthesis import (
     synthesize,
 )
 
+from draws import su2, su4, symmetric_unitary
+
 SRC = Path(q2synth.__file__).parent
 
 
@@ -163,7 +165,8 @@ def dead_defaults(trees):
 class TestNoDeadNames:
     """What a deletion leaves behind: an import nothing uses, in src/, the
     tests or the tools, or a private module-level name nothing else in src/
-    reads.  Tests do not count as readers."""
+    reads.  Tests do not count as readers.  And what a copy leaves: one
+    function body written twice."""
 
     def test_every_import_is_used(self):
         unused = []
@@ -221,6 +224,21 @@ class TestNoDeadNames:
                     if private.startswith("_") and not private.startswith("__") and private not in read:
                         unread.append("%s:%d: %s" % (name, node.lineno, private))
         assert unread == []
+
+    def test_no_two_functions_share_a_body(self):
+        # A body of two or more statements, its docstring aside, that two
+        # functions in src/, the tests or the tools share states one rule
+        # twice.  perfbench/ is not scanned: the benchmark stands alone.
+        bodies = {}
+        for name, tree in {**module_trees(), **script_trees()}.items():
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+                if len(body) >= 2:
+                    key = ast.dump(ast.Module(body, []))
+                    bodies.setdefault(key, []).append("%s:%d: %s" % (name, fn.lineno, fn.name))
+        assert [found for found in bodies.values() if len(found) > 1] == []
 
     def test_every_default_of_a_private_function_is_set_in_src(self):
         # A default that no caller in src/ overrides is a constant in
@@ -286,20 +304,6 @@ def _haar4(rng):
     return nm.haar_unitary(4, rng)
 
 
-def _su4(rng):
-    return su4_normalize(nm.haar_unitary(4, rng))[0]
-
-
-def _su2(rng):
-    u = nm.haar_unitary(2, rng)
-    return u / np.sqrt(np.linalg.det(u))
-
-
-def _symmetric_unitary(rng):
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    return q.T @ np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 4))) @ q
-
-
 #: Every public entry point that checks a unitary input: (name in its
 #: error message, the call, a valid input from a seeded generator, the
 #: error it raises).
@@ -309,20 +313,20 @@ ENTRY_POINTS = [
     ("cnot_cost", cnot_cost, _haar4, NotUnitary),
     ("gamma", gamma, _haar4, NotUnitary),
     ("invariant_data", invariant_data, _haar4, NotUnitary),
-    ("same_left_coset", lambda m: same_left_coset(m, m), _su4, NotUnitary),
-    ("same_double_coset", lambda m: same_double_coset(m, m), _su4, NotUnitary),
-    ("core_params_cyz", core_params_cyz, _su4, NotUnitary),
-    ("core_params_cxz", core_params_cxz, _su4, NotUnitary),
-    ("match_local_factors", lambda m: match_local_factors(m, m), _su4, NotUnitary),
+    ("same_left_coset", lambda m: same_left_coset(m, m), su4, NotUnitary),
+    ("same_double_coset", lambda m: same_double_coset(m, m), su4, NotUnitary),
+    ("core_params_cyz", core_params_cyz, su4, NotUnitary),
+    ("core_params_cxz", core_params_cxz, su4, NotUnitary),
+    ("match_local_factors", lambda m: match_local_factors(m, m), su4, NotUnitary),
     ("su4_normalize", su4_normalize, _haar4, NotUnitary),
-    ("tensor_factor", tensor_factor, lambda r: nm.kron(_su2(r), _su2(r)), NotUnitary),
-    ("euler_decompose", lambda m: euler_decompose(m, Axis.Z, Axis.Y), _su2, NotUnitary),
-    ("Generic1Q", lambda m: Generic1Q(0, m), _su2, NotUnitary),
+    ("tensor_factor", tensor_factor, lambda r: nm.kron(su2(r), su2(r)), NotUnitary),
+    ("euler_decompose", lambda m: euler_decompose(m, Axis.Z, Axis.Y), su2, NotUnitary),
+    ("Generic1Q", lambda m: Generic1Q(0, m), su2, NotUnitary),
     ("parse_matrix_text", lambda m: parse_matrix_text(matrix_text(m)), _haar4, NotUnitary),
     (
         "diagonalize_symmetric_unitary",
         nm.diagonalize_symmetric_unitary,
-        _symmetric_unitary,
+        symmetric_unitary,
         NotSymmetricUnitary,
     ),
 ]
@@ -365,7 +369,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("name,call", TOL_CALLS)
     def test_a_caller_tol_tightens_the_check_down_to_the_floor(self, name, call):
-        m = _su4(np.random.default_rng(21))
+        m = su4(np.random.default_rng(21))
         # A looser tol leaves the check at UNITARY_TOL.
         with pytest.raises(NotUnitary, match=r"^%s .*tol=1e-08$" % name):
             call(off_unitary(m, 1.1e-8), 1e-6)
@@ -386,7 +390,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("name,call", TOL_CALLS)
     def test_a_nan_or_negative_tol_is_refused(self, name, call, tol):
         # ``residual > nan`` is False, so a NaN tol would accept any circuit.
-        m = _su4(np.random.default_rng(21))
+        m = su4(np.random.default_rng(21))
         with pytest.raises(ValueError, match=r"^%s expects tol >= 0" % name):
             call(m, tol)
 
@@ -470,8 +474,8 @@ class TestOneCheckPerCall:
         checks, unitary = self.record(monkeypatch)
         rng = np.random.default_rng(6)
         for _ in range(5):
-            u = _su4(rng)
-            v = nm.kron(_su2(rng), _su2(rng)) @ u @ nm.kron(_su2(rng), _su2(rng))
+            u = su4(rng)
+            v = nm.kron(su2(rng), su2(rng)) @ u @ nm.kron(su2(rng), su2(rng))
             del checks[:], unitary[:]
             call(u, v)
             assert checks == expected
