@@ -67,10 +67,14 @@ def _rotation_entries(axis, angle):
     raise ValueError("rotation axis must be an Axis, not %r" % (axis,))
 
 
+def _matrix2(e):
+    """The 2x2 complex128 matrix with entries e = (m00, m01, m10, m11)."""
+    return np.array(e, dtype=np.complex128).reshape(2, 2)
+
+
 def rotation_matrix2(axis, angle):
     """R_n(theta) = exp(-i sigma_n theta / 2) as a 2x2 matrix."""
-    m00, m01, m10, m11 = _rotation_entries(axis, angle)
-    return np.array([[m00, m01], [m10, m11]], dtype=np.complex128)
+    return _matrix2(_rotation_entries(axis, angle))
 
 
 def _is_wire(q):
@@ -119,39 +123,49 @@ class CNOT:
 _CNOTS = (CNOT(0, 1), CNOT(1, 0))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Generic1Q:
-    qubit: int
-    matrix: np.ndarray = field(repr=False)
+    """A whole one-qubit gate on ``qubit``, built from a 2x2 unitary
+    ``matrix`` (taken to determinant 1 if it is further than UNITARY_TOL
+    from it) and stored as its four entries (m00, m01, m10, m11), Python
+    complex values in a tuple.  Every layer reads those entries; equality
+    and the hash are those of (qubit, entries), and ``matrix`` is a new
+    array on each read."""
 
-    def __post_init__(self):
-        if not _is_wire(self.qubit):
+    qubit: int
+    entries: tuple = field(repr=False)
+
+    def __init__(self, qubit, matrix):
+        if not _is_wire(qubit):
             raise ValueError("qubit must be 0 or 1")
-        m = nm.require_unitary(self.matrix, "Generic1Q", size=2)
+        m = nm.require_unitary(matrix, "Generic1Q", size=2)
         det = nm.det2(m)
         if abs(det - 1.0) > nm.UNITARY_TOL:
             m = m * np.exp(-0.5j * np.angle(det))
-        object.__setattr__(self, "matrix", m)
+        fields = self.__dict__
+        fields["qubit"] = qubit
+        fields["entries"] = tuple(m.ravel().tolist())
 
     @classmethod
-    def _trusted(cls, qubit, matrix):
-        """A Generic1Q on ``qubit`` whose ``matrix`` is already checked.
+    def _trusted(cls, qubit, entries):
+        """A Generic1Q on ``qubit`` whose ``entries`` are already checked.
 
-        Skips ``__post_init__``: the matrix must be a complex128 2x2
-        unitary to UNITARY_TOL (in SU(2) by construction, another
-        Generic1Q's, or a product of those taken back to unitary), and the
-        qubit must be 0 or 1.
+        Skips the check of ``__init__``: ``entries`` must be the tuple
+        (m00, m01, m10, m11) of Python complex values of a 2x2 unitary to
+        UNITARY_TOL (in SU(2) by construction, another Generic1Q's, or a
+        product of those taken back to unitary), and the qubit must be 0
+        or 1.
         """
         g = object.__new__(cls)
         fields = g.__dict__
         fields["qubit"] = qubit
-        fields["matrix"] = matrix
+        fields["entries"] = entries
         return g
 
-    def __eq__(self, other):
-        if not isinstance(other, Generic1Q):
-            return NotImplemented
-        return self.qubit == other.qubit and np.array_equal(self.matrix, other.matrix)
+    @property
+    def matrix(self):
+        """The gate's 2x2 complex128 matrix, a new array on each read."""
+        return _matrix2(self.entries)
 
 
 @dataclass(frozen=True)
@@ -208,7 +222,7 @@ def _entries(g):
     if kind is Rotation:
         return _rotation_entries(g.axis, g.angle)
     if kind is Generic1Q:
-        return g.matrix.ravel().tolist()
+        return g.entries
     raise TypeError("not a gate: %r" % (g,))
 
 
@@ -268,7 +282,7 @@ def simulate(c):
                 flat += r0 + r1 + r3 + r2
             runs = [_ID2, _ID2]
         elif kind is Generic1Q:
-            (x0, x1), (x2, x3) = g.matrix.tolist()
+            x0, x1, x2, x3 = g.entries
             y0, y1, y2, y3 = runs[g.qubit]
             runs[g.qubit] = x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3
         else:
@@ -303,12 +317,17 @@ def _su4_normalize(u):
     return u * cmath.exp(-1j * phase), phase
 
 
+def _su2_entries(x):
+    """The entries (m00, m01, m10, m11) of x0 I - i (x1 X + x2 Y + x3 Z),
+    the SU(2) element of a unit quaternion x, as Python complex values."""
+    x0, x1, x2, x3 = x
+    return complex(x0, -x3), complex(-x2, -x1), complex(x2, -x1), complex(x0, x3)
+
+
 def _su2(x0, x1, x2, x3):
-    """x0 I - i (x1 X + x2 Y + x3 Z): the SU(2) element of a unit quaternion."""
-    return np.array(
-        [[complex(x0, -x3), complex(-x2, -x1)], [complex(x2, -x1), complex(x0, x3)]],
-        dtype=np.complex128,
-    )
+    """The SU(2) element of the unit quaternion (x0, x1, x2, x3) as a 2x2
+    matrix (``_su2_entries``)."""
+    return _matrix2(_su2_entries((x0, x1, x2, x3)))
 
 
 #: ``_frame``'s read of each axis pair (o, i), with i x o = sign * c.
@@ -464,7 +483,7 @@ def gate_to_text(g):
     if isinstance(g, CNOT):
         return "CNOT %d %d" % (g.control, g.target)
     if isinstance(g, Generic1Q):
-        flat = " ".join(_fmt(p) for z in g.matrix.ravel() for p in (z.real, z.imag))
+        flat = " ".join(_fmt(p) for z in g.entries for p in (z.real, z.imag))
         return "U3 %d %s" % (g.qubit, flat)
     if isinstance(g, Swap):
         return "SWAP"
@@ -525,4 +544,6 @@ def to_qasm(c):
             lines.append("u3(%s,%s,%s) q[%d];" % (_fmt(ph), _fmt(th), _fmt(ps), g.qubit))
         elif isinstance(g, Swap):
             lines.append("swap q[0],q[1];")
+        else:
+            raise TypeError("not a gate: %r" % (g,))
     return "\n".join(lines) + "\n"

@@ -218,6 +218,15 @@ def require_unitary(m, caller, tol=UNITARY_TOL, size=4, special=False, symmetric
     return m
 
 
+def require_count(n, name):
+    """The one check of a count argument: ``n`` as a Python int if it is a
+    Python or NumPy integer of at least 1, and not a bool; otherwise
+    ValueError, naming the argument ``name``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("%s must be >= 1, a positive integer, got %r" % (name, n))
+    return int(n)
+
+
 def _input_error(caller, size, special, symmetric, failed):
     """The error of ``require_unitary``, naming the check that ``failed``."""
     kind = "symmetric unitary" if symmetric else "special-unitary" if special else "unitary"

@@ -40,13 +40,17 @@ in an inner loop that reads only the windows each move changed, and hands
 back to the tier search when the SWAP reaches the last gate or another
 SWAP, or when its move makes a window of a tier up to its own on its left.
 
-The rules' one-qubit questions that ``reduce`` asks (does a gate commute
-with X or Z, is a merged product the identity, or off unitary) are answered
-on the gate's four entries as Python scalars; the commutation tests are
-exact and phase-free.  Whether a gate is a Pauli or a quarter turn is
-one test, ``_turn_axis``: its phase distance to that matrix, at
-LOCAL_TOL.  Only ``MoveSigmaX``, ``MoveSigmaZ`` and ``AxisChange`` ask,
-and neither ``reduce`` nor the separation search applies them.
+A Generic1Q is its four entries, Python complex values, and the rules'
+one-qubit questions that ``reduce`` asks (does a gate commute with X or Z,
+is a merged product the identity, or off unitary) are answered on them; the
+commutation tests are exact and phase-free.  A merge multiplies the entries
+of its two gates and keeps the product as the merged gate's entries, so
+``reduce`` builds no array and reads none back; only a product further than
+UNITARY_TOL from unitary goes through NumPy, for one polar step.  Whether
+a gate is a Pauli or a quarter turn is one test, ``_turn_axis``: its phase
+distance to that matrix, at LOCAL_TOL.  Only ``MoveSigmaX``, ``MoveSigmaZ``
+and ``AxisChange`` ask, and neither ``reduce`` nor the separation search
+applies them.
 
 ``effectively_separated`` answers whether commutation and CNOT-pair-flip
 rewrites can make two CNOTs adjacent, by breadth-first search with the wire
@@ -76,6 +80,7 @@ from .circuit import (
     Swap,
     _cross,
     _entries,
+    _matrix2,
     _mul2,
     rotation_matrix2,
     simulate,
@@ -84,11 +89,6 @@ from .circuit import (
 from .errors import NoMatch, UnsupportedGate
 
 _ONE_QUBIT = (Rotation, Generic1Q)
-
-
-def _matrix(e):
-    """The 2x2 complex128 matrix with entries e."""
-    return np.array([e[:2], e[2:]], dtype=np.complex128)
 
 
 #: {turn: {axis: matrix}} of the fixed turns the rules ask about: the half
@@ -103,7 +103,7 @@ def _turn_axis(g, turn):
     """The axis a such that the one-qubit gate g is the fixed ``turn``
     about a (``_FIXED_TURNS``) up to global phase, at LOCAL_TOL, else None;
     no gate is near the same turn about two axes."""
-    m = _matrix(_entries(g))
+    m = _matrix2(_entries(g))
     for axis, target in _FIXED_TURNS[turn].items():
         if nm.phase_distance(m, target) <= nm.LOCAL_TOL:
             return axis
@@ -123,7 +123,7 @@ def _mirror_gate(g):
     """A CNOT, Rotation or Generic1Q with its wires exchanged; the mirror of
     a CNOT is the shared CNOT whose control is its target."""
     if type(g) is Generic1Q:
-        return Generic1Q._trusted(1 - g.qubit, g.matrix)
+        return Generic1Q._trusted(1 - g.qubit, g.entries)
     if type(g) is Rotation:
         return Rotation._trusted(g.axis, 1 - g.qubit, g.angle)
     return _CNOTS[g.target]
@@ -155,12 +155,11 @@ def _symbol(g):
     """
     t = type(g)
     if t is Generic1Q:
-        m = g.matrix
-        b, c = m.item(1), m.item(2)
+        a, b, c, d = g.entries
         gap = abs(b - c) ** 2
         if gap > _SCREEN:
             return _GENERIC + 4 * g.qubit
-        x = abs(m.item(0) - m.item(3)) ** 2 + gap <= _TWO_TOL2
+        x = abs(a - d) ** 2 + gap <= _TWO_TOL2
         z = abs(b) ** 2 + abs(c) ** 2 <= _TOL2
         return _GENERIC + 4 * g.qubit + x + 2 * z
     if t is CNOT:
@@ -305,13 +304,12 @@ def _merge_rotations(w):
     p = _mul2(_entries(g2), _entries(g1))
     if nm._is_identity_up_to_phase(p):
         return []
-    prod = _matrix(p)
     # Each factor may be UNITARY_TOL from unitary, and so their product
     # twice that; one polar step then takes it back to rounding.  A NaN
     # residual takes the step too.
     if not _unitarity_residual(p) <= nm.UNITARY_TOL:
-        prod = nm._polar_step(prod)
-    return [Generic1Q._trusted(g1.qubit, prod)]
+        p = tuple(nm._polar_step(_matrix2(p)).ravel().tolist())
+    return [Generic1Q._trusted(g1.qubit, p)]
 
 
 def _axis_change(rotation_first):
@@ -739,8 +737,7 @@ def effectively_separated(c, depth_limit=8):
     The search runs on the circuit's symbols, up to relabeling the two
     wires (see the module docstring).
     """
-    if isinstance(depth_limit, bool) or not isinstance(depth_limit, int) or depth_limit < 1:
-        raise ValueError("depth_limit must be a positive integer")
+    depth_limit = nm.require_count(depth_limit, "depth_limit")
     start = tuple(_symbol(g) if type(g) in (CNOT, Rotation) else None for g in c.gates)
     if not _ADMITTED.issuperset(start):
         raise UnsupportedGate("effective separation is defined over CNOT/R_x/R_z gates only")

@@ -72,6 +72,7 @@ from .circuit import (
     _gate_counts,
     _so4_factors,
     _su2,
+    _su2_entries,
     _su4_normalize,
     _zy_angles,
     simulate,
@@ -268,13 +269,14 @@ _ZX_READ = _FRAME_READS[_Z, _X]
 
 def _local_gates(x, qubit, lib):
     """The gates of one quaternion x from ``_local_factors``: its SU(2)
-    matrix in BASIC, else Rz(psi) R_inner(phi) Rz(theta) as ``_zy_angles``
-    reads them in the frame (Z, inner), inner X in CXZ and Y otherwise, zero
-    angles included (``_assemble`` drops them; at the gimbal psi is 0), in CXY
-    conjugated by H (``_CXY_CONJ``): Rx(psi) Ry(-phi) Rx(theta).  The angles
-    are finite, theta and psi wrapped and phi in [0, pi]: built trusted."""
+    entries in BASIC (``_su2_entries``), else Rz(psi) R_inner(phi)
+    Rz(theta) as ``_zy_angles`` reads them in the frame (Z, inner), inner X
+    in CXZ and Y otherwise, zero angles included (``_assemble`` drops them;
+    at the gimbal psi is 0), in CXY conjugated by H (``_CXY_CONJ``):
+    Rx(psi) Ry(-phi) Rx(theta).  The angles are finite, theta and psi
+    wrapped and phi in [0, pi]: built trusted."""
     if lib is GateLibrary.BASIC:
-        return (Generic1Q._trusted(qubit, _su2(*x)),)
+        return (Generic1Q._trusted(qubit, _su2_entries(x)),)
     inner, x = (_X, _frame(x, _ZX_READ)) if lib is GateLibrary.CXZ else (_Y, x)
     theta, phi, psi = _zy_angles(x)
     outer, phi = (_X, -phi) if lib is GateLibrary.CXY else (_Z, phi)
@@ -555,8 +557,7 @@ def synthesize(u, lib=GateLibrary.CYZ, tol=DEFAULT_TOL):
 def enumerate_circuits(u, lib=GateLibrary.CYZ, limit=8, tol=DEFAULT_TOL):
     """The verified circuits of the first ``limit`` candidates that verify,
     one per candidate, in the order they are tried."""
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-        raise ValueError("limit must be >= 1, a positive integer, got %r" % (limit,))
+    limit = nm.require_count(limit, "limit")
     results = []
     for result in _outcomes(u, lib, tol, "enumerate_circuits"):
         if isinstance(result, SynthesisResult):

@@ -113,6 +113,51 @@ class TestGates:
         assert a.__eq__(Rotation(Axis.X, 0, math.pi)) is NotImplemented
         assert a != Rotation(Axis.X, 0, math.pi)
 
+    def test_a_circuit_of_generic1q_gates_is_a_set_member_and_a_dict_key(self):
+        # Generic1Q defined its own __eq__ in a dataclass that wrote none,
+        # so Python set its hash to None, and neither worked.
+        rng = np.random.default_rng(7)
+        m = su2(rng)
+        c = Circuit((Generic1Q(0, m), CNOT(0, 1), Generic1Q(1, m)))
+        same = Circuit((Generic1Q(0, m.copy()), CNOT(0, 1), Generic1Q(1, m.copy())))
+        other = Circuit((Generic1Q(0, m), CNOT(0, 1), Generic1Q(0, m)))
+        assert len({c, same, other}) == 2
+        assert same in {c} and other not in {c}
+        found = {c: "c"}
+        assert found[same] == "c" and other not in found
+
+    def test_gates_built_from_equal_matrices_are_one_key(self):
+        rng = np.random.default_rng(8)
+        m = su2(rng)
+        keys = {Generic1Q(0, m): 1}
+        keys[Generic1Q(0, np.array(m.tolist()))] = 2
+        keys[Generic1Q(np.int64(0), m.copy())] = 3
+        assert keys == {Generic1Q(0, m): 3}
+        assert {Generic1Q(0, m), Generic1Q(1, m)} == {Generic1Q(1, m), Generic1Q(0, m)}
+
+    def test_writing_into_the_matrix_read_changes_no_gate(self):
+        rng = np.random.default_rng(9)
+        m = su2(rng)
+        g = Generic1Q(1, m)
+        c = Circuit((g, CNOT(0, 1)))
+        before = simulate(c)
+        read = g.matrix
+        read[:] = 0.0
+        g.matrix[0, 0] = 5.0
+        m[:] = np.eye(2)
+        assert g == Generic1Q(1, su2(np.random.default_rng(9)))
+        assert np.array_equal(g.matrix, su2(np.random.default_rng(9)))
+        assert np.array_equal(simulate(c), before)
+
+    def test_generic1q_stores_the_entries_of_its_checked_matrix(self):
+        rng = np.random.default_rng(10)
+        m = su2(rng)
+        g = Generic1Q(0, m)
+        assert g.entries == tuple(m.ravel().tolist())
+        assert all(type(z) is complex for z in g.entries)
+        assert g.matrix.dtype == np.complex128 and np.array_equal(g.matrix, m)
+        assert "entries" not in repr(g)
+
     def test_gate_matrix_wire_convention(self):
         rng = np.random.default_rng(0)
         a = su2(rng)
@@ -532,6 +577,12 @@ class TestSerialization:
         assert gate_to_text(Generic1Q(0, nm.I2)).startswith("U3 0 ")
         with pytest.raises(TypeError, match="^not a gate: "):
             gate_to_text(object())
+
+    def test_qasm_refuses_what_is_not_a_gate(self):
+        # An unknown gate was dropped, and only the header lines came back.
+        for gates in [(object(),), (CNOT(0, 1), "junk", Swap())]:
+            with pytest.raises(TypeError, match="^not a gate: "):
+                to_qasm(Circuit(gates))
 
 
 #: Derandomized, with no example database, so the suite draws the same

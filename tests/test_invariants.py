@@ -354,11 +354,17 @@ class TestLowerBound:
         assert cnot_lower_bound(2) == 3
         assert cnot_lower_bound(3) == 14
 
-    @pytest.mark.parametrize("n", [True, False, 0, -1, 2.0, "2", None])
+    @pytest.mark.parametrize("n", [True, False, 0, -1, 2.0, "2", None, np.int64(0), np.bool_(True)])
     def test_rejects_what_is_not_a_positive_integer(self, n):
         # bool is an int subclass: True would be read as n = 1.
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match="^n must be >= 1, a positive integer, got "):
             cnot_lower_bound(n)
+
+    def test_a_numpy_integer_is_that_integer(self):
+        # 4**n of an int64 n wraps at n = 32; the count is read as an int.
+        for n in (1, 2, 3, 40):
+            assert cnot_lower_bound(np.int64(n)) == cnot_lower_bound(n)
+        assert cnot_lower_bound(np.int64(40)) == (4**40 - 3 * 40 - 1 + 3) // 4
 
     def test_matches_exact_rational_ceiling(self):
         for n in range(1, 9):

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import importlib.util
 import itertools
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import q2synth
 from q2synth import numerics as nm
 from q2synth import rewrite
 from q2synth.circuit import (
@@ -40,8 +42,10 @@ from q2synth.rewrite import (
     replay,
 )
 
-# The benchmark's plain-NumPy reference, which never imports q2synth.
+# The benchmark's plain-NumPy reference, which never imports q2synth, and
+# its workloads, for the reduce-long circuits.
 import reference
+import workloads
 
 EXPECTED_RULE_IDS = {
     "CancelCNOT",
@@ -481,6 +485,10 @@ class TestReduce:
         c = C([Generic1Q(0, scale * nm.haar_unitary(2, rng)) for _ in range(2)])
         out, trace = reduce(c)
         assert trace.steps == (("MergeRotations", 0),)
+        # The product took the polar step, and is a gate's entries again.
+        (g,) = out.gates
+        assert type(g.entries) is tuple and all(type(z) is complex for z in g.entries)
+        assert _unitarity_residual(g.entries) <= 1e-14
         for result in (out, parse_circuit(circuit_to_text(out))):
             assert nm.phase_distance(simulate(result), simulate(c)) <= 2 * nm.UNITARY_TOL
 
@@ -723,6 +731,33 @@ class TestIncrementalReduce:
         assert calls == []
         fired = fired_windows(c, trace.steps)
         assert {("MergeRotations", True), ("CommuteRxTarget", True), ("CommuteRzControl", True)} <= fired
+
+    def test_reduce_makes_no_array_round_trip(self):
+        # A Generic1Q is its four entries, and a merge multiplies and tests
+        # them as scalars, so reduce on the benchmark's reduce-long circuits
+        # builds no NumPy array and reads none back.  Each merge built a
+        # 2x2 array that the symbol of its product then read back.
+        workload = workloads.ReduceLong(q2synth, 321)
+        circuits = [call.args[0] for _ in range(12) for call in workload.next_request() if call.api == "reduce"]
+        assert len(circuits) == 48
+        forbidden = {"numpy.array", "ndarray.tolist", "ndarray.item"}
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "c_call":
+                module = getattr(arg, "__module__", None)
+                name = getattr(arg, "__qualname__", "")
+                calls["%s.%s" % (module, name) if module else name] += 1
+
+        previous = sys.getprofile()
+        try:
+            sys.setprofile(count)
+            traces = [reduce(c)[1] for c in circuits]
+        finally:
+            sys.setprofile(previous)
+        assert {name: calls[name] for name in forbidden} == dict.fromkeys(forbidden, 0)
+        merges = sum(rule_id == "MergeRotations" for trace in traces for rule_id, _ in trace.steps)
+        assert merges > 1000
 
     def test_first_matcher_alone_lowers_the_measure(self):
         # reduce applies only matchers[0] and keeps its cached hits while
@@ -1112,11 +1147,25 @@ class TestEffectivelySeparated:
         with pytest.raises(UnsupportedGate):
             effectively_separated(C([Generic1Q(0, nm.SIGMA_X)]), 4)
 
-    @pytest.mark.parametrize("depth", [0, -1, True, False, 2.5, float("nan"), "3", None, 3.0])
+    @pytest.mark.parametrize(
+        "depth", [0, -1, True, False, 2.5, float("nan"), "3", None, 3.0, np.int64(0), np.bool_(True), np.float64(3.0)]
+    )
     def test_rejects_bad_depth(self, depth):
         # The rule of cnot_lower_bound: an int of at least 1, and no bool.
-        with pytest.raises(ValueError, match="depth_limit must be a positive integer"):
+        with pytest.raises(ValueError, match="^depth_limit must be >= 1, a positive integer, got "):
             effectively_separated(C([CNOT(0, 1)]), depth)
+
+    @pytest.mark.parametrize("depth", [np.int64(3), np.int32(1), np.uint8(2)])
+    def test_a_numpy_integer_depth_is_that_depth(self, depth):
+        # As a gate wire may be one, a depth computed with NumPy is taken.
+        rng = np.random.default_rng(41)
+        answers = set()
+        for _ in range(40):
+            c = separation_circuit(rng, 10)
+            answer = effectively_separated(c, depth)
+            assert answer == effectively_separated(c, int(depth))
+            answers.add(answer)
+        assert answers == {True, False}
 
 
 class TestQFT2Reference:

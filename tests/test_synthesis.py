@@ -26,6 +26,7 @@ from q2synth.circuit import (
     _entries,
     _so4_factors,
     _su2,
+    _su2_entries,
     _su4_normalize,
     _zy_angles,
     circuit_to_text,
@@ -641,20 +642,25 @@ class TestSynthesize:
     @pytest.mark.parametrize("lib", list(GateLibrary))
     def test_factors_reach_the_gates_as_quaternions(self, lib, monkeypatch):
         # _so4_factors' quaternions go to the Euler reader as they are: only
-        # basic builds SU(2) matrices, one per Generic1Q factor.
-        built = []
+        # basic builds SU(2) entries, one per Generic1Q factor, and no
+        # library builds an SU(2) matrix.
+        built = {"matrix": 0, "entries": 0}
 
-        def counted(*x):
-            built.append(x)
-            return _su2(*x)
+        def counted(kind, fn):
+            def call(*x):
+                built[kind] += 1
+                return fn(*x)
 
-        monkeypatch.setattr("q2synth.circuit._su2", counted)
-        monkeypatch.setattr("q2synth.synthesis._su2", counted)
+            return call
+
+        for module in ("q2synth.circuit", "q2synth.synthesis"):
+            monkeypatch.setattr(module + "._su2", counted("matrix", _su2))
+            monkeypatch.setattr(module + "._su2_entries", counted("entries", _su2_entries))
         rng = np.random.default_rng(39)
         for _ in range(5):
-            built.clear()
+            built.update(matrix=0, entries=0)
             synthesize(nm.haar_unitary(4, rng), lib)
-            assert len(built) == (4 if lib is GateLibrary.BASIC else 0)
+            assert built == {"matrix": 0, "entries": 4 if lib is GateLibrary.BASIC else 0}
 
     def test_a_later_cxz_candidate_answers_where_the_first_is_refused(self):
         # The retry loop carries real cases: next to three Weyl-chamber
@@ -1188,12 +1194,23 @@ class TestCorePhase:
 
 
 class TestEnumerate:
-    @pytest.mark.parametrize("limit", [0, -1, True, False, 2.5, float("nan"), "2", None, 2.0])
+    @pytest.mark.parametrize(
+        "limit", [0, -1, True, False, 2.5, float("nan"), "2", None, 2.0, np.int64(0), np.bool_(True), np.float64(2.0)]
+    )
     def test_rejects_a_limit_that_is_not_a_positive_integer(self, limit):
         # limit=2.5 gave 3 circuits, limit=True gave 1, and limit="2"
         # raised a bare TypeError; the rule of effectively_separated's depth.
         with pytest.raises(ValueError, match="^limit must be >= 1, a positive integer, got "):
             enumerate_circuits(nm.CNOT01, GateLibrary.CYZ, limit=limit)
+
+    @pytest.mark.parametrize("limit", [np.int64(2), np.int32(1), np.uint8(3)])
+    def test_a_numpy_integer_limit_is_that_limit(self, limit):
+        # As a gate wire may be one, a limit computed with NumPy is taken.
+        u = nm.haar_unitary(4, np.random.default_rng(12))
+        got = enumerate_circuits(u, GateLibrary.CYZ, limit=limit)
+        want = enumerate_circuits(u, GateLibrary.CYZ, limit=int(limit))
+        assert len(got) == int(limit)
+        assert [r.circuit for r in got] == [r.circuit for r in want]
 
     def test_yields_distinct_verified_circuits(self):
         rng = np.random.default_rng(12)
